@@ -1,9 +1,9 @@
 """Reproduce the single-run baselines quoted in ROADMAP.md, as medians of repeats.
 
-    python3 perfbench/baselines.py [--repeats 5] [--out perfbench/baselines.json]
+    python3 perfbench/baselines.py [--out perfbench/baselines.json]
 
 Run from the root of a source checkout.  Each figure is the median and the
-quartiles of `--repeats` runs in this process, in wall time and scaled to the
+quartiles of REPEATS runs in this process, in wall time and scaled to the
 nominal host speed as the benchmark scales it (see `speed.py`); the JSON
 written to `--out` also records the Python version, nproc and the CPU model.
 """
@@ -27,6 +27,7 @@ import speed  # noqa: E402
 import votaudit as va  # noqa: E402
 from votaudit import replay  # noqa: E402
 
+REPEATS = 5
 #: (name, rule, grid, the ROADMAP's seconds); epsilon 1/20, move mesh 1/100.
 AUDITS = (
     ("audit_wsp plurality full grid 1/20", va.PLURALITY, 20, 14.7),
@@ -91,11 +92,8 @@ def cpu_model() -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=Path(__file__).parent / "baselines.json")
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     replay.scenario_catalog()
     results = []
@@ -103,7 +101,7 @@ def main() -> int:
 
     def record(name: str, unit: str, roadmap: float, fn, scale: float = 1.0) -> None:
         with sampler:
-            runs = [timed(sampler, fn) for _ in range(args.repeats)]
+            runs = [timed(sampler, fn) for _ in range(REPEATS)]
         wall = summary([w for w, _ in runs], scale)
         nominal = summary([n for _, n in runs], scale)
         results.append({"name": name, "unit": unit, "roadmap": roadmap, "runs": len(runs),

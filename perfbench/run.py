@@ -11,8 +11,9 @@ least the workload's minimum), and the end-to-end metrics are reported.
 With ``--trace 1`` the workload's first ``TRACED_OPS`` operations run once
 untraced and once under the tracer (see `tracer.py`): a fixed amount of work,
 so the counts are exact for the seed and ``--seconds`` does not apply.  The
-per-layer metrics include ``op_p99_ms`` of the untraced pass.  Times are
-scaled to a nominal host speed (see `speed.py`).
+checks of the outputs are not traced.  The per-layer metrics include
+``op_p99_ms`` of the untraced pass.  Times are scaled to a nominal host speed
+(see `speed.py`).
 
 Every operation's output is checked, outside its timed interval, and the
 outputs of the first ``DIGEST_OPS`` operations of the default seed must hash
@@ -137,10 +138,12 @@ def percentile(values, weights, share: float) -> float:
 class Gate:
     """Checks every output and collects the digest lines of the first operations."""
 
-    def __init__(self, workload, sampler: speed.SpeedSampler, digest_ops: int):
+    def __init__(self, workload, sampler: speed.SpeedSampler, digest_ops: int,
+                 untraced=contextlib.nullcontext):
         self.workload = workload
         self.sampler = sampler
         self.digest_ops = digest_ops
+        self.untraced = untraced  # a context that keeps the checks out of a trace
         self.lines: list[str] = []
         self.attempted = 0
         self.failed = 0
@@ -157,14 +160,15 @@ class Gate:
         except Exception as exc:  # a raising operation is a failed one
             output, raised = None, exc
         elapsed, own = self.sampler.wall(start), self.sampler.own_speed(start)
-        problem = f"{op.key}: raised {raised!r}" if raised else wl.check(op, output)
+        with self.untraced():
+            problem = f"{op.key}: raised {raised!r}" if raised else wl.check(op, output)
+            if len(self.lines) < self.digest_ops:
+                self.lines.append("error" if raised else wl.digest_line(op, output))
         self.attempted += op.weight
         if problem is not None:
             self.failed += op.weight
             if self.failed <= 5 * op.weight:
                 print(f"perfbench: check failed: {problem}", file=sys.stderr)
-        if len(self.lines) < self.digest_ops:
-            self.lines.append("error" if raised else wl.digest_line(op, output))
         return elapsed, own
 
     def digest(self) -> str:
@@ -256,12 +260,12 @@ def main() -> int:
     if not args.trace:
         setup_wall, setup_s = setup_seconds(wl.SETUP)
     with speed.SpeedSampler() as sampler:
-        gate = Gate(wl, sampler, digest_ops)
         if args.trace:
             # The same first operations run untraced, then traced, so the counts
             # are exact for the seed and the overhead ratio compares equal work.
             from tracer import Tracer
             tracer = Tracer()
+            gate = Gate(wl, sampler, digest_ops, tracer.paused)
             with tracer.installed():
                 exec(wl.SETUP, {})
             with prefix(wl, args.seed, wl.TRACED_OPS) as stream:
@@ -272,6 +276,7 @@ def main() -> int:
             metrics["trace.overhead_ratio"] = (traced / untraced, "ratio")
             metrics["op_p99_ms"] = (percentile(latencies, weights, 0.99), "ms")
         else:
+            gate = Gate(wl, sampler, digest_ops)
             exec(wl.SETUP, {})
             with contextlib.closing(wl.ops(args.seed)) as stream:
                 wall_rate, rate, latencies, weights = measure(

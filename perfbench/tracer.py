@@ -55,6 +55,7 @@ class Tracer:
         self.spans: dict[str, list[float]] = {}  # name -> [calls, total s, self s]
         self.counts: Counter = Counter()
         self._stack: list[float] = []  # time covered by children of each open span
+        self.active = True  # False while the benchmark checks outputs (see `paused`)
         # span name -> (snapshot before the call, update after it)
         self._hooks = {
             "manipulation.find_manipulation": (None, self._after_find),
@@ -83,6 +84,8 @@ class Tracer:
         counts = self.counts
 
         def traced(*args, **kwargs):
+            if not self.active:
+                return fn(*args, **kwargs)
             state = before() if before else None
             if count:
                 counts[count] += 1
@@ -106,8 +109,7 @@ class Tracer:
         stats = self.spans.setdefault(name, [0, 0.0, 0.0])
         counts = self.counts
 
-        def traced(*args, **kwargs):
-            inner = fn(*args, **kwargs)
+        def spanned(inner):
             while True:
                 start = self._open()
                 try:
@@ -118,6 +120,10 @@ class Tracer:
                     self._close(stats, start)
                 counts[name + ".items"] += 1
                 yield item
+
+        def traced(*args, **kwargs):
+            inner = fn(*args, **kwargs)
+            return spanned(inner) if self.active else inner
 
         return traced
 
@@ -146,6 +152,16 @@ class Tracer:
             self.counts["replay.checks"] += len(result.results)
 
     # -- installation -----------------------------------------------------
+
+    @contextlib.contextmanager
+    def paused(self):
+        """Leave calls made in the block untraced: the benchmark's own checks
+        call votaudit too, and their work is not the program's."""
+        self.active = False
+        try:
+            yield
+        finally:
+            self.active = True
 
     @contextlib.contextmanager
     def installed(self):
