@@ -68,7 +68,7 @@ def _cmd_evaluate(args, out) -> int:
         out(f"rule: {rule}")
         if outcome.winner is not None:
             out(f"winner: {outcome.winner}")
-        elif not outcome.tie_set and rule.kind == "condorcet":
+        elif not outcome.tie_set:  # only the pairwise rule has an empty tie set
             out("no Condorcet winner (cycle)")
         else:
             out(f"no winner ({outcome})")
@@ -143,9 +143,10 @@ def _cmd_audit(args, out) -> int:
 def _cmd_manipulate(args, out) -> int:
     rule = _parse_rule(args.rule)
     epsilon = _parse_fraction(args.epsilon, "epsilon")
-    if epsilon <= 0:
-        raise _CliError("epsilon must be positive")
-    config = manipulation.AuditConfig(epsilon, args.grid, args.moves)
+    try:
+        config = manipulation.AuditConfig(epsilon, args.grid, args.moves)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
     if args.domain is not None:
         try:
             domain = core.parse_domain(args.domain)
@@ -181,6 +182,8 @@ def _cmd_replay(args, out) -> int:
         return EXIT_OK
     if not args.case:
         raise _CliError("replay needs --case ID (or --list)")
+    if args.points < 1:
+        raise _CliError(f"--points must be at least 1, not {args.points}")
     try:
         scenario = get_scenario(args.case)
     except KeyError as exc:

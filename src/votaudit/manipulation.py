@@ -33,10 +33,8 @@ from .core import (
 )
 from .rules import (
     RuleDescriptor,
-    borda_scores,
     condorcet_margins,
     evaluate,
-    plurality_scores,
     scoring_scores,
 )
 
@@ -129,22 +127,23 @@ def verify_witness(rule: RuleDescriptor, witness: ManipulationWitness) -> Witnes
     return WitnessCheck(True)
 
 
-def _points(rule: RuleDescriptor, r: Ranking, alt: str) -> Fraction:
-    if rule.kind == "plurality":
-        return Fraction(1) if r.order[0] == alt else Fraction(0)
-    if rule.kind == "scoring":
-        return rule.score_vector[r.position(alt)]
-    return Fraction(2 - r.position(alt))  # dominance count
-
-
 class _Branch:
-    """Search state for one candidate new winner on one base profile."""
+    """Search state for one candidate new winner on one base profile.
 
-    def __init__(self, rule: RuleDescriptor, profile: Profile, old: str, target: str,
+    Both rule families decide through statistics linear in the moved amounts:
+    a positional rule through the score gaps score(target) - score(v), which
+    must all end positive, and the pairwise rule through the margins
+    margin(a, b), where target must reach a half against every rival and every
+    rival must fall below a half against someone.  `base` holds the statistics
+    of the base profile, `deltas[i]` their change per unit moved along arc i,
+    and `suffmax`/`suffmin` the extreme unit changes over arcs i onwards, from
+    which `_possible` bounds what the remaining mass can still do.
+    """
+
+    def __init__(self, rule: RuleDescriptor, profile: Profile, target: str,
                  arcs: Sequence[tuple[Ranking, Ranking]], unit: Fraction):
         self.rule = rule
         self.profile = profile
-        self.old = old
         self.target = target
         self.arcs = list(arcs)
         self.unit = unit
@@ -152,77 +151,53 @@ class _Branch:
         self.source_caps = {
             src: int(profile.weight(src) / unit) for src, _ in self.arcs
         }
-        n = len(self.arcs)
-        if rule.kind == "condorcet":
-            self.margins = condorcet_margins(profile)
-            # Unit deltas of margin(a, b) along each arc, and suffix extrema
-            # used for optimistic bounds over the remaining arcs.
-            self.deltas = []
-            for src, dst in self.arcs:
-                d = {}
-                for a in ALTERNATIVES:
-                    for b in ALTERNATIVES:
-                        if a != b:
-                            d[(a, b)] = unit * (
-                                int(dst.prefers(a, b)) - int(src.prefers(a, b))
-                            )
-                self.deltas.append(d)
-            self.suffmax = {}
-            self.suffmin = {}
-            for key in self.margins:
-                hi = [None] * (n + 1)
-                lo = [None] * (n + 1)
-                worst = Fraction(-10)
-                best = Fraction(10)
-                hi[n], lo[n] = worst, best
-                for i in range(n - 1, -1, -1):
-                    hi[i] = max(hi[i + 1], self.deltas[i][key])
-                    lo[i] = min(lo[i + 1], self.deltas[i][key])
-                self.suffmax[key], self.suffmin[key] = hi, lo
-        else:
-            if rule.kind == "borda":
-                self.scores = borda_scores(profile)
-            elif rule.kind == "scoring":
-                self.scores = scoring_scores(rule, profile)
-            else:
-                self.scores = plurality_scores(profile)
-            # Per-arc change of score(target) - score(rival), per unit moved.
-            self.swings = []
-            for src, dst in self.arcs:
-                swing = {}
-                for v in self.rivals:
-                    swing[v] = unit * (
-                        (_points(rule, dst, target) - _points(rule, src, target))
-                        - (_points(rule, dst, v) - _points(rule, src, v))
-                    )
-                self.swings.append(swing)
-            self.suffmax = {}
-            for v in self.rivals:
-                hi = [Fraction(-10)] * (n + 1)
-                for i in range(n - 1, -1, -1):
-                    hi[i] = max(hi[i + 1], self.swings[i][v])
-                self.suffmax[v] = hi
+        vector = rule.score_vector
+        if vector is None:
+            self.base = condorcet_margins(profile)
+            self._possible = self._possible_pairwise
 
-    def _possible(self, i: int, remaining: int, acc) -> bool:
-        """Optimistic test: can `target` still end up the unique winner?"""
-        if self.rule.kind == "condorcet":
-            for v in self.rivals:
-                key = (self.target, v)
-                best = self.margins[key] + acc[key] + remaining * self.suffmax[key][i]
-                if best < _HALF:
-                    return False
-            for v in self.rivals:
-                # v must be able to drop below a half against someone
-                if not any(
-                    self.margins[(v, u)] + acc[(v, u)]
-                    + remaining * self.suffmin[(v, u)][i] < _HALF
-                    for u in ALTERNATIVES if u != v
-                ):
-                    return False
-            return True
-        gap0 = {v: self.scores[self.target] - self.scores[v] for v in self.rivals}
+            def stat(r: Ranking, key: tuple[str, str]) -> int:
+                return int(r.prefers(*key))
+        else:
+            scores = scoring_scores(rule, profile)
+            self.base = {v: scores[target] - scores[v] for v in self.rivals}
+            self._possible = self._possible_positional
+
+            def stat(r: Ranking, v: str) -> Fraction:
+                return vector[r.position(target)] - vector[r.position(v)]
+        self.deltas = [
+            {key: unit * (stat(dst, key) - stat(src, key)) for key in self.base}
+            for src, dst in self.arcs
+        ]
+        n = len(self.arcs)
+        self.suffmax = {}
+        self.suffmin = {}
+        for key in self.base:
+            hi = [Fraction(-10)] * (n + 1)
+            lo = [Fraction(10)] * (n + 1)
+            for i in range(n - 1, -1, -1):
+                hi[i] = max(hi[i + 1], self.deltas[i][key])
+                lo[i] = min(lo[i + 1], self.deltas[i][key])
+            self.suffmax[key], self.suffmin[key] = hi, lo
+
+    def _possible_positional(self, i: int, remaining: int, acc) -> bool:
+        """Optimistic test: can every score gap of `target` still end positive?"""
+        return all(self.base[v] + acc[v] + remaining * self.suffmax[v][i] > 0
+                   for v in self.rivals)
+
+    def _possible_pairwise(self, i: int, remaining: int, acc) -> bool:
+        """Optimistic test: can `target` still end up the unique majority winner?"""
+        target = self.target
         for v in self.rivals:
-            if gap0[v] + acc[v] + remaining * self.suffmax[v][i] <= 0:
+            key = (target, v)
+            if self.base[key] + acc[key] + remaining * self.suffmax[key][i] < _HALF:
+                return False
+        for v in self.rivals:
+            # v must be able to drop below a half against someone
+            if not any(
+                self.base[(v, u)] + acc[(v, u)] + remaining * self.suffmin[(v, u)][i] < _HALF
+                for u in ALTERNATIVES if u != v
+            ):
                 return False
         return True
 
@@ -251,10 +226,7 @@ class _Branch:
                 return False
             src, _ = arcs[i]
             cap = min(remaining, budget[src])
-            if self.rule.kind == "condorcet":
-                step = self.deltas[i]
-            else:
-                step = self.swings[i]
+            step = self.deltas[i]
             for k in range(cap + 1):
                 combo[i] = k
                 budget[src] -= k
@@ -268,11 +240,7 @@ class _Branch:
             combo[i] = 0
             return False
 
-        if self.rule.kind == "condorcet":
-            zero = {key: Fraction(0) for key in self.margins}
-        else:
-            zero = {v: Fraction(0) for v in self.rivals}
-        if rec(0, total_units, zero):
+        if rec(0, total_units, dict.fromkeys(self.base, Fraction(0))):
             return tuple(combo)
         return None
 
@@ -282,16 +250,15 @@ def _coarse_feasible(rule: RuleDescriptor, profile: Profile, old: str, target: s
     """Cheap necessary condition for any coalition of at most `max_mass` to elect target."""
     if max_mass <= 0:
         return False
-    if rule.kind == "plurality":
-        firsts = plurality_scores(profile)
-        # No permitted source ranks `old` first, so its first-place mass cannot drop.
-        return firsts[target] + max_mass > firsts[old]
-    if rule.kind in ("borda", "scoring"):
-        scores = borda_scores(profile) if rule.kind == "borda" \
-            else scoring_scores(rule, profile)
-        spread = Fraction(2) if rule.kind == "borda" \
-            else rule.score_vector[0] - rule.score_vector[2]
-        return scores[old] - scores[target] < 2 * spread * max_mass
+    vector = rule.score_vector
+    if vector is not None:
+        # A permitted source ranks target above old, at positions p_t < p_o.
+        # Per unit of mass it moves, target gains at most s1 - s[p_t] and old
+        # loses at most s[p_o] - s3; over p_t < p_o that sum is largest at
+        # (p_t, p_o) = (1st, 2nd) or (2nd, 3rd), so it is max(s1 - s2, s2 - s3).
+        s1, s2, s3 = vector
+        scores = scoring_scores(rule, profile)
+        return scores[old] - scores[target] < max(s1 - s2, s2 - s3) * max_mass
     margins = condorcet_margins(profile)
     others = [v for v in ALTERNATIVES if v != target]
     if any(margins[(target, v)] + max_mass < _HALF for v in others):
@@ -329,7 +296,7 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
             for dst in profile.domain
             if dst != src
         )
-        branches.append(_Branch(rule, profile, old, target, arcs, unit))
+        branches.append(_Branch(rule, profile, target, arcs, unit))
 
     all_pairs = [
         (src, dst) for src in profile.domain for dst in profile.domain if src != dst
@@ -386,9 +353,10 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     none certifies only "no witness at this resolution", never full immunity.
     """
     for profile in grid_profiles(domain, config.grid_denominator):
-        if evaluate(rule, profile).winner is None:
-            continue  # nongeneric base: manipulation claims compare actual winners
-        witness = find_manipulation(rule, profile, config)
+        try:
+            witness = find_manipulation(rule, profile, config)
+        except NongenericProfileError:
+            continue  # manipulation claims compare actual winners
         if witness is not None:
             return witness
     return None

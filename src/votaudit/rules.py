@@ -6,9 +6,11 @@ singleton.  Any exact tie in a rule's decision statistic is treated as
 nongeneric, so boundary profiles may evaluate to no winner at all (for the
 pairwise-majority rule even an empty set, on a cycle).
 
-Point scores count strict dominance: an alternative earns one point per
-alternative ranked strictly below it, per unit of voter weight.  On three
-alternatives this is the (2, 1, 0) convention, so on the profile
+Every rule but the pairwise-majority one is positional: its score vector
+alone defines it, Borda being (2, 1, 0) and plurality (1, 0, 0), and
+`scoring_scores` is the one score function.  Borda's point scores count
+strict dominance: an alternative earns one point per alternative ranked
+strictly below it, per unit of voter weight, so on the profile
 (p: x>y>z, q: y>x>z, 1-p-q: y>z>x) the scores are exactly
 (2p + q, 2 - p, 1 - p - q).
 """
@@ -54,12 +56,21 @@ class Outcome:
         return "tie {" + ", ".join(sorted(self.tie_set)) + "}"
 
 
+#: The positional rules known by name, and their score vectors.
+_NAMED_VECTORS = {
+    "borda": (Fraction(2), Fraction(1), Fraction(0)),
+    "plurality": (Fraction(1), Fraction(0), Fraction(0)),
+}
+
+
 @dataclass(frozen=True)
 class RuleDescriptor:
     """One of: borda, condorcet, plurality, or scoring with a fixed score triple.
 
-    A scoring triple (s1, s2, s3) must satisfy s1 >= s2 >= s3 and s1 > s3;
-    borda is extensionally the scoring rule (2, 1, 0).
+    Every rule but condorcet is positional and carries its score triple
+    (s1, s2, s3), with s1 >= s2 >= s3 and s1 > s3: borda is (2, 1, 0) and
+    plurality (1, 0, 0), filled in here; scoring takes any valid triple.
+    Condorcet, the pairwise-majority rule, has no score vector.
     """
 
     kind: str
@@ -68,16 +79,23 @@ class RuleDescriptor:
     def __post_init__(self) -> None:
         if self.kind not in ("borda", "condorcet", "plurality", "scoring"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "scoring":
-            if self.score_vector is None or len(self.score_vector) != 3:
-                raise ValueError("scoring rule needs a triple of rationals")
-            s1, s2, s3 = self.score_vector
-            if not (s1 >= s2 >= s3):
-                raise ValueError("score vector must be nonincreasing")
-            if not s1 > s3:
-                raise ValueError("degenerate score vector: s1 must exceed s3")
-        elif self.score_vector is not None:
-            raise ValueError(f"{self.kind} takes no score vector")
+        named = _NAMED_VECTORS.get(self.kind)
+        if named is not None:
+            if self.score_vector not in (None, named):
+                raise ValueError(f"{self.kind} has the fixed score vector "
+                                 + ",".join(map(str, named)))
+            object.__setattr__(self, "score_vector", named)
+        if self.kind == "condorcet":
+            if self.score_vector is not None:
+                raise ValueError("condorcet takes no score vector")
+            return
+        if self.score_vector is None or len(self.score_vector) != 3:
+            raise ValueError("scoring rule needs a triple of rationals")
+        s1, s2, s3 = self.score_vector
+        if not (s1 >= s2 >= s3):
+            raise ValueError("score vector must be nonincreasing")
+        if not s1 > s3:
+            raise ValueError("degenerate score vector: s1 must exceed s3")
 
     def __str__(self) -> str:
         if self.kind == "scoring":
@@ -117,38 +135,30 @@ def _check_alts(profile: Profile, alts: Iterable[str] | None) -> tuple[str, ...]
     return tuple(a for a in ALTERNATIVES if a in chosen)
 
 
-def borda_scores(profile: Profile, alts: Iterable[str] | None = None) -> dict[str, Fraction]:
-    """Weighted dominance counts: score(a) = sum over rankings of w * |{b in alts below a}|."""
-    chosen = _check_alts(profile, alts)
-    scores = {a: Fraction(0) for a in chosen}
-    for r, w in profile.weights.items():
-        for a in chosen:
-            dominated = sum(1 for b in chosen if b != a and r.prefers(a, b))
-            scores[a] += w * dominated
-    return scores
-
-
 def scoring_scores(rule: RuleDescriptor, profile: Profile,
                    alts: Iterable[str] | None = None) -> dict[str, Fraction]:
-    """Positional scores for a scoring rule, using the first |alts| vector components."""
+    """Positional scores for a positional rule, using the first |alts| vector components."""
     chosen = _check_alts(profile, alts)
-    vector = rule.score_vector[: len(chosen)]
-    scores = {a: Fraction(0) for a in chosen}
+    whole = len(chosen) == len(ALTERNATIVES)
+    # Integral entries as ints, with zero and unit products skipped, keep
+    # plurality's (1, 0, 0) as cheap as counting first places.
+    vector = [int(s) if s.denominator == 1 else s for s in rule.score_vector[: len(chosen)]]
+    scores = dict.fromkeys(chosen, Fraction(0))
     for r, w in profile.weights.items():
-        induced = [a for a in r.order if a in chosen]
-        for pos, a in enumerate(induced):
-            scores[a] += w * vector[pos]
+        induced = r.order if whole else [a for a in r.order if a in chosen]
+        for a, s in zip(induced, vector):
+            if s:
+                scores[a] += w if s == 1 else w * s
     return scores
 
 
-def plurality_scores(profile: Profile, alts: Iterable[str] | None = None) -> dict[str, Fraction]:
-    """First-place weight of each alternative within the restriction."""
-    chosen = _check_alts(profile, alts)
-    keep = set(chosen)
-    scores = {a: Fraction(0) for a in chosen}
-    for r, w in profile.weights.items():
-        first = next(a for a in r.order if a in keep)
-        scores[first] += w
+def borda_scores(profile: Profile, alts: Iterable[str] | None = None) -> dict[str, Fraction]:
+    """Weighted dominance counts: score(a) = sum over rankings of w * |{b in alts below a}|."""
+    scores = scoring_scores(BORDA, profile, alts)
+    # On two alternatives the vector prefix (2, 1) is the dominance count (1, 0)
+    # plus one point per unit of weight, and the weights sum to 1.
+    if len(scores) == 2:
+        scores = {a: s - 1 for a, s in scores.items()}
     return scores
 
 
@@ -173,12 +183,8 @@ def evaluate(rule: RuleDescriptor, profile: Profile,
              alts: Iterable[str] | None = None) -> Outcome:
     """Evaluate a rule on a profile, optionally restricted to a subset of alternatives."""
     chosen = _check_alts(profile, alts)
-    if rule.kind == "borda":
-        return _argmax(borda_scores(profile, chosen))
-    if rule.kind == "scoring":
+    if rule.score_vector is not None:
         return _argmax(scoring_scores(rule, profile, chosen))
-    if rule.kind == "plurality":
-        return _argmax(plurality_scores(profile, chosen))
     margins = condorcet_margins(profile)
     tie = frozenset(
         a for a in chosen

@@ -42,6 +42,19 @@ def brute_plurality_tie_set(profile: Profile) -> frozenset[str]:
     return frozenset(a for a, s in firsts.items() if s == best)
 
 
+def brute_scoring_tie_set(vector, profile: Profile) -> frozenset[str]:
+    # s3 for every voter, s2 - s3 more for being in the top two, s1 - s2 more for first
+    s1, s2, s3 = vector
+    scores = {a: Fraction(0) for a in ALTERNATIVES}
+    for r, w in profile.weights.items():
+        for a in ALTERNATIVES:
+            top_two = r.position(a) < 2
+            first = r.position(a) == 0
+            scores[a] += w * (s3 + (s2 - s3) * top_two + (s1 - s2) * first)
+    best = max(scores.values())
+    return frozenset(a for a, s in scores.items() if s == best)
+
+
 def brute_condorcet_tie_set(profile: Profile) -> frozenset[str]:
     matrix = pairwise_matrix(profile)
     half = Fraction(1, 2)

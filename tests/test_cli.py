@@ -97,6 +97,18 @@ def test_manipulate_profile_and_domain(fixtures):
     assert "no witness" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--grid", "0"], "error: denominators must be at least 1"),
+    (["--moves", "0"], "error: denominators must be at least 1"),
+    (["--epsilon", "0"], "error: epsilon must be positive"),
+])
+def test_manipulate_bad_config_is_input_error(fixtures, capsys, flags, message):
+    argv = ["manipulate", "--rule", "plurality", "--epsilon", "1/20", fixtures["near_tie"]]
+    code = main(argv + flags)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_manipulate_nongeneric_is_input_error(tmp_path):
     tie = tmp_path / "tie.profile"
     tie.write_text("domain: full\n1/2 x>y>z\n1/2 y>x>z\n")
@@ -127,6 +139,13 @@ def test_replay_sampled_points():
     code, out = run(["replay", "--case", "2.II.2", "--points", "3", "--seed", "1"])
     assert code == 0
     assert out.count("scenario 2.II.2") == 3
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_replay_without_points_is_input_error(capsys, points):
+    code = main(["replay", "--case", "2.I.n+1", "--points", points])
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_replay_list():

@@ -160,7 +160,8 @@ def test_grid_profiles_canonical_order_and_count():
     assert len(set(map(str, profiles))) == len(profiles)
 
 
-@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET])
+@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,
+                                  va.scoring(3, 1, 0), va.scoring(1, 1, 0)])
 def test_oracle_equivalence_full_domain_grid4(rule):
     config = va.AuditConfig(F(3, 4), 4, 4)
     for profile in va.grid_profiles(va.FULL_DOMAIN, 4):
@@ -172,7 +173,8 @@ def test_oracle_equivalence_full_domain_grid4(rule):
             assert va.verify_witness(rule, found)
 
 
-@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET])
+@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,
+                                  va.scoring(3, 1, 0), va.scoring(1, 1, 0)])
 def test_oracle_equivalence_cycle_domain_grid6(rule):
     config = va.AuditConfig(F(1, 2), 6, 6)
     for profile in va.grid_profiles(va.CYCLE_DOMAIN, 6):

@@ -9,6 +9,7 @@ from oracles import (
     brute_borda_tie_set,
     brute_condorcet_tie_set,
     brute_plurality_tie_set,
+    brute_scoring_tie_set,
     pairwise_matrix,
 )
 
@@ -37,6 +38,15 @@ def test_borda_scores_formulas_symbolic_shape():
 def test_borda_scores_unanimous_strict_dominance_counts():
     u = va.profile_from({"xyz": 1})
     assert va.borda_scores(u) == {"x": 2, "y": 1, "z": 0}
+
+
+def test_borda_scores_on_two_alternatives_count_dominance():
+    # one point per unit of weight ranking the alternative first, none below
+    u = profile_u(F(1, 2), F(3, 10))
+    assert va.borda_scores(u, alts={"x", "y"}) == {"x": F(1, 2), "y": F(1, 2)}
+    assert va.borda_scores(u, alts={"x", "z"}) == {"x": F(4, 5), "z": F(1, 5)}
+    pair = va.restrict_profile(u, {"y", "z"})
+    assert va.borda_scores(pair) == {"y": 1, "z": 0}
 
 
 def test_borda_scores_needs_two_alternatives():
@@ -101,6 +111,17 @@ def test_rule_descriptor_validation():
         va.parse_rule("approval")
 
 
+def test_named_rules_carry_their_score_vectors():
+    assert va.BORDA.score_vector == (2, 1, 0) and str(va.BORDA) == "borda"
+    assert va.PLURALITY.score_vector == (1, 0, 0) and str(va.PLURALITY) == "plurality"
+    assert va.CONDORCET.score_vector is None
+    assert va.parse_rule("borda") == va.RuleDescriptor("borda", (2, 1, 0)) == va.BORDA
+    with pytest.raises(ValueError):
+        va.RuleDescriptor("borda", (3, 1, 0))
+    with pytest.raises(ValueError):
+        va.RuleDescriptor("condorcet", (1, 0, 0))
+
+
 def test_borda_equals_scoring_210_on_grid():
     rule = va.scoring(2, 1, 0)
     for profile in grid(5):
@@ -150,6 +171,15 @@ def test_oracle_equivalence_small_denominators():
                 brute_plurality_tie_set(profile)
             assert va.evaluate(va.CONDORCET, profile).tie_set == \
                 brute_condorcet_tie_set(profile)
+
+
+@pytest.mark.parametrize("rule", [va.BORDA, va.PLURALITY, va.scoring(1, 1, 0),
+                                  va.scoring(3, 1, 0)])
+def test_positional_oracle_equivalence_up_to_eighths(rule):
+    for q in range(1, 9):
+        for profile in grid(q):
+            assert va.evaluate(rule, profile).tie_set == \
+                brute_scoring_tie_set(rule.score_vector, profile)
 
 
 @given(st.lists(st.integers(0, 12), min_size=6, max_size=6).filter(lambda v: sum(v) > 0))
