@@ -187,8 +187,8 @@ class Domain:
         if not self.rankings:
             raise ValueError("domain must be nonempty")
         ordered = tuple(sorted(set(self.rankings)))
-        if len({len(r.order) for r in ordered}) != 1:
-            raise ValueError("domain mixes rankings of different lengths")
+        if len({r.alternatives for r in ordered}) != 1:
+            raise ValueError("domain mixes rankings over different alternatives")
         object.__setattr__(self, "rankings", ordered)
 
     def __contains__(self, r: Ranking) -> bool:

@@ -31,12 +31,7 @@ from .core import (
     format_profile,
     transfer_weight,
 )
-from .rules import (
-    RuleDescriptor,
-    condorcet_margins,
-    evaluate,
-    scoring_scores,
-)
+from .rules import RuleDescriptor, evaluate
 
 _HALF = Fraction(1, 2)
 
@@ -135,12 +130,13 @@ class _Branch:
     must all end positive, and the pairwise rule through the margins
     margin(a, b), where target must reach a half against every rival and every
     rival must fall below a half against someone.  `base` holds the statistics
-    of the base profile, `deltas[i]` their change per unit moved along arc i,
-    and `suffmax`/`suffmin` the extreme unit changes over arcs i onwards, from
-    which `_possible` bounds what the remaining mass can still do.
+    of the base profile, derived from its `Outcome.statistic`, `deltas[i]`
+    their change per unit moved along arc i, and `suffmax`/`suffmin` the
+    extreme unit changes over arcs i onwards, from which `_possible` bounds
+    what the remaining mass can still do.
     """
 
-    def __init__(self, rule: RuleDescriptor, profile: Profile, target: str,
+    def __init__(self, rule: RuleDescriptor, profile: Profile, statistic: dict, target: str,
                  arcs: Sequence[tuple[Ranking, Ranking]], unit: Fraction):
         self.rule = rule
         self.profile = profile
@@ -153,14 +149,13 @@ class _Branch:
         }
         vector = rule.score_vector
         if vector is None:
-            self.base = condorcet_margins(profile)
+            self.base = statistic
             self._possible = self._possible_pairwise
 
             def stat(r: Ranking, key: tuple[str, str]) -> int:
                 return int(r.prefers(*key))
         else:
-            scores = scoring_scores(rule, profile)
-            self.base = {v: scores[target] - scores[v] for v in self.rivals}
+            self.base = {v: statistic[target] - statistic[v] for v in self.rivals}
             self._possible = self._possible_positional
 
             def stat(r: Ranking, v: str) -> Fraction:
@@ -245,9 +240,10 @@ class _Branch:
         return None
 
 
-def _coarse_feasible(rule: RuleDescriptor, profile: Profile, old: str, target: str,
+def _coarse_feasible(rule: RuleDescriptor, statistic: dict, old: str, target: str,
                      max_mass: Fraction) -> bool:
-    """Cheap necessary condition for any coalition of at most `max_mass` to elect target."""
+    """Cheap necessary condition for any coalition of at most `max_mass` to elect target,
+    from the base profile's `Outcome.statistic`."""
     if max_mass <= 0:
         return False
     vector = rule.score_vector
@@ -257,13 +253,11 @@ def _coarse_feasible(rule: RuleDescriptor, profile: Profile, old: str, target: s
         # loses at most s[p_o] - s3; over p_t < p_o that sum is largest at
         # (p_t, p_o) = (1st, 2nd) or (2nd, 3rd), so it is max(s1 - s2, s2 - s3).
         s1, s2, s3 = vector
-        scores = scoring_scores(rule, profile)
-        return scores[old] - scores[target] < max(s1 - s2, s2 - s3) * max_mass
-    margins = condorcet_margins(profile)
+        return statistic[old] - statistic[target] < max(s1 - s2, s2 - s3) * max_mass
     others = [v for v in ALTERNATIVES if v != target]
-    if any(margins[(target, v)] + max_mass < _HALF for v in others):
+    if any(statistic[(target, v)] + max_mass < _HALF for v in others):
         return False
-    return any(margins[(old, v)] - max_mass < _HALF
+    return any(statistic[(old, v)] - max_mass < _HALF
                for v in ALTERNATIVES if v != old)
 
 
@@ -288,7 +282,7 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
         sources = [r for r in profile.support if r.prefers(target, old)]
         if not sources:
             continue
-        if not _coarse_feasible(rule, profile, old, target, max_mass):
+        if not _coarse_feasible(rule, base.statistic, old, target, max_mass):
             continue
         arcs = sorted(
             (src, dst)
@@ -296,7 +290,7 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
             for dst in profile.domain
             if dst != src
         )
-        branches.append(_Branch(rule, profile, target, arcs, unit))
+        branches.append(_Branch(rule, profile, base.statistic, target, arcs, unit))
 
     all_pairs = [
         (src, dst) for src in profile.domain for dst in profile.domain if src != dst

@@ -1,24 +1,52 @@
 """Exact evaluation of small arithmetic expressions over named rationals.
 
 The catalog stores weights, move amounts, and inequalities as text like
-``"(1 - a - 2*b)/2"`` or ``"n*epsilon <= a - b"``.  Expressions are parsed
-with `ast` and evaluated over `Fraction`; only +, -, *, /, parentheses,
-integer literals, names, comparisons, `and`, and the functions floor/ceil/abs
-are admitted.  Float literals are rejected so nothing silently loses
-exactness.
+``"(1 - a - 2*b)/2"`` or ``"n*epsilon <= a - b"``.  Each text is parsed once
+with `ast` and compiled into an `Expr`, a closure over `Fraction` that is
+then called at every parameter point.  Only +, -, *, /, parentheses, integer
+literals, names, comparisons, `and`, and the functions floor/ceil/abs are
+admitted.  Float literals are rejected so nothing silently loses exactness.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
+from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
+
+Env = Mapping[str, Fraction]
 
 
 class ExpressionError(ValueError):
     """Raised for malformed or non-exact expressions."""
 
+
+@dataclass(frozen=True, slots=True)
+class Expr:
+    """A compiled expression or predicate; call it on an environment of names."""
+
+    text: str
+    names: frozenset[str]  # the free names it reads
+    fn: Callable[[Env], Fraction | bool] = field(compare=False, repr=False)
+
+    def __call__(self, env: Env):
+        try:
+            return self.fn(env)
+        except KeyError as exc:  # the closures read nothing but `env`
+            raise ExpressionError(f"unknown name {exc.args[0]!r}") from None
+        except ZeroDivisionError:
+            raise ExpressionError("division by zero") from None
+
+    def __str__(self) -> str:
+        return self.text
+
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv}
 
 _FUNCTIONS = {
     "floor": lambda v: Fraction(math.floor(v)),
@@ -26,93 +54,97 @@ _FUNCTIONS = {
     "abs": abs,
 }
 
-_COMPARators = {
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
+_COMPARATORS = {
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
 }
 
 
-def _eval(node: ast.AST, env: Mapping[str, Fraction]) -> Fraction:
-    if isinstance(node, ast.Expression):
-        return _eval(node.body, env)
+def _arith(node: ast.AST, names: set[str]) -> Callable[[Env], Fraction]:
+    """The closure computing `node`; the names it reads are added to `names`."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return Fraction(node.value)
+            value = Fraction(node.value)
+            return lambda env: value
         raise ExpressionError(f"only integer literals are exact, got {node.value!r}")
     if isinstance(node, ast.Name):
-        try:
-            return Fraction(env[node.id])
-        except KeyError:
-            raise ExpressionError(f"unknown name {node.id!r}") from None
+        name = node.id
+        names.add(name)
+        return lambda env: Fraction(env[name])
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        val = _eval(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else val
+        operand = _arith(node.operand, names)
+        return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
     if isinstance(node, ast.BinOp):
-        left, right = _eval(node.left, env), _eval(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Div):
-            if right == 0:
-                raise ExpressionError("division by zero")
-            return left / right
-        raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
+        op = _OPERATORS.get(type(node.op))
+        if op is None:
+            raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
+        left, right = _arith(node.left, names), _arith(node.right, names)
+        return lambda env: op(left(env), right(env))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only floor/ceil/abs calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"{node.func.id} takes exactly one argument")
-        return _FUNCTIONS[node.func.id](_eval(node.args[0], env))
+        function, argument = _FUNCTIONS[node.func.id], _arith(node.args[0], names)
+        return lambda env: function(argument(env))
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def _eval_bool(node: ast.AST, env: Mapping[str, Fraction]) -> bool:
-    if isinstance(node, ast.Expression):
-        return _eval_bool(node.body, env)
+def _predicate(node: ast.AST, names: set[str]) -> Callable[[Env], bool]:
     if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-        return all(_eval_bool(v, env) for v in node.values)
+        parts = [_predicate(v, names) for v in node.values]
+        return lambda env: all(part(env) for part in parts)
     if isinstance(node, ast.Compare):
-        left = _eval(node.left, env)
-        for op, comparator in zip(node.ops, node.comparators):
-            right = _eval(comparator, env)
-            fn = _COMPARators.get(type(op))
-            if fn is None:
+        first, links = _arith(node.left, names), []
+        for op, operand in zip(node.ops, node.comparators):
+            if type(op) not in _COMPARATORS:
                 raise ExpressionError(f"comparison {type(op).__name__} not allowed")
-            if not fn(left, right):
-                return False
-            left = right
-        return True
+            links.append((_COMPARATORS[type(op)], _arith(operand, names)))
+
+        def compare(env: Env) -> bool:
+            left = first(env)
+            for holds, operand in links:
+                right = operand(env)
+                if not holds(left, right):
+                    return False
+                left = right
+            return True
+        return compare
     raise ExpressionError("predicate must be a comparison")
 
 
-def _parse(text: str) -> ast.Expression:
+# Catalog texts repeat (2,088 expression sites, about 350 distinct texts), and
+# an `Expr` is immutable, so every site with the same text shares one.
+@lru_cache(maxsize=1024)
+def _compile(text: str, build) -> Expr:
     try:
-        return ast.parse(text, mode="eval")
+        tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
+    names: set[str] = set()
+    fn = build(tree.body, names)
+    return Expr(text, frozenset(names), fn)
 
 
-def evaluate_expression(text: str, env: Mapping[str, Fraction]) -> Fraction:
+def compile_expression(text: str) -> Expr:
+    """Compile arithmetic text; calling the result gives an exact rational."""
+    return _compile(text, _arith)
+
+
+def compile_predicate(text: str) -> Expr:
+    """Compile comparison text (chained comparisons and `and` allowed) to a test."""
+    return _compile(text, _predicate)
+
+
+def evaluate_expression(text: str, env: Env) -> Fraction:
     """Evaluate arithmetic text to an exact rational."""
-    return _eval(_parse(text), env)
+    return compile_expression(text)(env)
 
 
-def evaluate_predicate(text: str, env: Mapping[str, Fraction]) -> bool:
+def evaluate_predicate(text: str, env: Env) -> bool:
     """Evaluate comparison text (chained comparisons and `and` allowed)."""
-    return _eval_bool(_parse(text), env)
-
-
-def expression_names(text: str) -> frozenset[str]:
-    """The free names appearing in an expression or predicate."""
-    tree = _parse(text)
-    return frozenset(
-        node.id for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id not in _FUNCTIONS
-    )
+    return compile_predicate(text)(env)

@@ -9,7 +9,10 @@ because the rule under analysis is universally quantified.
 
 Scenarios ship as YAML in ``data/`` so every case is auditable as plain text.
 The loader validates structure eagerly: unknown profiles, off-domain
-rankings, or malformed winner specs fail at load time.
+rankings, or malformed winner specs fail at load time.  It also compiles
+every expression once, so an expression that is malformed, inexact, or reads
+a name its scenario does not define fails at load time too, and the verifier
+never parses text.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from functools import lru_cache
 
 import yaml
 
-from ..core import ALTERNATIVES, Domain, Ranking, ranking
-from .expressions import expression_names
+from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
+from .expressions import Expr, ExpressionError, compile_expression, compile_predicate
 
 _VALID_GROUPS = ("cycle", "expansion", "rich")
 
@@ -48,7 +51,7 @@ class MisreportStep:
 
     from_profile: str
     to_profile: str
-    moves: tuple[tuple[Ranking, Ranking, str], ...]  # (true, reported, amount expression)
+    moves: tuple[tuple[Ranking, Ranking, Expr], ...]  # (true, reported, amount)
     improvement: tuple[str, str]  # (old winner spec, new winner spec)
 
 
@@ -62,8 +65,8 @@ class AffineChain:
 
     index: str
     count: str  # name of a derived integer quantity
-    weights: tuple[tuple[Ranking, str], ...]
-    moves: tuple[tuple[Ranking, Ranking, str], ...]
+    weights: tuple[tuple[Ranking, Expr], ...]
+    moves: tuple[tuple[Ranking, Ranking, Expr], ...]
     direction: str  # "down" | "up"
     first: str  # named profile equal to u^(0)
     last: str  # named profile equal to u^(count)
@@ -82,8 +85,8 @@ class DescentChain:
     The terminal step deviates from the two-column `pair` profile.
     """
 
-    fixed: tuple[tuple[Ranking, str], ...]
-    components: tuple[tuple[Ranking, str], ...]
+    fixed: tuple[tuple[Ranking, Expr], ...]
+    components: tuple[tuple[Ranking, Expr], ...]
     absorber: Ranking
     base: str  # named profile equal to level 0
     pair: str  # named profile with all component mass absorbed
@@ -97,7 +100,7 @@ class PermLink:
 
     source: str
     target: str
-    mapping: tuple[tuple[str, str], ...]
+    perm: CandidatePermutation
 
 
 @dataclass(frozen=True)
@@ -106,46 +109,41 @@ class Scenario:
     group: str
     domain: Domain
     params: tuple[str, ...]
-    sample: tuple[tuple[str, str, str], ...]  # (var, low expr, high expr), in order
-    assume: tuple[str, ...]
-    defs: tuple[tuple[str, str], ...]
-    profiles: tuple[tuple[str, tuple[tuple[Ranking, str], ...]], ...]
+    sample: tuple[tuple[str, Expr, Expr], ...]  # (var, low, high), in order
+    assume: tuple[Expr, ...]  # predicates
+    defs: tuple[tuple[str, Expr], ...]
+    profiles: tuple[tuple[str, tuple[tuple[Ranking, Expr], ...]], ...]
     hypotheses: tuple[tuple[str, str], ...]
     rule_checks: tuple[tuple[str, str, str], ...]  # (profile, rule name, winner)
     pareto_excluded: tuple[tuple[str, str], ...]  # (profile, dominated alternative)
-    identities: tuple[tuple[str, str], ...]
-    checks: tuple[str, ...]
+    identities: tuple[tuple[Expr, Expr], ...]
+    checks: tuple[Expr, ...]  # predicates
     steps: tuple[MisreportStep, ...]
     chains: tuple[AffineChain | DescentChain, ...]
     perm_links: tuple[PermLink, ...] = ()
     note: str = ""
 
-    @property
-    def profile_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.profiles)
 
-    def profile_template(self, name: str) -> tuple[tuple[Ranking, str], ...]:
-        for n, t in self.profiles:
-            if n == name:
-                return t
-        raise KeyError(name)
-
-    def hypothesis(self, name: str) -> str | None:
-        for n, h in self.hypotheses:
-            if n == name:
-                return h
-        return None
+def _compiled(compile_fn, text, scope: set[str], where: str) -> Expr:
+    """Compile catalog text, admitting only the names in `scope`."""
+    try:
+        expr = compile_fn(str(text))
+    except ExpressionError as exc:
+        raise CatalogError(f"{where}: expression {str(text)!r}: {exc}") from None
+    for name in sorted(expr.names - scope):
+        raise CatalogError(f"{where}: expression {expr.text!r} uses unknown name {name!r}")
+    return expr
 
 
-def _as_moves(raw, domain: Domain, where: str):
+def _as_moves(raw, domain: Domain, where: str, arith):
     moves = []
     for item in raw:
         if len(item) != 3:
             raise CatalogError(f"{where}: move must be [true, reported, amount]")
-        src, dst, amount = ranking(item[0]), ranking(item[1]), str(item[2])
+        src, dst = ranking(item[0]), ranking(item[1])
         if src not in domain or dst not in domain:
             raise CatalogError(f"{where}: move {src}->{dst} leaves the domain")
-        moves.append((src, dst, amount))
+        moves.append((src, dst, arith(item[2])))
     return tuple(moves)
 
 
@@ -161,17 +159,22 @@ def _as_improvement(raw, where: str) -> tuple[str, str]:
     return old, new
 
 
-def _as_template(raw, domain: Domain, where: str):
+def _as_template(raw, domain: Domain, where: str, arith):
     template = []
-    for key, expr in raw.items():
+    for key, text in raw.items():
         r = ranking(str(key))
         if r not in domain:
             raise CatalogError(f"{where}: ranking {r} outside the domain")
-        template.append((r, str(expr)))
-    return tuple(sorted(template))
+        template.append((r, arith(text)))
+    return tuple(sorted(template, key=lambda item: item[0]))
 
 
 def _parse_scenario(raw: dict) -> Scenario:
+    """Validate one catalog record and compile every expression in it.
+
+    Sampling bounds may read the parameters and epsilon, defs also the defs
+    before them, and every other expression also the affine chains' indices.
+    """
     sid = str(raw["id"])
     where = f"scenario {sid}"
     group = raw.get("group", "")
@@ -179,15 +182,31 @@ def _parse_scenario(raw: dict) -> Scenario:
         raise CatalogError(f"{where}: group must be one of {_VALID_GROUPS}")
     domain = Domain(tuple(ranking(t) for t in raw["domain"]))
     params = tuple(raw.get("params", ()))
-    sample = tuple((v, str(lo), str(hi)) for v, lo, hi in raw.get("sample", ()))
+    scope = set(params) | {"epsilon"}
+
+    def arith(text) -> Expr:
+        return _compiled(compile_expression, text, scope, where)
+
+    def predicate(text) -> Expr:
+        return _compiled(compile_predicate, text, scope, where)
+
+    sample = tuple((var, arith(lo), arith(hi)) for var, lo, hi in raw.get("sample", ()))
+    sampled = {var for var, _, _ in sample}
+    if sampled != scope:
+        raise CatalogError(f"{where}: sampling hints cover {sorted(sampled)}, need {sorted(scope)}")
+    defs = []
+    for name, text in raw.get("defs", ()):
+        defs.append((str(name), arith(text)))
+        scope.add(str(name))
+    scope |= {str(chain.get("index", "j")) for chain in raw.get("chains", ())
+              if chain.get("kind", "affine") == "affine"}
+
     # "window" holds the case's epsilon-interval preconditions; it is kept as a
     # separate key in the data files for readability but is a precondition.
-    assume = tuple(str(a) for a in raw.get("assume", ())) + \
-        tuple(str(w) for w in raw.get("window", ()))
-    defs = tuple((str(n), str(e)) for n, e in raw.get("defs", ()))
+    assume = tuple(predicate(a) for a in (*raw.get("assume", ()), *raw.get("window", ())))
 
     profiles = tuple(
-        (str(name), _as_template(tmpl, domain, f"{where} profile {name}"))
+        (str(name), _as_template(tmpl, domain, f"{where} profile {name}", arith))
         for name, tmpl in raw.get("profiles", {}).items()
     )
     names = {n for n, _ in profiles}
@@ -221,14 +240,14 @@ def _parse_scenario(raw: dict) -> Scenario:
             raise CatalogError(f"{where}: pareto exclusion of unknown alternative {alt!r}")
         pareto_excluded.append((profile, alt))
 
-    identities = tuple((str(l), str(r)) for l, r in raw.get("identities", ()))
-    checks = tuple(str(c) for c in raw.get("checks", ()))
+    identities = tuple((arith(l), arith(r)) for l, r in raw.get("identities", ()))
+    checks = tuple(predicate(c) for c in raw.get("checks", ()))
 
     steps = tuple(
         MisreportStep(
             from_profile=known(step["from"], "step"),
             to_profile=known(step["to"], "step"),
-            moves=_as_moves(step["moves"], domain, f"{where} step"),
+            moves=_as_moves(step["moves"], domain, f"{where} step", arith),
             improvement=_as_improvement(step["improvement"], f"{where} step"),
         )
         for step in raw.get("steps", ())
@@ -241,8 +260,8 @@ def _parse_scenario(raw: dict) -> Scenario:
             chains.append(AffineChain(
                 index=str(chain.get("index", "j")),
                 count=str(chain["count"]),
-                weights=_as_template(chain["weights"], domain, f"{where} chain"),
-                moves=_as_moves(chain["moves"], domain, f"{where} chain"),
+                weights=_as_template(chain["weights"], domain, f"{where} chain", arith),
+                moves=_as_moves(chain["moves"], domain, f"{where} chain", arith),
                 direction=str(chain["direction"]),
                 first=known(chain["first"], "chain"),
                 last=known(chain["last"], "chain"),
@@ -253,8 +272,8 @@ def _parse_scenario(raw: dict) -> Scenario:
                 raise CatalogError(f"{where}: chain direction must be down or up")
         elif kind == "descent":
             chains.append(DescentChain(
-                fixed=_as_template(chain.get("fixed", {}), domain, f"{where} descent"),
-                components=_as_template(chain["components"], domain, f"{where} descent"),
+                fixed=_as_template(chain.get("fixed", {}), domain, f"{where} descent", arith),
+                components=_as_template(chain["components"], domain, f"{where} descent", arith),
                 absorber=ranking(str(chain["absorber"])),
                 base=known(chain["base"], "descent"),
                 pair=known(chain["pair"], "descent"),
@@ -265,49 +284,23 @@ def _parse_scenario(raw: dict) -> Scenario:
         else:
             raise CatalogError(f"{where}: unknown chain kind {kind!r}")
 
-    perm_links_raw = raw.get("perm_links", ())
     perm_links = tuple(
         PermLink(
             source=known(link["source"], "perm link"),
             target=known(link["target"], "perm link"),
-            mapping=tuple(sorted((str(k), str(v)) for k, v in link["mapping"].items())),
+            perm=CandidatePermutation.from_mapping(
+                {str(k): str(v) for k, v in link["mapping"].items()}),
         )
-        for link in perm_links_raw
+        for link in raw.get("perm_links", ())
     )
 
-    scenario = Scenario(
+    return Scenario(
         id=sid, group=group, domain=domain, params=params, sample=sample,
-        assume=assume, defs=defs, profiles=profiles, hypotheses=tuple(hypotheses),
+        assume=assume, defs=tuple(defs), profiles=profiles, hypotheses=tuple(hypotheses),
         rule_checks=tuple(rule_checks), pareto_excluded=tuple(pareto_excluded),
         identities=identities, checks=checks, steps=steps, chains=tuple(chains),
         perm_links=perm_links, note=str(raw.get("note", "")),
     )
-    _check_names(scenario)
-    return scenario
-
-
-def _check_names(scenario: Scenario) -> None:
-    """Every expression may reference only params, epsilon, defs, and chain indices."""
-    allowed = set(scenario.params) | {"epsilon"}
-    for name, expr in scenario.defs:
-        for used in expression_names(expr):
-            if used not in allowed:
-                raise CatalogError(f"scenario {scenario.id}: def {name} uses unknown {used!r}")
-        allowed.add(name)
-    indices = {c.index for c in scenario.chains if isinstance(c, AffineChain)}
-    texts: list[str] = [t for t in scenario.assume]
-    texts += [e for _, tmpl in scenario.profiles for _, e in tmpl]
-    texts += [e for pair in scenario.identities for e in pair]
-    texts += list(scenario.checks)
-    texts += [a for step in scenario.steps for _, _, a in step.moves]
-    for chain in scenario.chains:
-        if isinstance(chain, AffineChain):
-            texts += [e for _, e in chain.weights] + [a for _, _, a in chain.moves]
-        else:
-            texts += [e for _, e in chain.fixed] + [e for _, e in chain.components]
-    for text in texts:
-        for used in expression_names(text) - allowed - indices:
-            raise CatalogError(f"scenario {scenario.id}: expression uses unknown name {used!r}")
 
 
 _DATA_FILES = ("cycle_domain.yaml", "expanded_domain.yaml", "rich_domains.yaml")

@@ -2,10 +2,11 @@
 
 `verify_scenario` re-derives, at a concrete rational parameter point: profile
 validity, every weight identity, every misreport step (the transfer must
-reproduce its target profile exactly, with coalition mass strictly below
-epsilon, and every mover strictly gaining), domination claims, and agreement
-of named rules with asserted winners.  `verify_induction_chain` additionally
-unrolls the scenario's induction chains profile by profile.
+reproduce its target profile exactly, with coalition mass positive and
+strictly below epsilon, and every mover strictly gaining), domination claims,
+and agreement of named rules with asserted winners.  `verify_induction_chain`
+additionally unrolls the scenario's induction chains profile by profile.
+Both call the scenario's compiled expressions directly; no text is parsed.
 
 Reports list one pass/fail line per check; a failing precondition raises
 `PreconditionViolation` instead, naming the inequality.
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from ..core import Profile, Ranking, transfer_weight
+from ..axioms import _dominations
+from ..core import Profile, Ranking, permute_profile, transfer_weight
 from ..rules import evaluate, parse_rule
-from .expressions import evaluate_expression, evaluate_predicate
 from .model import (
     AffineChain,
     DescentChain,
@@ -99,30 +100,35 @@ def epsilon_partition(quantity: Fraction, epsilon: Fraction) -> int:
     return int(quantity // epsilon)
 
 
-def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
-    """Parameter values plus derived quantities, then precondition checks.
+def _derive(scenario: Scenario, env: Env) -> str | None:
+    """Add the derived quantities to `env`, then return the first precondition that
+    fails: window preconditions may be stated in terms of derived quantities."""
+    for name, expr in scenario.defs:
+        env[name] = expr(env)
+    for inequality in scenario.assume:
+        if not inequality(env):
+            return str(inequality)
+    return None
 
-    Derived quantities are computed first because window preconditions may be
-    stated in terms of them; they are pure functions of the parameters.
-    """
+
+def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
+    """Parameter values plus derived quantities, then precondition checks."""
     env = params.as_dict()
     missing = (set(scenario.params) | {"epsilon"}) - set(env)
     if missing:
         raise ValueError(f"scenario {scenario.id}: missing parameters {sorted(missing)}")
     if env.get("epsilon", Fraction(0)) <= 0:
         raise PreconditionViolation(scenario.id, "epsilon > 0", env)
-    for name, expr in scenario.defs:
-        env[name] = evaluate_expression(expr, env)
-    for inequality in scenario.assume:
-        if not evaluate_predicate(inequality, env):
-            raise PreconditionViolation(scenario.id, inequality, env)
+    failed = _derive(scenario, env)
+    if failed is not None:
+        raise PreconditionViolation(scenario.id, failed, env)
     return env
 
 
 def instantiate(template, env: Env, domain, label: str) -> Profile:
     weights: dict[Ranking, Fraction] = {}
     for r, expr in template:
-        value = evaluate_expression(expr, env)
+        value = expr(env)
         if value < 0:
             raise TemplateError(f"{label}: weight of {r} is negative ({value})")
         weights[r] = weights.get(r, Fraction(0)) + value
@@ -132,13 +138,27 @@ def instantiate(template, env: Env, domain, label: str) -> Profile:
     return Profile(weights, domain)
 
 
-def _improvement_results(moves, improvement, env: Env, label: str) -> list[CheckResult]:
+def _build(scenario: Scenario, params: ScenarioParams):
+    """The environment, the named profiles that instantiate, and one validity check per profile."""
+    env = build_env(scenario, params)
+    profiles: dict[str, Profile] = {}
+    results: list[CheckResult] = []
+    for name, template in scenario.profiles:
+        label = f"profile {name} is valid (weights >= 0, sum 1)"
+        try:
+            profiles[name] = instantiate(template, env, scenario.domain, name)
+            results.append(CheckResult(label, True))
+        except TemplateError as exc:
+            results.append(CheckResult(label, False, str(exc)))
+    return env, profiles, results
+
+
+def _improvement_results(moves, improvement, label: str) -> list[CheckResult]:
     """Every mover must strictly prefer every possible new winner to every possible old one."""
     old_set = expand_winner_spec(improvement[0])
     new_set = expand_winner_spec(improvement[1])
     results = []
-    for src, _dst, amount_expr in moves:
-        amount = evaluate_expression(amount_expr, env)
+    for src, _dst, amount in moves:
         if amount == 0:
             continue  # a zero-mass block contributes no coalition members
         ok = all(src.prefers(new, old) for old in old_set for new in new_set)
@@ -152,17 +172,14 @@ def _improvement_results(moves, improvement, env: Env, label: str) -> list[Check
     return results
 
 
-def _transfer_results(scenario, env, from_profile: Profile, moves, to_profile: Profile,
+def _transfer_results(eps: Fraction, from_profile: Profile, moves, to_profile: Profile,
                       label: str) -> list[CheckResult]:
-    concrete = []
-    for src, dst, amount_expr in moves:
-        amount = evaluate_expression(amount_expr, env)
+    for src, dst, amount in moves:
         if amount < 0:
             return [CheckResult(f"{label}: move {src} -> {dst} has nonnegative mass", False,
                                 f"amount {amount} < 0")]
-        concrete.append((src, dst, amount))
     try:
-        moved, size = transfer_weight(from_profile, concrete)
+        moved, size = transfer_weight(from_profile, moves)
     except ValueError as exc:
         return [CheckResult(f"{label}: moves are feasible", False, str(exc))]
     results = [CheckResult(
@@ -170,21 +187,18 @@ def _transfer_results(scenario, env, from_profile: Profile, moves, to_profile: P
         moved == to_profile,
         "" if moved == to_profile else f"got {dict(moved.weights)!r}",
     )]
-    eps = env["epsilon"]
+    # A coalition of mass 0 changes nothing, so it cannot witness a manipulation.
+    ok = 0 < size < eps
     results.append(CheckResult(
         f"{label}: coalition size {size} < epsilon",
-        size < eps,
-        "" if size < eps else f"size {size} vs epsilon {eps}",
+        ok,
+        "" if ok else "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}",
     ))
     return results
 
 
 def _domination_result(profile: Profile, alt: str, label: str) -> CheckResult:
-    support = profile.support
-    dominated = any(
-        all(r.prefers(b, alt) for r in support)
-        for b in ("x", "y", "z") if b != alt and support
-    )
+    dominated = any(b == alt for _, b in _dominations(profile))
     return CheckResult(
         f"{label}: {alt} is unanimously dominated (cannot win under P)",
         dominated,
@@ -192,28 +206,18 @@ def _domination_result(profile: Profile, alt: str, label: str) -> CheckResult:
     )
 
 
-def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
-    """Check templates, identities, inequalities, rule agreements, and misreport steps."""
-    env = build_env(scenario, params)
-    results: list[CheckResult] = []
-    profiles: dict[str, Profile] = {}
-    for name, template in scenario.profiles:
-        try:
-            profiles[name] = instantiate(template, env, scenario.domain, name)
-            results.append(CheckResult(f"profile {name} is valid (weights >= 0, sum 1)", True))
-        except TemplateError as exc:
-            results.append(CheckResult(f"profile {name} is valid (weights >= 0, sum 1)",
-                                       False, str(exc)))
+def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile],
+                      results: list[CheckResult]) -> list[CheckResult]:
+    """Append identity, inequality, rule, domination, renaming and step checks to `results`."""
     for lhs, rhs in scenario.identities:
-        left, right = evaluate_expression(lhs, env), evaluate_expression(rhs, env)
+        left, right = lhs(env), rhs(env)
         results.append(CheckResult(
             f"identity {lhs} == {rhs}",
             left == right,
             "" if left == right else f"{left} != {right}",
         ))
     for predicate in scenario.checks:
-        ok = evaluate_predicate(predicate, env)
-        results.append(CheckResult(f"inequality {predicate}", ok))
+        results.append(CheckResult(f"inequality {predicate}", predicate(env)))
     for name, rule_name, winner in scenario.rule_checks:
         if name not in profiles:
             continue
@@ -227,11 +231,11 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
     for name, alt in scenario.pareto_excluded:
         if name in profiles:
             results.append(_domination_result(profiles[name], alt, f"profile {name}"))
+    hypotheses = dict(scenario.hypotheses)
     for link in scenario.perm_links:
         if link.source not in profiles or link.target not in profiles:
             continue
-        from ..core import CandidatePermutation, permute_profile
-        perm = CandidatePermutation.from_mapping(dict(link.mapping))
+        perm = link.perm
         image = permute_profile(profiles[link.source], perm)
         ok = image.weights == profiles[link.target].weights
         results.append(CheckResult(
@@ -239,7 +243,7 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
             ok,
             "" if ok else "permuted weights differ",
         ))
-        hyp_src, hyp_dst = scenario.hypothesis(link.source), scenario.hypothesis(link.target)
+        hyp_src, hyp_dst = hypotheses.get(link.source), hypotheses.get(link.target)
         if hyp_src is not None and hyp_dst is not None and not hyp_src.startswith("not:"):
             ok = perm(hyp_src) == hyp_dst
             results.append(CheckResult(
@@ -252,12 +256,20 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
         if step.from_profile not in profiles or step.to_profile not in profiles:
             results.append(CheckResult(label, False, "profile failed to instantiate"))
             continue
+        moves = [(src, dst, amount(env)) for src, dst, amount in step.moves]
         results.extend(_transfer_results(
-            scenario, env, profiles[step.from_profile], step.moves,
+            env["epsilon"], profiles[step.from_profile], moves,
             profiles[step.to_profile], label,
         ))
-        results.extend(_improvement_results(step.moves, step.improvement, env, label))
-    return ScenarioReport(scenario.id, params, tuple(results))
+        results.extend(_improvement_results(moves, step.improvement, label))
+    return results
+
+
+def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
+    """Check templates, identities, inequalities, rule agreements, and misreport steps."""
+    env, profiles, results = _build(scenario, params)
+    return ScenarioReport(scenario.id, params,
+                          tuple(_scenario_results(scenario, env, profiles, results)))
 
 
 def _affine_chain_results(scenario, chain: AffineChain, env: Env,
@@ -289,15 +301,15 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env,
         f"chain level {count} equals profile {chain.last} (relabeled weights)", end_ok))
     step_ok, size_ok, detail = True, True, ""
     eps = env["epsilon"]
+    moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
     for j in range(count):
         src, dst = (levels[j + 1], levels[j]) if chain.direction == "down" \
             else (levels[j], levels[j + 1])
-        concrete = [(s, d, evaluate_expression(a, env)) for s, d, a in chain.moves]
-        if any(a < 0 for _, _, a in concrete):
+        if any(a < 0 for _, _, a in moves):
             step_ok, detail = False, f"negative move amount at level {j}"
             break
         try:
-            moved, size = transfer_weight(src, concrete)
+            moved, size = transfer_weight(src, moves)
         except ValueError as exc:
             step_ok, detail = False, f"level {j}: {exc}"
             break
@@ -312,7 +324,7 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env,
         "" if step_ok else detail))
     results.append(CheckResult("every chain step has coalition size < epsilon", size_ok,
                                "" if size_ok else detail))
-    results.extend(_improvement_results(chain.moves, chain.improvement, env, "chain step"))
+    results.extend(_improvement_results(moves, chain.improvement, "chain step"))
     if chain.pareto_excluded is not None:
         dominated_everywhere = all(
             _domination_result(level, chain.pareto_excluded, "").ok for level in levels
@@ -327,8 +339,8 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
                            profiles: dict[str, Profile]) -> list[CheckResult]:
     results: list[CheckResult] = []
     eps = env["epsilon"]
-    fixed = {r: evaluate_expression(e, env) for r, e in chain.fixed}
-    components = {r: evaluate_expression(e, env) for r, e in chain.components}
+    fixed = {r: e(env) for r, e in chain.fixed}
+    components = {r: e(env) for r, e in chain.components}
     if any(v < 0 for v in components.values()):
         return [CheckResult("descent components are nonnegative", False, str(components))]
 
@@ -348,8 +360,7 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
     results.append(CheckResult(
         f"descent level 0 equals profile {chain.base}",
         current == profiles[chain.base]))
-    mass = sum(components.values(), Fraction(0))
-    window = epsilon_partition(mass, eps)
+    window = epsilon_partition(sum(components.values(), Fraction(0)), eps)
     level = 0
     comps = components
     ok = True
@@ -374,13 +385,12 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
         if size >= eps:
             ok, detail = False, f"level {level + 1}: coalition size {size} >= epsilon"
             break
-        next_mass = sum(next_comps.values(), Fraction(0))
-        next_window = epsilon_partition(next_mass, eps)
+        next_window = epsilon_partition(sum(next_comps.values(), Fraction(0)), eps)
         if next_window != window - 1:
             ok, detail = False, (
                 f"window index went {window} -> {next_window}, expected {window - 1}")
             break
-        comps, current, mass, window = next_comps, nxt, next_mass, next_window
+        comps, current, window = next_comps, nxt, next_window
         level += 1
     results.append(CheckResult(
         f"descent of {level} level(s): each rebuilds the previous profile with "
@@ -401,75 +411,67 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
     results.append(CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
         ok, detail))
-    move_exprs = tuple((chain.absorber, r, "1") for r in comps)
-    results.extend(_improvement_results(move_exprs, chain.improvement, env, "descent step"))
+    unit_moves = [(chain.absorber, r, Fraction(1)) for r in comps]
+    results.extend(_improvement_results(unit_moves, chain.improvement, "descent step"))
     return results
 
 
-def verify_induction_chain(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
-    """Unroll and check every induction chain declared by the scenario."""
-    env = build_env(scenario, params)
-    profiles = {
-        name: instantiate(template, env, scenario.domain, name)
-        for name, template in scenario.profiles
-    }
+def _chain_results(scenario: Scenario, env: Env,
+                   profiles: dict[str, Profile]) -> list[CheckResult]:
     results: list[CheckResult] = []
     if not scenario.chains:
         results.append(CheckResult("scenario declares no induction chain", True))
     for chain in scenario.chains:
         if isinstance(chain, AffineChain):
-            results.extend(_affine_chain_results(scenario, chain, env, profiles))
+            anchors, check = (chain.first, chain.last), _affine_chain_results
         else:
-            results.extend(_descent_chain_results(scenario, chain, env, profiles))
-    return ScenarioReport(scenario.id, params, tuple(results))
+            anchors, check = (chain.base, chain.pair), _descent_chain_results
+        if not all(name in profiles for name in anchors):
+            results.append(CheckResult(f"chain ({anchors[0]} -> {anchors[1]})", False,
+                                       "profile failed to instantiate"))
+            continue
+        results.extend(check(scenario, chain, env, profiles))
+    return results
+
+
+def verify_induction_chain(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
+    """Unroll and check every induction chain declared by the scenario."""
+    env, profiles, _ = _build(scenario, params)
+    return ScenarioReport(scenario.id, params, tuple(_chain_results(scenario, env, profiles)))
 
 
 def verify_full(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
     """verify_scenario plus verify_induction_chain, as one report."""
-    base = verify_scenario(scenario, params)
-    if not scenario.chains:
-        return base
-    chains = verify_induction_chain(scenario, params)
-    return ScenarioReport(scenario.id, params, base.results + chains.results)
+    env, profiles, results = _build(scenario, params)
+    _scenario_results(scenario, env, profiles, results)
+    if scenario.chains:
+        results.extend(_chain_results(scenario, env, profiles))
+    return ScenarioReport(scenario.id, params, tuple(results))
 
 
 def sample_params(scenario: Scenario, rng: random.Random,
                   max_denominator: int = 1000, max_tries: int = 20000) -> ScenarioParams:
     """Draw a random rational parameter point satisfying the scenario's preconditions.
 
-    Uses the scenario's sampling hints (ordered variable ranges, bounds may
-    reference earlier variables) with rejection against the full precondition
-    list.  Denominators stay at or below `max_denominator` so the exact
-    arithmetic downstream stays fast.
+    Uses the scenario's sampling hints (ordered ranges over every parameter
+    and epsilon, bounds may reference earlier variables) with rejection
+    against the full precondition list.  Denominators stay at or below
+    `max_denominator` so the exact arithmetic downstream stays fast.
     """
-    needed = set(scenario.params) | {"epsilon"}
-    hinted = {var for var, _, _ in scenario.sample}
-    if hinted != needed:
-        raise ValueError(
-            f"scenario {scenario.id}: sampling hints cover {sorted(hinted)}, "
-            f"need {sorted(needed)}")
     for _ in range(max_tries):
         env: Env = {}
-        feasible = True
-        for var, lo_expr, hi_expr in scenario.sample:
-            lo = evaluate_expression(lo_expr, env)
-            hi = evaluate_expression(hi_expr, env)
+        for var, low, high in scenario.sample:
+            lo, hi = low(env), high(env)
             if hi < lo:
-                feasible = False
                 break
             den = rng.randint(16, max_denominator)
             lo_num = (lo * den).__ceil__()
             hi_num = (hi * den).__floor__()
             if hi_num < lo_num:
-                feasible = False
                 break
             env[var] = Fraction(rng.randint(lo_num, hi_num), den)
-        if not feasible or env.get("epsilon", Fraction(0)) <= 0:
-            continue
-        params = ScenarioParams(tuple(sorted(env.items())))
-        full = dict(env)
-        for name, expr in scenario.defs:
-            full[name] = evaluate_expression(expr, full)
-        if all(evaluate_predicate(p, full) for p in scenario.assume):
-            return params
+        else:  # every variable drawn
+            params = ScenarioParams(tuple(sorted(env.items())))
+            if env["epsilon"] > 0 and _derive(scenario, env) is None:
+                return params
     raise RuntimeError(f"could not sample parameters for scenario {scenario.id}")

@@ -145,6 +145,14 @@ def test_transfer_conserves_total(profile):
     assert size == moves[0][2]
 
 
+@pytest.mark.parametrize("orders", [("xy", "yz"), ("xy", "xyz")])
+def test_domain_rejects_rankings_over_different_alternatives(orders):
+    # on {x>y, y>z} no rule could compare x with z
+    with pytest.raises(ValueError, match="different alternatives"):
+        va.Domain(tuple(va.ranking(t) for t in orders))
+    assert len(va.Domain((va.ranking("xy"), va.ranking("yx")))) == 2
+
+
 def test_profile_requires_unit_total():
     with pytest.raises(ProfileError):
         va.profile_from({"xyz": "1/2", "yzx": "1/3"})

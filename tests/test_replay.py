@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 import votaudit as va
 from votaudit.replay import (
+    AffineChain,
+    CatalogError,
     PreconditionViolation,
     ScenarioParams,
     case_index,
@@ -17,7 +20,8 @@ from votaudit.replay import (
     verify_induction_chain,
     verify_scenario,
 )
-from votaudit.replay.expressions import ExpressionError, evaluate_expression
+from votaudit.replay.expressions import ExpressionError, compile_expression, evaluate_expression
+from votaudit.replay.model import _parse_scenario
 from votaudit.replay.verify import build_env
 
 
@@ -195,6 +199,38 @@ def test_expression_guards():
     assert evaluate_expression("floor(7/2)", {}) == 3
     assert evaluate_expression("ceil(7/2)", {}) == 4
     assert evaluate_expression("abs(1 - 2)", {}) == 1
+    inverse = compile_expression("1/(a - 1)")  # division by zero is found when evaluated
+    assert inverse.names == {"a"} and str(inverse) == "1/(a - 1)"
+    assert inverse({"a": F(3)}) == F(1, 2)
+    with pytest.raises(ExpressionError, match="division by zero"):
+        inverse({"a": F(1)})
+
+
+def _record(**fields):
+    """A minimal catalog record with one parameter, `a`."""
+    raw = {"id": "t.1", "group": "cycle", "domain": ["xyz", "yzx", "zxy"], "params": ["a"],
+           "sample": [["a", "0", "1"], ["epsilon", "1/10", "1/5"]],
+           "profiles": {"u": {"xyz": "a", "yzx": "1 - a"}}}
+    raw.update(fields)
+    return raw
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("0.5 + a", "only integer literals"),
+    ("a ** 2", "operator Pow not allowed"),
+    ("a + q", "unknown name 'q'"),
+    ("max(a, 0)", "only floor/ceil/abs"),
+])
+def test_catalog_rejects_bad_expressions_at_load(text, fragment):
+    with pytest.raises(CatalogError, match=fragment) as exc:
+        _parse_scenario(_record(identities=[[text, "a"]]))
+    assert str(exc.value).startswith("scenario t.1") and repr(text) in str(exc.value)
+
+
+def test_catalog_rejects_sampling_hints_that_miss_a_parameter():
+    assert _parse_scenario(_record()).params == ("a",)
+    with pytest.raises(CatalogError, match="sampling hints cover"):
+        _parse_scenario(_record(sample=[["a", "0", "1"]]))
 
 
 def test_report_text_lists_every_check():
@@ -204,3 +240,68 @@ def test_report_text_lists_every_check():
     assert text.count("pass") == len(report.results)
     assert "unanimously dominated" in text  # the pareto exclusion line
     assert report.passed
+
+
+def test_empty_misreport_step_fails():
+    scenario = get_scenario("1.I.1.1.2")
+    step = scenario.steps[0]
+    zero = compile_expression("0")
+    empty = replace(step, to_profile=step.from_profile,
+                    moves=tuple((src, dst, zero) for src, dst, _ in step.moves))
+    params = ScenarioParams.of(a=F(21, 50), b=F(7, 25), epsilon=F(1, 10))
+    report = verify_full(replace(scenario, steps=(empty,)), params)
+    label = f"step 1 ({step.from_profile} -> {step.from_profile}): coalition size 0 < epsilon"
+    assert [(r.label, r.detail) for r in report.failures()] == [(label, "empty coalition")]
+
+
+#: Scenarios with neither a misreport step nor an affine-chain move: their
+#: claims are descent chains, renamings, and inequalities.
+_WITHOUT_MOVES = ["3.I.1.1.0.n+1", "3.I.1.2.0.n+1", "3.I.2.1.3.2", "3.I.2.2", "3.I.3",
+                  "3.II.1.0.n+1", "3.III.1.3", "3.III.2.2"]
+
+
+def _shift_first_move(scenario):
+    """The scenario with its first move amount m replaced by (m) + 1/1000, or None."""
+    def shifted(moves):
+        src, dst, amount = moves[0]
+        return ((src, dst, compile_expression(f"({amount}) + 1/1000")),) + moves[1:]
+
+    if scenario.steps:
+        first = scenario.steps[0]
+        return replace(scenario, steps=(replace(first, moves=shifted(first.moves)),)
+                       + scenario.steps[1:])
+    for i, chain in enumerate(scenario.chains):
+        if isinstance(chain, AffineChain) and chain.moves:
+            chains = list(scenario.chains)
+            chains[i] = replace(chain, moves=shifted(chain.moves))
+            return replace(scenario, chains=tuple(chains))
+    return None
+
+
+def test_shifted_move_amount_fails_verification():
+    # mutation analysis: a claim the verifier cannot tell from a wrong one is vacuous
+    rng = random.Random(1978)
+    covered, uncovered = 0, []
+    for scenario in scenario_catalog():
+        mutant = _shift_first_move(scenario)
+        if mutant is None:
+            uncovered.append(scenario.id)
+            continue
+        params = sample_params(scenario, rng)
+        assert verify_full(scenario, params).passed, (scenario.id, str(params))
+        assert not verify_full(mutant, params).passed, (scenario.id, str(params))
+        covered += 1
+    assert covered == 68
+    assert uncovered == _WITHOUT_MOVES
+
+
+def test_chain_with_failed_anchor_reports_one_failure():
+    scenario = get_scenario("1.I.1.1.n+1")
+    half = compile_expression("1/2")
+    profiles = tuple((name, ((template[0][0], half),) if name == "u1" else template)
+                     for name, template in scenario.profiles)
+    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10))
+    report = verify_full(replace(scenario, profiles=profiles), params)
+    assert [r.label for r in report.failures()] == [
+        "profile u1 is valid (weights >= 0, sum 1)", "chain (u1 -> un)"]
+    assert report.failures()[1].detail == "profile failed to instantiate"
