@@ -182,17 +182,19 @@ class Domain:
     """A nonempty set of admissible rankings, iterated in canonical order."""
 
     rankings: tuple[Ranking, ...]
+    _members: frozenset[Ranking] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rankings:
             raise ValueError("domain must be nonempty")
-        ordered = tuple(sorted(set(self.rankings)))
-        if len({r.alternatives for r in ordered}) != 1:
+        members = frozenset(self.rankings)
+        if len({r.alternatives for r in members}) != 1:
             raise ValueError("domain mixes rankings over different alternatives")
-        object.__setattr__(self, "rankings", ordered)
+        object.__setattr__(self, "rankings", tuple(sorted(members)))
+        object.__setattr__(self, "_members", members)
 
     def __contains__(self, r: Ranking) -> bool:
-        return r in set(self.rankings)
+        return r in self._members
 
     def __iter__(self):
         return iter(self.rankings)
@@ -204,7 +206,7 @@ class Domain:
         return Domain(tuple(r.permute(perm) for r in self.rankings))
 
     def __str__(self) -> str:
-        if set(self.rankings) == set(RANKINGS):
+        if self._members == frozenset(RANKINGS):
             return "full"
         return "{" + ", ".join(str(r) for r in self.rankings) + "}"
 

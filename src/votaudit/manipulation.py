@@ -14,6 +14,16 @@ favorable placement of the remaining mass cannot make the candidate win.
 Among valid witnesses the search returns the one minimal by total size and
 then by the amounts vector over canonically ordered arcs, so results are
 reproducible byte for byte.
+
+The search runs on an integer lattice.  `find_manipulation` turns the
+profile's weights into integer counts at the scale L = lcm(move denominator,
+every weight denominator); `audit_wsp` feeds the grid's count vectors in
+directly, at L = lcm(grid, moves).  A score vector is scaled by the lcm of its
+entries' denominators, so every statistic, bound and leaf test is an exact
+comparison of integers.  `Fraction` enters only where weights become counts
+and leaves only where a witness is built: its profile, and its move amounts
+k/move_denominator.  `verify_witness` replays a witness on `Fraction` through
+`rules.evaluate`, independently of the lattice.
 """
 
 from __future__ import annotations
@@ -21,19 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
-from .core import (
-    ALTERNATIVES,
-    Domain,
-    Profile,
-    Ranking,
-    format_profile,
-    transfer_weight,
-)
-from .rules import RuleDescriptor, evaluate
-
-_HALF = Fraction(1, 2)
+from .core import (ALTERNATIVES, Domain, Move, Profile, Ranking, format_profile,
+                   transfer_weight)
+from .rules import Outcome, RuleDescriptor, evaluate
 
 
 class NongenericProfileError(ValueError):
@@ -122,79 +126,141 @@ def verify_witness(rule: RuleDescriptor, witness: ManipulationWitness) -> Witnes
     return WitnessCheck(True)
 
 
+class _Lattice:
+    """A rule's decision statistic on one domain, as integer rows over its rankings.
+
+    A profile enters as integer counts at the scale L (weight = count / L);
+    moves are multiples of `unit` = L / moves.  A positional rule's row for
+    alternative a holds D * s[position of a], D the lcm of the score vector's
+    denominators: its statistic is the scores times L * D, and a score gap is
+    positive when it reaches `need` = 1.  The pairwise rule's row for (a, b)
+    is 1 where a ranking prefers a to b: its statistic is the margins times L,
+    and a margin reaches a half when it reaches `need` = ceil(L / 2).
+    """
+
+    def __init__(self, rule: RuleDescriptor, domain: Domain, scale: int, config: AuditConfig):
+        self.rankings = tuple(domain)
+        self.unit = scale // config.move_denominator
+        self.max_units = config.max_units
+        self.moves = config.move_denominator
+        n = len(self.rankings)
+        self.arcs = [(src, dst) for src in range(n) for dst in range(n) if dst != src]
+        self.prefers = {
+            (a, b): [r.prefers(a, b) for r in self.rankings]
+            for a in ALTERNATIVES for b in ALTERNATIVES if a != b
+        }
+        self.vector = None  # the score vector times D; None for the pairwise rule
+        if rule.score_vector is None:
+            self.rows = {key: [int(p) for p in row] for key, row in self.prefers.items()}
+            self.need = (scale + 1) // 2
+        else:
+            d = math.lcm(*(s.denominator for s in rule.score_vector))
+            self.vector = [s.numerator * (d // s.denominator) for s in rule.score_vector]
+            self.rows = {a: [self.vector[r.position(a)] for r in self.rankings]
+                         for a in ALTERNATIVES}
+            self.need = 1
+
+    def search(self, counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | None:
+        """The minimal witness's (moves, old winner, new winner) from these counts, or None.
+
+        Raises `NongenericProfileError` when the counts elect no winner.
+        """
+        statistic = {key: sum(map(mul, row, counts)) for key, row in self.rows.items()}
+        if self.vector is not None:
+            best = max(statistic.values())
+            tie = [a for a in ALTERNATIVES if statistic[a] == best]
+        else:
+            tie = [a for a in ALTERNATIVES
+                   if all(statistic[(a, b)] >= self.need for b in ALTERNATIVES if b != a)]
+        if len(tie) != 1:
+            raise NongenericProfileError(f"base profile has no winner ({Outcome(frozenset(tie))})")
+        old = tie[0]
+
+        branches: list[_Branch] = []
+        for target in ALTERNATIVES:
+            if target == old or not self._coarse_feasible(statistic, old, target):
+                continue
+            gains = self.prefers[(target, old)]
+            arcs = [arc for arc in self.arcs if counts[arc[0]] and gains[arc[0]]]
+            if arcs:
+                branches.append(_Branch(self, counts, statistic, target, arcs))
+
+        for units in range(1, self.max_units + 1):
+            found = []
+            for branch in branches:
+                combo = branch.search(units)
+                if combo is not None:
+                    amounts = dict(zip(branch.arcs, combo))
+                    found.append((tuple(amounts.get(arc, 0) for arc in self.arcs), branch, combo))
+            if found:
+                _, branch, combo = min(found, key=lambda item: item[0])
+                moves = tuple((self.rankings[src], self.rankings[dst], Fraction(k, self.moves))
+                              for (src, dst), k in zip(branch.arcs, combo) if k)
+                return moves, old, branch.target
+        return None
+
+    def _coarse_feasible(self, statistic: dict, old: str, target: str) -> bool:
+        """Cheap necessary condition for a coalition below epsilon to elect target."""
+        max_mass = self.max_units * self.unit  # at 0, old's unique win rejects every target
+        if self.vector is not None:
+            # A permitted source ranks target above old, at positions p_t < p_o.
+            # Per unit of mass it moves, target gains at most s1 - s[p_t] and old
+            # loses at most s[p_o] - s3; over p_t < p_o that sum is largest at
+            # (p_t, p_o) = (1st, 2nd) or (2nd, 3rd), so it is max(s1 - s2, s2 - s3).
+            s1, s2, s3 = self.vector
+            return statistic[old] - statistic[target] < max(s1 - s2, s2 - s3) * max_mass
+        if any(statistic[(target, v)] + max_mass < self.need
+               for v in ALTERNATIVES if v != target):
+            return False
+        return any(statistic[(old, v)] - max_mass < self.need
+                   for v in ALTERNATIVES if v != old)
+
+
 class _Branch:
     """Search state for one candidate new winner on one base profile.
 
-    Both rule families decide through statistics linear in the moved amounts:
-    a positional rule through the score gaps score(target) - score(v), which
-    must all end positive, and the pairwise rule through the margins
-    margin(a, b), where target must reach a half against every rival and every
-    rival must fall below a half against someone.  `base` holds the statistics
-    of the base profile, derived from its `Outcome.statistic`, `deltas[i]`
-    their change per unit moved along arc i, and `suffmax`/`suffmin` the
-    extreme unit changes over arcs i onwards, from which `_possible` bounds
-    what the remaining mass can still do.
+    Both rule families decide through integer statistics, linear in the moved
+    amounts: target wins when every statistic in `wins` reaches the lattice's
+    `need` and each group in `losses` has one statistic below it.  These are
+    the score gaps score(target) - score(v) of a positional rule, with no
+    loss groups, or the margins of target against each rival and of each
+    rival against the others.  `base` holds the base profile's statistics,
+    `deltas[i]` their change per unit moved along arc i, and
+    `suffmax`/`suffmin` the extreme unit changes over arcs i onwards, from
+    which `_possible` bounds what the remaining mass can still do; with no
+    mass left the bound is exact, so it is also the leaf test.
     """
 
-    def __init__(self, rule: RuleDescriptor, profile: Profile, statistic: dict, target: str,
-                 arcs: Sequence[tuple[Ranking, Ranking]], unit: Fraction):
-        self.rule = rule
-        self.profile = profile
+    def __init__(self, lattice: _Lattice, counts: Sequence[int], statistic: dict,
+                 target: str, arcs: list[tuple[int, int]]):
         self.target = target
-        self.arcs = list(arcs)
-        self.unit = unit
-        self.rivals = [v for v in ALTERNATIVES if v != target]
-        self.source_caps = {
-            src: int(profile.weight(src) / unit) for src, _ in self.arcs
-        }
-        vector = rule.score_vector
-        if vector is None:
-            self.base = statistic
-            self._possible = self._possible_pairwise
-
-            def stat(r: Ranking, key: tuple[str, str]) -> int:
-                return int(r.prefers(*key))
+        self.arcs = arcs
+        self.need = lattice.need
+        unit = lattice.unit
+        self.source_caps = {src: counts[src] // unit for src, _ in arcs}
+        rivals = [v for v in ALTERNATIVES if v != target]
+        rows = lattice.rows
+        if lattice.vector is None:
+            keys = list(rows)
+            self.base = [statistic[key] for key in keys]
+            key_rows = list(rows.values())
+            self.wins = [keys.index((target, v)) for v in rivals]
+            self.losses = [[keys.index((v, u)) for u in ALTERNATIVES if u != v] for v in rivals]
         else:
-            self.base = {v: statistic[target] - statistic[v] for v in self.rivals}
-            self._possible = self._possible_positional
+            self.base = [statistic[target] - statistic[v] for v in rivals]
+            key_rows = [[t - s for t, s in zip(rows[target], rows[v])] for v in rivals]
+            self.wins, self.losses = [0, 1], []
+        self.deltas = [[unit * (row[dst] - row[src]) for row in key_rows] for src, dst in arcs]
+        columns = list(zip(*reversed(self.deltas)))
+        self.suffmax = [list(accumulate(c, max))[::-1] + [0] for c in columns]
+        self.suffmin = [list(accumulate(c, min))[::-1] + [0] for c in columns]
 
-            def stat(r: Ranking, v: str) -> Fraction:
-                return vector[r.position(target)] - vector[r.position(v)]
-        self.deltas = [
-            {key: unit * (stat(dst, key) - stat(src, key)) for key in self.base}
-            for src, dst in self.arcs
-        ]
-        n = len(self.arcs)
-        self.suffmax = {}
-        self.suffmin = {}
-        for key in self.base:
-            hi = [Fraction(-10)] * (n + 1)
-            lo = [Fraction(10)] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                hi[i] = max(hi[i + 1], self.deltas[i][key])
-                lo[i] = min(lo[i + 1], self.deltas[i][key])
-            self.suffmax[key], self.suffmin[key] = hi, lo
-
-    def _possible_positional(self, i: int, remaining: int, acc) -> bool:
-        """Optimistic test: can every score gap of `target` still end positive?"""
-        return all(self.base[v] + acc[v] + remaining * self.suffmax[v][i] > 0
-                   for v in self.rivals)
-
-    def _possible_pairwise(self, i: int, remaining: int, acc) -> bool:
-        """Optimistic test: can `target` still end up the unique majority winner?"""
-        target = self.target
-        for v in self.rivals:
-            key = (target, v)
-            if self.base[key] + acc[key] + remaining * self.suffmax[key][i] < _HALF:
-                return False
-        for v in self.rivals:
-            # v must be able to drop below a half against someone
-            if not any(
-                self.base[(v, u)] + acc[(v, u)] + remaining * self.suffmin[(v, u)][i] < _HALF
-                for u in ALTERNATIVES if u != v
-            ):
-                return False
-        return True
+    def _possible(self, i: int, remaining: int, acc: list[int]) -> bool:
+        """Optimistic test: can `target` still end up the unique winner?"""
+        base, need, hi, lo = self.base, self.need, self.suffmax, self.suffmin
+        return (all(base[q] + acc[q] + remaining * hi[q][i] >= need for q in self.wins)
+                and all(any(base[q] + acc[q] + remaining * lo[q][i] < need for q in group)
+                        for group in self.losses))
 
     def search(self, total_units: int) -> tuple[int, ...] | None:
         """Lexicographically first unit vector of the given total that elects target."""
@@ -202,22 +268,12 @@ class _Branch:
         n = len(arcs)
         combo = [0] * n
         budget = dict(self.source_caps)
+        possible = self._possible
 
-        def leaf_wins() -> bool:
-            moves = [
-                (src, dst, k * self.unit)
-                for (src, dst), k in zip(arcs, combo)
-                if k
-            ]
-            if not moves:
-                return False
-            moved, _ = transfer_weight(self.profile, moves)
-            return evaluate(self.rule, moved).winner == self.target
-
-        def rec(i: int, remaining: int, acc) -> bool:
+        def rec(i: int, remaining: int, acc: list[int]) -> bool:
             if remaining == 0:
-                return leaf_wins()
-            if i == n or not self._possible(i, remaining, acc):
+                return possible(i, 0, acc)
+            if i == n or not possible(i, remaining, acc):
                 return False
             src, _ = arcs[i]
             cap = min(remaining, budget[src])
@@ -225,40 +281,16 @@ class _Branch:
             for k in range(cap + 1):
                 combo[i] = k
                 budget[src] -= k
-                if k == 0:
-                    nxt = acc
-                else:
-                    nxt = {key: acc[key] + k * step[key] for key in acc}
+                nxt = acc if k == 0 else [a + k * d for a, d in zip(acc, step)]
                 if rec(i + 1, remaining - k, nxt):
                     return True
                 budget[src] += k
             combo[i] = 0
             return False
 
-        if rec(0, total_units, dict.fromkeys(self.base, Fraction(0))):
+        if rec(0, total_units, [0] * len(self.base)):
             return tuple(combo)
         return None
-
-
-def _coarse_feasible(rule: RuleDescriptor, statistic: dict, old: str, target: str,
-                     max_mass: Fraction) -> bool:
-    """Cheap necessary condition for any coalition of at most `max_mass` to elect target,
-    from the base profile's `Outcome.statistic`."""
-    if max_mass <= 0:
-        return False
-    vector = rule.score_vector
-    if vector is not None:
-        # A permitted source ranks target above old, at positions p_t < p_o.
-        # Per unit of mass it moves, target gains at most s1 - s[p_t] and old
-        # loses at most s[p_o] - s3; over p_t < p_o that sum is largest at
-        # (p_t, p_o) = (1st, 2nd) or (2nd, 3rd), so it is max(s1 - s2, s2 - s3).
-        s1, s2, s3 = vector
-        return statistic[old] - statistic[target] < max(s1 - s2, s2 - s3) * max_mass
-    others = [v for v in ALTERNATIVES if v != target]
-    if any(statistic[(target, v)] + max_mass < _HALF for v in others):
-        return False
-    return any(statistic[(old, v)] - max_mass < _HALF
-               for v in ALTERNATIVES if v != old)
 
 
 def find_manipulation(rule: RuleDescriptor, profile: Profile,
@@ -268,50 +300,11 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
     Returns None when no witness exists at this resolution.  Raises
     `NongenericProfileError` when the base profile has no winner.
     """
-    base = evaluate(rule, profile)
-    old = base.winner
-    if old is None:
-        raise NongenericProfileError(f"base profile has no winner ({base})")
-    unit = Fraction(1, config.move_denominator)
-    max_mass = config.max_units * unit
-
-    branches: list[_Branch] = []
-    for target in ALTERNATIVES:
-        if target == old:
-            continue
-        sources = [r for r in profile.support if r.prefers(target, old)]
-        if not sources:
-            continue
-        if not _coarse_feasible(rule, base.statistic, old, target, max_mass):
-            continue
-        arcs = sorted(
-            (src, dst)
-            for src in sources
-            for dst in profile.domain
-            if dst != src
-        )
-        branches.append(_Branch(rule, profile, base.statistic, target, arcs, unit))
-
-    all_pairs = [
-        (src, dst) for src in profile.domain for dst in profile.domain if src != dst
-    ]
-    for units in range(1, config.max_units + 1):
-        found = []
-        for branch in branches:
-            combo = branch.search(units)
-            if combo is not None:
-                amounts = dict(zip(branch.arcs, combo))
-                vector = tuple(amounts.get(pair, 0) for pair in all_pairs)
-                found.append((vector, branch, combo))
-        if found:
-            vector, branch, combo = min(found, key=lambda item: item[0])
-            moves = tuple(
-                (src, dst, k * unit)
-                for (src, dst), k in zip(branch.arcs, combo)
-                if k
-            )
-            return ManipulationWitness(profile, moves, old, branch.target, config.epsilon)
-    return None
+    weights = [profile.weight(r) for r in profile.domain]
+    scale = math.lcm(config.move_denominator, *(w.denominator for w in weights))
+    found = _Lattice(rule, profile.domain, scale, config).search(
+        [w.numerator * (scale // w.denominator) for w in weights])
+    return None if found is None else ManipulationWitness(profile, *found, config.epsilon)
 
 
 def _compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -345,12 +338,19 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
 
     Returns the first witness in canonical profile order, or None.  Finding
     none certifies only "no witness at this resolution", never full immunity.
+    The grid's count vectors go to the lattice search as they are, at scale
+    lcm(grid, moves); only a witness's profile is built.
     """
-    for profile in grid_profiles(domain, config.grid_denominator):
+    rankings = tuple(domain)
+    grid = config.grid_denominator
+    scale = math.lcm(grid, config.move_denominator)
+    lattice = _Lattice(rule, domain, scale, config)
+    for combo in _compositions(grid, [grid] * len(rankings)):
         try:
-            witness = find_manipulation(rule, profile, config)
+            found = lattice.search([c * (scale // grid) for c in combo])
         except NongenericProfileError:
             continue  # manipulation claims compare actual winners
-        if witness is not None:
-            return witness
+        if found is not None:
+            profile = Profile({r: Fraction(c, grid) for r, c in zip(rankings, combo) if c}, domain)
+            return ManipulationWitness(profile, *found, config.epsilon)
     return None

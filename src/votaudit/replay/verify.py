@@ -316,8 +316,9 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env,
         if moved != dst:
             step_ok, detail = False, f"level {j}: transfer does not reproduce the next profile"
             break
-        if size >= eps:
-            size_ok, detail = False, f"level {j}: step size {size} >= epsilon {eps}"
+        if not 0 < size < eps:  # a step of mass 0 is no coalition
+            size_ok, detail = False, (f"level {j}: empty coalition" if size == 0
+                                      else f"level {j}: step size {size} >= epsilon {eps}")
             break
     results.append(CheckResult(
         "consecutive chain profiles differ by exactly the per-step moves", step_ok,

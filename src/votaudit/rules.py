@@ -17,7 +17,7 @@ strictly below it, per unit of voter weight, so on the profile
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -38,12 +38,9 @@ class DegenerateElectionError(ValueError):
 
 @dataclass(frozen=True)
 class Outcome:
-    """Result of evaluating a rule: the criterion set, and a winner iff it is a singleton.
-
-    `statistic` holds what the rule decided on: positional scores or pairwise margins."""
+    """Result of evaluating a rule: the criterion set, and a winner iff it is a singleton."""
 
     tie_set: frozenset[str]
-    statistic: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def winner(self) -> str | None:
@@ -179,7 +176,7 @@ def condorcet_margins(profile: Profile) -> dict[tuple[str, str], Fraction]:
 
 def _argmax(scores: dict[str, Fraction]) -> Outcome:
     best = max(scores.values())
-    return Outcome(frozenset(a for a, s in scores.items() if s == best), scores)
+    return Outcome(frozenset(a for a, s in scores.items() if s == best))
 
 
 def evaluate(rule: RuleDescriptor, profile: Profile,
@@ -193,7 +190,7 @@ def evaluate(rule: RuleDescriptor, profile: Profile,
         a for a in chosen
         if all(margins[(a, b)] >= _HALF for b in chosen if b != a)
     )
-    return Outcome(tie, margins)
+    return Outcome(tie)
 
 
 def restrict_profile(profile: Profile, alts: Iterable[str]) -> Profile:

@@ -153,6 +153,13 @@ def test_domain_rejects_rankings_over_different_alternatives(orders):
     assert len(va.Domain((va.ranking("xy"), va.ranking("yx")))) == 2
 
 
+def test_domain_compares_and_hashes_by_its_rankings():
+    shuffled = va.Domain(tuple(va.ranking(t) for t in ("zxy", "xyz", "yzx", "xyz")))
+    assert shuffled == va.CYCLE_DOMAIN and hash(shuffled) == hash(va.CYCLE_DOMAIN)
+    assert repr(shuffled) == repr(va.CYCLE_DOMAIN)
+    assert va.ranking("yzx") in shuffled and va.ranking("xzy") not in shuffled
+
+
 def test_profile_requires_unit_total():
     with pytest.raises(ProfileError):
         va.profile_from({"xyz": "1/2", "yzx": "1/3"})

@@ -204,3 +204,85 @@ def test_witness_serialization_round_trips_profile():
         line for line in lines if "->" not in line and not line.startswith("old="))
     assert va.parse_profile(profile_block) == witness.base_profile
     assert lines[-1] == "old=x new=y size=1/50"
+
+
+#: Rules of the lattice-scaling cases: a fractional score vector included.
+_SCALED_RULES = [va.PLURALITY, va.BORDA, va.CONDORCET, va.scoring(1, F(1, 2), 0)]
+
+
+@pytest.mark.parametrize("rule", _SCALED_RULES, ids=str)
+@pytest.mark.parametrize("domain,config,stride", [
+    (va.FULL_DOMAIN, va.AuditConfig(F(1, 3), 7, 9), 17),
+    (va.FULL_DOMAIN, va.AuditConfig(F(1, 5), 6, 14), 13),
+    (va.CYCLE_DOMAIN, va.AuditConfig(F(2, 3), 9, 6), 1),
+    (va.CYCLE_DOMAIN, va.AuditConfig(F(3, 7), 7, 7), 1),
+], ids=["full-7x9", "full-6x14", "cycle-9x6", "cycle-7x7"])
+def test_oracle_equivalence_at_lattice_scale(rule, domain, config, stride):
+    # the search runs at L = lcm(grid, moves): above the grid's own denominator
+    # when moves differ from it, and odd at 7x7, where a margin reaches a half
+    # only at ceil(L/2); a deterministic subsample keeps the oracle quick
+    for profile in list(va.grid_profiles(domain, config.grid_denominator))[::stride]:
+        if va.evaluate(rule, profile).winner is None:
+            continue
+        found = va.find_manipulation(rule, profile, config)
+        assert (found is not None) == exhaustive_witness_exists(rule, profile, config)
+        if found is not None:
+            assert va.verify_witness(rule, found)
+
+
+def _with_rest(last, **weights):
+    """A profile on which ranking `last` holds the weight the others leave."""
+    return va.profile_from({**weights, last: 1 - sum(weights.values())})
+
+
+#: Near ties whose weights mix the coprime denominators 997 and 7.
+_COPRIME_PROFILES = [
+    _with_rest("zyx", xyz=F(2, 7) + F(40, 997), yxz=F(2, 7)),
+    _with_rest("zxy", xyz=F(3, 7) - F(1, 997), yzx=F(2, 7)),
+    _with_rest("zyx", xzy=F(350, 997), yxz=F(1, 7), yzx=F(1, 7)),
+    _with_rest("zyx", xzy=F(33, 140), yxz=F(37, 140), yzx=F(31, 280), zxy=F(1, 8) + F(5, 997)),
+]
+
+
+@pytest.mark.parametrize("rule", _SCALED_RULES + [va.scoring(3, 1, 0)], ids=str)
+def test_find_manipulation_on_coprime_denominators(rule):
+    witnesses = 0
+    for profile in _COPRIME_PROFILES:
+        if va.evaluate(rule, profile).winner is None:
+            continue
+        for config in (va.AuditConfig(F(1, 3), 20, 10), va.AuditConfig(F(2, 11), 20, 11),
+                       va.AuditConfig(F(1, 2), 20, 6)):
+            found = va.find_manipulation(rule, profile, config)
+            assert (found is not None) == exhaustive_witness_exists(rule, profile, config)
+            if found is not None:
+                assert va.verify_witness(rule, found)
+                witnesses += 1
+    assert witnesses > 0
+
+
+def _first_witness_by_definition(rule, domain, config):
+    """audit_wsp as defined: find_manipulation over the generic grid profiles, in order."""
+    for profile in va.grid_profiles(domain, config.grid_denominator):
+        try:
+            witness = va.find_manipulation(rule, profile, config)
+        except NongenericProfileError:
+            continue
+        if witness is not None:
+            return witness
+    return None
+
+
+@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,
+                                  va.scoring(3, 1, 0), va.scoring(1, 1, 0)], ids=str)
+@pytest.mark.parametrize("domain", [va.FULL_DOMAIN, va.CYCLE_DOMAIN, UI_DOMAIN],
+                         ids=["full", "cycle", "ui"])
+@pytest.mark.parametrize("config", [va.AuditConfig(F(2, 3), 7, 6),
+                                    va.AuditConfig(F(1, 2), 8, 6),
+                                    va.AuditConfig(F(3, 10), 6, 10)],
+                         ids=["7x6", "8x6", "6x10"])
+def test_audit_wsp_is_the_first_grid_witness(rule, domain, config):
+    def text(witness):
+        return None if witness is None else va.format_witness(witness)
+
+    expected = _first_witness_by_definition(rule, domain, config)
+    assert text(va.audit_wsp(rule, domain, config)) == text(expected)

@@ -254,6 +254,21 @@ def test_empty_misreport_step_fails():
     assert [(r.label, r.detail) for r in report.failures()] == [(label, "empty coalition")]
 
 
+def test_empty_chain_step_fails():
+    scenario = get_scenario("1.I.1.1.n+1")
+    chain = scenario.chains[0]
+    zero = compile_expression("0")
+    moveless = replace(chain, moves=tuple((src, dst, zero) for src, dst, _ in chain.moves))
+    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10))
+    assert verify_full(scenario, params).passed
+    assert not verify_full(replace(scenario, chains=(moveless,)), params).passed
+    # every level the anchor profile: each step reproduces the next level, moving nothing
+    still = replace(moveless, weights=dict(scenario.profiles)[chain.first])
+    report = verify_full(replace(scenario, chains=(still,)), params)
+    failures = {r.label: r.detail for r in report.failures()}
+    assert failures["every chain step has coalition size < epsilon"] == "level 0: empty coalition"
+
+
 #: Scenarios with neither a misreport step nor an affine-chain move: their
 #: claims are descent chains, renamings, and inequalities.
 _WITHOUT_MOVES = ["3.I.1.1.0.n+1", "3.I.1.2.0.n+1", "3.I.2.1.3.2", "3.I.2.2", "3.I.3",
