@@ -5,11 +5,16 @@ Verbs: evaluate, margins, richness, audit (axiom checks), manipulate
 (scenario verification).  Exit codes: 0 = success / no violation / no
 witness; 1 = violation or witness found (or a failed replay check);
 2 = input or parse error.  Output is deterministic for fixed inputs.
+
+`run` may be called any number of times in one process: the argument parser
+is built on the first call and reused (parsing keeps no state between calls),
+so a request costs only its own work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -114,19 +119,29 @@ def _cmd_audit(args, out) -> int:
     for axiom in wanted:
         if axiom not in _AXIOM_ORDER:
             raise _CliError(f"unknown axiom {axiom!r} (choose from P,A,N,IIA)")
+    base = rules.evaluate(rule, profile)
+
+    def run_rule(prof: core.Profile, alts=None) -> rules.Outcome:
+        # Each checker starts from `profile` itself, so its outcome is kept;
+        # every permuted or restricted profile is evaluated afresh, so the
+        # checks still compare real evaluations.
+        if prof is profile and alts is None:
+            return base
+        return rules.evaluate(rule, prof, alts)
+
     reports: list[axioms.AxiomReport] = []
     for axiom in _AXIOM_ORDER:
         if axiom not in wanted:
             continue
         if axiom == "P":
-            reports.append(axioms.check_pareto(rule, profile))
+            reports.append(axioms.check_pareto(run_rule, profile))
         elif axiom == "A":
             reports.append(axioms.check_anonymity_structural(rule))
         elif axiom == "N":
             for perm in core.ALL_PERMUTATIONS:
-                reports.append(axioms.check_neutrality(rule, profile, perm))
+                reports.append(axioms.check_neutrality(run_rule, profile, perm))
         else:
-            reports.append(axioms.check_iia(rule, profile))
+            reports.append(axioms.check_iia(run_rule, profile))
     violated = False
     for report in reports:
         if args.format == "record":
@@ -277,11 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built on its first call (not at import) and then kept."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, textual report)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the input-error contract
         return (EXIT_INPUT if exc.code else EXIT_OK), ""

@@ -128,6 +128,10 @@ class CandidatePermutation:
     """A bijection on the alternative names."""
 
     pairs: tuple[tuple[str, str], ...]
+    _mapping: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_mapping", dict(self.pairs))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "CandidatePermutation":
@@ -140,7 +144,7 @@ class CandidatePermutation:
         return dict(self.pairs)
 
     def __call__(self, alt: str) -> str:
-        return self.mapping[alt]
+        return self._mapping[alt]
 
     def apply_set(self, alts: Iterable[str]) -> frozenset[str]:
         return frozenset(self(a) for a in alts)
@@ -183,15 +187,23 @@ class Domain:
 
     rankings: tuple[Ranking, ...]
     _members: frozenset[Ranking] = field(init=False, repr=False, compare=False)
+    _alternatives: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rankings:
             raise ValueError("domain must be nonempty")
         members = frozenset(self.rankings)
-        if len({r.alternatives for r in members}) != 1:
+        alternative_sets = {r.alternatives for r in members}
+        if len(alternative_sets) != 1:
             raise ValueError("domain mixes rankings over different alternatives")
         object.__setattr__(self, "rankings", tuple(sorted(members)))
         object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_alternatives", alternative_sets.pop())
+
+    @property
+    def alternatives(self) -> frozenset[str]:
+        """The alternatives every ranking of the domain orders."""
+        return self._alternatives
 
     def __contains__(self, r: Ranking) -> bool:
         return r in self._members
@@ -237,14 +249,16 @@ def is_rich(domain: Domain) -> bool:
     return all(any(r.position(a) == 1 for r in domain) for a in ALTERNATIVES)
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """`value` as a `Fraction`: from a `Fraction`, an `int`, or text like ``"3/7"``.
+
+    A float is refused: it is already rounded.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"weight must be an exact rational, got {type(value).__name__}")
+    raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -266,7 +280,7 @@ class Profile:
         total = Fraction(0)
         support: dict[Ranking, Fraction] = {}
         for r, w in items.items():
-            w = _as_fraction(w)
+            w = as_fraction(w)
             if w < 0:
                 raise ProfileError(f"negative weight {w} on {r}")
             if w > 0:
@@ -295,7 +309,7 @@ class Profile:
 
     @property
     def alternatives(self) -> frozenset[str]:
-        return frozenset(a for r in self.domain for a in r.order)
+        return self.domain.alternatives
 
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self._weights), Fraction(0))
@@ -306,7 +320,7 @@ class Profile:
 
 def profile_from(weights: Mapping[str, object], domain: Domain | None = None) -> Profile:
     """Build a profile from compact text keys, e.g. ``profile_from({"xyz": "1/2", "yzx": "1/2"})``."""
-    return Profile({ranking(k): _as_fraction(v) for k, v in weights.items()}, domain)
+    return Profile({ranking(k): as_fraction(v) for k, v in weights.items()}, domain)
 
 
 def permute_profile(profile: Profile, perm: CandidatePermutation) -> Profile:
@@ -331,7 +345,7 @@ def transfer_weight(profile: Profile, moves: Sequence[Move]) -> tuple[Profile, F
     new_weights = dict(profile.weights)
     moved = Fraction(0)
     for src, dst, amount in moves:
-        amount = _as_fraction(amount)
+        amount = as_fraction(amount)
         if amount < 0:
             raise InfeasibleMoveError(f"negative transfer {amount} from {src} to {dst}")
         if dst not in profile.domain:

@@ -139,6 +139,10 @@ class _Lattice:
     """
 
     def __init__(self, rule: RuleDescriptor, domain: Domain, scale: int, config: AuditConfig):
+        if domain.alternatives != frozenset(ALTERNATIVES):
+            raise ValueError(f"the coalition search needs rankings of all of "
+                             f"{', '.join(ALTERNATIVES)}; the domain {domain} ranks "
+                             f"only {', '.join(sorted(domain.alternatives))}")
         self.rankings = tuple(domain)
         self.unit = scale // config.move_denominator
         self.max_units = config.max_units
@@ -298,7 +302,8 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
     """Search the move lattice for a minimal coalition that profitably flips the winner.
 
     Returns None when no witness exists at this resolution.  Raises
-    `NongenericProfileError` when the base profile has no winner.
+    `NongenericProfileError` when the base profile has no winner, and
+    `ValueError` when its domain does not rank all three alternatives.
     """
     weights = [profile.weight(r) for r in profile.domain]
     scale = math.lcm(config.move_denominator, *(w.denominator for w in weights))
@@ -338,6 +343,7 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
 
     Returns the first witness in canonical profile order, or None.  Finding
     none certifies only "no witness at this resolution", never full immunity.
+    Raises `ValueError` when the domain does not rank all three alternatives.
     The grid's count vectors go to the lattice search as they are, at scale
     lcm(grid, moves); only a witness's profile is built.
     """

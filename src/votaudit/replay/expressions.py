@@ -6,6 +6,11 @@ with `ast` and compiled into an `Expr`, a closure over `Fraction` that is
 then called at every parameter point.  Only +, -, *, /, parentheses, integer
 literals, names, comparisons, `and`, and the functions floor/ceil/abs are
 admitted.  Float literals are rejected so nothing silently loses exactness.
+
+A compiled `Expr` reads each name from its environment as it is, so the
+environment must already hold `Fraction` values: then every intermediate is a
+`Fraction` and `/` is exact.  `evaluate_expression`/`evaluate_predicate`
+make the environment they are given so, with `core.as_fraction`.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from ..core import as_fraction
+
 Env = Mapping[str, Fraction]
 
 
@@ -27,7 +34,7 @@ class ExpressionError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Expr:
-    """A compiled expression or predicate; call it on an environment of names."""
+    """A compiled expression or predicate; call it on an environment of `Fraction`s."""
 
     text: str
     names: frozenset[str]  # the free names it reads
@@ -74,7 +81,7 @@ def _arith(node: ast.AST, names: set[str]) -> Callable[[Env], Fraction]:
     if isinstance(node, ast.Name):
         name = node.id
         names.add(name)
-        return lambda env: Fraction(env[name])
+        return lambda env: env[name]
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand = _arith(node.operand, names)
         return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
@@ -140,11 +147,15 @@ def compile_predicate(text: str) -> Expr:
     return _compile(text, _predicate)
 
 
-def evaluate_expression(text: str, env: Env) -> Fraction:
-    """Evaluate arithmetic text to an exact rational."""
-    return compile_expression(text)(env)
+def _exact_env(env: Mapping) -> Env:
+    return {name: as_fraction(value) for name, value in env.items()}
 
 
-def evaluate_predicate(text: str, env: Env) -> bool:
-    """Evaluate comparison text (chained comparisons and `and` allowed)."""
-    return compile_predicate(text)(env)
+def evaluate_expression(text: str, env: Mapping) -> Fraction:
+    """Evaluate arithmetic text to an exact rational; `env` values pass through `as_fraction`."""
+    return compile_expression(text)(_exact_env(env))
+
+
+def evaluate_predicate(text: str, env: Mapping) -> bool:
+    """Evaluate comparison text (chained comparisons and `and` allowed); `env` as above."""
+    return compile_predicate(text)(_exact_env(env))

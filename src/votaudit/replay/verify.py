@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..axioms import _dominations
-from ..core import Profile, Ranking, permute_profile, transfer_weight
+from ..core import Profile, Ranking, as_fraction, permute_profile, transfer_weight
 from ..rules import evaluate, parse_rule
 from .model import (
     AffineChain,
@@ -45,13 +45,20 @@ class TemplateError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """A concrete rational assignment to a scenario's named parameters (plus epsilon)."""
+    """A concrete rational assignment to a scenario's named parameters (plus epsilon).
+
+    Values are made `Fraction`s here, by `core.as_fraction` (floats are
+    refused), so the environments built from them are exact as they stand.
+    """
 
     values: tuple[tuple[str, Fraction], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple((k, as_fraction(v)) for k, v in self.values))
+
     @classmethod
     def of(cls, **values) -> "ScenarioParams":
-        return cls(tuple(sorted((k, Fraction(v)) for k, v in values.items())))
+        return cls(tuple(sorted(values.items())))
 
     def as_dict(self) -> Env:
         return dict(self.values)

@@ -3,6 +3,7 @@ import contextlib
 
 import pytest
 
+from votaudit import cli, rules
 from votaudit.cli import main
 
 
@@ -178,3 +179,43 @@ def test_outputs_are_deterministic(fixtures):
         first = run(argv)
         second = run(argv)
         assert first == second
+
+
+def test_run_is_reusable_in_process(fixtures, tmp_path, capsys):
+    tie = tmp_path / "tie.profile"
+    tie.write_text("domain: full\n1/2 x>y>z\n1/2 y>x>z\n")
+    requests = (
+        ["audit", "--rule", "borda", "--format", "record", fixtures["near_tie"]],
+        ["manipulate", "--rule", "plurality", "--epsilon", "1/20", fixtures["near_tie"]],
+        ["replay", "--case", "2.III.2", "--seed", "7"],
+    )
+    first = [cli.run(argv) for argv in requests]
+    # requests in between that fail in argparse, sample, and refuse
+    assert cli.run(["evaluate", "--bogus", fixtures["cycle"]]) == (2, "")
+    code, out = cli.run(["replay", "--case", "2.II.2", "--points", "5", "--seed", "1"])
+    assert code == 0 and out.count("scenario 2.II.2") == 5
+    code, out = cli.run(["manipulate", "--rule", "plurality", "--epsilon", "1/20", str(tie)])
+    assert code == 2 and out.startswith("error: not applicable")
+    assert [cli.run(argv) for argv in requests] == first
+    # --points from the earlier request does not stick: the default is 20
+    assert first[2][1].count("scenario 2.III.2") == 20
+    capsys.readouterr()
+
+
+def test_audit_evaluates_the_base_profile_once(fixtures, monkeypatch):
+    seen = []
+    evaluate = rules.evaluate
+
+    def counting(rule, profile, alts=None):
+        seen.append(profile)
+        return evaluate(rule, profile, alts)
+
+    monkeypatch.setattr(rules, "evaluate", counting)
+    code, out = cli.run(["audit", "--rule", "borda", "--axioms", "P,A,N,IIA",
+                         "--format", "record", fixtures["near_tie"]])
+    assert code == 0 and out.count("verdict=satisfied") == 9
+    # once on the base profile, once on each of the six permuted profiles, and
+    # once on each of the two pairs the winner y is restricted to
+    assert len(seen) == 9
+    assert sum(len(p.domain.alternatives) == 2 for p in seen) == 2
+    assert len({id(p) for p in seen}) == 9

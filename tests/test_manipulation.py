@@ -286,3 +286,15 @@ def test_audit_wsp_is_the_first_grid_witness(rule, domain, config):
 
     expected = _first_witness_by_definition(rule, domain, config)
     assert text(va.audit_wsp(rule, domain, config)) == text(expected)
+
+
+def test_two_alternative_domain_is_refused_up_front():
+    xy, yx = va.Ranking(("x", "y")), va.Ranking(("y", "x"))
+    domain = va.Domain((xy, yx))
+    profile = va.Profile({xy: F(1, 3), yx: F(2, 3)}, domain)
+    assert va.evaluate(va.BORDA, profile).winner == "y"
+    config = va.AuditConfig(F(1, 20))
+    with pytest.raises(ValueError, match="all of x, y, z"):
+        va.find_manipulation(va.BORDA, profile, config)
+    with pytest.raises(ValueError, match="all of x, y, z"):
+        va.audit_wsp(va.BORDA, domain, config)

@@ -20,7 +20,12 @@ from votaudit.replay import (
     verify_induction_chain,
     verify_scenario,
 )
-from votaudit.replay.expressions import ExpressionError, compile_expression, evaluate_expression
+from votaudit.replay.expressions import (
+    ExpressionError,
+    compile_expression,
+    evaluate_expression,
+    evaluate_predicate,
+)
 from votaudit.replay.model import _parse_scenario
 from votaudit.replay.verify import build_env
 
@@ -204,6 +209,25 @@ def test_expression_guards():
     assert inverse({"a": F(3)}) == F(1, 2)
     with pytest.raises(ExpressionError, match="division by zero"):
         inverse({"a": F(1)})
+
+
+def test_environments_are_exact():
+    # int and text values are made Fractions once, so `/` never gives a float
+    for value in (evaluate_expression("a/b", {"a": 1, "b": "2"}),
+                  evaluate_expression("floor(7/2)/ceil(3/2)", {}),
+                  evaluate_expression("ceil(a)", {"a": F(5, 2)})):
+        assert type(value) is F
+    assert evaluate_expression("a/b", {"a": 1, "b": 2}) == F(1, 2)
+    assert evaluate_expression("floor(7/2)/ceil(3/2)", {}) == F(3, 2)
+    assert evaluate_predicate("a/3 < 1/2", {"a": 1})
+    with pytest.raises(TypeError, match="float"):
+        evaluate_expression("a", {"a": 0.5})
+    params = ScenarioParams((("a", 1), ("epsilon", "1/10")))
+    assert params.values == (("a", F(1)), ("epsilon", F(1, 10)))
+    assert all(type(v) is F for _, v in params.values)
+    assert ScenarioParams.of(a=1, epsilon="1/10") == params
+    with pytest.raises(TypeError, match="float"):
+        ScenarioParams.of(a=0.5, epsilon=F(1, 10))
 
 
 def _record(**fields):
