@@ -42,7 +42,7 @@ def _read_profile(path: str) -> core.Profile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return core.parse_profile(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
     except core.ProfileParseError as exc:
         raise _CliError(f"{path}: {exc}") from None

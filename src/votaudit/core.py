@@ -1,17 +1,25 @@
 """Alternatives, rankings, domains, weighted profiles, and weight transfers.
 
-Everything here is exact: weights are `fractions.Fraction`, equality checks
-are rational equalities, and no value is ever rounded.  The electorate is a
-continuum, represented purely by the proportion of voters holding each
-ranking; two profiles with identical weight vectors are the same object, so
-voter relabelings are invisible by construction.
+Everything here is exact and no float enters anywhere.  A profile is a point
+of the simplex over the rankings of its domain, stored as one positive common
+denominator `den` and an integer count per ranking of its support (weight =
+count / den), reduced by gcd(den, *counts): two profiles with identical
+weights are equal and hash equal, so voter relabelings are invisible by
+construction.  Every ranking has a fixed slot in `SLOT_RANKINGS` (the six of
+three alternatives and the six of two that restriction to a pair produces),
+and counts are keyed by slot, so renaming, restricting and transferring work
+on ints through small tables built at import.  The public API stays on
+`fractions.Fraction`: `Profile(weights, domain)` takes weights and
+`weights`, `weight`, `total_weight` and the text format give them back.
 
 All types are immutable and hashable; every function is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -71,6 +79,11 @@ class Ranking:
         return self.order[0]
 
     @property
+    def slot(self) -> int:
+        """This ranking's index in `SLOT_RANKINGS`."""
+        return _SLOT[self.order]
+
+    @property
     def alternatives(self) -> frozenset[str]:
         return frozenset(self.order)
 
@@ -78,10 +91,6 @@ class Ranking:
         """The induced order on a subset of the alternatives."""
         keep = set(alts)
         return Ranking(tuple(a for a in self.order if a in keep))
-
-    def permute(self, perm: "CandidatePermutation") -> "Ranking":
-        """Rename every alternative through `perm`, preserving positions."""
-        return Ranking(tuple(perm(a) for a in self.order))
 
     def __str__(self) -> str:
         return ">".join(self.order)
@@ -122,6 +131,15 @@ RANKINGS: tuple[Ranking, ...] = tuple(
     Ranking(p) for p in sorted(itertools.permutations(ALTERNATIVES))
 )
 
+#: Every ranking a profile can weight, in sorted order: the six of three
+#: alternatives and the six of two (a profile restricted to a pair).  A
+#: profile's counts are keyed by index into this tuple, its slot.
+SLOT_RANKINGS: tuple[Ranking, ...] = tuple(sorted(
+    Ranking(p) for n in (2, 3) for p in itertools.permutations(ALTERNATIVES, n)
+))
+
+_SLOT = {r.order: i for i, r in enumerate(SLOT_RANKINGS)}
+
 
 @dataclass(frozen=True)
 class CandidatePermutation:
@@ -129,19 +147,20 @@ class CandidatePermutation:
 
     pairs: tuple[tuple[str, str], ...]
     _mapping: dict[str, str] = field(init=False, repr=False, compare=False)
+    #: slot of the renamed ranking, per slot (None where the pairs leave a name unmapped)
+    _slots: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_mapping", dict(self.pairs))
+        mapping = dict(self.pairs)
+        object.__setattr__(self, "_mapping", mapping)
+        object.__setattr__(self, "_slots", tuple(
+            _SLOT.get(tuple(map(mapping.get, r.order))) for r in SLOT_RANKINGS))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "CandidatePermutation":
         if sorted(mapping) != sorted(ALTERNATIVES) or sorted(mapping.values()) != sorted(ALTERNATIVES):
             raise ValueError(f"not a bijection on {ALTERNATIVES}: {mapping!r}")
         return cls(tuple(sorted(mapping.items())))
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
 
     def __call__(self, alt: str) -> str:
         return self._mapping[alt]
@@ -151,10 +170,6 @@ class CandidatePermutation:
 
     def inverse(self) -> "CandidatePermutation":
         return CandidatePermutation.from_mapping({v: k for k, v in self.pairs})
-
-    def compose(self, other: "CandidatePermutation") -> "CandidatePermutation":
-        """self after other: (self.compose(other))(a) == self(other(a))."""
-        return CandidatePermutation.from_mapping({a: self(other(a)) for a in ALTERNATIVES})
 
     def __str__(self) -> str:
         return ",".join(f"{a}->{b}" for a, b in self.pairs)
@@ -186,8 +201,8 @@ class Domain:
     """A nonempty set of admissible rankings, iterated in canonical order."""
 
     rankings: tuple[Ranking, ...]
-    _members: frozenset[Ranking] = field(init=False, repr=False, compare=False)
     _alternatives: frozenset[str] = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)  # bit i: slot i is a member
 
     def __post_init__(self) -> None:
         if not self.rankings:
@@ -197,8 +212,11 @@ class Domain:
         if len(alternative_sets) != 1:
             raise ValueError("domain mixes rankings over different alternatives")
         object.__setattr__(self, "rankings", tuple(sorted(members)))
-        object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_alternatives", alternative_sets.pop())
+        object.__setattr__(self, "_mask", sum(1 << r.slot for r in members))
+
+    def __hash__(self) -> int:  # equal rankings give equal masks; profiles hash their domain
+        return self._mask
 
     @property
     def alternatives(self) -> frozenset[str]:
@@ -206,7 +224,7 @@ class Domain:
         return self._alternatives
 
     def __contains__(self, r: Ranking) -> bool:
-        return r in self._members
+        return bool(self._mask >> r.slot & 1)
 
     def __iter__(self):
         return iter(self.rankings)
@@ -215,13 +233,20 @@ class Domain:
         return len(self.rankings)
 
     def permute(self, perm: CandidatePermutation) -> "Domain":
-        return Domain(tuple(r.permute(perm) for r in self.rankings))
+        return _permuted_domain(self, perm._slots)
 
     def __str__(self) -> str:
-        if self._members == frozenset(RANKINGS):
+        if self._mask == _FULL_MASK:
             return "full"
         return "{" + ", ".join(str(r) for r in self.rankings) + "}"
 
+
+@functools.cache  # at most 72 domains (63 of three alternatives, 9 of two) times 6 renamings
+def _permuted_domain(domain: Domain, images: tuple[int | None, ...]) -> Domain:
+    return Domain(tuple(SLOT_RANKINGS[images[r.slot]] for r in domain))
+
+
+_FULL_MASK = sum(1 << r.slot for r in RANKINGS)
 
 FULL_DOMAIN = Domain(RANKINGS)
 
@@ -266,53 +291,83 @@ class Profile:
     """Nonnegative rational weights on rankings, summing to exactly 1.
 
     Zero weights are accepted on input and normalized away: the support may be
-    any subset of the domain.  Equality compares domains and support weights.
+    any subset of the domain.  Stored as a positive common denominator `den`
+    and `counts`, the (slot, count) pairs of the support in slot order
+    (weight = count / den), reduced by their gcd; equality compares domains
+    and those integers, so it is equality of the support weights.
     """
 
     domain: Domain
-    _weights: tuple[tuple[Ranking, Fraction], ...] = field(repr=False)
+    den: int = field(repr=False)
+    counts: tuple[tuple[int, int], ...] = field(repr=False)
 
     def __init__(self, weights: Mapping[Ranking, Fraction] | Iterable[tuple[Ranking, Fraction]],
                  domain: Domain | None = None):
         items = dict(weights)
         if domain is None:
             domain = FULL_DOMAIN if all(len(r.order) == 3 for r in items) else Domain(tuple(items))
-        total = Fraction(0)
-        support: dict[Ranking, Fraction] = {}
+        support: dict[int, Fraction] = {}
         for r, w in items.items():
             w = as_fraction(w)
-            if w < 0:
+            if w.numerator < 0:
                 raise ProfileError(f"negative weight {w} on {r}")
-            if w > 0:
+            if w.numerator:
                 if r not in domain:
                     raise ProfileError(f"ranking {r} has positive weight but is outside the domain")
-                support[r] = w
-            total += w
-        if total != 1:
-            raise ProfileError(f"weights sum to {total}, expected exactly 1")
+                support[r.slot] = w
+        # At the lcm of the reduced denominators no prime divides den and every
+        # count, so the counts come out reduced.
+        den = math.lcm(*(w.denominator for w in support.values()))
+        counts = tuple(sorted((s, w.numerator * (den // w.denominator)) for s, w in support.items()))
+        total = sum(c for _, c in counts)
+        if total != den:
+            raise ProfileError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_weights", tuple(sorted(support.items())))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _trusted(cls, domain: Domain, den: int, counts: Iterable[tuple[int, int]]) -> "Profile":
+        """The profile of (slot, count) pairs that need no checking.
+
+        The caller guarantees what `__init__` checks: every count is
+        nonnegative, every positive one sits on a slot of the domain, and they
+        sum to `den`.  Zero counts are dropped, and `den` and the counts are
+        divided by their gcd, so the result is canonical.
+        """
+        counts = sorted((s, c) for s, c in counts if c)
+        g = math.gcd(den, *(c for _, c in counts))
+        if g > 1:
+            den //= g
+            counts = [(s, c // g) for s, c in counts]
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "domain", domain)
+        object.__setattr__(profile, "den", den)
+        object.__setattr__(profile, "counts", tuple(counts))
+        return profile
 
     def weight(self, r: Ranking) -> Fraction:
-        for rr, w in self._weights:
-            if rr == r:
-                return w
+        slot = r.slot
+        for s, c in self.counts:
+            if s == slot:
+                return Fraction(c, self.den)
         return Fraction(0)
 
     @property
     def weights(self) -> dict[Ranking, Fraction]:
-        return dict(self._weights)
+        den = self.den
+        return {SLOT_RANKINGS[s]: Fraction(c, den) for s, c in self.counts}
 
     @property
     def support(self) -> tuple[Ranking, ...]:
-        return tuple(r for r, _ in self._weights)
+        return tuple(SLOT_RANKINGS[s] for s, _ in self.counts)
 
     @property
     def alternatives(self) -> frozenset[str]:
         return self.domain.alternatives
 
     def total_weight(self) -> Fraction:
-        return sum((w for _, w in self._weights), Fraction(0))
+        return Fraction(sum(c for _, c in self.counts), self.den)
 
     def __str__(self) -> str:
         return format_profile(self)
@@ -325,10 +380,9 @@ def profile_from(weights: Mapping[str, object], domain: Domain | None = None) ->
 
 def permute_profile(profile: Profile, perm: CandidatePermutation) -> Profile:
     """Rename candidates on every ballot: the weight of ``perm(r)`` equals the old weight of ``r``."""
-    return Profile(
-        {r.permute(perm): w for r, w in profile.weights.items()},
-        profile.domain.permute(perm),
-    )
+    images = perm._slots
+    return Profile._trusted(profile.domain.permute(perm), profile.den,
+                            [(images[s], c) for s, c in profile.counts])
 
 
 Move = tuple[Ranking, Ranking, Fraction]
@@ -339,27 +393,36 @@ def transfer_weight(profile: Profile, moves: Sequence[Move]) -> tuple[Profile, F
 
     Each move is (true ranking, reported ranking, amount >= 0).  The total
     outflow from a ranking may not exceed its weight, and every reported
-    ranking must lie inside the profile's domain.
+    ranking must lie inside the profile's domain.  The counts move at the
+    common denominator lcm(den, every amount's denominator).
     """
-    outflow: dict[Ranking, Fraction] = {}
-    new_weights = dict(profile.weights)
-    moved = Fraction(0)
+    checked = []
     for src, dst, amount in moves:
         amount = as_fraction(amount)
-        if amount < 0:
+        if amount.numerator < 0:
             raise InfeasibleMoveError(f"negative transfer {amount} from {src} to {dst}")
         if dst not in profile.domain:
             raise DomainViolationError(f"reported ranking {dst} is outside the domain")
-        outflow[src] = outflow.get(src, Fraction(0)) + amount
-        new_weights[src] = new_weights.get(src, Fraction(0)) - amount
-        new_weights[dst] = new_weights.get(dst, Fraction(0)) + amount
-        moved += amount
+        checked.append((src.slot, dst.slot, amount))
+    den = math.lcm(profile.den, *(amount.denominator for _, _, amount in checked))
+    scale = den // profile.den
+    held = {s: c * scale for s, c in profile.counts}
+    counts = dict(held)
+    outflow: dict[int, int] = {}
+    moved = 0
+    for src, dst, amount in checked:
+        k = amount.numerator * (den // amount.denominator)
+        outflow[src] = outflow.get(src, 0) + k
+        counts[src] = counts.get(src, 0) - k
+        counts[dst] = counts.get(dst, 0) + k
+        moved += k
     for src, out in outflow.items():
-        if out > profile.weight(src):
+        if out > held.get(src, 0):
             raise InfeasibleMoveError(
-                f"transfer of {out} exceeds the weight {profile.weight(src)} on {src}"
+                f"transfer of {Fraction(out, den)} exceeds the weight "
+                f"{Fraction(held.get(src, 0), den)} on {SLOT_RANKINGS[src]}"
             )
-    return Profile(new_weights, profile.domain), moved
+    return Profile._trusted(profile.domain, den, counts.items()), Fraction(moved, den)
 
 
 def parse_weight(token: str) -> Fraction:
@@ -386,7 +449,10 @@ def parse_profile(text: str) -> Profile:
         if domain is None:
             if not line.startswith("domain:"):
                 raise ProfileParseError(f"line {lineno}: expected 'domain:' header, got {line!r}")
-            domain = parse_domain(line[len("domain:"):])
+            try:
+                domain = parse_domain(line[len("domain:"):])
+            except RankingParseError as exc:
+                raise ProfileParseError(f"line {lineno}: {exc}") from None
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -408,6 +474,6 @@ def parse_profile(text: str) -> Profile:
 def format_profile(profile: Profile) -> str:
     """Serialize to the text format; parsing the result reproduces the profile exactly."""
     lines = [f"domain: {profile.domain}"]
-    for r, w in sorted(profile.weights.items()):
+    for r, w in profile.weights.items():  # in slot order, which is sorted order
         lines.append(f"{w} {r}")
     return "\n".join(lines)

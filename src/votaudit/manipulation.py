@@ -15,15 +15,15 @@ Among valid witnesses the search returns the one minimal by total size and
 then by the amounts vector over canonically ordered arcs, so results are
 reproducible byte for byte.
 
-The search runs on an integer lattice.  `find_manipulation` turns the
-profile's weights into integer counts at the scale L = lcm(move denominator,
-every weight denominator); `audit_wsp` feeds the grid's count vectors in
-directly, at L = lcm(grid, moves).  A score vector is scaled by the lcm of its
-entries' denominators, so every statistic, bound and leaf test is an exact
-comparison of integers.  `Fraction` enters only where weights become counts
-and leaves only where a witness is built: its profile, and its move amounts
-k/move_denominator.  `verify_witness` replays a witness on `Fraction` through
-`rules.evaluate`, independently of the lattice.
+The search runs on an integer lattice.  `find_manipulation` rescales the
+profile's integer counts to L = lcm(move denominator, the profile's
+denominator); `audit_wsp` feeds the grid's count vectors in directly, at
+L = lcm(grid, moves).  A score vector is scaled by the lcm of its entries'
+denominators, so every statistic, bound and leaf test is an exact comparison
+of integers.  `Fraction` leaves only where a witness is built: its profile,
+and its move amounts k/move_denominator.  `verify_witness` replays a witness
+through `transfer_weight` and `rules.evaluate`, which share no code with the
+lattice.
 """
 
 from __future__ import annotations
@@ -305,10 +305,10 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
     `NongenericProfileError` when the base profile has no winner, and
     `ValueError` when its domain does not rank all three alternatives.
     """
-    weights = [profile.weight(r) for r in profile.domain]
-    scale = math.lcm(config.move_denominator, *(w.denominator for w in weights))
+    scale = math.lcm(config.move_denominator, profile.den)
+    held = dict(profile.counts)
     found = _Lattice(rule, profile.domain, scale, config).search(
-        [w.numerator * (scale // w.denominator) for w in weights])
+        [held.get(r.slot, 0) * (scale // profile.den) for r in profile.domain])
     return None if found is None else ManipulationWitness(profile, *found, config.epsilon)
 
 

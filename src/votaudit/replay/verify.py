@@ -14,13 +14,15 @@ Reports list one pass/fail line per check; a failing precondition raises
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from ..axioms import _dominations
-from ..core import Profile, Ranking, as_fraction, permute_profile, transfer_weight
+from ..core import (Profile, ProfileError, Ranking, as_fraction, permute_profile,
+                    transfer_weight)
 from ..rules import evaluate, parse_rule
 from .model import (
     AffineChain,
@@ -133,16 +135,23 @@ def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
 
 
 def instantiate(template, env: Env, domain, label: str) -> Profile:
-    weights: dict[Ranking, Fraction] = {}
+    """The template's profile at `env`, checked as `Profile` checks it, on integer counts."""
+    values = []
     for r, expr in template:
         value = expr(env)
         if value < 0:
             raise TemplateError(f"{label}: weight of {r} is negative ({value})")
-        weights[r] = weights.get(r, Fraction(0)) + value
-    total = sum(weights.values(), Fraction(0))
-    if total != 1:
-        raise TemplateError(f"{label}: weights sum to {total}, expected 1")
-    return Profile(weights, domain)
+        if value and r not in domain:  # the catalog loader rules this out
+            raise ProfileError(f"ranking {r} has positive weight but is outside the domain")
+        values.append((r.slot, value))
+    den = math.lcm(*(value.denominator for _, value in values))
+    counts: dict[int, int] = {}
+    for slot, value in values:
+        counts[slot] = counts.get(slot, 0) + value.numerator * (den // value.denominator)
+    total = sum(counts.values())
+    if total != den:
+        raise TemplateError(f"{label}: weights sum to {Fraction(total, den)}, expected 1")
+    return Profile._trusted(domain, den, counts.items())
 
 
 def _build(scenario: Scenario, params: ScenarioParams):

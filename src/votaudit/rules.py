@@ -13,23 +13,60 @@ strict dominance: an alternative earns one point per alternative ranked
 strictly below it, per unit of voter weight, so on the profile
 (p: x>y>z, q: y>x>z, 1-p-q: y>z>x) the scores are exactly
 (2p + q, 2 - p, 1 - p - q).
+
+Rules read a profile's integer counts: a score is an integer dot product
+with the score vector scaled to integers (by the lcm D of its entries'
+denominators), and a margin m over den reaches a half when 2*m >= den.
+`Fraction` appears only in what `scoring_scores`, `borda_scores` and
+`condorcet_margins` return.  This code shares nothing with the lattice of
+`manipulation`: it is the independent check `verify_witness` replays on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .core import (
     ALTERNATIVES,
+    SLOT_RANKINGS,
     Domain,
     Profile,
-    Ranking,
     parse_weight,
 )
 
-_HALF = Fraction(1, 2)
+#: Every subset of the alternatives, as a tuple in canonical order.
+_ORDERED = {frozenset(c): c for n in range(len(ALTERNATIVES) + 1)
+            for c in itertools.combinations(ALTERNATIVES, n)}
+
+#: The ordered pairs of alternatives; margins are kept in this order.
+_PAIRS = tuple((a, b) for a in ALTERNATIVES for b in ALTERNATIVES if a != b)
+
+#: Per slot, the indices into `_PAIRS` of the pairs (a, b) its ranking puts a above b.
+_PREFERRED = tuple(
+    tuple(i for i, (a, b) in enumerate(_PAIRS)
+          if a in r.order and b in r.order and r.prefers(a, b))
+    for r in SLOT_RANKINGS
+)
+
+#: Per set of contested alternatives, each one with the `_PAIRS` indices of its
+#: margins over the others.
+_CONTESTS = {
+    chosen: tuple((a, tuple(_PAIRS.index((a, b)) for b in chosen if b != a)) for a in chosen)
+    for chosen in _ORDERED.values() if len(chosen) >= 2
+}
+
+#: Per pair of alternatives, the slot of every ranking's induced order on it
+#: (None for a two-alternative ranking of another pair).
+_RESTRICTIONS = {
+    frozenset(pair): tuple(r.restrict(pair).slot if set(pair) <= r.alternatives else None
+                           for r in SLOT_RANKINGS)
+    for pair in itertools.combinations(ALTERNATIVES, 2)
+}
 
 
 class DegenerateElectionError(ValueError):
@@ -75,6 +112,8 @@ class RuleDescriptor:
 
     kind: str
     score_vector: tuple[Fraction, Fraction, Fraction] | None = None
+    #: the score vector times D, the lcm of its entries' denominators; None for condorcet
+    _integers: tuple[int, int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("borda", "condorcet", "plurality", "scoring"):
@@ -85,6 +124,7 @@ class RuleDescriptor:
                 raise ValueError(f"{self.kind} has the fixed score vector "
                                  + ",".join(map(str, named)))
             object.__setattr__(self, "score_vector", named)
+        object.__setattr__(self, "_integers", None)
         if self.kind == "condorcet":
             if self.score_vector is not None:
                 raise ValueError("condorcet takes no score vector")
@@ -96,6 +136,13 @@ class RuleDescriptor:
             raise ValueError("score vector must be nonincreasing")
         if not s1 > s3:
             raise ValueError("degenerate score vector: s1 must exceed s3")
+        d = self._scale()
+        object.__setattr__(self, "_integers", tuple(
+            s.numerator * (d // s.denominator) for s in self.score_vector))
+
+    def _scale(self) -> int:
+        """D, the lcm of the score vector's denominators."""
+        return math.lcm(*(s.denominator for s in self.score_vector))
 
     def __str__(self) -> str:
         if self.kind == "scoring":
@@ -132,24 +179,50 @@ def _check_alts(profile: Profile, alts: Iterable[str] | None) -> tuple[str, ...]
         raise ValueError(f"alternatives {sorted(chosen - available)} not present in the profile")
     if len(chosen) < 2:
         raise DegenerateElectionError("an election needs at least two alternatives")
-    return tuple(a for a in ALTERNATIVES if a in chosen)
+    return _ORDERED[chosen]
+
+
+@functools.lru_cache(maxsize=256)
+def _score_table(vector: tuple[int, int, int], chosen: tuple[str, ...]) -> tuple:
+    """Per slot, the points each of `ALTERNATIVES` gets from its ranking's order on
+    `chosen`, by the first |chosen| entries of `vector` (0 off `chosen`; None for
+    a ranking that does not order all of `chosen`)."""
+    table = []
+    for r in SLOT_RANKINGS:
+        induced = [a for a in r.order if a in chosen]
+        table.append(None if len(induced) < len(chosen) else tuple(
+            vector[induced.index(a)] if a in chosen else 0 for a in ALTERNATIVES))
+    return tuple(table)
+
+
+def _integer_scores(rule: RuleDescriptor, profile: Profile,
+                    chosen: tuple[str, ...]) -> dict[str, int]:
+    """The positional scores of `chosen` times den * D."""
+    table = _score_table(rule._integers, chosen)
+    sx = sy = sz = 0
+    for slot, count in profile.counts:
+        x, y, z = table[slot]
+        sx += x * count
+        sy += y * count
+        sz += z * count
+    return {a: s for a, s in zip(ALTERNATIVES, (sx, sy, sz)) if a in chosen}
+
+
+def _integer_margins(profile: Profile) -> list[int]:
+    """Per `_PAIRS` entry (a, b), the count of the rankings preferring a to b."""
+    margins = [0] * len(_PAIRS)
+    for slot, count in profile.counts:
+        for i in _PREFERRED[slot]:
+            margins[i] += count
+    return margins
 
 
 def scoring_scores(rule: RuleDescriptor, profile: Profile,
                    alts: Iterable[str] | None = None) -> dict[str, Fraction]:
     """Positional scores for a positional rule, using the first |alts| vector components."""
     chosen = _check_alts(profile, alts)
-    whole = len(chosen) == len(ALTERNATIVES)
-    # Integral entries as ints, with zero and unit products skipped, keep
-    # plurality's (1, 0, 0) as cheap as counting first places.
-    vector = [int(s) if s.denominator == 1 else s for s in rule.score_vector[: len(chosen)]]
-    scores = dict.fromkeys(chosen, Fraction(0))
-    for r, w in profile.weights.items():
-        induced = r.order if whole else [a for a in r.order if a in chosen]
-        for a, s in zip(induced, vector):
-            if s:
-                scores[a] += w if s == 1 else w * s
-    return scores
+    scale = profile.den * rule._scale()
+    return {a: Fraction(s, scale) for a, s in _integer_scores(rule, profile, chosen).items()}
 
 
 def borda_scores(profile: Profile, alts: Iterable[str] | None = None) -> dict[str, Fraction]:
@@ -164,19 +237,10 @@ def borda_scores(profile: Profile, alts: Iterable[str] | None = None) -> dict[st
 
 def condorcet_margins(profile: Profile) -> dict[tuple[str, str], Fraction]:
     """margin(a, b) = total weight of rankings preferring a to b; margin(a,b) + margin(b,a) = 1."""
-    alts = tuple(a for a in ALTERNATIVES if a in profile.alternatives)
-    margins = {(a, b): Fraction(0) for a in alts for b in alts if a != b}
-    for r, w in profile.weights.items():
-        for a in alts:
-            for b in alts:
-                if a != b and r.prefers(a, b):
-                    margins[(a, b)] += w
-    return margins
-
-
-def _argmax(scores: dict[str, Fraction]) -> Outcome:
-    best = max(scores.values())
-    return Outcome(frozenset(a for a, s in scores.items() if s == best))
+    alts = profile.alternatives
+    den = profile.den
+    return {pair: Fraction(m, den) for pair, m in zip(_PAIRS, _integer_margins(profile))
+            if pair[0] in alts and pair[1] in alts}
 
 
 def evaluate(rule: RuleDescriptor, profile: Profile,
@@ -184,13 +248,19 @@ def evaluate(rule: RuleDescriptor, profile: Profile,
     """Evaluate a rule on a profile, optionally restricted to a subset of alternatives."""
     chosen = _check_alts(profile, alts)
     if rule.score_vector is not None:
-        return _argmax(scoring_scores(rule, profile, chosen))
-    margins = condorcet_margins(profile)
-    tie = frozenset(
-        a for a in chosen
-        if all(margins[(a, b)] >= _HALF for b in chosen if b != a)
-    )
-    return Outcome(tie)
+        scores = _integer_scores(rule, profile, chosen)
+        best = max(scores.values())
+        return Outcome(frozenset(a for a, s in scores.items() if s == best))
+    margins = _integer_margins(profile)
+    den = profile.den
+    return Outcome(frozenset(
+        a for a, rivals in _CONTESTS[chosen] if all(2 * margins[i] >= den for i in rivals)
+    ))
+
+
+@functools.cache  # at most 72 domains times 3 pairs
+def _restricted_domain(domain: Domain, pair: frozenset[str]) -> Domain:
+    return Domain(tuple({r.restrict(pair) for r in domain}))
 
 
 def restrict_profile(profile: Profile, alts: Iterable[str]) -> Profile:
@@ -200,9 +270,9 @@ def restrict_profile(profile: Profile, alts: Iterable[str]) -> Profile:
         raise ValueError("restriction target must contain exactly two alternatives")
     if not pair <= profile.alternatives:
         raise ValueError(f"alternatives {sorted(pair - profile.alternatives)} not in the profile")
-    weights: dict[Ranking, Fraction] = {}
-    for r, w in profile.weights.items():
-        short = r.restrict(pair)
-        weights[short] = weights.get(short, Fraction(0)) + w
-    domain = Domain(tuple({r.restrict(pair) for r in profile.domain}))
-    return Profile(weights, domain)
+    induced = _RESTRICTIONS[pair]
+    counts: dict[int, int] = {}
+    for slot, count in profile.counts:
+        short = induced[slot]
+        counts[short] = counts.get(short, 0) + count
+    return Profile._trusted(_restricted_domain(profile.domain, pair), profile.den, counts.items())

@@ -219,3 +219,28 @@ def test_audit_evaluates_the_base_profile_once(fixtures, monkeypatch):
     assert len(seen) == 9
     assert sum(len(p.domain.alternatives) == 2 for p in seen) == 2
     assert len({id(p) for p in seen}) == 9
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"domain: {x>y, y>x}\n1 x>y>z\n", "line 1: missing alternative 'z' in 'x>y'"),
+    (b"domain: {x>y>z,}\n1 x>y>z\n", "line 1: unknown alternative '' in ''"),
+    (b"\xff\xfedomain: full\n1 x>y>z\n", "cannot read "),
+    (b"1 x>y>z\n", "line 1: expected 'domain:' header"),
+    (b"domain: full\n1/0 x>y>z\n", "bad weight '1/0'"),
+    (b"domain: full\nnan x>y>z\n", "bad weight 'nan'"),
+    (b"domain: full\n1/2 x>y>z\n1/3 y>x>z\n", "weights sum to 5/6, expected exactly 1"),
+], ids=["two-alternative-header", "trailing-comma-header", "not-utf8", "missing-header",
+        "zero-denominator", "nan", "sum-not-one"])
+@pytest.mark.parametrize("verb", [
+    ["evaluate", "--rule", "borda"],
+    ["margins"],
+    ["audit", "--rule", "plurality"],
+    ["manipulate", "--rule", "condorcet", "--epsilon", "1/20"],
+], ids=lambda argv: argv[0])
+def test_malformed_profile_file_is_input_error(tmp_path, capsys, verb, content, message):
+    path = tmp_path / "bad.profile"
+    path.write_bytes(content)
+    assert main(verb + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

@@ -210,3 +210,96 @@ def test_parse_profile_rejects(text):
 def test_parse_domain_forms():
     assert va.parse_domain("full") == va.FULL_DOMAIN
     assert va.parse_domain("{x>y>z, y>z>x, z>x>y}") == va.CYCLE_DOMAIN
+
+
+# -- the integer-count core ---------------------------------------------------
+
+@given(full_profiles(), st.sampled_from(va.ALL_PERMUTATIONS))
+def test_permute_and_inverse_give_the_canonical_profile(profile, perm):
+    back = va.permute_profile(va.permute_profile(profile, perm), perm.inverse())
+    assert back == profile and hash(back) == hash(profile)
+    assert (back.den, back.counts) == (profile.den, profile.counts)
+
+
+@given(full_profiles(), st.sampled_from(va.RANKINGS), st.integers(7, 997))
+def test_transfer_and_reverse_give_the_canonical_profile(profile, dst, denominator):
+    src = profile.support[0]
+    amount = min(profile.weight(src), F(1, denominator))  # usually a new denominator
+    moved, size = va.transfer_weight(profile, [(src, dst, amount)])
+    back, _ = va.transfer_weight(moved, [(dst, src, amount)])
+    assert size == amount
+    assert back == profile and hash(back) == hash(profile)
+    assert (back.den, back.counts) == (profile.den, profile.counts)
+
+
+@given(full_profiles(), st.integers(2, 50))
+def test_unreduced_denominators_give_the_canonical_profile(profile, factor):
+    scaled = va.Profile._trusted(profile.domain, profile.den * factor,
+                                 [(s, c * factor) for s, c in profile.counts])
+    assert scaled == profile and hash(scaled) == hash(profile)
+    assert scaled.den == profile.den
+    text = "domain: full\n" + "\n".join(
+        f"{c * factor}/{profile.den * factor} {va.core.SLOT_RANKINGS[s]}" for s, c in profile.counts)
+    parsed = va.parse_profile(text)
+    assert parsed == profile and hash(parsed) == hash(profile)
+
+
+@given(full_profiles())
+def test_weights_round_trip_through_the_constructor(profile):
+    weights = profile.weights
+    assert all(isinstance(w, F) and w > 0 for w in weights.values())
+    assert list(weights) == sorted(weights) == list(profile.support)
+    assert va.Profile(weights, profile.domain) == profile
+    assert all(profile.weight(r) == weights.get(r, 0) for r in va.RANKINGS)
+    assert sum(c for _, c in profile.counts) == profile.den
+    assert profile.total_weight() == 1
+
+
+def test_slots_cover_every_ranking_of_two_or_three_alternatives():
+    assert len(va.core.SLOT_RANKINGS) == 12 and list(va.core.SLOT_RANKINGS) == sorted(va.core.SLOT_RANKINGS)
+    assert set(va.RANKINGS) <= set(va.core.SLOT_RANKINGS)
+    assert all(va.core.SLOT_RANKINGS[r.slot] == r for r in va.core.SLOT_RANKINGS)
+
+
+@pytest.mark.parametrize("build,error,text", [
+    (lambda: va.Profile({va.ranking("xyz"): F(3, 2), va.ranking("yzx"): F(-1, 2)}),
+     ProfileError, "negative weight -1/2 on y>z>x"),
+    (lambda: va.Profile({va.ranking("xyz"): F(1, 2), va.ranking("xzy"): F(1, 2)},
+                        va.CYCLE_DOMAIN),
+     ProfileError, "ranking x>z>y has positive weight but is outside the domain"),
+    (lambda: va.Profile({va.ranking("xyz"): F(1, 2), va.ranking("yzx"): F(1, 3)}),
+     ProfileError, "weights sum to 5/6, expected exactly 1"),
+    (lambda: va.Profile({}), ProfileError, "weights sum to 0, expected exactly 1"),
+    (lambda: va.transfer_weight(va.profile_from({"xyz": "1/4", "yzx": "3/4"}),
+                                [(va.ranking("xyz"), va.ranking("yzx"), F(-1, 8))]),
+     InfeasibleMoveError, "negative transfer -1/8 from x>y>z to y>z>x"),
+    (lambda: va.transfer_weight(va.profile_from({"xyz": "1/2", "yzx": "1/2"}, va.CYCLE_DOMAIN),
+                                [(va.ranking("xyz"), va.ranking("xzy"), F(1, 10))]),
+     va.core.DomainViolationError, "reported ranking x>z>y is outside the domain"),
+    (lambda: va.transfer_weight(va.profile_from({"xyz": "1/4", "yzx": "3/4"}),
+                                [(va.ranking("xyz"), va.ranking("yzx"), F(1, 5)),
+                                 (va.ranking("xyz"), va.ranking("zxy"), F(1, 6))]),
+     InfeasibleMoveError, "transfer of 11/30 exceeds the weight 1/4 on x>y>z"),
+    (lambda: va.transfer_weight(va.profile_from({"xyz": "1/4", "yzx": "3/4"}),
+                                [(va.ranking("zyx"), va.ranking("yzx"), F(1, 7))]),
+     InfeasibleMoveError, "transfer of 1/7 exceeds the weight 0 on z>y>x"),
+    # a negative amount is reported before an off-domain report, and both before an overdraw
+    (lambda: va.transfer_weight(va.profile_from({"xyz": "1/2", "yzx": "1/2"}, va.CYCLE_DOMAIN),
+                                [(va.ranking("xyz"), va.ranking("yzx"), F(1)),
+                                 (va.ranking("xyz"), va.ranking("xzy"), F(1, 10)),
+                                 (va.ranking("xyz"), va.ranking("yzx"), F(-1, 3))]),
+     va.core.DomainViolationError, "reported ranking x>z>y is outside the domain"),
+    (lambda: va.transfer_weight(va.profile_from({"xyz": "1/2", "yzx": "1/2"}, va.CYCLE_DOMAIN),
+                                [(va.ranking("xyz"), va.ranking("yzx"), F(1)),
+                                 (va.ranking("xyz"), va.ranking("yzx"), F(-1, 3)),
+                                 (va.ranking("xyz"), va.ranking("xzy"), F(1, 10))]),
+     InfeasibleMoveError, "negative transfer -1/3 from x>y>z to y>z>x"),
+    (lambda: va.parse_profile("domain: {x>y, y>x}\n1 x>y>z\n"),
+     ProfileParseError, "line 1: missing alternative 'z' in 'x>y'"),
+    (lambda: va.parse_profile("# header next\n\ndomain: {x>y>z,}\n1 x>y>z\n"),
+     ProfileParseError, "line 3: unknown alternative '' in ''"),
+])
+def test_error_texts(build, error, text):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == text

@@ -27,7 +27,7 @@ from votaudit.replay.expressions import (
     evaluate_predicate,
 )
 from votaudit.replay.model import _parse_scenario
-from votaudit.replay.verify import build_env
+from votaudit.replay.verify import TemplateError, build_env, instantiate
 
 
 def test_catalog_loads_and_ids_unique():
@@ -344,3 +344,38 @@ def test_chain_with_failed_anchor_reports_one_failure():
     assert [r.label for r in report.failures()] == [
         "profile u1 is valid (weights >= 0, sum 1)", "chain (u1 -> un)"]
     assert report.failures()[1].detail == "profile failed to instantiate"
+
+
+def _template(*entries):
+    return tuple((va.ranking(r), compile_expression(text)) for r, text in entries)
+
+
+@pytest.mark.parametrize("template,text", [
+    (_template(("xyz", "1/2 - a"), ("yzx", "1/2")), "profile u: weight of x>y>z is negative (-1/6)"),
+    (_template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2")), "profile u: weights sum to 7/8, expected 1"),
+    (_template(("xyz", "0"), ("yzx", "a - a")), "profile u: weights sum to 0, expected 1"),
+])
+def test_instantiate_error_texts(template, text):
+    with pytest.raises(TemplateError) as caught:
+        instantiate(template, {"a": F(2, 3) if "negative" in text else F(1, 4)},
+                    va.FULL_DOMAIN, "profile u")
+    assert str(caught.value) == text
+
+
+def test_instantiate_sums_repeated_rankings_to_a_canonical_profile():
+    # 1/4 + 1/8 + 1/8 on x>y>z, 1/2 on y>z>x: denominators 8 and 2 reduce to 2
+    u = instantiate(_template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2"), ("xyz", "a/2")), {"a": F(1, 4)},
+                    va.CYCLE_DOMAIN, "profile u")
+    assert u == va.profile_from({"xyz": "1/2", "yzx": "1/2"}, va.CYCLE_DOMAIN)
+    assert (u.den, u.domain) == (2, va.CYCLE_DOMAIN)
+
+
+def test_catalog_reads_the_same_with_either_yaml_parser():
+    yaml = pytest.importorskip("yaml")
+    if not getattr(yaml, "__with_libyaml__", False):
+        pytest.skip("PyYAML was built without libyaml")
+    import importlib.resources
+    from votaudit.replay.model import _DATA_FILES
+    for filename in _DATA_FILES:
+        text = (importlib.resources.files("votaudit.replay") / "data" / filename).read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)

@@ -192,3 +192,45 @@ def test_margins_complementarity(parts):
     for key, value in margins.items():
         assert value == matrix[key]
         assert value + margins[(key[1], key[0])] == 1
+
+
+@st.composite
+def large_denominator_profiles(draw):
+    """Profiles with a denominator from 200 to 1000; half of them mirrored, so tied."""
+    q = draw(st.integers(200, 1000))
+    if draw(st.booleans()):
+        # each ranking weighs as much as its reverse: every margin is exactly 1/2
+        cuts = sorted(draw(st.lists(st.integers(0, q // 2), min_size=2, max_size=2)))
+        half = [cuts[0], cuts[1] - cuts[0], q // 2 - cuts[1]]
+        if q % 2:
+            q -= 1
+        parts = dict(zip(("xyz", "xzy", "yxz"), half))
+        parts.update(zip(("zyx", "yzx", "zxy"), half))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, q), min_size=5, max_size=5)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [q])]
+        parts = dict(zip(("xyz", "xzy", "yxz", "yzx", "zxy", "zyx"), sizes))
+    return va.profile_from({k: F(n, q) for k, n in parts.items() if n})
+
+
+@given(large_denominator_profiles())
+@settings(max_examples=150)
+def test_oracle_equivalence_at_large_denominators(profile):
+    assert va.evaluate(va.BORDA, profile).tie_set == brute_borda_tie_set(profile)
+    assert va.evaluate(va.PLURALITY, profile).tie_set == brute_plurality_tie_set(profile)
+    assert va.evaluate(va.CONDORCET, profile).tie_set == brute_condorcet_tie_set(profile)
+    for vector in ((3, 1, 0), (1, 1, 0), (1, F(1, 2), 0), (F(5, 7), F(1, 3), F(-2, 9))):
+        rule = va.scoring(*vector)
+        assert va.evaluate(rule, profile).tie_set == \
+            brute_scoring_tie_set(rule.score_vector, profile)
+    assert va.condorcet_margins(profile) == pairwise_matrix(profile)
+    # on a pair, every rule with s1 > s2 elects the pairwise majority winner
+    matrix = pairwise_matrix(profile)
+    for pair in (("x", "y"), ("x", "z"), ("y", "z")):
+        a, b = pair
+        majority = frozenset(v for v, w in ((a, b), (b, a)) if matrix[(v, w)] >= F(1, 2))
+        restricted = va.restrict_profile(profile, pair)
+        assert restricted.total_weight() == 1
+        for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(3, 1, 0)):
+            assert va.evaluate(rule, restricted).tie_set == majority
+            assert va.evaluate(rule, profile, pair).tie_set == majority
