@@ -2,21 +2,26 @@
 
 The catalog stores weights, move amounts, and inequalities as text like
 ``"(1 - a - 2*b)/2"`` or ``"n*epsilon <= a - b"``.  Each text is parsed once
-with `ast` and compiled into an `Expr`, a closure over `Fraction` that is
-then called at every parameter point.  Only +, -, *, /, parentheses, integer
+with `ast` and compiled into an `Expr`, a tree of closures that is then
+called at every parameter point.  Only +, -, *, /, parentheses, integer
 literals, names, comparisons, `and`, and the functions floor/ceil/abs are
 admitted.  Float literals are rejected so nothing silently loses exactness.
 
-A compiled `Expr` reads each name from its environment as it is, so the
-environment must already hold `Fraction` values: then every intermediate is a
-`Fraction` and `/` is exact.  `evaluate_expression`/`evaluate_predicate`
-make the environment they are given so, with `core.as_fraction`.
+Inside, every value is an unreduced integer pair ``(numerator, denominator)``
+with a positive denominator: `+ - * /` cross-multiply with no gcd, `/` moves
+the sign of its divisor to the numerator, floor/ceil/abs work on the
+numerator, and a comparison compares cross products.  A name is read from
+the environment with ``as_integer_ratio()``, so the environment must hold
+exact values (`Fraction` or `int`); `evaluate_expression`/
+`evaluate_predicate` make the environment they are given so, with
+`core.as_fraction`.  Calling an `Expr` gives one normalised `Fraction` (or a
+`bool` for a predicate); `Expr.ratio` gives the raw pair, for callers that
+only compute with it (`verify.instantiate`, `verify.sample_params`).
 """
 
 from __future__ import annotations
 
 import ast
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,6 +31,7 @@ from typing import Callable, Mapping
 from ..core import as_fraction
 
 Env = Mapping[str, Fraction]
+Pair = tuple[int, int]  # (numerator, denominator > 0), not reduced
 
 
 class ExpressionError(ValueError):
@@ -38,9 +44,10 @@ class Expr:
 
     text: str
     names: frozenset[str]  # the free names it reads
-    fn: Callable[[Env], Fraction | bool] = field(compare=False, repr=False)
+    fn: Callable[[Env], Pair | bool] = field(compare=False, repr=False)
 
-    def __call__(self, env: Env):
+    def ratio(self, env: Env) -> Pair | bool:
+        """The value as an unreduced pair ``(n, d)``, ``d > 0``; a predicate gives a `bool`."""
         try:
             return self.fn(env)
         except KeyError as exc:  # the closures read nothing but `env`
@@ -48,19 +55,76 @@ class Expr:
         except ZeroDivisionError:
             raise ExpressionError("division by zero") from None
 
+    def __call__(self, env: Env) -> Fraction | bool:
+        value = self.ratio(env)
+        return value if value.__class__ is bool else Fraction(*value)
+
     def __str__(self) -> str:
         return self.text
 
 
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-              ast.Div: operator.truediv}
+def _add(left, right):
+    def add(env):
+        ln, ld = left(env)
+        rn, rd = right(env)
+        return ln * rd + rn * ld, ld * rd
+    return add
+
+
+def _sub(left, right):
+    def sub(env):
+        ln, ld = left(env)
+        rn, rd = right(env)
+        return ln * rd - rn * ld, ld * rd
+    return sub
+
+
+def _mul(left, right):
+    def mul(env):
+        ln, ld = left(env)
+        rn, rd = right(env)
+        return ln * rn, ld * rd
+    return mul
+
+
+def _div(left, right):
+    def div(env):
+        ln, ld = left(env)
+        rn, rd = right(env)
+        if rn > 0:
+            return ln * rd, ld * rn
+        if rn < 0:
+            return -ln * rd, -ld * rn
+        raise ZeroDivisionError
+    return div
+
+
+# Leaves are most of the nodes, and the catalog reads few names and literals,
+# so each one gets a single closure that every site shares.
+@lru_cache(maxsize=256)
+def _literal(value: int) -> Callable[[Env], Pair]:
+    pair = (value, 1)
+    return lambda env: pair
+
+
+@lru_cache(maxsize=256)
+def _read(name: str) -> Callable[[Env], Pair]:
+    return lambda env: env[name].as_integer_ratio()
+
+
+def _unary(function, operand):
+    return lambda env: function(*operand(env))
+
+
+_OPERATORS = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}
 
 _FUNCTIONS = {
-    "floor": lambda v: Fraction(math.floor(v)),
-    "ceil": lambda v: Fraction(math.ceil(v)),
-    "abs": abs,
+    "floor": lambda n, d: (n // d, 1),
+    "ceil": lambda n, d: (-(-n // d), 1),
+    "abs": lambda n, d: (abs(n), d),
 }
 
+# Denominators are positive, so a/b < c/d exactly when a*d < c*b.
 _COMPARATORS = {
     ast.Lt: operator.lt,
     ast.LtE: operator.le,
@@ -71,33 +135,29 @@ _COMPARATORS = {
 }
 
 
-def _arith(node: ast.AST, names: set[str]) -> Callable[[Env], Fraction]:
+def _arith(node: ast.AST, names: set[str]) -> Callable[[Env], Pair]:
     """The closure computing `node`; the names it reads are added to `names`."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            value = Fraction(node.value)
-            return lambda env: value
+            return _literal(node.value)
         raise ExpressionError(f"only integer literals are exact, got {node.value!r}")
     if isinstance(node, ast.Name):
-        name = node.id
-        names.add(name)
-        return lambda env: env[name]
+        names.add(node.id)
+        return _read(node.id)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand = _arith(node.operand, names)
-        return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
+        return operand if isinstance(node.op, ast.UAdd) else _unary(lambda n, d: (-n, d), operand)
     if isinstance(node, ast.BinOp):
         op = _OPERATORS.get(type(node.op))
         if op is None:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        left, right = _arith(node.left, names), _arith(node.right, names)
-        return lambda env: op(left(env), right(env))
+        return op(_arith(node.left, names), _arith(node.right, names))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only floor/ceil/abs calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"{node.func.id} takes exactly one argument")
-        function, argument = _FUNCTIONS[node.func.id], _arith(node.args[0], names)
-        return lambda env: function(argument(env))
+        return _unary(_FUNCTIONS[node.func.id], _arith(node.args[0], names))
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
 
@@ -113,12 +173,12 @@ def _predicate(node: ast.AST, names: set[str]) -> Callable[[Env], bool]:
             links.append((_COMPARATORS[type(op)], _arith(operand, names)))
 
         def compare(env: Env) -> bool:
-            left = first(env)
+            ln, ld = first(env)
             for holds, operand in links:
-                right = operand(env)
-                if not holds(left, right):
+                rn, rd = operand(env)
+                if not holds(ln * rd, rn * ld):
                     return False
-                left = right
+                ln, ld = rn, rd
             return True
         return compare
     raise ExpressionError("predicate must be a comparison")

@@ -138,16 +138,16 @@ def instantiate(template, env: Env, domain, label: str) -> Profile:
     """The template's profile at `env`, checked as `Profile` checks it, on integer counts."""
     values = []
     for r, expr in template:
-        value = expr(env)
-        if value < 0:
-            raise TemplateError(f"{label}: weight of {r} is negative ({value})")
-        if value and r not in domain:  # the catalog loader rules this out
+        n, d = expr.ratio(env)
+        if n < 0:
+            raise TemplateError(f"{label}: weight of {r} is negative ({Fraction(n, d)})")
+        if n and r not in domain:  # the catalog loader rules this out
             raise ProfileError(f"ranking {r} has positive weight but is outside the domain")
-        values.append((r.slot, value))
-    den = math.lcm(*(value.denominator for _, value in values))
+        values.append((r.slot, n, d))
+    den = math.lcm(*(d for _, _, d in values))
     counts: dict[int, int] = {}
-    for slot, value in values:
-        counts[slot] = counts.get(slot, 0) + value.numerator * (den // value.denominator)
+    for slot, n, d in values:
+        counts[slot] = counts.get(slot, 0) + n * (den // d)
     total = sum(counts.values())
     if total != den:
         raise TemplateError(f"{label}: weights sum to {Fraction(total, den)}, expected 1")
@@ -421,15 +421,15 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
     final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
     try:
         rebuilt, size = transfer_weight(pair, final_moves)
-        ok = rebuilt == current and size < eps
-        detail = "" if ok else f"rebuilt mismatch or size {size} >= epsilon {eps}"
+        ok = rebuilt == current and 0 < size < eps  # a misreport of mass 0 is no coalition
+        detail = ("" if ok else "empty coalition" if size == 0
+                  else f"rebuilt mismatch or size {size} >= epsilon {eps}")
     except ValueError as exc:
         ok, detail = False, str(exc)
     results.append(CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
         ok, detail))
-    unit_moves = [(chain.absorber, r, Fraction(1)) for r in comps]
-    results.extend(_improvement_results(unit_moves, chain.improvement, "descent step"))
+    results.extend(_improvement_results(final_moves, chain.improvement, "descent step"))
     return results
 
 
@@ -478,12 +478,12 @@ def sample_params(scenario: Scenario, rng: random.Random,
     for _ in range(max_tries):
         env: Env = {}
         for var, low, high in scenario.sample:
-            lo, hi = low(env), high(env)
-            if hi < lo:
+            (lo_n, lo_d), (hi_n, hi_d) = low.ratio(env), high.ratio(env)
+            if hi_n * lo_d < lo_n * hi_d:
                 break
             den = rng.randint(16, max_denominator)
-            lo_num = (lo * den).__ceil__()
-            hi_num = (hi * den).__floor__()
+            lo_num = -(-lo_n * den // lo_d)  # ceil(lo * den)
+            hi_num = hi_n * den // hi_d  # floor(hi * den)
             if hi_num < lo_num:
                 break
             env[var] = Fraction(rng.randint(lo_num, hi_num), den)

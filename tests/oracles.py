@@ -3,8 +3,11 @@
 These deliberately take different code paths from the library: scores are
 rebuilt from the pairwise-comparison matrix, winners from first principles,
 and manipulation witnesses by exhaustive enumeration of entire move matrices.
+Catalog expressions are walked node by node in `Fraction` arithmetic.
 """
 
+import ast
+import math
 from fractions import Fraction
 
 from votaudit import ALTERNATIVES, Profile, evaluate, transfer_weight
@@ -99,3 +102,49 @@ def all_move_matrices_agree(rule: RuleDescriptor, profile: Profile,
                             config: AuditConfig, found) -> bool:
     """Existence agreement between the search result and exhaustive enumeration."""
     return (found is not None) == exhaustive_witness_exists(rule, profile, config)
+
+
+_REFERENCE_FUNCTIONS = {"floor": math.floor, "ceil": math.ceil, "abs": abs}
+
+
+def reference_value(text: str, env):
+    """Catalog expression or predicate text evaluated in CPython `Fraction` arithmetic.
+
+    Operands are evaluated left to right and chained comparisons and `and`
+    stop at the first false part, as Python does.  A missing name raises
+    `KeyError` and a zero divisor `ZeroDivisionError`.
+    """
+    def walk(node):
+        if isinstance(node, ast.Constant):
+            return Fraction(node.value)
+        if isinstance(node, ast.Name):
+            return Fraction(env[node.id])
+        if isinstance(node, ast.UnaryOp):
+            value = walk(node.operand)
+            return -value if isinstance(node.op, ast.USub) else +value
+        if isinstance(node, ast.BinOp):
+            left, right = walk(node.left), walk(node.right)
+            if isinstance(node.op, ast.Add):
+                return left + right
+            if isinstance(node.op, ast.Sub):
+                return left - right
+            if isinstance(node.op, ast.Mult):
+                return left * right
+            return left / right
+        if isinstance(node, ast.Call):
+            return Fraction(_REFERENCE_FUNCTIONS[node.func.id](walk(node.args[0])))
+        if isinstance(node, ast.BoolOp):
+            return all(walk(value) for value in node.values)
+        if isinstance(node, ast.Compare):
+            left = walk(node.left)
+            for op, operand in zip(node.ops, node.comparators):
+                right = walk(operand)
+                if not {ast.Lt: left < right, ast.LtE: left <= right, ast.Gt: left > right,
+                        ast.GtE: left >= right, ast.Eq: left == right,
+                        ast.NotEq: left != right}[type(op)]:
+                    return False
+                left = right
+            return True
+        raise ValueError(f"not a catalog expression: {ast.dump(node)}")
+
+    return walk(ast.parse(text, mode="eval").body)

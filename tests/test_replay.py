@@ -293,6 +293,24 @@ def test_empty_chain_step_fails():
     assert failures["every chain step has coalition size < epsilon"] == "level 0: empty coalition"
 
 
+def test_empty_descent_chain_fails():
+    # every component 0, so level 0 is the pair profile and the final misreport moves nothing
+    scenario = get_scenario("3.I.1.1.0.n+1")
+    chain = scenario.chains[0]
+    zero = compile_expression("0")
+    emptied = replace(chain, components=tuple((r, zero) for r, _ in chain.components))
+    templates = dict(scenario.profiles)
+    profiles = tuple((name, templates[chain.pair] if name == chain.base else template)
+                     for name, template in scenario.profiles)
+    mutant = replace(scenario, profiles=profiles, rule_checks=(), chains=(emptied,))
+    params = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 25))
+    assert verify_full(scenario, params).passed
+    report = verify_full(mutant, params)
+    label = (f"final misreport from {chain.pair} rebuilds the terminal profile "
+             "with size < epsilon")
+    assert [(r.label, r.detail) for r in report.failures()] == [(label, "empty coalition")]
+
+
 #: Scenarios with neither a misreport step nor an affine-chain move: their
 #: claims are descent chains, renamings, and inequalities.
 _WITHOUT_MOVES = ["3.I.1.1.0.n+1", "3.I.1.2.0.n+1", "3.I.2.1.3.2", "3.I.2.2", "3.I.3",
@@ -332,6 +350,44 @@ def test_shifted_move_amount_fails_verification():
         covered += 1
     assert covered == 68
     assert uncovered == _WITHOUT_MOVES
+
+
+#: Scenarios whose first profile, `base`, is read only by a rule check, and a
+#: shift of 1/1000 keeps its winner: no step, chain or renaming reads it.
+_WEIGHT_SURVIVORS = ["1.II.1.2.2.1", "1.II.1.2.2.n+1", "1.II.1.2.3.1", "1.II.1.2.3.n+1",
+                     "1.II.2.2.2.1", "1.II.2.2.2.n+1", "3.I.2.1.3.1.1", "3.I.2.1.3.1.n+1",
+                     "3.III.1.3", "3.III.2.2", "3.III.2.3.1", "3.III.2.3.n+1"]
+
+
+def _perturb_first_template(scenario, env):
+    """The scenario with 1/1000 moved between the first two rankings of positive weight
+    at `env` in its first profile template, so the weights still sum to 1; or None."""
+    name, template = scenario.profiles[0]
+    support = [i for i, (_, weight) in enumerate(template) if weight(env) > 0][:2]
+    if len(support) < 2:
+        return None
+    entries = list(template)
+    for i, sign in zip(support, "+-"):
+        r, weight = entries[i]
+        entries[i] = (r, compile_expression(f"({weight}) {sign} 1/1000"))
+    return replace(scenario, profiles=((name, tuple(entries)),) + scenario.profiles[1:])
+
+
+def test_perturbed_weight_term_fails_verification():
+    rng = random.Random(1000)
+    survivors = []
+    for scenario in scenario_catalog():
+        killed = False
+        for _ in range(5):
+            params = sample_params(scenario, rng)
+            assert verify_full(scenario, params).passed, (scenario.id, str(params))
+            mutant = _perturb_first_template(scenario, build_env(scenario, params))
+            if mutant is not None and not verify_full(mutant, params).passed:
+                killed = True
+                break
+        if not killed:
+            survivors.append(scenario.id)
+    assert survivors == _WEIGHT_SURVIVORS
 
 
 def test_chain_with_failed_anchor_reports_one_failure():
