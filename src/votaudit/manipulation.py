@@ -8,9 +8,12 @@ searched under; `verify_witness` replays all of it from scratch.
 The search is a discretized sweep: amounts are multiples of 1/move_denominator
 with total strictly below epsilon, and only rankings strictly preferring the
 candidate new winner over the current one may send mass (nobody else would
-join).  Because every decision statistic is linear in the moved amounts, the
-arc enumeration is branch-and-bound: a subtree is cut when even the most
-favorable placement of the remaining mass cannot make the candidate win.
+join).  Both rule families decide through one statistic per ordered pair of
+alternatives, linear in the moved amounts: a positional rule's score gap, or
+the pairwise rule's support.  So one bound, each statistic plus the units
+left times its most favorable change per unit, against the criterion's
+threshold, cuts a candidate at the root and every subtree of the arc
+enumeration that cannot make it win; with no units left it is the leaf test.
 Among valid witnesses the search returns the one minimal by total size and
 then by the amounts vector over canonically ordered arcs, so results are
 reproducible byte for byte.
@@ -28,11 +31,12 @@ lattice.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .core import (ALTERNATIVES, Domain, Move, Profile, Ranking, format_profile,
@@ -126,158 +130,155 @@ def verify_witness(rule: RuleDescriptor, witness: ManipulationWitness) -> Witnes
     return WitnessCheck(True)
 
 
-class _Lattice:
-    """A rule's decision statistic on one domain, as integer rows over its rankings.
+#: The ordered pairs of alternatives: (a, b), a before b, at i < 3, and its reverse at i + 3.
+_FORWARD = tuple(itertools.combinations(ALTERNATIVES, 2))
+_PAIRS = _FORWARD + tuple((b, a) for a, b in _FORWARD)
 
-    A profile enters as integer counts at the scale L (weight = count / L);
-    moves are multiples of `unit` = L / moves.  A positional rule's row for
-    alternative a holds D * s[position of a], D the lcm of the score vector's
-    denominators: its statistic is the scores times L * D, and a score gap is
-    positive when it reaches `need` = 1.  The pairwise rule's row for (a, b)
-    is 1 where a ranking prefers a to b: its statistic is the margins times L,
-    and a margin reaches a half when it reaches `need` = ceil(L / 2).
+#: Per alternative: the `_PAIRS` indices of its statistics over the two others; those
+#: two others, its rivals, in canonical order; and its own two statistics, then theirs.
+_OVER = {a: tuple(i for i, pair in enumerate(_PAIRS) if pair[0] == a) for a in ALTERNATIVES}
+_RIVALS = {a: tuple(v for v in ALTERNATIVES if v != a) for a in ALTERNATIVES}
+_GROUPS = {a: sum((_OVER[v] for v in _RIVALS[a]), _OVER[a]) for a in ALTERNATIVES}
+
+
+class _Model:
+    """A rule on one domain, as one integer statistic per ordered pair (a, b).
+
+    For a positional rule it is the score gap a - b, times D, the lcm of the
+    score vector's denominators; for the pairwise rule, the support of a over
+    b: the count preferring a to b.  The three pairs with a before b have
+    `rows` over the rankings, dotted with the counts; a reverse pair's
+    statistic is C - s, C = `total` * L at scale L (0 for gaps, L for
+    supports).  An alternative meets the criterion when both its statistics
+    reach need = ceil(C / 2), a gap of 0 or a support of a half.
+    `steps[arc]` is the change of all six per count moved along the arc, and
+    `reach[old, target]` their largest and smallest change over the arcs whose
+    source prefers target to old, clamped at 0.  Nothing else in the search
+    tells the rule families apart.
     """
 
-    def __init__(self, rule: RuleDescriptor, domain: Domain, scale: int, config: AuditConfig):
+    def __init__(self, vector: tuple[Fraction, ...] | None, domain: Domain):
         if domain.alternatives != frozenset(ALTERNATIVES):
-            raise ValueError(f"the coalition search needs rankings of all of "
-                             f"{', '.join(ALTERNATIVES)}; the domain {domain} ranks "
-                             f"only {', '.join(sorted(domain.alternatives))}")
-        self.rankings = tuple(domain)
-        self.unit = scale // config.move_denominator
-        self.max_units = config.max_units
-        self.moves = config.move_denominator
-        n = len(self.rankings)
-        self.arcs = [(src, dst) for src in range(n) for dst in range(n) if dst != src]
-        self.prefers = {
-            (a, b): [r.prefers(a, b) for r in self.rankings]
-            for a in ALTERNATIVES for b in ALTERNATIVES if a != b
-        }
-        self.vector = None  # the score vector times D; None for the pairwise rule
-        if rule.score_vector is None:
-            self.rows = {key: [int(p) for p in row] for key, row in self.prefers.items()}
-            self.need = (scale + 1) // 2
+            raise ValueError(f"the coalition search needs rankings of all of x, y, z; the domain "
+                             f"{domain} ranks only {', '.join(sorted(domain.alternatives))}")
+        self.rankings = rankings = tuple(domain)
+        if vector is None:
+            self.total = 1
+            self.rows = [[int(r.prefers(a, b)) for r in rankings] for a, b in _FORWARD]
         else:
-            d = math.lcm(*(s.denominator for s in rule.score_vector))
-            self.vector = [s.numerator * (d // s.denominator) for s in rule.score_vector]
-            self.rows = {a: [self.vector[r.position(a)] for r in self.rankings]
-                         for a in ALTERNATIVES}
-            self.need = 1
+            d = math.lcm(*(s.denominator for s in vector))
+            points = [s.numerator * (d // s.denominator) for s in vector]
+            self.total = 0
+            self.rows = [[points[r.position(a)] - points[r.position(b)] for r in rankings]
+                         for a, b in _FORWARD]
+        self.arcs = list(itertools.permutations(range(len(rankings)), 2))
+        self.steps = {(src, dst): [row[dst] - row[src] for row in self.rows]
+                      + [row[src] - row[dst] for row in self.rows] for src, dst in self.arcs}
+        self.gains = {(old, target): [r.prefers(target, old) for r in rankings]
+                      for old in ALTERNATIVES for target in _RIVALS[old]}
+        self.reach = {}
+        for key, gains in self.gains.items():
+            columns = list(zip([0] * len(_PAIRS), *(self.steps[arc] for arc in self.arcs
+                                                     if gains[arc[0]])))
+            self.reach[key] = [max(c) for c in columns], [min(c) for c in columns]
+
+
+_model = functools.lru_cache(maxsize=256)(_Model)  # one per (score vector, domain)
+
+
+class _Lattice:
+    """A rule's model at the integer scale L: a profile's weights are counts / L,
+    and a move is a multiple of `unit` = L / moves counts."""
+
+    def __init__(self, rule: RuleDescriptor, domain: Domain, scale: int, config: AuditConfig):
+        self.model = _model(rule.score_vector, domain)
+        self.total = self.model.total * scale
+        self.need = (self.total + 1) // 2
+        self.unit = scale // config.move_denominator
+        self.max_units, self.moves = config.max_units, config.move_denominator
+
+    def may_win(self, target: str, values: Sequence[int], units: int,
+                hi: Sequence[int], lo: Sequence[int]) -> bool:
+        """The one bound of the search: can target end up the unique winner if
+        `units` more move, each changing statistic q by between lo[q] and hi[q]?
+
+        Target needs both its statistics to reach `need` and each rival one
+        below it.  The root cut, every search node and the leaf test (at
+        0 units, where the bound is exact) ask this.
+        """
+        need = self.need
+        p, q, r, s, t, u = _GROUPS[target]
+        return (values[p] + units * hi[p] >= need and values[q] + units * hi[q] >= need
+                and (values[r] + units * lo[r] < need or values[s] + units * lo[s] < need)
+                and (values[t] + units * lo[t] < need or values[u] + units * lo[u] < need))
 
     def search(self, counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | None:
-        """The minimal witness's (moves, old winner, new winner) from these counts, or None.
-
-        Raises `NongenericProfileError` when the counts elect no winner.
-        """
-        statistic = {key: sum(map(mul, row, counts)) for key, row in self.rows.items()}
-        if self.vector is not None:
-            best = max(statistic.values())
-            tie = [a for a in ALTERNATIVES if statistic[a] == best]
-        else:
-            tie = [a for a in ALTERNATIVES
-                   if all(statistic[(a, b)] >= self.need for b in ALTERNATIVES if b != a)]
+        """The minimal witness's (moves, old winner, new winner) from these counts, or
+        None; raises `NongenericProfileError` when the counts elect no winner."""
+        model, need = self.model, self.need
+        forward = [sum(map(mul, row, counts)) for row in model.rows]
+        values = forward + [self.total - s for s in forward]
+        tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
         if len(tie) != 1:
             raise NongenericProfileError(f"base profile has no winner ({Outcome(frozenset(tie))})")
         old = tie[0]
 
-        branches: list[_Branch] = []
-        for target in ALTERNATIVES:
-            if target == old or not self._coarse_feasible(statistic, old, target):
-                continue
-            gains = self.prefers[(target, old)]
-            arcs = [arc for arc in self.arcs if counts[arc[0]] and gains[arc[0]]]
-            if arcs:
-                branches.append(_Branch(self, counts, statistic, target, arcs))
+        max_mass = self.max_units * self.unit  # in counts; at 0, old's unique win rejects all
+        branches = [_Branch(self, counts, values, old, target) for target in _RIVALS[old]
+                    if self.may_win(target, values, max_mass, *model.reach[old, target])]
 
+        if not branches:
+            return None
         for units in range(1, self.max_units + 1):
-            found = []
-            for branch in branches:
-                combo = branch.search(units)
-                if combo is not None:
-                    amounts = dict(zip(branch.arcs, combo))
-                    found.append((tuple(amounts.get(arc, 0) for arc in self.arcs), branch, combo))
+            found = [(amounts, branch.target) for branch in branches
+                     if (amounts := branch.search(units)) is not None]
             if found:
-                _, branch, combo = min(found, key=lambda item: item[0])
-                moves = tuple((self.rankings[src], self.rankings[dst], Fraction(k, self.moves))
-                              for (src, dst), k in zip(branch.arcs, combo) if k)
-                return moves, old, branch.target
+                amounts, target = min(found)
+                mass = Fraction(1, self.moves)
+                moves = tuple((model.rankings[src], model.rankings[dst], k * mass)
+                              for (src, dst), k in zip(model.arcs, amounts) if k)
+                return moves, old, target
         return None
-
-    def _coarse_feasible(self, statistic: dict, old: str, target: str) -> bool:
-        """Cheap necessary condition for a coalition below epsilon to elect target."""
-        max_mass = self.max_units * self.unit  # at 0, old's unique win rejects every target
-        if self.vector is not None:
-            # A permitted source ranks target above old, at positions p_t < p_o.
-            # Per unit of mass it moves, target gains at most s1 - s[p_t] and old
-            # loses at most s[p_o] - s3; over p_t < p_o that sum is largest at
-            # (p_t, p_o) = (1st, 2nd) or (2nd, 3rd), so it is max(s1 - s2, s2 - s3).
-            s1, s2, s3 = self.vector
-            return statistic[old] - statistic[target] < max(s1 - s2, s2 - s3) * max_mass
-        if any(statistic[(target, v)] + max_mass < self.need
-               for v in ALTERNATIVES if v != target):
-            return False
-        return any(statistic[(old, v)] - max_mass < self.need
-                   for v in ALTERNATIVES if v != old)
 
 
 class _Branch:
-    """Search state for one candidate new winner on one base profile.
+    """Search state for one candidate new winner on one base profile: the arcs
+    from rankings holding counts that prefer target to the old winner.
 
-    Both rule families decide through integer statistics, linear in the moved
-    amounts: target wins when every statistic in `wins` reaches the lattice's
-    `need` and each group in `losses` has one statistic below it.  These are
-    the score gaps score(target) - score(v) of a positional rule, with no
-    loss groups, or the margins of target against each rival and of each
-    rival against the others.  `base` holds the base profile's statistics,
-    `deltas[i]` their change per unit moved along arc i, and
-    `suffmax`/`suffmin` the extreme unit changes over arcs i onwards, from
-    which `_possible` bounds what the remaining mass can still do; with no
-    mass left the bound is exact, so it is also the leaf test.
+    `deltas[i]` is the change of the six statistics per unit moved along arc
+    i, and `hi[i]`/`lo[i]` their extremes over arcs i onwards, with which the
+    lattice's `may_win` bounds what the remaining units can still do.
     """
 
-    def __init__(self, lattice: _Lattice, counts: Sequence[int], statistic: dict,
-                 target: str, arcs: list[tuple[int, int]]):
+    def __init__(self, lattice: _Lattice, counts: Sequence[int], values: list[int],
+                 old: str, target: str):
+        model, unit = lattice.model, lattice.unit
+        gains = model.gains[old, target]
         self.target = target
-        self.arcs = arcs
-        self.need = lattice.need
-        unit = lattice.unit
-        self.source_caps = {src: counts[src] // unit for src, _ in arcs}
-        rivals = [v for v in ALTERNATIVES if v != target]
-        rows = lattice.rows
-        if lattice.vector is None:
-            keys = list(rows)
-            self.base = [statistic[key] for key in keys]
-            key_rows = list(rows.values())
-            self.wins = [keys.index((target, v)) for v in rivals]
-            self.losses = [[keys.index((v, u)) for u in ALTERNATIVES if u != v] for v in rivals]
-        else:
-            self.base = [statistic[target] - statistic[v] for v in rivals]
-            key_rows = [[t - s for t, s in zip(rows[target], rows[v])] for v in rivals]
-            self.wins, self.losses = [0, 1], []
-        self.deltas = [[unit * (row[dst] - row[src]) for row in key_rows] for src, dst in arcs]
-        columns = list(zip(*reversed(self.deltas)))
-        self.suffmax = [list(accumulate(c, max))[::-1] + [0] for c in columns]
-        self.suffmin = [list(accumulate(c, min))[::-1] + [0] for c in columns]
+        self.all_arcs = model.arcs
+        self.arcs = [arc for arc in model.arcs if counts[arc[0]] and gains[arc[0]]]
+        self.base = values
+        self.source_caps = {src: counts[src] // unit for src, _ in self.arcs}
+        self.deltas = [[unit * d for d in model.steps[arc]] for arc in self.arcs]
 
-    def _possible(self, i: int, remaining: int, acc: list[int]) -> bool:
-        """Optimistic test: can `target` still end up the unique winner?"""
-        base, need, hi, lo = self.base, self.need, self.suffmax, self.suffmin
-        return (all(base[q] + acc[q] + remaining * hi[q][i] >= need for q in self.wins)
-                and all(any(base[q] + acc[q] + remaining * lo[q][i] < need for q in group)
-                        for group in self.losses))
+        def suffix(pick):  # past the last arc nothing moves: only the exact leaf test is left
+            rows = itertools.accumulate(self.deltas[::-1], lambda a, b: list(map(pick, a, b)))
+            return list(rows)[::-1] + [[0] * len(_PAIRS)]
+        self.hi, self.lo = suffix(max), suffix(min)
+        self.may_win = functools.partial(lattice.may_win, target)
 
     def search(self, total_units: int) -> tuple[int, ...] | None:
-        """Lexicographically first unit vector of the given total that elects target."""
-        arcs = self.arcs
+        """The lexicographically first unit vector of the given total that elects
+        target, as amounts over all of the domain's arcs; None if there is none."""
+        arcs, hi, lo, may_win = self.arcs, self.hi, self.lo, self.may_win
         n = len(arcs)
         combo = [0] * n
         budget = dict(self.source_caps)
-        possible = self._possible
 
-        def rec(i: int, remaining: int, acc: list[int]) -> bool:
+        def rec(i: int, remaining: int, values: list[int]) -> bool:
             if remaining == 0:
-                return possible(i, 0, acc)
-            if i == n or not possible(i, remaining, acc):
+                return may_win(values, 0, hi[i], lo[i])
+            if i == n or not may_win(values, remaining, hi[i], lo[i]):
                 return False
             src, _ = arcs[i]
             cap = min(remaining, budget[src])
@@ -285,16 +286,17 @@ class _Branch:
             for k in range(cap + 1):
                 combo[i] = k
                 budget[src] -= k
-                nxt = acc if k == 0 else [a + k * d for a, d in zip(acc, step)]
+                nxt = values if k == 0 else [v + k * d for v, d in zip(values, step)]
                 if rec(i + 1, remaining - k, nxt):
                     return True
                 budget[src] += k
             combo[i] = 0
             return False
 
-        if rec(0, total_units, [0] * len(self.base)):
-            return tuple(combo)
-        return None
+        if not rec(0, total_units, self.base):
+            return None
+        amounts = dict(zip(self.arcs, combo))
+        return tuple(amounts.get(arc, 0) for arc in self.all_arcs)
 
 
 def find_manipulation(rule: RuleDescriptor, profile: Profile,
@@ -312,29 +314,18 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
     return None if found is None else ManipulationWitness(profile, *found, config.epsilon)
 
 
-def _compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All vectors with the given total and per-slot caps, in ascending lex order."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    head_cap = min(caps[0], total)
-    tail = caps[1:]
-    tail_cap = sum(min(c, total) for c in tail)
-    lo = max(0, total - tail_cap)
-    for first in range(lo, head_cap + 1):
-        for rest in _compositions(total - first, tail):
-            yield (first,) + rest
+def _grid_counts(size: int, grid: int) -> Iterator[list[int]]:
+    """Every vector of `size` counts summing to `grid`, in ascending lex order: count i
+    is q[i+1] - q[i] over cut points 0 = q[0] <= q[1] <= ... <= q[size] = grid."""
+    for cuts in itertools.combinations_with_replacement(range(grid + 1), size - 1):
+        yield list(map(sub, (*cuts, grid), (0, *cuts)))
 
 
 def grid_profiles(domain: Domain, grid_denominator: int) -> Iterator[Profile]:
     """All profiles on the domain with weights in multiples of 1/grid, canonical order."""
-    rankings = tuple(domain)
-    for combo in _compositions(grid_denominator, [grid_denominator] * len(rankings)):
-        yield Profile(
-            {r: Fraction(n, grid_denominator) for r, n in zip(rankings, combo) if n},
-            domain,
-        )
+    rankings, grid = tuple(domain), grid_denominator
+    for combo in _grid_counts(len(rankings), grid):
+        yield Profile({r: Fraction(n, grid) for r, n in zip(rankings, combo) if n}, domain)
 
 
 def audit_wsp(rule: RuleDescriptor, domain: Domain,
@@ -351,7 +342,7 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     grid = config.grid_denominator
     scale = math.lcm(grid, config.move_denominator)
     lattice = _Lattice(rule, domain, scale, config)
-    for combo in _compositions(grid, [grid] * len(rankings)):
+    for combo in _grid_counts(len(rankings), grid):
         try:
             found = lattice.search([c * (scale // grid) for c in combo])
         except NongenericProfileError:

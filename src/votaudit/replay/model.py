@@ -22,9 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
+from ..rules import BORDA, CONDORCET, PLURALITY, RuleDescriptor
 from .expressions import Expr, ExpressionError, compile_expression, compile_predicate
 
 _VALID_GROUPS = ("cycle", "expansion", "rich")
+
+#: The rules a rule check may name, by name.
+_RULES = {str(rule): rule for rule in (BORDA, CONDORCET, PLURALITY)}
 
 
 class CatalogError(ValueError):
@@ -112,7 +116,7 @@ class Scenario:
     defs: tuple[tuple[str, Expr], ...]
     profiles: tuple[tuple[str, tuple[tuple[Ranking, Expr], ...]], ...]
     hypotheses: tuple[tuple[str, str], ...]
-    rule_checks: tuple[tuple[str, str, str], ...]  # (profile, rule name, winner)
+    rule_checks: tuple[tuple[str, RuleDescriptor, str], ...]  # (profile, rule, winner)
     pareto_excluded: tuple[tuple[str, str], ...]  # (profile, dominated alternative)
     identities: tuple[tuple[Expr, Expr], ...]
     checks: tuple[Expr, ...]  # predicates
@@ -225,11 +229,11 @@ def _parse_scenario(raw: dict) -> Scenario:
     rule_checks = []
     for profile, rule_name, winner in raw.get("rule_checks", ()):
         known(profile, "rule check")
-        if rule_name not in ("borda", "condorcet", "plurality"):
+        if (rule := _RULES.get(str(rule_name))) is None:
             raise CatalogError(f"{where}: rule check uses unknown rule {rule_name!r}")
         if winner not in ALTERNATIVES:
             raise CatalogError(f"{where}: rule check winner {winner!r}")
-        rule_checks.append((profile, rule_name, winner))
+        rule_checks.append((profile, rule, winner))
 
     pareto_excluded = []
     for profile, alt in raw.get("pareto_excluded", ()):

@@ -23,7 +23,8 @@ from typing import Mapping
 from ..axioms import _dominations
 from ..core import (Profile, ProfileError, Ranking, as_fraction, permute_profile,
                     transfer_weight)
-from ..rules import evaluate, parse_rule
+from ..rules import evaluate
+from .expressions import ExpressionError
 from .model import (
     AffineChain,
     DescentChain,
@@ -111,9 +112,12 @@ def epsilon_partition(quantity: Fraction, epsilon: Fraction) -> int:
 
 def _derive(scenario: Scenario, env: Env) -> str | None:
     """Add the derived quantities to `env`, then return the first precondition that
-    fails: window preconditions may be stated in terms of derived quantities."""
+    fails (window ones may read derived quantities), or the first def with no value."""
     for name, expr in scenario.defs:
-        env[name] = expr(env)
+        try:
+            env[name] = expr(env)
+        except ExpressionError as exc:
+            return f"def {name} = {expr}: {exc}"
     for inequality in scenario.assume:
         if not inequality(env):
             return str(inequality)
@@ -234,13 +238,13 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
         ))
     for predicate in scenario.checks:
         results.append(CheckResult(f"inequality {predicate}", predicate(env)))
-    for name, rule_name, winner in scenario.rule_checks:
+    for name, rule, winner in scenario.rule_checks:
         if name not in profiles:
             continue
-        outcome = evaluate(parse_rule(rule_name), profiles[name])
+        outcome = evaluate(rule, profiles[name])
         ok = outcome.winner == winner
         results.append(CheckResult(
-            f"{rule_name} elects {winner} on {name}",
+            f"{rule} elects {winner} on {name}",
             ok,
             "" if ok else f"got {outcome}",
         ))
@@ -252,8 +256,8 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
         if link.source not in profiles or link.target not in profiles:
             continue
         perm = link.perm
-        image = permute_profile(profiles[link.source], perm)
-        ok = image.weights == profiles[link.target].weights
+        image, target = permute_profile(profiles[link.source], perm), profiles[link.target]
+        ok = (image.den, image.counts) == (target.den, target.counts)  # the domains may differ
         results.append(CheckResult(
             f"renaming {perm} carries {link.source} to {link.target}",
             ok,

@@ -2,8 +2,9 @@
 
 These deliberately take different code paths from the library: scores are
 rebuilt from the pairwise-comparison matrix, winners from first principles,
-and manipulation witnesses by exhaustive enumeration of entire move matrices.
-Catalog expressions are walked node by node in `Fraction` arithmetic.
+and manipulation witnesses by exhaustive enumeration of entire move matrices
+in the order the search promises.  Catalog expressions are walked node by
+node in `Fraction` arithmetic.
 """
 
 import ast
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 
 from votaudit import ALTERNATIVES, Profile, evaluate, transfer_weight
-from votaudit.manipulation import AuditConfig, _compositions
+from votaudit.manipulation import AuditConfig, ManipulationWitness
 from votaudit.rules import RuleDescriptor
 
 
@@ -67,41 +68,50 @@ def brute_condorcet_tie_set(profile: Profile) -> frozenset[str]:
     )
 
 
-def exhaustive_witness_exists(rule: RuleDescriptor, profile: Profile,
-                              config: AuditConfig) -> bool:
-    """Enumerate every feasible move matrix below epsilon and test validity."""
+def compositions(total: int, caps):
+    """All vectors with the given total and per-slot caps, in ascending lex order."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    tail = caps[1:]
+    lo = max(0, total - sum(min(c, total) for c in tail))
+    for first in range(lo, min(caps[0], total) + 1):
+        for rest in compositions(total - first, tail):
+            yield (first,) + rest
+
+
+def exhaustive_witness(rule: RuleDescriptor, profile: Profile,
+                       config: AuditConfig) -> ManipulationWitness | None:
+    """The first valid move matrix below epsilon, by enumerating them all.
+
+    Matrices come in the order the search promises: by total units, then by
+    ascending amounts over the arcs (src, dst) of the whole domain in
+    canonical order, so the first valid one is the search's witness.
+    """
     old = evaluate(rule, profile).winner
     if old is None:
-        return False
+        return None
     unit = Fraction(1, config.move_denominator)
-    arcs = [
-        (src, dst)
-        for src in profile.support
-        for dst in profile.domain
-        if dst != src
-    ]
+    # an arc whose source holds less than a unit stays at 0, which leaves the order alone
+    arcs = [(src, dst) for src in profile.domain for dst in profile.domain
+            if dst != src and profile.weight(src) >= unit]
     caps = [int(profile.weight(src) / unit) for src, _ in arcs]
     for total in range(1, config.max_units + 1):
-        for combo in _compositions(total, caps):
+        for combo in compositions(total, caps):
             outflow: dict = {}
             for (src, _), n in zip(arcs, combo):
                 outflow[src] = outflow.get(src, 0) + n
             if any(n * unit > profile.weight(src) for src, n in outflow.items()):
                 continue
-            moves = [(s, d, n * unit) for (s, d), n in zip(arcs, combo) if n]
+            moves = tuple((s, d, n * unit) for (s, d), n in zip(arcs, combo) if n)
             moved, _ = transfer_weight(profile, moves)
             new = evaluate(rule, moved).winner
             if new is None or new == old:
                 continue
             if all(src.prefers(new, old) for src, _, _ in moves):
-                return True
-    return False
-
-
-def all_move_matrices_agree(rule: RuleDescriptor, profile: Profile,
-                            config: AuditConfig, found) -> bool:
-    """Existence agreement between the search result and exhaustive enumeration."""
-    return (found is not None) == exhaustive_witness_exists(rule, profile, config)
+                return ManipulationWitness(profile, moves, old, new, config.epsilon)
+    return None
 
 
 _REFERENCE_FUNCTIONS = {"floor": math.floor, "ceil": math.ceil, "abs": abs}

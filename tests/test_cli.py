@@ -131,6 +131,18 @@ def test_replay_infeasible_params_are_input_errors(capsys):
     assert code == 2
 
 
+def test_replay_def_without_a_value_is_input_error(capsys):
+    # a < b gives n = floor((a - b)/epsilon) = -1, and the def kp divides by n + 1
+    code = main(["replay", "--case", "1.I.1.1.n+1",
+                 "--a", "1/10", "--b", "1/8", "--epsilon", "1/2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: scenario 1.I.1.1.n+1: ")
+    assert "def kp = (1 - a - 2*b)/(n + 1): division by zero" in line
+
+
 def test_replay_unknown_case():
     code, _ = run(["replay", "--case", "9.Z.1"])
     assert code == 2

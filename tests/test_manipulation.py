@@ -1,15 +1,20 @@
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import votaudit as va
-from votaudit.manipulation import NongenericProfileError
-from oracles import exhaustive_witness_exists
+from votaudit.manipulation import _PAIRS, NongenericProfileError, _model
+from oracles import exhaustive_witness
 
 R = va.ranking
 
 UI_DOMAIN = va.Domain((R("xyz"), R("yzx"), R("yxz"), R("zyx")))
+
+
+def text(witness):
+    return None if witness is None else va.format_witness(witness)
 
 
 def near_tie_plurality():
@@ -168,7 +173,7 @@ def test_oracle_equivalence_full_domain_grid4(rule):
         if va.evaluate(rule, profile).winner is None:
             continue
         found = va.find_manipulation(rule, profile, config)
-        assert (found is not None) == exhaustive_witness_exists(rule, profile, config)
+        assert text(found) == text(exhaustive_witness(rule, profile, config))
         if found is not None:
             assert va.verify_witness(rule, found)
 
@@ -181,7 +186,7 @@ def test_oracle_equivalence_cycle_domain_grid6(rule):
         if va.evaluate(rule, profile).winner is None:
             continue
         found = va.find_manipulation(rule, profile, config)
-        assert (found is not None) == exhaustive_witness_exists(rule, profile, config)
+        assert text(found) == text(exhaustive_witness(rule, profile, config))
 
 
 def test_oracle_equivalence_full_domain_grid8_sample():
@@ -192,7 +197,7 @@ def test_oracle_equivalence_full_domain_grid8_sample():
         if va.evaluate(va.BORDA, profile).winner is None:
             continue
         found = va.find_manipulation(va.BORDA, profile, config)
-        assert (found is not None) == exhaustive_witness_exists(va.BORDA, profile, config)
+        assert text(found) == text(exhaustive_witness(va.BORDA, profile, config))
 
 
 def test_witness_serialization_round_trips_profile():
@@ -225,7 +230,7 @@ def test_oracle_equivalence_at_lattice_scale(rule, domain, config, stride):
         if va.evaluate(rule, profile).winner is None:
             continue
         found = va.find_manipulation(rule, profile, config)
-        assert (found is not None) == exhaustive_witness_exists(rule, profile, config)
+        assert text(found) == text(exhaustive_witness(rule, profile, config))
         if found is not None:
             assert va.verify_witness(rule, found)
 
@@ -253,7 +258,7 @@ def test_find_manipulation_on_coprime_denominators(rule):
         for config in (va.AuditConfig(F(1, 3), 20, 10), va.AuditConfig(F(2, 11), 20, 11),
                        va.AuditConfig(F(1, 2), 20, 6)):
             found = va.find_manipulation(rule, profile, config)
-            assert (found is not None) == exhaustive_witness_exists(rule, profile, config)
+            assert text(found) == text(exhaustive_witness(rule, profile, config))
             if found is not None:
                 assert va.verify_witness(rule, found)
                 witnesses += 1
@@ -281,11 +286,24 @@ def _first_witness_by_definition(rule, domain, config):
                                     va.AuditConfig(F(3, 10), 6, 10)],
                          ids=["7x6", "8x6", "6x10"])
 def test_audit_wsp_is_the_first_grid_witness(rule, domain, config):
-    def text(witness):
-        return None if witness is None else va.format_witness(witness)
-
     expected = _first_witness_by_definition(rule, domain, config)
     assert text(va.audit_wsp(rule, domain, config)) == text(expected)
+
+
+@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.scoring(3, 1, 0),
+                                  va.scoring(1, F(1, 2), 0)], ids=str)
+def test_root_extremes_on_the_full_domain_are_the_hand_derived_bound(rule):
+    # A source ranking target above old, at positions p_t < p_o, moving one
+    # count raises score(target) - score(old) by at most (s1 - s[p_t]) +
+    # (s[p_o] - s3); over p_t < p_o that is max(s1 - s2, s2 - s3), times D.
+    model = _model(rule.score_vector, va.FULL_DOMAIN)
+    d = math.lcm(*(s.denominator for s in rule.score_vector))
+    s1, s2, s3 = (s * d for s in rule.score_vector)
+    for old in va.ALTERNATIVES:
+        for target in va.ALTERNATIVES:
+            if target != old:
+                hi, _ = model.reach[old, target]
+                assert hi[_PAIRS.index((target, old))] == max(s1 - s2, s2 - s3)
 
 
 def test_two_alternative_domain_is_refused_up_front():

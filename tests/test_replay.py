@@ -257,6 +257,23 @@ def test_catalog_rejects_sampling_hints_that_miss_a_parameter():
         _parse_scenario(_record(sample=[["a", "0", "1"]]))
 
 
+def test_catalog_resolves_rule_check_names_at_load():
+    scenario = _parse_scenario(_record(rule_checks=[["u", "borda", "x"], ["u", "condorcet", "y"]]))
+    assert scenario.rule_checks == (("u", va.BORDA, "x"), ("u", va.CONDORCET, "y"))
+    with pytest.raises(CatalogError, match="rule check uses unknown rule 'score:1,0,0'"):
+        _parse_scenario(_record(rule_checks=[["u", "score:1,0,0", "x"]]))
+
+
+def test_sample_params_rejects_a_draw_where_a_def_has_no_value():
+    # floor(2*a) is 0 for every a below 1/2, so about half the draws divide by zero
+    scenario = _parse_scenario(_record(defs=[["q", "1/floor(2*a)"]]))
+    rng = random.Random(0)
+    for _ in range(20):
+        assert sample_params(scenario, rng).as_dict()["a"] >= F(1, 2)
+    with pytest.raises(PreconditionViolation, match="def q = 1/floor"):
+        build_env(scenario, ScenarioParams.of(a=F(1, 4), epsilon=F(1, 10)))
+
+
 def test_report_text_lists_every_check():
     scenario = get_scenario("2.III.2")
     report = verify_full(scenario, ScenarioParams.of(epsilon=F(1, 5)))
