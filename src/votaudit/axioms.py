@@ -3,8 +3,9 @@
 Each checker returns an `AxiomReport` whose counterexample, when present, can
 be replayed: re-running the recorded evaluations reproduces the mismatch
 exactly.  Checkers accept either a built-in `RuleDescriptor` or any callable
-``rule(profile, alts) -> Outcome``, so degenerate rules (say, a constant one)
-can be audited too.
+``rule(profile) -> Outcome``, so degenerate rules (say, a constant one) can be
+audited too.  IIA votes on a pair by calling the rule on the profile that
+`restrict_profile` collapses to it.
 
 Anonymity is structural here: rules see only weight vectors, so relabeling
 voters cannot change anything, and the report says so instead of searching.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import (
     ALTERNATIVES,
@@ -24,7 +25,7 @@ from .core import (
 )
 from .rules import Outcome, RuleDescriptor, evaluate, restrict_profile
 
-RuleLike = RuleDescriptor | Callable[[Profile, frozenset[str] | None], Outcome]
+RuleLike = RuleDescriptor | Callable[[Profile], Outcome]
 
 
 class Verdict(enum.Enum):
@@ -76,9 +77,9 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _evaluator(rule: RuleLike) -> Callable[[Profile, Iterable[str] | None], Outcome]:
+def _evaluator(rule: RuleLike) -> Callable[[Profile], Outcome]:
     if isinstance(rule, RuleDescriptor):
-        return lambda profile, alts=None: evaluate(rule, profile, alts)
+        return lambda profile: evaluate(rule, profile)
     return rule
 
 
@@ -96,7 +97,7 @@ def _dominations(profile: Profile) -> list[tuple[str, str]]:
 def check_pareto(rule: RuleLike, profile: Profile) -> AxiomReport:
     """Violated iff some unanimously dominated alternative is the winner."""
     run = _evaluator(rule)
-    outcome = run(profile, None)
+    outcome = run(profile)
     winner = outcome.winner
     for a, b in _dominations(profile):
         if winner == b:
@@ -112,9 +113,9 @@ def check_neutrality(rule: RuleLike, profile: Profile,
                      perm: CandidatePermutation) -> AxiomReport:
     """Permuting candidate names must permute the outcome set accordingly."""
     run = _evaluator(rule)
-    base = run(profile, None)
+    base = run(profile)
     permuted_profile = permute_profile(profile, perm)
-    permuted = run(permuted_profile, None)
+    permuted = run(permuted_profile)
     expected = perm.apply_set(base.tie_set)
     if permuted.tie_set == expected:
         return AxiomReport("N", Verdict.SATISFIED)
@@ -144,7 +145,7 @@ def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
     report is not-applicable rather than violated.
     """
     run = _evaluator(rule)
-    full = run(profile, None)
+    full = run(profile)
     winner = full.winner
     if winner is None:
         return AxiomReport(
@@ -157,7 +158,7 @@ def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
             continue
         pair = frozenset((winner, other))
         restricted = restrict_profile(profile, pair)
-        outcome = run(restricted, None)
+        outcome = run(restricted)
         if outcome.winner == winner:
             continue
         if outcome.winner is None:

@@ -121,13 +121,11 @@ def _cmd_audit(args, out) -> int:
             raise _CliError(f"unknown axiom {axiom!r} (choose from P,A,N,IIA)")
     base = rules.evaluate(rule, profile)
 
-    def run_rule(prof: core.Profile, alts=None) -> rules.Outcome:
+    def run_rule(prof: core.Profile) -> rules.Outcome:
         # Each checker starts from `profile` itself, so its outcome is kept;
         # every permuted or restricted profile is evaluated afresh, so the
         # checks still compare real evaluations.
-        if prof is profile and alts is None:
-            return base
-        return rules.evaluate(rule, prof, alts)
+        return base if prof is profile else rules.evaluate(rule, prof)
 
     reports: list[axioms.AxiomReport] = []
     for axiom in _AXIOM_ORDER:

@@ -75,10 +75,6 @@ class Ranking:
         return self.order.index(a)
 
     @property
-    def top(self) -> str:
-        return self.order[0]
-
-    @property
     def slot(self) -> int:
         """This ranking's index in `SLOT_RANKINGS`."""
         return _SLOT[self.order]

@@ -39,8 +39,8 @@ from fractions import Fraction
 from operator import mul, sub
 from typing import Iterator, Sequence
 
-from .core import (ALTERNATIVES, Domain, Move, Profile, Ranking, format_profile,
-                   transfer_weight)
+from .core import (ALTERNATIVES, Domain, Move, Profile, Ranking, as_fraction,
+                   format_profile, transfer_weight)
 from .rules import Outcome, RuleDescriptor, evaluate
 
 
@@ -50,14 +50,17 @@ class NongenericProfileError(ValueError):
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Search resolution: mass bound, profile mesh 1/grid, move mesh 1/moves."""
+    """Search resolution: mass bound, profile mesh 1/grid, move mesh 1/moves.
+
+    Epsilon is made exact by `core.as_fraction`, so a float is refused.
+    """
 
     epsilon: Fraction
     grid_denominator: int = 20
     move_denominator: int = 100
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.grid_denominator < 1 or self.move_denominator < 1:

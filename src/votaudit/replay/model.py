@@ -18,7 +18,7 @@ never parses text.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
@@ -124,6 +124,16 @@ class Scenario:
     chains: tuple[AffineChain | DescentChain, ...]
     perm_links: tuple[PermLink, ...] = ()
     note: str = ""
+    #: the defs as (name, expr) and the preconditions as (None, predicate), each
+    #: precondition right after the last def it reads: checked once its names are bound
+    derivation: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        last = {name: i for i, (name, _) in enumerate(self.defs, 1)}
+        steps = [*enumerate(self.defs, 1)] + [
+            (max((last.get(n, 0) for n in p.names), default=0), (None, p)) for p in self.assume]
+        object.__setattr__(self, "derivation",  # a stable sort keeps defs before their checks
+                           tuple(item for _, item in sorted(steps, key=lambda step: step[0])))
 
 
 def _compiled(compile_fn, text, scope: set[str], where: str) -> Expr:

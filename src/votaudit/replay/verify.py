@@ -5,11 +5,14 @@ validity, every weight identity, every misreport step (the transfer must
 reproduce its target profile exactly, with coalition mass positive and
 strictly below epsilon, and every mover strictly gaining), domination claims,
 and agreement of named rules with asserted winners.  `verify_induction_chain`
-additionally unrolls the scenario's induction chains profile by profile.
-Both call the scenario's compiled expressions directly; no text is parsed.
+additionally unrolls the scenario's induction chains profile by profile,
+checking every chain misreport (affine level, descent level, final descent
+step) with `_misreport`.  Both call the scenario's compiled expressions
+directly; no text is parsed.
 
 Reports list one pass/fail line per check; a failing precondition raises
-`PreconditionViolation` instead, naming the inequality.
+`PreconditionViolation` instead, naming the inequality: the first one broken,
+as each is checked once the defs it reads are bound.
 """
 
 from __future__ import annotations
@@ -101,8 +104,8 @@ class ScenarioReport:
 
 
 def epsilon_partition(quantity: Fraction, epsilon: Fraction) -> int:
-    """The unique n >= 0 with n*epsilon <= quantity < (n+1)*epsilon."""
-    quantity, epsilon = Fraction(quantity), Fraction(epsilon)
+    """The unique n >= 0 with n*epsilon <= quantity < (n+1)*epsilon; both exact (no floats)."""
+    quantity, epsilon = as_fraction(quantity), as_fraction(epsilon)
     if quantity < 0:
         raise ValueError("quantity must be nonnegative")
     if epsilon <= 0:
@@ -111,16 +114,17 @@ def epsilon_partition(quantity: Fraction, epsilon: Fraction) -> int:
 
 
 def _derive(scenario: Scenario, env: Env) -> str | None:
-    """Add the derived quantities to `env`, then return the first precondition that
-    fails (window ones may read derived quantities), or the first def with no value."""
-    for name, expr in scenario.defs:
+    """Add the derived quantities to `env`, checking each precondition once its names
+    are bound; return the first precondition that fails or def that has no value."""
+    for name, expr in scenario.derivation:
+        if name is None:
+            if not expr(env):
+                return str(expr)
+            continue
         try:
             env[name] = expr(env)
         except ExpressionError as exc:
             return f"def {name} = {expr}: {exc}"
-    for inequality in scenario.assume:
-        if not inequality(env):
-            return str(inequality)
     return None
 
 
@@ -192,29 +196,36 @@ def _improvement_results(moves, improvement, label: str) -> list[CheckResult]:
     return results
 
 
+def _size_detail(size: Fraction, eps: Fraction) -> str:
+    """"" when 0 < size < eps, else why not: a coalition of mass 0 changes nothing."""
+    if 0 < size < eps:
+        return ""
+    return "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}"
+
+
+def _misreport(before: Profile, moves, after: Profile, eps: Fraction) -> tuple[str, str]:
+    """Two details, "" where the claim holds: why `moves` do not carry `before` to `after`
+    (`transfer_weight`'s error, or a mismatch), and `_size_detail` of the mass moved."""
+    try:
+        moved, size = transfer_weight(before, moves)
+    except ValueError as exc:
+        return str(exc), _size_detail(sum((amount for _, _, amount in moves), Fraction(0)), eps)
+    return "" if moved == after else "transfer does not reproduce the next profile", \
+        _size_detail(size, eps)
+
+
 def _transfer_results(eps: Fraction, from_profile: Profile, moves, to_profile: Profile,
                       label: str) -> list[CheckResult]:
-    for src, dst, amount in moves:
-        if amount < 0:
-            return [CheckResult(f"{label}: move {src} -> {dst} has nonnegative mass", False,
-                                f"amount {amount} < 0")]
     try:
         moved, size = transfer_weight(from_profile, moves)
     except ValueError as exc:
         return [CheckResult(f"{label}: moves are feasible", False, str(exc))]
-    results = [CheckResult(
+    size_detail = _size_detail(size, eps)
+    return [CheckResult(
         f"{label}: misreport reproduces the target profile exactly",
         moved == to_profile,
         "" if moved == to_profile else f"got {dict(moved.weights)!r}",
-    )]
-    # A coalition of mass 0 changes nothing, so it cannot witness a manipulation.
-    ok = 0 < size < eps
-    results.append(CheckResult(
-        f"{label}: coalition size {size} < epsilon",
-        ok,
-        "" if ok else "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}",
-    ))
-    return results
+    ), CheckResult(f"{label}: coalition size {size} < epsilon", not size_detail, size_detail)]
 
 
 def _domination_result(profile: Profile, alt: str, label: str) -> CheckResult:
@@ -313,38 +324,23 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env,
             results.append(CheckResult(f"chain level {j} is a valid profile", False, str(exc)))
             return results
     results.append(CheckResult(f"all {count + 1} chain profiles are valid", True))
-    anchor_ok = levels[0] == profiles[chain.first]
-    results.append(CheckResult(
-        f"chain level 0 equals profile {chain.first}", anchor_ok))
-    end_ok = levels[count] == profiles[chain.last]
-    results.append(CheckResult(
-        f"chain level {count} equals profile {chain.last} (relabeled weights)", end_ok))
-    step_ok, size_ok, detail = True, True, ""
+    results.append(CheckResult(f"chain level 0 equals profile {chain.first}",
+                               levels[0] == profiles[chain.first]))
+    results.append(CheckResult(f"chain level {count} equals profile {chain.last} "
+                               "(relabeled weights)", levels[count] == profiles[chain.last]))
     eps = env["epsilon"]
     moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
+    details = ("", "")  # (transfer, size) at the first level where either fails
     for j in range(count):
         src, dst = (levels[j + 1], levels[j]) if chain.direction == "down" \
             else (levels[j], levels[j + 1])
-        if any(a < 0 for _, _, a in moves):
-            step_ok, detail = False, f"negative move amount at level {j}"
+        found = _misreport(src, moves, dst, eps)
+        if any(found):
+            details = tuple(f"level {j}: {d}" if d else "" for d in found)
             break
-        try:
-            moved, size = transfer_weight(src, moves)
-        except ValueError as exc:
-            step_ok, detail = False, f"level {j}: {exc}"
-            break
-        if moved != dst:
-            step_ok, detail = False, f"level {j}: transfer does not reproduce the next profile"
-            break
-        if not 0 < size < eps:  # a step of mass 0 is no coalition
-            size_ok, detail = False, (f"level {j}: empty coalition" if size == 0
-                                      else f"level {j}: step size {size} >= epsilon {eps}")
-            break
-    results.append(CheckResult(
-        "consecutive chain profiles differ by exactly the per-step moves", step_ok,
-        "" if step_ok else detail))
-    results.append(CheckResult("every chain step has coalition size < epsilon", size_ok,
-                               "" if size_ok else detail))
+    for label, detail in zip(("consecutive chain profiles differ by exactly the per-step moves",
+                              "every chain step has coalition size < epsilon"), details):
+        results.append(CheckResult(label, not detail, detail))
     results.extend(_improvement_results(moves, chain.improvement, "chain step"))
     if chain.pareto_excluded is not None:
         dominated_everywhere = all(
@@ -362,8 +358,6 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
     eps = env["epsilon"]
     fixed = {r: e(env) for r, e in chain.fixed}
     components = {r: e(env) for r, e in chain.components}
-    if any(v < 0 for v in components.values()):
-        return [CheckResult("descent components are nonnegative", False, str(components))]
 
     def level_profile(comps: dict[Ranking, Fraction], label: str) -> Profile:
         weights = dict(fixed)
@@ -378,14 +372,10 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
         current = level_profile(components, "descent level 0")
     except ValueError as exc:
         return [CheckResult("descent level 0 is a valid profile", False, str(exc))]
-    results.append(CheckResult(
-        f"descent level 0 equals profile {chain.base}",
-        current == profiles[chain.base]))
+    results.append(CheckResult(f"descent level 0 equals profile {chain.base}",
+                               current == profiles[chain.base]))
     window = epsilon_partition(sum(components.values(), Fraction(0)), eps)
-    level = 0
-    comps = components
-    ok = True
-    detail = ""
+    level, comps, ok, detail = 0, components, True, ""
     while window >= 1 and ok:
         factor = Fraction(window, window + 1)
         next_comps = {r: v * factor for r, v in comps.items()}
@@ -395,16 +385,9 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
             ok, detail = False, f"level {level + 1}: {exc}"
             break
         moves = [(chain.absorber, r, comps[r] - next_comps[r]) for r in comps]
-        try:
-            rebuilt, size = transfer_weight(nxt, moves)
-        except ValueError as exc:
-            ok, detail = False, f"level {level + 1}: {exc}"
-            break
-        if rebuilt != current:
-            ok, detail = False, f"level {level + 1}: misreport does not rebuild level {level}"
-            break
-        if size >= eps:
-            ok, detail = False, f"level {level + 1}: coalition size {size} >= epsilon"
+        found = "; ".join(filter(None, _misreport(nxt, moves, current, eps)))
+        if found:
+            ok, detail = False, f"level {level + 1}: {found}"
             break
         next_window = epsilon_partition(sum(next_comps.values(), Fraction(0)), eps)
         if next_window != window - 1:
@@ -423,16 +406,10 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
         pair == expected_pair))
     final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
-    try:
-        rebuilt, size = transfer_weight(pair, final_moves)
-        ok = rebuilt == current and 0 < size < eps  # a misreport of mass 0 is no coalition
-        detail = ("" if ok else "empty coalition" if size == 0
-                  else f"rebuilt mismatch or size {size} >= epsilon {eps}")
-    except ValueError as exc:
-        ok, detail = False, str(exc)
+    detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)))
     results.append(CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
-        ok, detail))
+        not detail, detail))
     results.extend(_improvement_results(final_moves, chain.improvement, "descent step"))
     return results
 
@@ -470,22 +447,24 @@ def verify_full(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
     return ScenarioReport(scenario.id, params, tuple(results))
 
 
-def sample_params(scenario: Scenario, rng: random.Random,
-                  max_denominator: int = 1000, max_tries: int = 20000) -> ScenarioParams:
+#: `sample_params` keeps denominators small so the exact arithmetic stays fast.
+_MAX_DENOMINATOR, _MAX_TRIES = 1000, 20000
+
+
+def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
     """Draw a random rational parameter point satisfying the scenario's preconditions.
 
     Uses the scenario's sampling hints (ordered ranges over every parameter
     and epsilon, bounds may reference earlier variables) with rejection
-    against the full precondition list.  Denominators stay at or below
-    `max_denominator` so the exact arithmetic downstream stays fast.
+    against the full precondition list.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         env: Env = {}
         for var, low, high in scenario.sample:
             (lo_n, lo_d), (hi_n, hi_d) = low.ratio(env), high.ratio(env)
             if hi_n * lo_d < lo_n * hi_d:
                 break
-            den = rng.randint(16, max_denominator)
+            den = rng.randint(16, _MAX_DENOMINATOR)
             lo_num = -(-lo_n * den // lo_d)  # ceil(lo * den)
             hi_num = hi_n * den // hi_d  # floor(hi * den)
             if hi_num < lo_num:

@@ -14,6 +14,9 @@ strictly below it, per unit of voter weight, so on the profile
 (p: x>y>z, q: y>x>z, 1-p-q: y>z>x) the scores are exactly
 (2p + q, 2 - p, 1 - p - q).
 
+A rule votes on the alternatives its profile orders: to vote on a pair,
+evaluate the profile `restrict_profile` collapses to it.
+
 Rules read a profile's integer counts: a score is an integer dot product
 with the score vector scaled to integers (by the lcm D of its entries'
 denominators), and a margin m over den reaches a half when 2*m >= den.
@@ -36,12 +39,9 @@ from .core import (
     SLOT_RANKINGS,
     Domain,
     Profile,
+    as_fraction,
     parse_weight,
 )
-
-#: Every subset of the alternatives, as a tuple in canonical order.
-_ORDERED = {frozenset(c): c for n in range(len(ALTERNATIVES) + 1)
-            for c in itertools.combinations(ALTERNATIVES, n)}
 
 #: The ordered pairs of alternatives; margins are kept in this order.
 _PAIRS = tuple((a, b) for a in ALTERNATIVES for b in ALTERNATIVES if a != b)
@@ -53,11 +53,11 @@ _PREFERRED = tuple(
     for r in SLOT_RANKINGS
 )
 
-#: Per set of contested alternatives, each one with the `_PAIRS` indices of its
-#: margins over the others.
+#: Per set of alternatives a profile orders (all three, or a pair), each one
+#: with the `_PAIRS` indices of its margins over the others.
 _CONTESTS = {
-    chosen: tuple((a, tuple(_PAIRS.index((a, b)) for b in chosen if b != a)) for a in chosen)
-    for chosen in _ORDERED.values() if len(chosen) >= 2
+    frozenset(c): tuple((a, tuple(_PAIRS.index((a, b)) for b in c if b != a)) for a in c)
+    for n in (2, 3) for c in itertools.combinations(ALTERNATIVES, n)
 }
 
 #: Per pair of alternatives, the slot of every ranking's induced order on it
@@ -67,10 +67,6 @@ _RESTRICTIONS = {
                            for r in SLOT_RANKINGS)
     for pair in itertools.combinations(ALTERNATIVES, 2)
 }
-
-
-class DegenerateElectionError(ValueError):
-    """Raised when fewer than two alternatives are put to a vote."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +127,7 @@ class RuleDescriptor:
             return
         if self.score_vector is None or len(self.score_vector) != 3:
             raise ValueError("scoring rule needs a triple of rationals")
+        object.__setattr__(self, "score_vector", tuple(map(as_fraction, self.score_vector)))
         s1, s2, s3 = self.score_vector
         if not (s1 >= s2 >= s3):
             raise ValueError("score vector must be nonincreasing")
@@ -156,7 +153,7 @@ PLURALITY = RuleDescriptor("plurality")
 
 
 def scoring(s1, s2, s3) -> RuleDescriptor:
-    return RuleDescriptor("scoring", (Fraction(s1), Fraction(s2), Fraction(s3)))
+    return RuleDescriptor("scoring", (s1, s2, s3))
 
 
 def parse_rule(text: str) -> RuleDescriptor:
@@ -172,40 +169,25 @@ def parse_rule(text: str) -> RuleDescriptor:
     raise ValueError(f"unknown rule {text!r}")
 
 
-def _check_alts(profile: Profile, alts: Iterable[str] | None) -> tuple[str, ...]:
-    available = profile.alternatives
-    chosen = available if alts is None else frozenset(alts)
-    if not chosen <= available:
-        raise ValueError(f"alternatives {sorted(chosen - available)} not present in the profile")
-    if len(chosen) < 2:
-        raise DegenerateElectionError("an election needs at least two alternatives")
-    return _ORDERED[chosen]
-
-
 @functools.lru_cache(maxsize=256)
-def _score_table(vector: tuple[int, int, int], chosen: tuple[str, ...]) -> tuple:
-    """Per slot, the points each of `ALTERNATIVES` gets from its ranking's order on
-    `chosen`, by the first |chosen| entries of `vector` (0 off `chosen`; None for
-    a ranking that does not order all of `chosen`)."""
-    table = []
-    for r in SLOT_RANKINGS:
-        induced = [a for a in r.order if a in chosen]
-        table.append(None if len(induced) < len(chosen) else tuple(
-            vector[induced.index(a)] if a in chosen else 0 for a in ALTERNATIVES))
-    return tuple(table)
+def _score_table(vector: tuple[int, int, int]) -> tuple:
+    """Per slot, the points each of `ALTERNATIVES` gets from its ranking by the
+    first entries of `vector` (0 for an alternative the ranking does not order)."""
+    return tuple(tuple(vector[r.position(a)] if a in r.order else 0 for a in ALTERNATIVES)
+                 for r in SLOT_RANKINGS)
 
 
-def _integer_scores(rule: RuleDescriptor, profile: Profile,
-                    chosen: tuple[str, ...]) -> dict[str, int]:
-    """The positional scores of `chosen` times den * D."""
-    table = _score_table(rule._integers, chosen)
+def _integer_scores(rule: RuleDescriptor, profile: Profile) -> dict[str, int]:
+    """The positional scores of the profile's alternatives times den * D."""
+    table = _score_table(rule._integers)
     sx = sy = sz = 0
     for slot, count in profile.counts:
         x, y, z = table[slot]
         sx += x * count
         sy += y * count
         sz += z * count
-    return {a: s for a, s in zip(ALTERNATIVES, (sx, sy, sz)) if a in chosen}
+    alts = profile.alternatives
+    return {a: s for a, s in zip(ALTERNATIVES, (sx, sy, sz)) if a in alts}
 
 
 def _integer_margins(profile: Profile) -> list[int]:
@@ -217,17 +199,15 @@ def _integer_margins(profile: Profile) -> list[int]:
     return margins
 
 
-def scoring_scores(rule: RuleDescriptor, profile: Profile,
-                   alts: Iterable[str] | None = None) -> dict[str, Fraction]:
-    """Positional scores for a positional rule, using the first |alts| vector components."""
-    chosen = _check_alts(profile, alts)
+def scoring_scores(rule: RuleDescriptor, profile: Profile) -> dict[str, Fraction]:
+    """Positional scores for a positional rule; a pair profile uses the first two components."""
     scale = profile.den * rule._scale()
-    return {a: Fraction(s, scale) for a, s in _integer_scores(rule, profile, chosen).items()}
+    return {a: Fraction(s, scale) for a, s in _integer_scores(rule, profile).items()}
 
 
-def borda_scores(profile: Profile, alts: Iterable[str] | None = None) -> dict[str, Fraction]:
-    """Weighted dominance counts: score(a) = sum over rankings of w * |{b in alts below a}|."""
-    scores = scoring_scores(BORDA, profile, alts)
+def borda_scores(profile: Profile) -> dict[str, Fraction]:
+    """Weighted dominance counts: score(a) = sum over rankings of w * |{b ranked below a}|."""
+    scores = scoring_scores(BORDA, profile)
     # On two alternatives the vector prefix (2, 1) is the dominance count (1, 0)
     # plus one point per unit of weight, and the weights sum to 1.
     if len(scores) == 2:
@@ -243,18 +223,17 @@ def condorcet_margins(profile: Profile) -> dict[tuple[str, str], Fraction]:
             if pair[0] in alts and pair[1] in alts}
 
 
-def evaluate(rule: RuleDescriptor, profile: Profile,
-             alts: Iterable[str] | None = None) -> Outcome:
-    """Evaluate a rule on a profile, optionally restricted to a subset of alternatives."""
-    chosen = _check_alts(profile, alts)
+def evaluate(rule: RuleDescriptor, profile: Profile) -> Outcome:
+    """Evaluate a rule on a profile; vote on a pair through `restrict_profile`."""
     if rule.score_vector is not None:
-        scores = _integer_scores(rule, profile, chosen)
+        scores = _integer_scores(rule, profile)
         best = max(scores.values())
         return Outcome(frozenset(a for a, s in scores.items() if s == best))
     margins = _integer_margins(profile)
     den = profile.den
     return Outcome(frozenset(
-        a for a, rivals in _CONTESTS[chosen] if all(2 * margins[i] >= den for i in rivals)
+        a for a, rivals in _CONTESTS[profile.alternatives]
+        if all(2 * margins[i] >= den for i in rivals)
     ))
 
 

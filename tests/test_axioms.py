@@ -10,7 +10,7 @@ def profile_u(p, q):
 
 
 def constant_rule(alt):
-    return lambda profile, alts=None: Outcome(frozenset((alt,)))
+    return lambda profile: Outcome(frozenset((alt,)))
 
 
 def cycle_profile():
@@ -25,7 +25,7 @@ def test_pareto_violation_when_dominated_alternative_wins():
     assert report.verdict is Verdict.VIOLATED
     assert report.counterexample is not None
     # the counterexample replays: same rule, same profile, same winner
-    again = constant_rule("z")(report.counterexample.profiles[0], None)
+    again = constant_rule("z")(report.counterexample.profiles[0])
     assert again == report.counterexample.outcomes[0]
 
 

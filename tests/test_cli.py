@@ -132,7 +132,8 @@ def test_replay_infeasible_params_are_input_errors(capsys):
 
 
 def test_replay_def_without_a_value_is_input_error(capsys):
-    # a < b gives n = floor((a - b)/epsilon) = -1, and the def kp divides by n + 1
+    # a < b breaks a precondition that reads no def; it is named, not the def kp,
+    # which divides by n + 1 = 0 there (n = floor((a - b)/epsilon) = -1)
     code = main(["replay", "--case", "1.I.1.1.n+1",
                  "--a", "1/10", "--b", "1/8", "--epsilon", "1/2"])
     assert code == 2
@@ -140,7 +141,7 @@ def test_replay_def_without_a_value_is_input_error(capsys):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("error: scenario 1.I.1.1.n+1: ")
-    assert "def kp = (1 - a - 2*b)/(n + 1): division by zero" in line
+    assert "precondition '2*a + (1 - a - b) > b + 2*(1 - a - b)' fails" in line
 
 
 def test_replay_unknown_case():
@@ -218,9 +219,9 @@ def test_audit_evaluates_the_base_profile_once(fixtures, monkeypatch):
     seen = []
     evaluate = rules.evaluate
 
-    def counting(rule, profile, alts=None):
+    def counting(rule, profile):
         seen.append(profile)
-        return evaluate(rule, profile, alts)
+        return evaluate(rule, profile)
 
     monkeypatch.setattr(rules, "evaluate", counting)
     code, out = cli.run(["audit", "--rule", "borda", "--axioms", "P,A,N,IIA",

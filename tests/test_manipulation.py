@@ -35,6 +35,14 @@ def test_audit_config_validation():
     assert va.AuditConfig(F(1, 30), 20, 100).max_units == 3
 
 
+def test_audit_config_refuses_a_float_epsilon():
+    # 0.05 is 3602879701896397/72057594037927936, just above 1/20: it would admit
+    # a coalition of exactly 1/20 (max_units 5, not 4)
+    with pytest.raises(TypeError, match="float"):
+        va.AuditConfig(0.05, 20, 100)
+    assert va.AuditConfig("1/20", 20, 100).epsilon == F(1, 20)
+
+
 def test_verify_witness_plurality_example():
     witness = va.ManipulationWitness(
         near_tie_plurality(),

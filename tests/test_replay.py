@@ -101,6 +101,13 @@ def test_epsilon_partition_examples():
         epsilon_partition(F(1, 3), F(0))
 
 
+def test_epsilon_partition_refuses_floats():
+    # in floats 0.3 // 0.1 is 2.0, though 3/10 is exactly three tenths
+    assert epsilon_partition(F(3, 10), F(1, 10)) == 3
+    with pytest.raises(TypeError, match="float"):
+        epsilon_partition(0.3, 0.1)
+
+
 @given(st.fractions(min_value=0, max_value=10),
        st.fractions(min_value=F(1, 100), max_value=2))
 def test_epsilon_partition_brackets(quantity, epsilon):
@@ -326,6 +333,46 @@ def test_empty_descent_chain_fails():
     label = (f"final misreport from {chain.pair} rebuilds the terminal profile "
              "with size < epsilon")
     assert [(r.label, r.detail) for r in report.failures()] == [(label, "empty coalition")]
+
+
+def _negated(moves):
+    return tuple((src, dst, compile_expression(f"-({amount})")) for src, dst, amount in moves)
+
+
+def test_negative_step_amount_fails():
+    scenario = get_scenario("1.I.1.1.2")
+    step = scenario.steps[0]
+    negative = replace(step, moves=_negated(step.moves))
+    params = ScenarioParams.of(a=F(21, 50), b=F(7, 25), epsilon=F(1, 10))
+    assert verify_full(scenario, params).passed
+    [failure] = [r for r in verify_full(replace(scenario, steps=(negative,)), params).failures()
+                 if "feasible" in r.label]
+    assert failure.detail.startswith("negative transfer -")
+
+
+def test_negative_chain_move_fails():
+    scenario = get_scenario("1.I.1.1.n+1")
+    chain = scenario.chains[0]
+    negative = replace(chain, moves=_negated(chain.moves))  # kp is 0 here, mp is not
+    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10))
+    assert verify_full(scenario, params).passed
+    report = verify_full(replace(scenario, chains=(negative,)), params)
+    failures = {r.label: r.detail for r in report.failures()}
+    detail = failures["consecutive chain profiles differ by exactly the per-step moves"]
+    assert detail.startswith("level 0: negative transfer -")
+
+
+def test_negative_descent_component_fails():
+    scenario = get_scenario("3.I.1.1.0.n+1")
+    chain = scenario.chains[0]
+    (r, component), *rest = chain.components
+    negated = compile_expression(f"-({component})")
+    negative = replace(chain, components=((r, negated), *rest))
+    params = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 25))
+    assert verify_full(scenario, params).passed
+    report = verify_full(replace(scenario, chains=(negative,)), params)
+    failures = {r.label: r.detail for r in report.failures()}
+    assert failures["descent level 0 is a valid profile"].startswith("negative weight -")
 
 
 #: Scenarios with neither a misreport step nor an affine-chain move: their
