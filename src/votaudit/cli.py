@@ -184,7 +184,7 @@ def _cmd_manipulate(args, out) -> int:
     return EXIT_FOUND
 
 
-_PARAM_FLAGS = ("a", "b", "c", "d", "p", "q")
+_PARAM_FLAGS = ("a", "b", "c")  # every catalog scenario's parameters are among these
 
 
 def _cmd_replay(args, out) -> int:
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=20,
                    help="random parameter points when none are given")
     p.add_argument("--seed", type=int, default=0)
-    add_format(p)
     p.set_defaults(func=_cmd_replay)
     return parser
 

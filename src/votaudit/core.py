@@ -7,8 +7,9 @@ count / den), reduced by gcd(den, *counts): two profiles with identical
 weights are equal and hash equal, so voter relabelings are invisible by
 construction.  Every ranking has a fixed slot in `SLOT_RANKINGS` (the six of
 three alternatives and the six of two that restriction to a pair produces),
-and counts are keyed by slot, so renaming, restricting and transferring work
-on ints through small tables built at import.  The public API stays on
+and counts are keyed by slot: `Profile._checked` alone turns weights into
+counts, and renaming and restriction to a pair are both `relabel`, a slot map
+built at import.  The public API stays on
 `fractions.Fraction`: `Profile(weights, domain)` takes weights and
 `weights`, `weight`, `total_weight` and the text format give them back.
 
@@ -83,11 +84,6 @@ class Ranking:
     def alternatives(self) -> frozenset[str]:
         return frozenset(self.order)
 
-    def restrict(self, alts: Iterable[str]) -> "Ranking":
-        """The induced order on a subset of the alternatives."""
-        keep = set(alts)
-        return Ranking(tuple(a for a in self.order if a in keep))
-
     def __str__(self) -> str:
         return ">".join(self.order)
 
@@ -143,19 +139,19 @@ class CandidatePermutation:
 
     pairs: tuple[tuple[str, str], ...]
     _mapping: dict[str, str] = field(init=False, repr=False, compare=False)
-    #: slot of the renamed ranking, per slot (None where the pairs leave a name unmapped)
-    _slots: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    #: slot of the renamed ranking, per slot
+    _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mapping = dict(self.pairs)
+        if len(self.pairs) != 3 or not set(mapping) == set(mapping.values()) == set(ALTERNATIVES):
+            raise ValueError(f"not a bijection on {ALTERNATIVES}: {mapping!r}")
         object.__setattr__(self, "_mapping", mapping)
         object.__setattr__(self, "_slots", tuple(
-            _SLOT.get(tuple(map(mapping.get, r.order))) for r in SLOT_RANKINGS))
+            _SLOT[tuple(map(mapping.get, r.order))] for r in SLOT_RANKINGS))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "CandidatePermutation":
-        if sorted(mapping) != sorted(ALTERNATIVES) or sorted(mapping.values()) != sorted(ALTERNATIVES):
-            raise ValueError(f"not a bijection on {ALTERNATIVES}: {mapping!r}")
         return cls(tuple(sorted(mapping.items())))
 
     def __call__(self, alt: str) -> str:
@@ -229,7 +225,7 @@ class Domain:
         return len(self.rankings)
 
     def permute(self, perm: CandidatePermutation) -> "Domain":
-        return _permuted_domain(self, perm._slots)
+        return _domain_image(self, perm._slots)
 
     def __str__(self) -> str:
         if self._mask == _FULL_MASK:
@@ -237,8 +233,9 @@ class Domain:
         return "{" + ", ".join(str(r) for r in self.rankings) + "}"
 
 
-@functools.cache  # at most 72 domains (63 of three alternatives, 9 of two) times 6 renamings
-def _permuted_domain(domain: Domain, images: tuple[int | None, ...]) -> Domain:
+@functools.cache  # at most 72 domains (63 of three alternatives, 9 of two) times 9 slot maps
+def _domain_image(domain: Domain, images: tuple[int | None, ...]) -> Domain:
+    """The rankings at `images` of the domain's slots; rankings that meet are one."""
     return Domain(tuple(SLOT_RANKINGS[images[r.slot]] for r in domain))
 
 
@@ -302,31 +299,38 @@ class Profile:
         items = dict(weights)
         if domain is None:
             domain = FULL_DOMAIN if all(len(r.order) == 3 for r in items) else Domain(tuple(items))
-        support: dict[int, Fraction] = {}
-        for r, w in items.items():
-            w = as_fraction(w)
-            if w.numerator < 0:
-                raise ProfileError(f"negative weight {w} on {r}")
-            if w.numerator:
-                if r not in domain:
-                    raise ProfileError(f"ranking {r} has positive weight but is outside the domain")
-                support[r.slot] = w
-        # At the lcm of the reduced denominators no prime divides den and every
-        # count, so the counts come out reduced.
-        den = math.lcm(*(w.denominator for w in support.values()))
-        counts = tuple(sorted((s, w.numerator * (den // w.denominator)) for s, w in support.items()))
-        total = sum(c for _, c in counts)
+        checked = Profile._checked(domain, [(r, *as_fraction(w).as_integer_ratio())
+                                            for r, w in items.items()])
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "den", checked.den)
+        object.__setattr__(self, "counts", checked.counts)
+
+    @classmethod
+    def _checked(cls, domain: Domain, weights: Sequence[tuple[Ranking, int, int]]) -> "Profile":
+        """The profile of (ranking, n, d) weights n/d, each d > 0; repeated rankings add up.
+        Raises `ProfileError` if a ranking's weight is negative or positive off the domain,
+        or the weights do not sum to exactly 1."""
+        den = math.lcm(*(d for _, _, d in weights))
+        counts: dict[int, int] = {}
+        for r, n, d in weights:
+            slot = r.slot
+            counts[slot] = counts.get(slot, 0) + n * (den // d)
+        for slot, c in counts.items():
+            if c < 0:
+                raise ProfileError(f"negative weight {Fraction(c, den)} on {SLOT_RANKINGS[slot]}")
+            if c and not domain._mask >> slot & 1:
+                raise ProfileError(
+                    f"ranking {SLOT_RANKINGS[slot]} has positive weight but is outside the domain")
+        total = sum(counts.values())
         if total != den:
             raise ProfileError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "counts", counts)
+        return cls._trusted(domain, den, counts.items())
 
     @classmethod
     def _trusted(cls, domain: Domain, den: int, counts: Iterable[tuple[int, int]]) -> "Profile":
         """The profile of (slot, count) pairs that need no checking.
 
-        The caller guarantees what `__init__` checks: every count is
+        The caller guarantees what `_checked` checks: every count is
         nonnegative, every positive one sits on a slot of the domain, and they
         sum to `den`.  Zero counts are dropped, and `den` and the counts are
         divided by their gcd, so the result is canonical.
@@ -374,11 +378,20 @@ def profile_from(weights: Mapping[str, object], domain: Domain | None = None) ->
     return Profile({ranking(k): as_fraction(v) for k, v in weights.items()}, domain)
 
 
+def relabel(profile: Profile, images: tuple[int | None, ...]) -> Profile:
+    """Move each slot's count to slot `images[slot]`, adding counts that meet: a renaming
+    maps slots one to one, restriction to a pair may send two rankings to one.  `images`
+    must name a slot for every ranking of the profile's domain."""
+    counts: dict[int, int] = {}
+    for slot, c in profile.counts:
+        image = images[slot]
+        counts[image] = counts.get(image, 0) + c
+    return Profile._trusted(_domain_image(profile.domain, images), profile.den, counts.items())
+
+
 def permute_profile(profile: Profile, perm: CandidatePermutation) -> Profile:
     """Rename candidates on every ballot: the weight of ``perm(r)`` equals the old weight of ``r``."""
-    images = perm._slots
-    return Profile._trusted(profile.domain.permute(perm), profile.den,
-                            [(images[s], c) for s, c in profile.counts])
+    return relabel(profile, perm._slots)
 
 
 Move = tuple[Ranking, Ranking, Fraction]

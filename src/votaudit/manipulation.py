@@ -23,10 +23,10 @@ profile's integer counts to L = lcm(move denominator, the profile's
 denominator); `audit_wsp` feeds the grid's count vectors in directly, at
 L = lcm(grid, moves).  A score vector is scaled by the lcm of its entries'
 denominators, so every statistic, bound and leaf test is an exact comparison
-of integers.  `Fraction` leaves only where a witness is built: its profile,
-and its move amounts k/move_denominator.  `verify_witness` replays a witness
-through `transfer_weight` and `rules.evaluate`, which share no code with the
-lattice.
+of integers.  `Fraction` leaves only where a witness is built, in its move
+amounts k/move_denominator; a grid witness's profile is the grid's counts.
+`verify_witness` replays a witness through `transfer_weight` and
+`rules.evaluate`, which share no code with the lattice.
 """
 
 from __future__ import annotations
@@ -324,11 +324,15 @@ def _grid_counts(size: int, grid: int) -> Iterator[list[int]]:
         yield list(map(sub, (*cuts, grid), (0, *cuts)))
 
 
+def _grid_profile(domain: Domain, grid: int, combo: list[int]) -> Profile:
+    """The profile with count `combo[i]` over `grid` on the domain's i-th ranking."""
+    return Profile._trusted(domain, grid, zip((r.slot for r in domain), combo))
+
+
 def grid_profiles(domain: Domain, grid_denominator: int) -> Iterator[Profile]:
     """All profiles on the domain with weights in multiples of 1/grid, canonical order."""
-    rankings, grid = tuple(domain), grid_denominator
-    for combo in _grid_counts(len(rankings), grid):
-        yield Profile({r: Fraction(n, grid) for r, n in zip(rankings, combo) if n}, domain)
+    for combo in _grid_counts(len(domain), grid_denominator):
+        yield _grid_profile(domain, grid_denominator, combo)
 
 
 def audit_wsp(rule: RuleDescriptor, domain: Domain,
@@ -341,16 +345,14 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     The grid's count vectors go to the lattice search as they are, at scale
     lcm(grid, moves); only a witness's profile is built.
     """
-    rankings = tuple(domain)
     grid = config.grid_denominator
     scale = math.lcm(grid, config.move_denominator)
     lattice = _Lattice(rule, domain, scale, config)
-    for combo in _grid_counts(len(rankings), grid):
+    for combo in _grid_counts(len(domain), grid):
         try:
             found = lattice.search([c * (scale // grid) for c in combo])
         except NongenericProfileError:
             continue  # manipulation claims compare actual winners
         if found is not None:
-            profile = Profile({r: Fraction(c, grid) for r, c in zip(rankings, combo) if c}, domain)
-            return ManipulationWitness(profile, *found, config.epsilon)
+            return ManipulationWitness(_grid_profile(domain, grid, combo), *found, config.epsilon)
     return None

@@ -5,10 +5,11 @@ validity, every weight identity, every misreport step (the transfer must
 reproduce its target profile exactly, with coalition mass positive and
 strictly below epsilon, and every mover strictly gaining), domination claims,
 and agreement of named rules with asserted winners.  `verify_induction_chain`
-additionally unrolls the scenario's induction chains profile by profile,
-checking every chain misreport (affine level, descent level, final descent
-step) with `_misreport`.  Both call the scenario's compiled expressions
-directly; no text is parsed.
+additionally unrolls the scenario's induction chains profile by profile.
+Every misreport, a step's or a chain's (affine level, descent level, final
+descent step), is checked by `_misreport`, and every profile, a template's or
+a descent level's, is built and checked by `core.Profile._checked`.  Both call
+the scenario's compiled expressions directly; no text is parsed.
 
 Reports list one pass/fail line per check; a failing precondition raises
 `PreconditionViolation` instead, naming the inequality: the first one broken,
@@ -17,7 +18,6 @@ as each is checked once the defs it reads are bound.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,23 +143,11 @@ def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
 
 
 def instantiate(template, env: Env, domain, label: str) -> Profile:
-    """The template's profile at `env`, checked as `Profile` checks it, on integer counts."""
-    values = []
-    for r, expr in template:
-        n, d = expr.ratio(env)
-        if n < 0:
-            raise TemplateError(f"{label}: weight of {r} is negative ({Fraction(n, d)})")
-        if n and r not in domain:  # the catalog loader rules this out
-            raise ProfileError(f"ranking {r} has positive weight but is outside the domain")
-        values.append((r.slot, n, d))
-    den = math.lcm(*(d for _, _, d in values))
-    counts: dict[int, int] = {}
-    for slot, n, d in values:
-        counts[slot] = counts.get(slot, 0) + n * (den // d)
-    total = sum(counts.values())
-    if total != den:
-        raise TemplateError(f"{label}: weights sum to {Fraction(total, den)}, expected 1")
-    return Profile._trusted(domain, den, counts.items())
+    """The template's profile at `env`, as `Profile._checked` builds and checks it."""
+    try:
+        return Profile._checked(domain, [(r, *expr.ratio(env)) for r, expr in template])
+    except ProfileError as exc:
+        raise TemplateError(f"{label}: {exc}") from None
 
 
 def _build(scenario: Scenario, params: ScenarioParams):
@@ -203,29 +191,14 @@ def _size_detail(size: Fraction, eps: Fraction) -> str:
     return "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}"
 
 
-def _misreport(before: Profile, moves, after: Profile, eps: Fraction) -> tuple[str, str]:
-    """Two details, "" where the claim holds: why `moves` do not carry `before` to `after`
-    (`transfer_weight`'s error, or a mismatch), and `_size_detail` of the mass moved."""
+def _misreport(before: Profile, moves, after: Profile) -> tuple[str, Fraction]:
+    """Why `moves` do not carry `before` to `after` ("" when they do): `transfer_weight`'s
+    error, or a mismatch; and the mass moved (the sum of the amounts if none moves)."""
     try:
         moved, size = transfer_weight(before, moves)
     except ValueError as exc:
-        return str(exc), _size_detail(sum((amount for _, _, amount in moves), Fraction(0)), eps)
-    return "" if moved == after else "transfer does not reproduce the next profile", \
-        _size_detail(size, eps)
-
-
-def _transfer_results(eps: Fraction, from_profile: Profile, moves, to_profile: Profile,
-                      label: str) -> list[CheckResult]:
-    try:
-        moved, size = transfer_weight(from_profile, moves)
-    except ValueError as exc:
-        return [CheckResult(f"{label}: moves are feasible", False, str(exc))]
-    size_detail = _size_detail(size, eps)
-    return [CheckResult(
-        f"{label}: misreport reproduces the target profile exactly",
-        moved == to_profile,
-        "" if moved == to_profile else f"got {dict(moved.weights)!r}",
-    ), CheckResult(f"{label}: coalition size {size} < epsilon", not size_detail, size_detail)]
+        return str(exc), sum((amount for _, _, amount in moves), Fraction(0))
+    return "" if moved == after else "transfer does not reproduce the next profile", size
 
 
 def _domination_result(profile: Profile, alt: str, label: str) -> CheckResult:
@@ -288,10 +261,10 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
             results.append(CheckResult(label, False, "profile failed to instantiate"))
             continue
         moves = [(src, dst, amount(env)) for src, dst, amount in step.moves]
-        results.extend(_transfer_results(
-            env["epsilon"], profiles[step.from_profile], moves,
-            profiles[step.to_profile], label,
-        ))
+        detail, size = _misreport(profiles[step.from_profile], moves, profiles[step.to_profile])
+        for claim, why in (("misreport reproduces the target profile exactly", detail),
+                           (f"coalition size {size} < epsilon", _size_detail(size, env["epsilon"]))):
+            results.append(CheckResult(f"{label}: {claim}", not why, why))
         results.extend(_improvement_results(moves, step.improvement, label))
     return results
 
@@ -334,7 +307,8 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env,
     for j in range(count):
         src, dst = (levels[j + 1], levels[j]) if chain.direction == "down" \
             else (levels[j], levels[j + 1])
-        found = _misreport(src, moves, dst, eps)
+        detail, size = _misreport(src, moves, dst)
+        found = detail, _size_detail(size, eps)
         if any(found):
             details = tuple(f"level {j}: {d}" if d else "" for d in found)
             break
@@ -356,21 +330,18 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
                            profiles: dict[str, Profile]) -> list[CheckResult]:
     results: list[CheckResult] = []
     eps = env["epsilon"]
-    fixed = {r: e(env) for r, e in chain.fixed}
+    fixed = [(r, e(env)) for r, e in chain.fixed]
     components = {r: e(env) for r, e in chain.components}
 
-    def level_profile(comps: dict[Ranking, Fraction], label: str) -> Profile:
-        weights = dict(fixed)
-        weights.update(comps)
-        absorbed = 1 - sum(weights.values(), Fraction(0))
-        if absorbed < 0:
-            raise TemplateError(f"{label}: component mass exceeds the available weight")
-        weights[chain.absorber] = weights.get(chain.absorber, Fraction(0)) + absorbed
-        return Profile(weights, scenario.domain)
+    def level_profile(comps: dict[Ranking, Fraction]) -> Profile:
+        """Fixed weights, components, and the rest on the absorber (negative if overfull)."""
+        weights = [*fixed, *comps.items()]
+        weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
+        return Profile._checked(scenario.domain, [(r, *w.as_integer_ratio()) for r, w in weights])
 
     try:
-        current = level_profile(components, "descent level 0")
-    except ValueError as exc:
+        current = level_profile(components)
+    except ProfileError as exc:
         return [CheckResult("descent level 0 is a valid profile", False, str(exc))]
     results.append(CheckResult(f"descent level 0 equals profile {chain.base}",
                                current == profiles[chain.base]))
@@ -380,12 +351,13 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
         factor = Fraction(window, window + 1)
         next_comps = {r: v * factor for r, v in comps.items()}
         try:
-            nxt = level_profile(next_comps, f"descent level {level + 1}")
-        except ValueError as exc:
+            nxt = level_profile(next_comps)
+        except ProfileError as exc:
             ok, detail = False, f"level {level + 1}: {exc}"
             break
         moves = [(chain.absorber, r, comps[r] - next_comps[r]) for r in comps]
-        found = "; ".join(filter(None, _misreport(nxt, moves, current, eps)))
+        detail, size = _misreport(nxt, moves, current)
+        found = "; ".join(filter(None, (detail, _size_detail(size, eps))))
         if found:
             ok, detail = False, f"level {level + 1}: {found}"
             break
@@ -401,12 +373,13 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
         "coalition mass < epsilon and drops the window index by one",
         ok, detail))
     pair = profiles[chain.pair]
-    expected_pair = level_profile({r: Fraction(0) for r in comps}, "pair")
+    expected_pair = level_profile({r: Fraction(0) for r in comps})
     results.append(CheckResult(
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
         pair == expected_pair))
     final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
-    detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)))
+    detail, size = _misreport(pair, final_moves, current)
+    detail = "; ".join(filter(None, (detail, _size_detail(size, eps))))
     results.append(CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
         not detail, detail))

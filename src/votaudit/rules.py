@@ -37,10 +37,11 @@ from typing import Iterable
 from .core import (
     ALTERNATIVES,
     SLOT_RANKINGS,
-    Domain,
     Profile,
+    Ranking,
     as_fraction,
     parse_weight,
+    relabel,
 )
 
 #: The ordered pairs of alternatives; margins are kept in this order.
@@ -60,11 +61,11 @@ _CONTESTS = {
     for n in (2, 3) for c in itertools.combinations(ALTERNATIVES, n)
 }
 
-#: Per pair of alternatives, the slot of every ranking's induced order on it
-#: (None for a two-alternative ranking of another pair).
+#: Per pair of alternatives, the slot map of `restrict_profile`: the slot of every
+#: ranking's induced order on the pair (None for a two-alternative ranking of another pair).
 _RESTRICTIONS = {
-    frozenset(pair): tuple(r.restrict(pair).slot if set(pair) <= r.alternatives else None
-                           for r in SLOT_RANKINGS)
+    frozenset(pair): tuple(Ranking(tuple(a for a in r.order if a in pair)).slot
+                           if set(pair) <= r.alternatives else None for r in SLOT_RANKINGS)
     for pair in itertools.combinations(ALTERNATIVES, 2)
 }
 
@@ -237,21 +238,12 @@ def evaluate(rule: RuleDescriptor, profile: Profile) -> Outcome:
     ))
 
 
-@functools.cache  # at most 72 domains times 3 pairs
-def _restricted_domain(domain: Domain, pair: frozenset[str]) -> Domain:
-    return Domain(tuple({r.restrict(pair) for r in domain}))
-
-
 def restrict_profile(profile: Profile, alts: Iterable[str]) -> Profile:
-    """Collapse each ranking to its induced order on a 2-alternative subset; weights add."""
+    """Collapse each ranking to its induced order on a 2-alternative subset; weights add.
+    The pair's slot map goes to `core.relabel`, as a renaming's does."""
     pair = frozenset(alts)
     if len(pair) != 2:
         raise ValueError("restriction target must contain exactly two alternatives")
     if not pair <= profile.alternatives:
         raise ValueError(f"alternatives {sorted(pair - profile.alternatives)} not in the profile")
-    induced = _RESTRICTIONS[pair]
-    counts: dict[int, int] = {}
-    for slot, count in profile.counts:
-        short = induced[slot]
-        counts[short] = counts.get(short, 0) + count
-    return Profile._trusted(_restricted_domain(profile.domain, pair), profile.den, counts.items())
+    return relabel(profile, _RESTRICTIONS[pair])

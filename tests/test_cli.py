@@ -168,6 +168,12 @@ def test_replay_list():
     assert "1.I.1.1.n+1" in out and "3.III.2.3.n+1" in out
 
 
+@pytest.mark.parametrize("flag", [("--format", "record"), ("--d", "1/2")])
+def test_replay_refuses_options_it_would_not_read(capsys, flag):
+    assert main(["replay", "--case", "2.I.n+1", *flag]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_parse_error_exit_code(fixtures):
     code, _ = run(["evaluate", "--rule", "borda", fixtures["bad"]])
     assert code == 2

@@ -82,6 +82,16 @@ def test_permute_identity():
     assert va.permute_profile(u, va.IDENTITY_PERMUTATION) == u
 
 
+@pytest.mark.parametrize("pairs", [
+    (("x", "y"), ("y", "x")),  # z unmapped
+    (("x", "y"), ("y", "y"), ("z", "x")),  # not one to one
+    (("x", "y"), ("x", "z"), ("y", "x"), ("z", "y")),  # x listed twice
+])
+def test_permutation_must_be_a_bijection(pairs):
+    with pytest.raises(ValueError, match="not a bijection"):
+        va.CandidatePermutation(pairs)
+
+
 def test_permute_matches_displayed_table():
     # (p: x>y>z, q: y>x>z, 1-p-q: y>z>x) under x->y, y->z, z->x
     p, q = F(1, 2), F(3, 10)
@@ -259,6 +269,38 @@ def test_slots_cover_every_ranking_of_two_or_three_alternatives():
     assert len(va.core.SLOT_RANKINGS) == 12 and list(va.core.SLOT_RANKINGS) == sorted(va.core.SLOT_RANKINGS)
     assert set(va.RANKINGS) <= set(va.core.SLOT_RANKINGS)
     assert all(va.core.SLOT_RANKINGS[r.slot] == r for r in va.core.SLOT_RANKINGS)
+
+
+@st.composite
+def weight_terms(draw):
+    """(ranking, n, d) terms: a profile's weights cut into unreduced, repeated,
+    shuffled parts (a part may be negative), sometimes with one term added."""
+    terms = []
+    for r, w in zip(va.RANKINGS, draw(simplex_weights(6))):
+        scale = draw(st.integers(1, 4))
+        n, d = w.numerator * scale, w.denominator * scale
+        cut = draw(st.integers(-2, n + 2))
+        terms += [(r, cut, d), (r, n - cut, d)]
+    if draw(st.booleans()):
+        terms.append((draw(st.sampled_from(va.RANKINGS)), draw(st.integers(-3, 3)),
+                      draw(st.integers(1, 12))))
+    return draw(st.permutations(terms))
+
+
+@given(weight_terms(), st.sampled_from([va.FULL_DOMAIN, va.CYCLE_DOMAIN]))
+def test_checked_constructor_agrees_with_the_fraction_sums(terms, domain):
+    sums: dict = {}
+    for r, n, d in terms:
+        sums[r] = sums.get(r, F(0)) + F(n, d)
+    try:
+        expected = va.Profile(sums, domain)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as caught:
+            va.Profile._checked(domain, terms)
+        assert str(caught.value) == str(exc)
+    else:
+        built = va.Profile._checked(domain, terms)
+        assert built == expected and (built.den, built.counts) == (expected.den, expected.counts)
 
 
 @pytest.mark.parametrize("build,error,text", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -171,6 +172,13 @@ def test_grid_profiles_canonical_order_and_count():
     assert profiles[0].weight(R("zxy")) == 1  # all mass on the last ranking first
     assert profiles[-1].weight(R("xyz")) == 1
     assert len(set(map(str, profiles))) == len(profiles)
+
+
+def test_grid_profiles_equal_the_fraction_built_profiles():
+    combos = sorted(c for c in itertools.product(range(7), repeat=6) if sum(c) == 6)
+    expected = [va.Profile({r: F(n, 6) for r, n in zip(va.RANKINGS, c)}, va.FULL_DOMAIN)
+                for c in combos]
+    assert list(va.grid_profiles(va.FULL_DOMAIN, 6)) == expected
 
 
 @pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,

@@ -346,7 +346,7 @@ def test_negative_step_amount_fails():
     params = ScenarioParams.of(a=F(21, 50), b=F(7, 25), epsilon=F(1, 10))
     assert verify_full(scenario, params).passed
     [failure] = [r for r in verify_full(replace(scenario, steps=(negative,)), params).failures()
-                 if "feasible" in r.label]
+                 if "misreport reproduces the target profile exactly" in r.label]
     assert failure.detail.startswith("negative transfer -")
 
 
@@ -373,6 +373,17 @@ def test_negative_descent_component_fails():
     report = verify_full(replace(scenario, chains=(negative,)), params)
     failures = {r.label: r.detail for r in report.failures()}
     assert failures["descent level 0 is a valid profile"].startswith("negative weight -")
+
+
+def test_overfull_descent_level_fails_on_the_absorber():
+    scenario = get_scenario("3.I.1.1.0.n+1")
+    chain = scenario.chains[0]
+    (r, component), *rest = chain.components
+    overfull = replace(chain, components=((r, compile_expression(f"({component}) + 1")), *rest))
+    params = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 25))
+    report = verify_full(replace(scenario, chains=(overfull,)), params)
+    detail = {r.label: r.detail for r in report.failures()}["descent level 0 is a valid profile"]
+    assert detail.startswith("negative weight -") and detail.endswith(f" on {chain.absorber}")
 
 
 #: Scenarios with neither a misreport step nor an affine-chain move: their
@@ -471,9 +482,9 @@ def _template(*entries):
 
 
 @pytest.mark.parametrize("template,text", [
-    (_template(("xyz", "1/2 - a"), ("yzx", "1/2")), "profile u: weight of x>y>z is negative (-1/6)"),
-    (_template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2")), "profile u: weights sum to 7/8, expected 1"),
-    (_template(("xyz", "0"), ("yzx", "a - a")), "profile u: weights sum to 0, expected 1"),
+    (_template(("xyz", "1/2 - a"), ("yzx", "1/2")), "profile u: negative weight -1/6 on x>y>z"),
+    (_template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2")), "profile u: weights sum to 7/8, expected exactly 1"),
+    (_template(("xyz", "0"), ("yzx", "a - a")), "profile u: weights sum to 0, expected exactly 1"),
 ])
 def test_instantiate_error_texts(template, text):
     with pytest.raises(TemplateError) as caught:
