@@ -85,13 +85,9 @@ def _evaluator(rule: RuleLike) -> Callable[[Profile], Outcome]:
 
 def _dominations(profile: Profile) -> list[tuple[str, str]]:
     """Pairs (a, b) such that every positive-weight ranking places a above b."""
-    pairs = []
     support = profile.support
-    for a in ALTERNATIVES:
-        for b in ALTERNATIVES:
-            if a != b and support and all(r.prefers(a, b) for r in support):
-                pairs.append((a, b))
-    return pairs
+    return [(a, b) for a in ALTERNATIVES for b in ALTERNATIVES
+            if a != b and support and all(r.prefers(a, b) for r in support)]
 
 
 def check_pareto(rule: RuleLike, profile: Profile) -> AxiomReport:

@@ -135,7 +135,7 @@ _SLOT = {r.order: i for i, r in enumerate(SLOT_RANKINGS)}
 
 @dataclass(frozen=True)
 class CandidatePermutation:
-    """A bijection on the alternative names."""
+    """A bijection on the alternative names; `pairs` is stored sorted, so it is one value."""
 
     pairs: tuple[tuple[str, str], ...]
     _mapping: dict[str, str] = field(init=False, repr=False, compare=False)
@@ -146,13 +146,14 @@ class CandidatePermutation:
         mapping = dict(self.pairs)
         if len(self.pairs) != 3 or not set(mapping) == set(mapping.values()) == set(ALTERNATIVES):
             raise ValueError(f"not a bijection on {ALTERNATIVES}: {mapping!r}")
+        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
         object.__setattr__(self, "_mapping", mapping)
         object.__setattr__(self, "_slots", tuple(
             _SLOT[tuple(map(mapping.get, r.order))] for r in SLOT_RANKINGS))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "CandidatePermutation":
-        return cls(tuple(sorted(mapping.items())))
+        return cls(tuple(mapping.items()))
 
     def __call__(self, alt: str) -> str:
         return self._mapping[alt]
@@ -347,11 +348,7 @@ class Profile:
         return profile
 
     def weight(self, r: Ranking) -> Fraction:
-        slot = r.slot
-        for s, c in self.counts:
-            if s == slot:
-                return Fraction(c, self.den)
-        return Fraction(0)
+        return Fraction(dict(self.counts).get(r.slot, 0), self.den)
 
     @property
     def weights(self) -> dict[Ranking, Fraction]:
@@ -450,7 +447,7 @@ def parse_profile(text: str) -> Profile:
     rankings accumulate.  Weights must sum to exactly 1.
     """
     domain: Domain | None = None
-    weights: dict[Ranking, Fraction] = {}
+    terms: list[tuple[Ranking, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -471,11 +468,11 @@ def parse_profile(text: str) -> Profile:
             r = parse_ranking(parts[1])
         except RankingParseError as exc:
             raise ProfileParseError(f"line {lineno}: {exc}") from None
-        weights[r] = weights.get(r, Fraction(0)) + w
+        terms.append((r, *w.as_integer_ratio()))
     if domain is None:
         raise ProfileParseError("missing 'domain:' header")
     try:
-        return Profile(weights, domain)
+        return Profile._checked(domain, terms)
     except ProfileError as exc:
         raise ProfileParseError(str(exc)) from None
 

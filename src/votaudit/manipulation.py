@@ -21,10 +21,12 @@ reproducible byte for byte.
 The search runs on an integer lattice.  `find_manipulation` rescales the
 profile's integer counts to L = lcm(move denominator, the profile's
 denominator); `audit_wsp` feeds the grid's count vectors in directly, at
-L = lcm(grid, moves).  A score vector is scaled by the lcm of its entries'
-denominators, so every statistic, bound and leaf test is an exact comparison
-of integers.  `Fraction` leaves only where a witness is built, in its move
-amounts k/move_denominator; a grid witness's profile is the grid's counts.
+L = lcm(grid, moves), and only the first of each orbit under the renamings
+that fix the domain (the rules are neutral, so the first witness is the
+same).  A score vector is scaled by the lcm of its entries' denominators, so
+every statistic, bound and leaf test is an exact comparison of integers.
+`Fraction` leaves only where a witness is built, in its move amounts
+k/move_denominator; a grid witness's profile is the grid's counts.
 `verify_witness` replays a witness through `transfer_weight` and
 `rules.evaluate`, which share no code with the lattice.
 """
@@ -36,11 +38,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
-from .core import (ALTERNATIVES, Domain, Move, Profile, Ranking, as_fraction,
-                   format_profile, transfer_weight)
+from .core import (ALL_PERMUTATIONS, ALTERNATIVES, Domain, Move, Profile, Ranking,
+                   as_fraction, format_profile, transfer_weight)
 from .rules import Outcome, RuleDescriptor, evaluate
 
 
@@ -215,15 +217,15 @@ class _Lattice:
                 and (values[r] + units * lo[r] < need or values[s] + units * lo[s] < need)
                 and (values[t] + units * lo[t] < need or values[u] + units * lo[u] < need))
 
-    def search(self, counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | None:
+    def search(self, counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | Outcome | None:
         """The minimal witness's (moves, old winner, new winner) from these counts, or
-        None; raises `NongenericProfileError` when the counts elect no winner."""
+        None; when the counts elect no winner, their `Outcome`, and nothing is searched."""
         model, need = self.model, self.need
         forward = [sum(map(mul, row, counts)) for row in model.rows]
         values = forward + [self.total - s for s in forward]
         tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
         if len(tie) != 1:
-            raise NongenericProfileError(f"base profile has no winner ({Outcome(frozenset(tie))})")
+            return Outcome(frozenset(tie))
         old = tie[0]
 
         max_mass = self.max_units * self.unit  # in counts; at 0, old's unique win rejects all
@@ -314,6 +316,8 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
     held = dict(profile.counts)
     found = _Lattice(rule, profile.domain, scale, config).search(
         [held.get(r.slot, 0) * (scale // profile.den) for r in profile.domain])
+    if isinstance(found, Outcome):
+        raise NongenericProfileError(f"base profile has no winner ({found})")
     return None if found is None else ManipulationWitness(profile, *found, config.epsilon)
 
 
@@ -335,6 +339,31 @@ def grid_profiles(domain: Domain, grid_denominator: int) -> Iterator[Profile]:
         yield _grid_profile(domain, grid_denominator, combo)
 
 
+@functools.lru_cache(maxsize=256)
+def _symmetries(domain: Domain) -> tuple[tuple[int, ...], ...]:
+    """The renamings but the identity, ALL_PERMUTATIONS[0], that map the domain onto itself,
+    as index maps m (ranking i to m[i]); over them all, [c[j] for j in m] are c's images."""
+    return tuple(tuple(domain.rankings.index(Ranking(tuple(map(perm, r.order)))) for r in domain)
+                 for perm in ALL_PERMUTATIONS[1:] if domain.permute(perm) == domain)
+
+
+def _orbit_firsts(domain: Domain, grid: int) -> Iterator[list[int]]:
+    """The grid's count vectors that no symmetry maps to a lexicographically smaller one, in
+    lex order.  Count 0 of such a vector is at most each count a symmetry moves to index 0,
+    the `lifted` ones (one per symmetry: only the identity fixes a ranking)."""
+    maps = _symmetries(domain)
+    if not maps:  # a one-ranking domain too, which has no counts past its first
+        yield from _grid_counts(len(domain), grid)
+        return
+    lifted = {m[0] for m in maps}
+    for first in range(grid // (len(lifted) + 1) + 1):
+        lift = [first * (i in lifted) for i in range(1, len(domain))]
+        for rest in _grid_counts(len(domain) - 1, grid - first * (len(lifted) + 1)):
+            combo = [first, *map(add, rest, lift)]
+            if all(combo[m[0]] > first or [combo[j] for j in m] >= combo for m in maps):
+                yield combo
+
+
 def audit_wsp(rule: RuleDescriptor, domain: Domain,
               config: AuditConfig) -> ManipulationWitness | None:
     """Sweep every generic grid profile on the domain for a small-coalition witness.
@@ -343,16 +372,18 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     none certifies only "no witness at this resolution", never full immunity.
     Raises `ValueError` when the domain does not rank all three alternatives.
     The grid's count vectors go to the lattice search as they are, at scale
-    lcm(grid, moves); only a witness's profile is built.
+    lcm(grid, moves); only a witness's profile is built.  Only the first
+    count vector of each orbit under the domain's symmetries is searched: a
+    symmetry maps the domain, its arcs, the unit mesh, `max_units`, "source
+    prefers target to old" and every (neutral) rule's statistics onto
+    themselves, so an orbit is nongeneric, manipulable at this resolution or
+    clean as a whole, and the first manipulable vector is its orbit's first.
     """
     grid = config.grid_denominator
     scale = math.lcm(grid, config.move_denominator)
     lattice = _Lattice(rule, domain, scale, config)
-    for combo in _grid_counts(len(domain), grid):
-        try:
-            found = lattice.search([c * (scale // grid) for c in combo])
-        except NongenericProfileError:
-            continue  # manipulation claims compare actual winners
-        if found is not None:
+    for combo in _orbit_firsts(domain, grid):
+        found = lattice.search([c * (scale // grid) for c in combo])
+        if isinstance(found, tuple):  # None is clean; an Outcome, nongeneric, claims nothing
             return ManipulationWitness(_grid_profile(domain, grid, combo), *found, config.epsilon)
     return None

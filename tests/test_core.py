@@ -92,6 +92,14 @@ def test_permutation_must_be_a_bijection(pairs):
         va.CandidatePermutation(pairs)
 
 
+def test_permutation_is_one_value_in_any_pair_order():
+    built = va.CandidatePermutation((("y", "x"), ("x", "y"), ("z", "z")))
+    parsed = va.parse_permutation("x->y,y->x,z->z")
+    assert built == parsed and hash(built) == hash(parsed)
+    assert str(built) == str(parsed) == "x->y,y->x,z->z"
+    assert built.pairs == (("x", "y"), ("y", "x"), ("z", "z"))
+
+
 def test_permute_matches_displayed_table():
     # (p: x>y>z, q: y>x>z, 1-p-q: y>z>x) under x->y, y->z, z->x
     p, q = F(1, 2), F(3, 10)
@@ -203,6 +211,15 @@ def test_parse_profile_accumulates_repeats():
     text = "domain: full\n1/3 x>z>y\n1/3 y>z>x\n1/3 x>z>y\n"
     u = va.parse_profile(text)
     assert u.weight(va.ranking("xzy")) == F(2, 3)
+
+
+def test_parse_profile_sums_unreduced_and_negative_repeats():
+    # x>y>z: 2/4 - 1/6 + 1/6, y>z>x: -3/12 + 6/8, and x>z>y, off the domain, nets 0
+    text = ("domain: {x>y>z, y>z>x, z>x>y}\n2/4 x>y>z\n-3/12 y>z>x\n-1/6 x>y>z\n"
+            "1/5 x>z>y\n6/8 y>z>x\n1/6 x>y>z\n0.0 z>x>y\n-2/10 x>z>y\n")
+    parsed = va.parse_profile(text)
+    summed = va.profile_from({"xyz": "1/2", "yzx": "1/2"}, va.CYCLE_DOMAIN)
+    assert parsed == summed and (parsed.den, parsed.counts) == (summed.den, summed.counts)
 
 
 @pytest.mark.parametrize("text", [

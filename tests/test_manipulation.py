@@ -4,14 +4,20 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import votaudit as va
-from votaudit.manipulation import _PAIRS, NongenericProfileError, _model
+from votaudit.manipulation import _PAIRS, NongenericProfileError, _Lattice, _model
 from oracles import exhaustive_witness
 
 R = va.ranking
 
+#: Also the four-ranking domain of the benchmark's sweep; x<->z maps it onto itself.
 UI_DOMAIN = va.Domain((R("xyz"), R("yzx"), R("yxz"), R("zyx")))
+#: The cycle domain plus x>z>y: no renaming but the identity maps it onto itself.
+EXPANDED_CYCLE = va.parse_domain("{x>y>z, y>z>x, z>x>y, x>z>y}")
+ROTATE = va.parse_permutation("x->y,y->z,z->x")
+SWAP_XY = va.parse_permutation("x->y,y->x,z->z")
 
 
 def text(witness):
@@ -109,6 +115,27 @@ def test_find_manipulation_requires_generic_base():
     tie = va.profile_from({"xyz": F(1, 2), "yxz": F(1, 2)})
     with pytest.raises(NongenericProfileError):
         va.find_manipulation(va.PLURALITY, tie, va.AuditConfig(F(1, 20), 20, 100))
+
+
+@pytest.mark.parametrize("rule,weights,text", [
+    (va.PLURALITY, {"xyz": F(1, 2), "yxz": F(1, 2)}, "base profile has no winner (tie {x, y})"),
+    (va.CONDORCET, {"xyz": F(1, 3), "yzx": F(1, 3), "zxy": F(1, 3)},
+     "base profile has no winner (empty)"),
+])
+def test_nongeneric_base_error_text(rule, weights, text):
+    with pytest.raises(NongenericProfileError) as caught:
+        va.find_manipulation(rule, va.profile_from(weights), va.AuditConfig(F(1, 20), 20, 100))
+    assert str(caught.value) == text
+
+
+def test_audit_skips_nongeneric_profiles_without_an_error(monkeypatch):
+    class Unbuildable(Exception):
+        def __init__(self, *args):
+            raise AssertionError("a grid audit built a NongenericProfileError")
+    monkeypatch.setattr(va.manipulation, "NongenericProfileError", Unbuildable)
+    # the cycle's grid-6 profiles include ties under plurality and cycles under Condorcet
+    for rule in (va.PLURALITY, va.CONDORCET):
+        assert va.audit_wsp(rule, va.CYCLE_DOMAIN, va.AuditConfig(F(1, 100), 6, 100)) is None
 
 
 def test_audit_borda_on_cycle_domain_finds_nothing():
@@ -295,8 +322,11 @@ def _first_witness_by_definition(rule, domain, config):
 
 @pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,
                                   va.scoring(3, 1, 0), va.scoring(1, 1, 0)], ids=str)
-@pytest.mark.parametrize("domain", [va.FULL_DOMAIN, va.CYCLE_DOMAIN, UI_DOMAIN],
-                         ids=["full", "cycle", "ui"])
+@pytest.mark.parametrize("domain", [
+    va.FULL_DOMAIN, va.CYCLE_DOMAIN, UI_DOMAIN, va.CYCLE_DOMAIN.permute(SWAP_XY),
+    UI_DOMAIN.permute(ROTATE), EXPANDED_CYCLE, EXPANDED_CYCLE.permute(SWAP_XY),
+], ids=["full", "cycle", "ui", "cycle-renamed", "ui-renamed", "expanded-cycle",
+        "expanded-cycle-renamed"])
 @pytest.mark.parametrize("config", [va.AuditConfig(F(2, 3), 7, 6),
                                     va.AuditConfig(F(1, 2), 8, 6),
                                     va.AuditConfig(F(3, 10), 6, 10)],
@@ -304,6 +334,48 @@ def _first_witness_by_definition(rule, domain, config):
 def test_audit_wsp_is_the_first_grid_witness(rule, domain, config):
     expected = _first_witness_by_definition(rule, domain, config)
     assert text(va.audit_wsp(rule, domain, config)) == text(expected)
+
+
+def _symmetries_by_definition(domain):
+    return [perm for perm in va.ALL_PERMUTATIONS if domain.permute(perm) == domain]
+
+
+@pytest.mark.parametrize("domain,group,searched", [
+    (va.FULL_DOMAIN, 6, 83), (va.CYCLE_DOMAIN, 3, 10), (UI_DOMAIN, 2, 44),
+    (UI_DOMAIN.permute(ROTATE), 2, 44), (EXPANDED_CYCLE, 1, 84),
+], ids=["full", "cycle", "ui", "ui-renamed", "expanded-cycle"])
+def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, searched):
+    # Burnside at grid 6: the full domain's (462 + 3*10 + 2*3)/6 = 83 orbits, the
+    # cycle's (28 + 2*1)/3 = 10, a four-ranking domain's (84 + 4)/2 = 44 under its
+    # one transposition; with no symmetry every one of the 84 profiles is searched.
+    config = va.AuditConfig(F(1, 100), 6, 100)  # no unit fits below epsilon: clean
+    scale = math.lcm(6, 100) // 6  # the lattice's counts per grid count
+    search, seen = _Lattice.search, []
+
+    def counting(lattice, counts):
+        seen.append(va.manipulation._grid_profile(domain, 6, [c // scale for c in counts]))
+        return search(lattice, counts)
+    monkeypatch.setattr(_Lattice, "search", counting)
+    assert va.audit_wsp(va.BORDA, domain, config) is None
+    assert len(_symmetries_by_definition(domain)) == group
+    assert len(seen) == searched
+    grid = set(va.grid_profiles(domain, 6))
+    assert {va.permute_profile(p, perm) for p in seen
+            for perm in _symmetries_by_definition(domain)} == grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.sampled_from(va.ALL_PERMUTATIONS),
+       st.sampled_from([va.PLURALITY, va.BORDA, va.CONDORCET, va.scoring(3, 1, 0)]),
+       st.sampled_from([va.AuditConfig(F(1, 3), 6, 6), va.AuditConfig(F(1, 2), 5, 10)]))
+def test_audit_is_clean_exactly_when_its_renamed_audit_is(rankings, perm, rule, config):
+    domain = va.Domain(tuple(rankings))
+    witness = va.audit_wsp(rule, domain, config)
+    renamed = va.audit_wsp(rule, domain.permute(perm), config)
+    assert (witness is None) == (renamed is None)
+    for found in (witness, renamed):
+        assert found is None or va.verify_witness(rule, found)
 
 
 @pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.scoring(3, 1, 0),
