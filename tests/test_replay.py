@@ -510,3 +510,209 @@ def test_catalog_reads_the_same_with_either_yaml_parser():
     for filename in _DATA_FILES:
         text = (importlib.resources.files("votaudit.replay") / "data" / filename).read_text(encoding="utf-8")
         assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
+
+
+def _replace_chain(scenario, **changes):
+    return replace(scenario, chains=(replace(scenario.chains[0], **changes),))
+
+
+def _without_steps(scenario):
+    """The scenario with only its profiles, rule checks, renamings and chains."""
+    return replace(scenario, identities=(), checks=(), steps=())
+
+
+def _skip_a_window(scenario, monkeypatch):
+    """The descent's window index dropping by two at its second level, which exact
+    arithmetic never gives: `epsilon_partition` is patched to report it."""
+    calls = []
+
+    def partition(quantity, epsilon):
+        calls.append(quantity)
+        return epsilon_partition(quantity, epsilon) - (len(calls) == 3)
+
+    monkeypatch.setattr("votaudit.replay.verify.epsilon_partition", partition)
+    return scenario
+
+
+def _shifted_weight(chain, text):
+    (r, weight), *rest = chain.weights
+    return ((r, compile_expression(f"({weight}) + {text}")), *rest)
+
+
+_ONE_I = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 2))
+_CHAIN = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10))
+_EXPANDED = ScenarioParams.of(epsilon=F(1, 5))
+_EXPANDED_CHAIN = ScenarioParams.of(epsilon=F(1, 10))
+_DESCENT = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 25))
+
+#: One mutant per failure line: (scenario id, point, mutant builder, whole report text).
+_FAILING_REPORTS = {
+    "rule-check": ("1.I.1.1.1", _ONE_I, lambda s, _: replace(
+        s, rule_checks=tuple((name, rule, "z") for name, rule, _ in s.rule_checks)), """\
+scenario 1.I.1.1.1 at a=3/5, b=1/5, epsilon=1/2
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  inequality (2*a + b - 1) + (1 - a - 2*b) == a - b
+  FAIL  borda elects z on base  (got winner x)
+  pass  renaming x->z,y->x,z->y carries base to u1
+  pass  renaming x->z,y->x,z->y carries winner y to x
+  pass  step 1 (base -> u1): misreport reproduces the target profile exactly
+  pass  step 1 (base -> u1): coalition size 2/5 < epsilon
+  pass  step 1 (base -> u1): movers with true ranking x>y>z gain (x over y)
+"""),
+    "identity": ("2.III.2", _EXPANDED, lambda s, _: replace(
+        s, identities=tuple((l, compile_expression(f"({r}) + 1/1000"))
+                            for l, r in s.identities[:1]) + s.identities[1:]), """\
+scenario 2.III.2 at epsilon=1/5
+  pass  profile u5 is valid (weights >= 0, sum 1)
+  pass  profile u6 is valid (weights >= 0, sum 1)
+  pass  profile u7 is valid (weights >= 0, sum 1)
+  FAIL  identity (2/3 - 2*d) - k == (1/2) + 1/1000  (1/2 != 501/1000)
+  pass  identity (1/3 + 2*d) + k == 1/2
+  pass  inequality k < epsilon
+  pass  profile u7: y is unanimously dominated (cannot win under P)
+  pass  renaming x->z,y->y,z->x carries u5 to u6
+  pass  renaming x->z,y->y,z->x carries winner z to x
+  pass  step 1 (u5 -> u7): misreport reproduces the target profile exactly
+  pass  step 1 (u5 -> u7): coalition size 7/60 < epsilon
+  pass  step 1 (u5 -> u7): movers with true ranking x>z>y gain (x over z)
+  pass  step 2 (u6 -> u7): misreport reproduces the target profile exactly
+  pass  step 2 (u6 -> u7): coalition size 7/60 < epsilon
+  pass  step 2 (u6 -> u7): movers with true ranking z>x>y gain (z over x)
+"""),
+    "renaming": ("1.I.1.1.1", _ONE_I, lambda s, _: replace(
+        s, perm_links=(replace(s.perm_links[0], perm=va.parse_permutation("x->y,y->x,z->z")),)), """\
+scenario 1.I.1.1.1 at a=3/5, b=1/5, epsilon=1/2
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  inequality (2*a + b - 1) + (1 - a - 2*b) == a - b
+  pass  borda elects x on base
+  FAIL  renaming x->y,y->x,z->z carries base to u1  (permuted weights differ)
+  pass  renaming x->y,y->x,z->z carries winner y to x
+  pass  step 1 (base -> u1): misreport reproduces the target profile exactly
+  pass  step 1 (base -> u1): coalition size 2/5 < epsilon
+  pass  step 1 (base -> u1): movers with true ranking x>y>z gain (x over y)
+"""),
+    "winner-renaming": ("1.I.1.1.1", _ONE_I, lambda s, _: replace(
+        s, hypotheses=(("base", "y"), ("u1", "z"))), """\
+scenario 1.I.1.1.1 at a=3/5, b=1/5, epsilon=1/2
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  inequality (2*a + b - 1) + (1 - a - 2*b) == a - b
+  pass  borda elects x on base
+  pass  renaming x->z,y->x,z->y carries base to u1
+  FAIL  renaming x->z,y->x,z->y carries winner y to z  (expected x)
+  pass  step 1 (base -> u1): misreport reproduces the target profile exactly
+  pass  step 1 (base -> u1): coalition size 2/5 < epsilon
+  pass  step 1 (base -> u1): movers with true ranking x>y>z gain (x over y)
+"""),
+    "pareto": ("2.III.2", _EXPANDED, lambda s, _: replace(s, pareto_excluded=(("u7", "x"),)), """\
+scenario 2.III.2 at epsilon=1/5
+  pass  profile u5 is valid (weights >= 0, sum 1)
+  pass  profile u6 is valid (weights >= 0, sum 1)
+  pass  profile u7 is valid (weights >= 0, sum 1)
+  pass  identity (2/3 - 2*d) - k == 1/2
+  pass  identity (1/3 + 2*d) + k == 1/2
+  pass  inequality k < epsilon
+  FAIL  profile u7: x is unanimously dominated (cannot win under P)  (no alternative beats x on every support ranking)
+  pass  renaming x->z,y->y,z->x carries u5 to u6
+  pass  renaming x->z,y->y,z->x carries winner z to x
+  pass  step 1 (u5 -> u7): misreport reproduces the target profile exactly
+  pass  step 1 (u5 -> u7): coalition size 7/60 < epsilon
+  pass  step 1 (u5 -> u7): movers with true ranking x>z>y gain (x over z)
+  pass  step 2 (u6 -> u7): misreport reproduces the target profile exactly
+  pass  step 2 (u6 -> u7): coalition size 7/60 < epsilon
+  pass  step 2 (u6 -> u7): movers with true ranking z>x>y gain (z over x)
+"""),
+    "chain-pareto": ("2.III.m+1", _EXPANDED_CHAIN, lambda s, _: _replace_chain(
+        _without_steps(s), pareto_excluded="x"), """\
+scenario 2.III.m+1 at epsilon=1/10
+  pass  profile u5 is valid (weights >= 0, sum 1)
+  pass  profile u6 is valid (weights >= 0, sum 1)
+  pass  profile um is valid (weights >= 0, sum 1)
+  pass  renaming x->z,y->y,z->x carries u5 to u6
+  pass  renaming x->z,y->y,z->x carries winner z to x
+  pass  chain count m = 2 is a nonnegative integer
+  pass  all 3 chain profiles are valid
+  pass  chain level 0 equals profile u5
+  pass  chain level 2 equals profile um (relabeled weights)
+  pass  consecutive chain profiles differ by exactly the per-step moves
+  pass  every chain step has coalition size < epsilon
+  pass  chain step: movers with true ranking x>z>y gain (x over z)
+  FAIL  x is unanimously dominated at every chain level
+"""),
+    "chain-count": ("1.I.1.1.n+1", _CHAIN, lambda s, _: _replace_chain(
+        _without_steps(s), count="mp"), """\
+scenario 1.I.1.1.n+1 at a=3/5, b=1/5, epsilon=1/10
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  profile un is valid (weights >= 0, sum 1)
+  pass  borda elects x on base
+  pass  renaming x->z,y->x,z->y carries base to u1
+  pass  renaming x->z,y->x,z->y carries winner y to x
+  FAIL  chain count mp is a nonnegative integer  (got 2/25)
+"""),
+    "chain-level": ("1.I.1.1.n+1", _CHAIN, lambda s, _: _replace_chain(
+        _without_steps(s), weights=_shifted_weight(s.chains[0], "j*(j - 1)/1000")), """\
+scenario 1.I.1.1.n+1 at a=3/5, b=1/5, epsilon=1/10
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  profile un is valid (weights >= 0, sum 1)
+  pass  borda elects x on base
+  pass  renaming x->z,y->x,z->y carries base to u1
+  pass  renaming x->z,y->x,z->y carries winner y to x
+  pass  chain count n = 4 is a nonnegative integer
+  FAIL  chain level 2 is a valid profile  (chain level 2: weights sum to 501/500, expected exactly 1)
+"""),
+    "chain-anchors": ("1.I.1.1.n+1", _CHAIN, lambda s, _: _replace_chain(
+        _without_steps(s), first="un", last="u1"), """\
+scenario 1.I.1.1.n+1 at a=3/5, b=1/5, epsilon=1/10
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  profile un is valid (weights >= 0, sum 1)
+  pass  borda elects x on base
+  pass  renaming x->z,y->x,z->y carries base to u1
+  pass  renaming x->z,y->x,z->y carries winner y to x
+  pass  chain count n = 4 is a nonnegative integer
+  pass  all 5 chain profiles are valid
+  FAIL  chain level 0 equals profile un
+  FAIL  chain level 4 equals profile u1 (relabeled weights)
+  pass  consecutive chain profiles differ by exactly the per-step moves
+  pass  every chain step has coalition size < epsilon
+  pass  chain step: movers with true ranking x>y>z gain (x over not:x)
+"""),
+    "descent-window": ("3.I.1.1.0.n+1", _DESCENT, _skip_a_window, """\
+scenario 3.I.1.1.0.n+1 at a=11/20, b=1/10, c=1/5, epsilon=1/25
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile pairXY is valid (weights >= 0, sum 1)
+  pass  condorcet elects x on base
+  pass  descent level 0 equals profile base
+  FAIL  descent of 1 level(s): each rebuilds the previous profile with coalition mass < epsilon and drops the window index by one  (window index went 5 -> 3, expected 4)
+  pass  profile pairXY equals the terminal shape with all component mass absorbed
+  FAIL  final misreport from pairXY rebuilds the terminal profile with size < epsilon  (size 3/14 vs epsilon 1/25)
+  pass  descent step: movers with true ranking y>x>z gain (y over not:y)
+  pass  descent step: movers with true ranking y>x>z gain (y over not:y)
+"""),
+    "terminal-shape": ("3.I.1.1.0.n+1", _DESCENT, lambda s, _: _replace_chain(
+        s, pair="base"), """\
+scenario 3.I.1.1.0.n+1 at a=11/20, b=1/10, c=1/5, epsilon=1/25
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile pairXY is valid (weights >= 0, sum 1)
+  pass  condorcet elects x on base
+  pass  descent level 0 equals profile base
+  pass  descent of 6 level(s): each rebuilds the previous profile with coalition mass < epsilon and drops the window index by one
+  FAIL  profile base equals the terminal shape with all component mass absorbed
+  FAIL  final misreport from base rebuilds the terminal profile with size < epsilon  (transfer does not reproduce the next profile)
+  pass  descent step: movers with true ranking y>x>z gain (y over not:y)
+  pass  descent step: movers with true ranking y>x>z gain (y over not:y)
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_REPORTS))
+def test_failing_report_text(case, monkeypatch):
+    # the pinned benchmark digest covers passing reports; these pin failing ones
+    sid, params, mutate, text = _FAILING_REPORTS[case]
+    report = verify_full(mutate(get_scenario(sid), monkeypatch), params)
+    assert not report.passed
+    assert report.text() + "\n" == text
