@@ -210,6 +210,7 @@ def _parse_scenario(raw: dict) -> Scenario:
     for name, text in raw.get("defs", ()):
         defs.append((str(name), arith(text)))
         scope.add(str(name))
+    quantities = set(scope)  # what an affine chain's count may name
     scope |= {str(chain.get("index", "j")) for chain in raw.get("chains", ())
               if chain.get("kind", "affine") == "affine"}
 
@@ -282,6 +283,11 @@ def _parse_scenario(raw: dict) -> Scenario:
             ))
             if chains[-1].direction not in ("down", "up"):
                 raise CatalogError(f"{where}: chain direction must be down or up")
+            if chains[-1].count not in quantities:
+                raise CatalogError(f"{where}: chain count uses unknown name {chains[-1].count!r}")
+            if chains[-1].pareto_excluded not in (None, *ALTERNATIVES):
+                raise CatalogError(f"{where}: chain pareto exclusion of unknown alternative "
+                                   f"{chains[-1].pareto_excluded!r}")
         elif kind == "descent":
             chains.append(DescentChain(
                 fixed=_as_template(chain.get("fixed", {}), domain, f"{where} descent", arith),

@@ -1,15 +1,15 @@
 """Exact verification of catalog scenarios.
 
-`verify_scenario` re-derives, at a concrete rational parameter point: profile
-validity, every weight identity, every misreport step (the transfer must
-reproduce its target profile exactly, with coalition mass positive and
-strictly below epsilon, and every mover strictly gaining), domination claims,
-and agreement of named rules with asserted winners.  `verify_induction_chain`
-additionally unrolls the scenario's induction chains profile by profile.
-Every misreport, a step's or a chain's (affine level, descent level, final
-descent step), is checked by `_misreport`, and every profile, a template's or
-a descent level's, is built and checked by `core.Profile._checked`.  Both call
-the scenario's compiled expressions directly; no text is parsed.
+`verify_full` re-derives, at a concrete rational parameter point, every claim
+a scenario makes: profile validity, weight identities, inequalities, rule
+agreements, domination, renamings, misreport steps and induction chains;
+`verify_scenario` and `verify_induction_chain` are its halves.  One judgement,
+`_misreport`, checks every misreport, a step's or a chain level's: the transfer
+reproduces the next profile exactly, with coalition mass in (0, epsilon).
+Chains are unrolled level by level, keeping only the last one, so memory does
+not grow with their length.  Every profile is built and checked by
+`core.Profile._checked` from the scenario's compiled expressions; no text is
+parsed.
 
 Reports list one pass/fail line per check; a failing precondition raises
 `PreconditionViolation` instead, naming the inequality: the first one broken,
@@ -28,12 +28,7 @@ from ..core import (Profile, ProfileError, Ranking, as_fraction, permute_profile
                     transfer_weight)
 from ..rules import evaluate
 from .expressions import ExpressionError
-from .model import (
-    AffineChain,
-    DescentChain,
-    Scenario,
-    expand_winner_spec,
-)
+from .model import AffineChain, DescentChain, Scenario, expand_winner_spec
 
 Env = dict[str, Fraction]
 
@@ -165,76 +160,58 @@ def _build(scenario: Scenario, params: ScenarioParams):
     return env, profiles, results
 
 
-def _improvement_results(moves, improvement, label: str) -> list[CheckResult]:
+def _improvement_results(moves, improvement, label: str):
     """Every mover must strictly prefer every possible new winner to every possible old one."""
-    old_set = expand_winner_spec(improvement[0])
-    new_set = expand_winner_spec(improvement[1])
-    results = []
+    old, new = improvement
+    old_set, new_set = expand_winner_spec(old), expand_winner_spec(new)
     for src, _dst, amount in moves:
-        if amount == 0:
-            continue  # a zero-mass block contributes no coalition members
-        ok = all(src.prefers(new, old) for old in old_set for new in new_set)
-        results.append(CheckResult(
-            f"{label}: movers with true ranking {src} gain "
-            f"({improvement[1]} over {improvement[0]})",
-            ok,
-            "" if ok else f"{src} does not prefer some of {sorted(new_set)} "
-                          f"over some of {sorted(old_set)}",
-        ))
-    return results
+        if amount != 0:  # a zero-mass block contributes no coalition members
+            ok = all(src.prefers(b, a) for a in old_set for b in new_set)
+            yield CheckResult(
+                f"{label}: movers with true ranking {src} gain ({new} over {old})", ok,
+                "" if ok else f"{src} does not prefer some of {sorted(new_set)} "
+                              f"over some of {sorted(old_set)}")
 
 
-def _size_detail(size: Fraction, eps: Fraction) -> str:
-    """"" when 0 < size < eps, else why not: a coalition of mass 0 changes nothing."""
-    if 0 < size < eps:
-        return ""
-    return "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}"
-
-
-def _misreport(before: Profile, moves, after: Profile) -> tuple[str, Fraction]:
-    """Why `moves` do not carry `before` to `after` ("" when they do): `transfer_weight`'s
-    error, or a mismatch; and the mass moved (the sum of the amounts if none moves)."""
+def _misreport(before: Profile, moves, after: Profile, eps: Fraction) -> tuple[str, str, Fraction]:
+    """Why `moves` do not carry `before` to `after` (`transfer_weight`'s error, or a mismatch)
+    and why the mass moved is not in (0, eps), each "" where its claim holds; and that mass
+    (the sum of the amounts when the transfer fails).  A coalition of mass 0 changes nothing."""
     try:
         moved, size = transfer_weight(before, moves)
+        transfer = "" if moved == after else "transfer does not reproduce the next profile"
     except ValueError as exc:
-        return str(exc), sum((amount for _, _, amount in moves), Fraction(0))
-    return "" if moved == after else "transfer does not reproduce the next profile", size
+        transfer, size = str(exc), sum((amount for _, _, amount in moves), Fraction(0))
+    if 0 < size < eps:
+        return transfer, "", size
+    return transfer, "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}", size
 
 
-def _domination_result(profile: Profile, alt: str, label: str) -> CheckResult:
-    dominated = any(b == alt for _, b in _dominations(profile))
-    return CheckResult(
-        f"{label}: {alt} is unanimously dominated (cannot win under P)",
-        dominated,
-        "" if dominated else f"no alternative beats {alt} on every support ranking",
-    )
+def _dominated(profile: Profile, alt: str) -> bool:
+    """Some alternative beats `alt` on every ranking `profile` supports."""
+    return any(b == alt for _, b in _dominations(profile))
 
 
-def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile],
-                      results: list[CheckResult]) -> list[CheckResult]:
-    """Append identity, inequality, rule, domination, renaming and step checks to `results`."""
+def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]):
+    """Identity, inequality, rule, domination, renaming and step checks."""
     for lhs, rhs in scenario.identities:
         left, right = lhs(env), rhs(env)
-        results.append(CheckResult(
-            f"identity {lhs} == {rhs}",
-            left == right,
-            "" if left == right else f"{left} != {right}",
-        ))
+        yield CheckResult(f"identity {lhs} == {rhs}", left == right,
+                          "" if left == right else f"{left} != {right}")
     for predicate in scenario.checks:
-        results.append(CheckResult(f"inequality {predicate}", predicate(env)))
+        yield CheckResult(f"inequality {predicate}", predicate(env))
     for name, rule, winner in scenario.rule_checks:
         if name not in profiles:
             continue
         outcome = evaluate(rule, profiles[name])
         ok = outcome.winner == winner
-        results.append(CheckResult(
-            f"{rule} elects {winner} on {name}",
-            ok,
-            "" if ok else f"got {outcome}",
-        ))
+        yield CheckResult(f"{rule} elects {winner} on {name}", ok, "" if ok else f"got {outcome}")
     for name, alt in scenario.pareto_excluded:
         if name in profiles:
-            results.append(_domination_result(profiles[name], alt, f"profile {name}"))
+            ok = _dominated(profiles[name], alt)
+            yield CheckResult(
+                f"profile {name}: {alt} is unanimously dominated (cannot win under P)", ok,
+                "" if ok else f"no alternative beats {alt} on every support ranking")
     hypotheses = dict(scenario.hypotheses)
     for link in scenario.perm_links:
         if link.source not in profiles or link.target not in profiles:
@@ -242,93 +219,78 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
         perm = link.perm
         image, target = permute_profile(profiles[link.source], perm), profiles[link.target]
         ok = (image.den, image.counts) == (target.den, target.counts)  # the domains may differ
-        results.append(CheckResult(
-            f"renaming {perm} carries {link.source} to {link.target}",
-            ok,
-            "" if ok else "permuted weights differ",
-        ))
+        yield CheckResult(f"renaming {perm} carries {link.source} to {link.target}", ok,
+                          "" if ok else "permuted weights differ")
         hyp_src, hyp_dst = hypotheses.get(link.source), hypotheses.get(link.target)
         if hyp_src is not None and hyp_dst is not None and not hyp_src.startswith("not:"):
             ok = perm(hyp_src) == hyp_dst
-            results.append(CheckResult(
-                f"renaming {perm} carries winner {hyp_src} to {hyp_dst}",
-                ok,
-                "" if ok else f"expected {perm(hyp_src)}",
-            ))
+            yield CheckResult(f"renaming {perm} carries winner {hyp_src} to {hyp_dst}", ok,
+                              "" if ok else f"expected {perm(hyp_src)}")
     for i, step in enumerate(scenario.steps, 1):
         label = f"step {i} ({step.from_profile} -> {step.to_profile})"
         if step.from_profile not in profiles or step.to_profile not in profiles:
-            results.append(CheckResult(label, False, "profile failed to instantiate"))
+            yield CheckResult(label, False, "profile failed to instantiate")
             continue
         moves = [(src, dst, amount(env)) for src, dst, amount in step.moves]
-        detail, size = _misreport(profiles[step.from_profile], moves, profiles[step.to_profile])
-        for claim, why in (("misreport reproduces the target profile exactly", detail),
-                           (f"coalition size {size} < epsilon", _size_detail(size, env["epsilon"]))):
-            results.append(CheckResult(f"{label}: {claim}", not why, why))
-        results.extend(_improvement_results(moves, step.improvement, label))
-    return results
+        transfer, small, size = _misreport(profiles[step.from_profile], moves,
+                                           profiles[step.to_profile], env["epsilon"])
+        yield CheckResult(f"{label}: misreport reproduces the target profile exactly",
+                          not transfer, transfer)
+        yield CheckResult(f"{label}: coalition size {size} < epsilon", not small, small)
+        yield from _improvement_results(moves, step.improvement, label)
 
 
 def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
     """Check templates, identities, inequalities, rule agreements, and misreport steps."""
     env, profiles, results = _build(scenario, params)
-    return ScenarioReport(scenario.id, params,
-                          tuple(_scenario_results(scenario, env, profiles, results)))
+    results.extend(_scenario_results(scenario, env, profiles))
+    return ScenarioReport(scenario.id, params, tuple(results))
 
 
-def _affine_chain_results(scenario, chain: AffineChain, env: Env,
-                          profiles: dict[str, Profile]) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    count_value = env.get(chain.count)
-    if count_value is None or count_value.denominator != 1 or count_value < 0:
-        return [CheckResult(f"chain count {chain.count} is a nonnegative integer", False,
-                            f"got {count_value}")]
+def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict[str, Profile]):
+    """Build the levels one at a time, checking each step against the level before it."""
+    count_value = env[chain.count]  # the catalog loader admits only a parameter or a def
+    if count_value.denominator != 1 or count_value < 0:
+        yield CheckResult(f"chain count {chain.count} is a nonnegative integer", False,
+                          f"got {count_value}")
+        return
     count = int(count_value)
-    results.append(CheckResult(
-        f"chain count {chain.count} = {count} is a nonnegative integer", True))
-    levels: list[Profile] = []
+    yield CheckResult(f"chain count {chain.count} = {count} is a nonnegative integer", True)
+    moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
+    level_env = dict(env)
+    details = ("", "")  # (transfer, size) at the first level where either fails
+    dominated = True
     for j in range(count + 1):
-        level_env = dict(env)
         level_env[chain.index] = Fraction(j)
         try:
-            levels.append(instantiate(chain.weights, level_env, scenario.domain,
-                                      f"chain level {j}"))
+            level = instantiate(chain.weights, level_env, scenario.domain, f"chain level {j}")
         except TemplateError as exc:
-            results.append(CheckResult(f"chain level {j} is a valid profile", False, str(exc)))
-            return results
-    results.append(CheckResult(f"all {count + 1} chain profiles are valid", True))
-    results.append(CheckResult(f"chain level 0 equals profile {chain.first}",
-                               levels[0] == profiles[chain.first]))
-    results.append(CheckResult(f"chain level {count} equals profile {chain.last} "
-                               "(relabeled weights)", levels[count] == profiles[chain.last]))
-    eps = env["epsilon"]
-    moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
-    details = ("", "")  # (transfer, size) at the first level where either fails
-    for j in range(count):
-        src, dst = (levels[j + 1], levels[j]) if chain.direction == "down" \
-            else (levels[j], levels[j + 1])
-        detail, size = _misreport(src, moves, dst)
-        found = detail, _size_detail(size, eps)
-        if any(found):
-            details = tuple(f"level {j}: {d}" if d else "" for d in found)
-            break
+            yield CheckResult(f"chain level {j} is a valid profile", False, str(exc))
+            return
+        if j == 0:
+            first = level
+        elif not any(details):
+            before, after = (level, last) if chain.direction == "down" else (last, level)
+            found = _misreport(before, moves, after, env["epsilon"])[:2]
+            if any(found):
+                details = tuple(f"level {j - 1}: {d}" if d else "" for d in found)
+        if chain.pareto_excluded is not None:
+            dominated = dominated and _dominated(level, chain.pareto_excluded)
+        last = level
+    yield CheckResult(f"all {count + 1} chain profiles are valid", True)
+    yield CheckResult(f"chain level 0 equals profile {chain.first}", first == profiles[chain.first])
+    yield CheckResult(f"chain level {count} equals profile {chain.last} (relabeled weights)",
+                      last == profiles[chain.last])
     for label, detail in zip(("consecutive chain profiles differ by exactly the per-step moves",
                               "every chain step has coalition size < epsilon"), details):
-        results.append(CheckResult(label, not detail, detail))
-    results.extend(_improvement_results(moves, chain.improvement, "chain step"))
+        yield CheckResult(label, not detail, detail)
+    yield from _improvement_results(moves, chain.improvement, "chain step")
     if chain.pareto_excluded is not None:
-        dominated_everywhere = all(
-            _domination_result(level, chain.pareto_excluded, "").ok for level in levels
-        )
-        results.append(CheckResult(
-            f"{chain.pareto_excluded} is unanimously dominated at every chain level",
-            dominated_everywhere))
-    return results
+        yield CheckResult(
+            f"{chain.pareto_excluded} is unanimously dominated at every chain level", dominated)
 
 
-def _descent_chain_results(scenario, chain: DescentChain, env: Env,
-                           profiles: dict[str, Profile]) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: dict[str, Profile]):
     eps = env["epsilon"]
     fixed = [(r, e(env)) for r, e in chain.fixed]
     components = {r: e(env) for r, e in chain.components}
@@ -342,67 +304,60 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env,
     try:
         current = level_profile(components)
     except ProfileError as exc:
-        return [CheckResult("descent level 0 is a valid profile", False, str(exc))]
-    results.append(CheckResult(f"descent level 0 equals profile {chain.base}",
-                               current == profiles[chain.base]))
+        yield CheckResult("descent level 0 is a valid profile", False, str(exc))
+        return
+    yield CheckResult(f"descent level 0 equals profile {chain.base}",
+                      current == profiles[chain.base])
     window = epsilon_partition(sum(components.values(), Fraction(0)), eps)
-    level, comps, ok, detail = 0, components, True, ""
-    while window >= 1 and ok:
+    level, comps, detail = 0, components, ""
+    while window >= 1:
         factor = Fraction(window, window + 1)
         next_comps = {r: v * factor for r, v in comps.items()}
         try:
             nxt = level_profile(next_comps)
         except ProfileError as exc:
-            ok, detail = False, f"level {level + 1}: {exc}"
+            detail = f"level {level + 1}: {exc}"
             break
         moves = [(chain.absorber, r, comps[r] - next_comps[r]) for r in comps]
-        detail, size = _misreport(nxt, moves, current)
-        found = "; ".join(filter(None, (detail, _size_detail(size, eps))))
+        found = "; ".join(filter(None, _misreport(nxt, moves, current, eps)[:2]))
         if found:
-            ok, detail = False, f"level {level + 1}: {found}"
+            detail = f"level {level + 1}: {found}"
             break
         next_window = epsilon_partition(sum(next_comps.values(), Fraction(0)), eps)
         if next_window != window - 1:
-            ok, detail = False, (
-                f"window index went {window} -> {next_window}, expected {window - 1}")
+            detail = f"window index went {window} -> {next_window}, expected {window - 1}"
             break
         comps, current, window = next_comps, nxt, next_window
         level += 1
-    results.append(CheckResult(
+    yield CheckResult(
         f"descent of {level} level(s): each rebuilds the previous profile with "
         "coalition mass < epsilon and drops the window index by one",
-        ok, detail))
+        not detail, detail)
     pair = profiles[chain.pair]
-    expected_pair = level_profile({r: Fraction(0) for r in comps})
-    results.append(CheckResult(
+    yield CheckResult(
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
-        pair == expected_pair))
+        pair == level_profile({r: Fraction(0) for r in comps}))
     final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
-    detail, size = _misreport(pair, final_moves, current)
-    detail = "; ".join(filter(None, (detail, _size_detail(size, eps))))
-    results.append(CheckResult(
+    detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)[:2]))
+    yield CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
-        not detail, detail))
-    results.extend(_improvement_results(final_moves, chain.improvement, "descent step"))
-    return results
+        not detail, detail)
+    yield from _improvement_results(final_moves, chain.improvement, "descent step")
 
 
-def _chain_results(scenario: Scenario, env: Env,
-                   profiles: dict[str, Profile]) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def _chain_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]):
     if not scenario.chains:
-        results.append(CheckResult("scenario declares no induction chain", True))
+        yield CheckResult("scenario declares no induction chain", True)
     for chain in scenario.chains:
         if isinstance(chain, AffineChain):
             anchors, check = (chain.first, chain.last), _affine_chain_results
         else:
             anchors, check = (chain.base, chain.pair), _descent_chain_results
         if not all(name in profiles for name in anchors):
-            results.append(CheckResult(f"chain ({anchors[0]} -> {anchors[1]})", False,
-                                       "profile failed to instantiate"))
+            yield CheckResult(f"chain ({anchors[0]} -> {anchors[1]})", False,
+                              "profile failed to instantiate")
             continue
-        results.extend(check(scenario, chain, env, profiles))
-    return results
+        yield from check(scenario, chain, env, profiles)
 
 
 def verify_induction_chain(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
@@ -414,7 +369,7 @@ def verify_induction_chain(scenario: Scenario, params: ScenarioParams) -> Scenar
 def verify_full(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
     """verify_scenario plus verify_induction_chain, as one report."""
     env, profiles, results = _build(scenario, params)
-    _scenario_results(scenario, env, profiles, results)
+    results.extend(_scenario_results(scenario, env, profiles))
     if scenario.chains:
         results.extend(_chain_results(scenario, env, profiles))
     return ScenarioReport(scenario.id, params, tuple(results))

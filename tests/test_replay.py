@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -716,3 +717,40 @@ def test_failing_report_text(case, monkeypatch):
     report = verify_full(mutate(get_scenario(sid), monkeypatch), params)
     assert not report.passed
     assert report.text() + "\n" == text
+
+
+def _affine_chain(**fields):
+    """A one-level affine chain over `_record`'s profile `u`, counted by the parameter `a`."""
+    chain = {"count": "a", "weights": {"xyz": "a", "yzx": "1 - a"}, "moves": [],
+             "direction": "down", "first": "u", "last": "u", "improvement": ["x", "y"]}
+    chain.update(fields)
+    return chain
+
+
+def test_catalog_rejects_a_chain_count_that_names_no_parameter_or_def():
+    assert _parse_scenario(_record(chains=[_affine_chain()])).chains[0].count == "a"
+    for count in ("nn", "j"):  # j is the chain's own index, bound only per level
+        with pytest.raises(CatalogError, match=f"chain count uses unknown name '{count}'"):
+            _parse_scenario(_record(chains=[_affine_chain(count=count)]))
+
+
+def test_catalog_rejects_a_chain_pareto_exclusion_that_is_no_alternative():
+    chain = _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="y")])).chains[0]
+    assert chain.pareto_excluded == "y"
+    with pytest.raises(CatalogError, match="chain pareto exclusion of unknown alternative 'w'"):
+        _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="w")]))
+
+
+def test_affine_chain_is_checked_in_constant_memory():
+    # 8,000 levels; holding every level took about 450 bytes each, 3.6 MB here
+    scenario = get_scenario("1.I.1.1.n+1")
+    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 20000))
+    assert build_env(scenario, params)["n"] == 8000
+    tracemalloc.start()
+    try:
+        report = verify_full(scenario, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.text()
+    assert peak < 500_000
