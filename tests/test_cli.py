@@ -263,3 +263,50 @@ def test_malformed_profile_file_is_input_error(tmp_path, capsys, verb, content, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+INPUT_ERRORS = [
+    (["evaluate", "--rule", "nonsense", "{profile}"], "unknown rule 'nonsense'"),
+    (["evaluate", "--rule", "score:1,1,1", "{profile}"],
+     "degenerate score vector: s1 must exceed s3"),
+    (["evaluate", "--rule", "score:0,1,2", "{profile}"], "score vector must be nonincreasing"),
+    (["evaluate", "--rule", "score:1/0,0,0", "{profile}"], "bad weight '1/0'"),
+    (["richness", "nope"], "bad domain spec 'nope': expected 'full' or '{...}'"),
+    (["richness", "{}"], "domain list is empty"),
+    (["richness", "{x>y>w}"], "unknown alternative 'w' in 'x>y>w'"),
+    (["richness", "{x>y>z, x>y}"], "missing alternative 'z' in ' x>y'"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "0", "{profile}"],
+     "epsilon must be positive"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "1/20", "--grid", "0", "{profile}"],
+     "denominators must be at least 1"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "1/20", "--moves", "0", "{profile}"],
+     "denominators must be at least 1"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "1/20", "--domain", "{x>y>z, q}"],
+     "unknown alternative 'q' in ' q'"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "nan", "{profile}"],
+     "bad epsilon: 'nan'"),
+    (["replay", "--case", "1.I.1.1.2", "--a", "11/20", "--b", "1/4", "--epsilon", "1/10"],
+     "scenario 1.I.1.1.2: precondition '1 - a - b >= b' fails at "
+     "{'a': '11/20', 'b': '1/4', 'epsilon': '1/10'}"),
+    (["replay", "--case", "2.I.n+1", "--epsilon", "0"],
+     "scenario 2.I.n+1: precondition 'epsilon > 0' fails at {'epsilon': '0'}"),
+    (["replay", "--case", "nope"], "unknown scenario id 'nope'"),
+    (["replay", "--case", "2.I.n+1", "--a", "1/2"], "scenario 2.I.n+1 takes ['epsilon'], not ['a']"),
+    (["audit", "--rule", "borda", "--axioms", "Q", "{profile}"],
+     "unknown axiom 'Q' (choose from P,A,N,IIA)"),
+    (["evaluate", "--rule", "borda", "/dev/null"], "/dev/null: missing 'domain:' header"),
+    (["evaluate", "--rule", "borda", "{dir}"],
+     "cannot read {dir}: [Errno 21] Is a directory: '{dir}'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", INPUT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in INPUT_ERRORS])
+def test_input_error_line(fixtures, tmp_path, capsys, argv, line):
+    """Each input error exits 2 with nothing on stdout and one exact line on stderr."""
+    def fill(text):
+        return text.replace("{profile}", fixtures["near_tie"]).replace("{dir}", str(tmp_path))
+    assert main([fill(arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fill(line)}\n"
