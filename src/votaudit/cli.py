@@ -4,7 +4,9 @@ Verbs: evaluate, margins, richness, audit (axiom checks), manipulate
 (coalition search on a profile or a whole-domain sweep), and replay
 (scenario verification).  Exit codes: 0 = success / no violation / no
 witness; 1 = violation or witness found (or a failed replay check);
-2 = input or parse error.  Output is deterministic for fixed inputs.
+2 = input error: any `ValueError` the library raises for bad input (a rule,
+domain, profile, configuration or replay precondition), mapped to exit 2 in
+`run` alone.  Output is deterministic for fixed inputs.
 
 `run` may be called any number of times in one process: the argument parser
 is built on the first call and reused (parsing keeps no state between calls),
@@ -20,22 +22,15 @@ import sys
 from fractions import Fraction
 
 from . import core, rules, axioms, manipulation
-from .replay import (
-    PreconditionViolation,
-    ScenarioParams,
-    get_scenario,
-    sample_params,
-    scenario_catalog,
-    verify_full,
-)
+from .replay import ScenarioParams, get_scenario, sample_params, scenario_catalog, verify_full
 
 EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_INPUT = 2
 
 
-class _CliError(Exception):
-    pass
+class _CliError(ValueError):
+    """An input error found by the CLI itself; `run` reports it as it reports the library's."""
 
 
 def _read_profile(path: str) -> core.Profile:
@@ -48,13 +43,6 @@ def _read_profile(path: str) -> core.Profile:
         raise _CliError(f"{path}: {exc}") from None
 
 
-def _parse_rule(text: str) -> rules.RuleDescriptor:
-    try:
-        return rules.parse_rule(text)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-
-
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -63,7 +51,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def _cmd_evaluate(args, out) -> int:
-    rule = _parse_rule(args.rule)
+    rule = rules.parse_rule(args.rule)
     profile = _read_profile(args.profile)
     outcome = rules.evaluate(rule, profile)
     if args.format == "record":
@@ -92,10 +80,7 @@ def _cmd_margins(args, out) -> int:
 
 
 def _cmd_richness(args, out) -> int:
-    try:
-        domain = core.parse_domain(args.domain)
-    except (core.ProfileParseError, core.RankingParseError, ValueError) as exc:
-        raise _CliError(str(exc)) from None
+    domain = core.parse_domain(args.domain)
     rich = core.is_rich(domain)
     if args.format == "record":
         out(f"domain={domain} rich={'yes' if rich else 'no'}")
@@ -113,7 +98,7 @@ _AXIOM_ORDER = ("P", "A", "N", "IIA")
 
 
 def _cmd_audit(args, out) -> int:
-    rule = _parse_rule(args.rule)
+    rule = rules.parse_rule(args.rule)
     profile = _read_profile(args.profile)
     wanted = [a.strip().upper() for a in args.axioms.split(",")]
     for axiom in wanted:
@@ -154,18 +139,11 @@ def _cmd_audit(args, out) -> int:
 
 
 def _cmd_manipulate(args, out) -> int:
-    rule = _parse_rule(args.rule)
+    rule = rules.parse_rule(args.rule)
     epsilon = _parse_fraction(args.epsilon, "epsilon")
-    try:
-        config = manipulation.AuditConfig(epsilon, args.grid, args.moves)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    config = manipulation.AuditConfig(epsilon, args.grid, args.moves)
     if args.domain is not None:
-        try:
-            domain = core.parse_domain(args.domain)
-        except (core.ProfileParseError, core.RankingParseError, ValueError) as exc:
-            raise _CliError(str(exc)) from None
-        witness = manipulation.audit_wsp(rule, domain, config)
+        witness = manipulation.audit_wsp(rule, core.parse_domain(args.domain), config)
     else:
         if args.profile is None:
             raise _CliError("manipulate needs a profile file or --domain")
@@ -223,10 +201,7 @@ def _cmd_replay(args, out) -> int:
         points = [sample_params(scenario, rng) for _ in range(args.points)]
     all_ok = True
     for params in points:
-        try:
-            report = verify_full(scenario, params)
-        except PreconditionViolation as exc:
-            raise _CliError(str(exc)) from None
+        report = verify_full(scenario, params)
         out(report.text())
         all_ok = all_ok and report.passed
     out(f"result: {'all checks pass' if all_ok else 'CHECK FAILURES'}")
@@ -305,7 +280,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     lines: list[str] = []
     try:
         code = args.func(args, lines.append)
-    except _CliError as exc:
+    except ValueError as exc:  # every input error, the library's and `_CliError`
         return EXIT_INPUT, f"error: {exc}"
     return code, "\n".join(lines)
 

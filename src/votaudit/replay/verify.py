@@ -11,9 +11,11 @@ not grow with their length.  Every profile is built and checked by
 `core.Profile._checked` from the scenario's compiled expressions; no text is
 parsed.
 
-Reports list one pass/fail line per check; a failing precondition raises
-`PreconditionViolation` instead, naming the inequality: the first one broken,
-as each is checked once the defs it reads are bound.
+Reports list one pass/fail line per check, and a construction that fails
+(a level or shape that is no profile, a negative mass) is a FAIL line, never
+an exception; only a failing precondition raises `PreconditionViolation`,
+naming the inequality: the first one broken, as each is checked once the defs
+it reads are bound.
 """
 
 from __future__ import annotations
@@ -295,28 +297,32 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     fixed = [(r, e(env)) for r, e in chain.fixed]
     components = {r: e(env) for r, e in chain.components}
 
-    def level_profile(comps: dict[Ranking, Fraction]) -> Profile:
-        """Fixed weights, components, and the rest on the absorber (negative if overfull)."""
+    def level_profile(comps: dict[Ranking, Fraction]) -> Profile | ProfileError:
+        """Fixed weights, components, and the rest on the absorber (negative if overfull),
+        or the `ProfileError` that says why they make no profile."""
         weights = [*fixed, *comps.items()]
         weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
-        return Profile._checked(scenario.domain, [(r, *w.as_integer_ratio()) for r, w in weights])
+        try:
+            return Profile._checked(scenario.domain,
+                                    [(r, *w.as_integer_ratio()) for r, w in weights])
+        except ProfileError as exc:
+            return exc
 
-    try:
-        current = level_profile(components)
-    except ProfileError as exc:
-        yield CheckResult("descent level 0 is a valid profile", False, str(exc))
+    current = level_profile(components)
+    if isinstance(current, ProfileError):
+        yield CheckResult("descent level 0 is a valid profile", False, str(current))
         return
     yield CheckResult(f"descent level 0 equals profile {chain.base}",
                       current == profiles[chain.base])
-    window = epsilon_partition(sum(components.values(), Fraction(0)), eps)
-    level, comps, detail = 0, components, ""
+    mass = sum(components.values(), Fraction(0))  # level 0 can hold a negative component mass
+    level, comps, detail = 0, components, f"component mass {mass} is negative" if mass < 0 else ""
+    window = 0 if detail else epsilon_partition(mass, eps)
     while window >= 1:
         factor = Fraction(window, window + 1)
         next_comps = {r: v * factor for r, v in comps.items()}
-        try:
-            nxt = level_profile(next_comps)
-        except ProfileError as exc:
-            detail = f"level {level + 1}: {exc}"
+        nxt = level_profile(next_comps)
+        if isinstance(nxt, ProfileError):
+            detail = f"level {level + 1}: {nxt}"
             break
         moves = [(chain.absorber, r, comps[r] - next_comps[r]) for r in comps]
         found = "; ".join(filter(None, _misreport(nxt, moves, current, eps)[:2]))
@@ -333,10 +339,10 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
         f"descent of {level} level(s): each rebuilds the previous profile with "
         "coalition mass < epsilon and drops the window index by one",
         not detail, detail)
-    pair = profiles[chain.pair]
+    pair, terminal = profiles[chain.pair], level_profile({r: Fraction(0) for r in comps})
     yield CheckResult(
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
-        pair == level_profile({r: Fraction(0) for r in comps}))
+        pair == terminal, str(terminal) if isinstance(terminal, ProfileError) else "")
     final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
     detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)[:2]))
     yield CheckResult(

@@ -2,9 +2,11 @@ import io
 import contextlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votaudit import cli, rules
 from votaudit.cli import main
+from votaudit.replay import scenario_catalog
 
 
 CYCLE = """domain: {x>y>z, y>z>x, z>x>y}
@@ -310,3 +312,83 @@ def test_input_error_line(fixtures, tmp_path, capsys, argv, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {fill(line)}\n"
+
+
+# Token pools for the exit-code contract, each valid half drawn as often as its
+# malformed half; argparse itself refuses none of them (it would print a usage block).
+_RULES = (["plurality", "borda", "condorcet", "score:3,1,0"],
+          ["score:1,1,1", "score:0,1,2", "score:1/0,0,0", "score:1,0", "nonsense"])
+_EPSILONS = (["1/10", "1/4"], ["0", "-1", "nan", "1/0", "x"])
+_DOMAINS = (["full", "{x>y>z, y>z>x, z>x>y}", "{x>y>z, x>z>y, y>z>x, z>y>x}", "{x>y>z}"],
+            ["nope", "{}", "{x>y>w}", "{x>y>z, x>y}"])
+_AXIOMS = (["P,A,N,IIA", "IIA", "n, p"], ["Q", ""])
+_HEADERS = ["domain: full\n", "domain: {x>y>z, y>z>x, z>x>y}\n", ""]
+_WEIGHTS = ["1/2", "0.25", "-1/3", "1e999", "nan", "1/0"]
+_RANKINGS = ["x>y>z", "y>z>x", "z>x>y", "x>y", "x>x>y", "w"]
+_PARAMS = ["1/10", "1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "0", "1", "x"]
+_PROFILE = "<profile>"  # stands for the drawn profile file's path
+
+_profile_texts = st.one_of(
+    st.sampled_from([CYCLE, NEAR_TIE, UNANIMOUS]),
+    st.builds(lambda header, lines: header + "".join(f"{w} {r}\n" for w, r in lines),
+              st.sampled_from(_HEADERS),
+              st.lists(st.tuples(st.sampled_from(_WEIGHTS), st.sampled_from(_RANKINGS)),
+                       max_size=4)))
+
+
+@st.composite
+def _requests(draw):
+    """An argv for one verb, and the profile file text it reads (or None)."""
+    def pick(pool):
+        return draw(st.sampled_from(pool))
+
+    def mixed(pools):
+        return draw(st.sampled_from(pools[0]) | st.sampled_from(pools[1]))
+
+    verb = pick(["evaluate", "margins", "richness", "audit", "manipulate", "replay"])
+    form = pick([[], ["--format", "record"]])
+    if verb == "richness":
+        return ["richness", mixed(_DOMAINS), *form], None
+    if verb == "replay":
+        kind = pick(["list", "unknown", "given"])
+        if kind == "list":
+            return ["replay", "--list"], None
+        if kind == "unknown":
+            return ["replay", "--case", pick(["nope", "9.Z.1", ""])], None
+        scenario = pick(scenario_catalog())
+        names = draw(st.just(scenario.params) | st.sets(st.sampled_from("abc")))
+        values = [arg for name in sorted(names) for arg in (f"--{name}", pick(_PARAMS))]
+        return ["replay", "--case", scenario.id, "--epsilon", pick(["1/10", "1/4", "1/2", "1"]),
+                *values], None
+    text = draw(_profile_texts)
+    rule = ["--rule", mixed(_RULES)]
+    if verb == "evaluate":
+        return ["evaluate", *rule, _PROFILE, *form], text
+    if verb == "margins":
+        return ["margins", _PROFILE, *form], text
+    if verb == "audit":
+        return ["audit", *rule, "--axioms", mixed(_AXIOMS), _PROFILE, *form], text
+    config = ["--epsilon", mixed(_EPSILONS), "--grid", str(draw(st.integers(-1, 6))),
+              "--moves", pick(["0", "10", "20"])]
+    target = pick([["--domain", mixed(_DOMAINS)], [_PROFILE], []])
+    return ["manipulate", *rule, *config, *target, *form], text if target == [_PROFILE] else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_requests())
+def test_exit_code_contract(tmp_path_factory, drawn):
+    """0 and 1 print only to stdout; 2 prints nothing there and one `error:` line to stderr."""
+    argv, text = drawn
+    path = tmp_path_factory.getbasetemp() / "drawn.profile"
+    if text is not None:
+        path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if arg == _PROFILE else arg for arg in argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

@@ -387,6 +387,25 @@ def test_overfull_descent_level_fails_on_the_absorber():
     assert detail.startswith("negative weight -") and detail.endswith(f" on {chain.absorber}")
 
 
+@pytest.mark.parametrize("fixed, component, label, detail", [
+    # y>z>x holds 2*b - b = b at level 0, but the components sum to -b: no window
+    ("2*b", "-b", "descent of 0 level(s)", "component mass -1/10 is negative"),
+    # the component lifts y>z>x above 0 at level 0; absorbed, it leaves -b
+    ("-b", "2*b", "profile pairXY equals the terminal shape", "negative weight -1/10 on y>z>x"),
+], ids=["negative-mass", "terminal-shape-is-no-profile"])
+def test_descent_construction_fails_in_its_report(fixed, component, label, detail):
+    scenario = get_scenario("3.I.1.1.0.n+1")
+    chain = scenario.chains[0]
+    [held] = chain.fixed
+    (yzx, _), _ = chain.components
+    mutant = replace(chain, fixed=(held, (yzx, compile_expression(fixed))),
+                     components=((yzx, compile_expression(component)),))
+    params = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 25))
+    report = verify_full(replace(scenario, chains=(mutant,)), params)
+    [found] = [r.detail for r in report.failures() if r.label.startswith(label)]
+    assert found == detail
+
+
 #: Scenarios with neither a misreport step nor an affine-chain move: their
 #: claims are descent chains, renamings, and inequalities.
 _WITHOUT_MOVES = ["3.I.1.1.0.n+1", "3.I.1.2.0.n+1", "3.I.2.1.3.2", "3.I.2.2", "3.I.3",
