@@ -18,13 +18,13 @@ Among valid witnesses the search returns the one minimal by total size and
 then by the amounts vector over canonically ordered arcs, so results are
 reproducible byte for byte.
 
-The search runs on an integer lattice.  `find_manipulation` rescales the
-profile's integer counts to L = lcm(move denominator, the profile's
-denominator); `audit_wsp` feeds the grid's count vectors in directly, at
-L = lcm(grid, moves), and only the first of each orbit under the renamings
-that fix the domain (the rules are neutral, so the first witness is the
-same).  A score vector is scaled by the lcm of its entries' denominators, so
-every statistic, bound and leaf test is an exact comparison of integers.
+The search runs on an integer lattice, at L = lcm(move denominator, the
+profile's denominator).  `find_manipulation` takes a profile's statistics from
+its counts; `audit_wsp` generates, with its statistics, only the first count
+vector of each orbit under the renamings that fix the domain (the rules are
+neutral, so the first witness is the same).  A score vector is scaled by the
+lcm of its entries' denominators, so every statistic, bound and leaf test is
+an exact comparison of integers.
 `Fraction` leaves only where a witness is built, in its move amounts
 k/move_denominator; a grid witness's profile is the grid's counts.
 `verify_witness` replays a witness through `transfer_weight` and
@@ -70,8 +70,9 @@ class AuditConfig:
 
     @property
     def max_units(self) -> int:
-        """Largest unit count u with u/move_denominator < epsilon."""
-        return math.ceil(self.epsilon * self.move_denominator) - 1
+        """Largest unit count u with u/move_denominator < epsilon, at most
+        move_denominator: no coalition moves more than the whole mass."""
+        return min(math.ceil(self.epsilon * self.move_denominator) - 1, self.move_denominator)
 
 
 @dataclass(frozen=True)
@@ -192,11 +193,13 @@ _model = functools.lru_cache(maxsize=256)(_Model)  # one per (score vector, doma
 
 
 class _Lattice:
-    """A rule's model at the integer scale L: a profile's weights are counts / L,
-    and a move is a multiple of `unit` = L / moves counts."""
+    """A rule's model at the integer scale L = lcm(den, moves), for profiles of denominator
+    den: a count is `per` = L / den counts, and a move is `unit` = L / moves counts."""
 
-    def __init__(self, rule: RuleDescriptor, domain: Domain, scale: int, config: AuditConfig):
+    def __init__(self, rule: RuleDescriptor, domain: Domain, den: int, config: AuditConfig):
         self.model = _model(rule.score_vector, domain)
+        scale = math.lcm(den, config.move_denominator)
+        self.per = scale // den
         self.total = self.model.total * scale
         self.need = (self.total + 1) // 2
         self.unit = scale // config.move_denominator
@@ -217,11 +220,11 @@ class _Lattice:
                 and (values[r] + units * lo[r] < need or values[s] + units * lo[s] < need)
                 and (values[t] + units * lo[t] < need or values[u] + units * lo[u] < need))
 
-    def search(self, counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | Outcome | None:
-        """The minimal witness's (moves, old winner, new winner) from these counts, or
-        None; when the counts elect no winner, their `Outcome`, and nothing is searched."""
+    def search(self, forward: list[int],
+               counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | Outcome | None:
+        """The minimal witness's (moves, old winner, new winner) from these counts over den, with
+        `_FORWARD` statistics `forward` at L; else None; their `Outcome` if they elect no winner."""
         model, need = self.model, self.need
-        forward = [sum(map(mul, row, counts)) for row in model.rows]
         values = forward + [self.total - s for s in forward]
         tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
         if len(tie) != 1:
@@ -257,13 +260,13 @@ class _Branch:
 
     def __init__(self, lattice: _Lattice, counts: Sequence[int], values: list[int],
                  old: str, target: str):
-        model, unit = lattice.model, lattice.unit
+        model, unit, per = lattice.model, lattice.unit, lattice.per
         gains = model.gains[old, target]
         self.target = target
         self.all_arcs = model.arcs
         self.arcs = [arc for arc in model.arcs if counts[arc[0]] and gains[arc[0]]]
         self.base = values
-        self.source_caps = {src: counts[src] // unit for src, _ in self.arcs}
+        self.source_caps = {src: counts[src] * per // unit for src, _ in self.arcs}
         self.deltas = [[unit * d for d in model.steps[arc]] for arc in self.arcs]
 
         def suffix(pick):  # past the last arc nothing moves: only the exact leaf test is left
@@ -312,20 +315,55 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
     `NongenericProfileError` when the base profile has no winner, and
     `ValueError` when its domain does not rank all three alternatives.
     """
-    scale = math.lcm(config.move_denominator, profile.den)
+    lattice = _Lattice(rule, profile.domain, profile.den, config)
     held = dict(profile.counts)
-    found = _Lattice(rule, profile.domain, scale, config).search(
-        [held.get(r.slot, 0) * (scale // profile.den) for r in profile.domain])
+    counts = [held.get(r.slot, 0) for r in profile.domain]
+    found = lattice.search(
+        [lattice.per * sum(map(mul, row, counts)) for row in lattice.model.rows], counts)
     if isinstance(found, Outcome):
         raise NongenericProfileError(f"base profile has no winner ({found})")
     return None if found is None else ManipulationWitness(profile, *found, config.epsilon)
 
 
-def _grid_counts(size: int, grid: int) -> Iterator[list[int]]:
-    """Every vector of `size` counts summing to `grid`, in ascending lex order: count i
-    is q[i+1] - q[i] over cut points 0 = q[0] <= q[1] <= ... <= q[size] = grid."""
-    for cuts in itertools.combinations_with_replacement(range(grid + 1), size - 1):
-        yield list(map(sub, (*cuts, grid), (0, *cuts)))
+def _lex_counts(size: int, grid: int, maps: Sequence[Sequence[int]] = (),
+                rows: Sequence[Sequence[int]] = ()) -> Iterator[tuple[list[int], list[int]]]:
+    """In ascending lex order, every vector c of `size` counts summing to `grid` that is
+    at most each image [c[j] for j in m], m in `maps`, with [row . c for row in rows].
+    One recursion assigns the counts in order, the last two together, and carries the
+    products along.  Map m's pointer p marks where c and its image may first differ: a
+    prefix is dropped once the image is smaller there, or must be (c[m[p]] is at most the
+    mass left), and m retired once it is larger.  c is one list, reused: copy to keep."""
+    counts = [0] * size
+    last = size - 1
+    cols = [[row[i] for row in rows] for i in range(size)]
+    if not last:  # one ranking: its one vector
+        yield [grid], [grid * c for c in cols[0]]
+        return
+
+    def assign(i: int, rem: int, live: list, sums: list[int]) -> Iterator:
+        known, step = i, cols[i]
+        if i + 1 == last:  # count i takes k, and the last count rem - k
+            known, step = last, list(map(sub, step, cols[last]))
+            sums = [s + rem * c for s, c in zip(sums, cols[last])]
+        for k in range(rem + 1):
+            counts[i] = k
+            left = counts[last] = rem - k  # read as the last count only at i + 1 == last
+            kept = []
+            for m, p in live:
+                while p <= known and m[p] <= known and counts[m[p]] == counts[p]:
+                    p += 1
+                if p > known or m[p] > known and counts[p] <= left:
+                    kept.append((m, p))  # undecided: agreeing, or c[m[p]] may still reach c[p]
+                elif m[p] > known or counts[m[p]] < counts[p]:
+                    break  # the image is, or will be, smaller
+            else:
+                if known == last:
+                    yield counts, sums
+                else:
+                    yield from assign(i + 1, left, kept, sums)
+            sums = list(map(add, sums, step))
+
+    yield from assign(0, grid, [(m, 0) for m in maps], [0] * len(rows))
 
 
 def _grid_profile(domain: Domain, grid: int, combo: list[int]) -> Profile:
@@ -335,7 +373,7 @@ def _grid_profile(domain: Domain, grid: int, combo: list[int]) -> Profile:
 
 def grid_profiles(domain: Domain, grid_denominator: int) -> Iterator[Profile]:
     """All profiles on the domain with weights in multiples of 1/grid, canonical order."""
-    for combo in _grid_counts(len(domain), grid_denominator):
+    for combo, _ in _lex_counts(len(domain), grid_denominator):
         yield _grid_profile(domain, grid_denominator, combo)
 
 
@@ -347,23 +385,6 @@ def _symmetries(domain: Domain) -> tuple[tuple[int, ...], ...]:
                  for perm in ALL_PERMUTATIONS[1:] if domain.permute(perm) == domain)
 
 
-def _orbit_firsts(domain: Domain, grid: int) -> Iterator[list[int]]:
-    """The grid's count vectors that no symmetry maps to a lexicographically smaller one, in
-    lex order.  Count 0 of such a vector is at most each count a symmetry moves to index 0,
-    the `lifted` ones (one per symmetry: only the identity fixes a ranking)."""
-    maps = _symmetries(domain)
-    if not maps:  # a one-ranking domain too, which has no counts past its first
-        yield from _grid_counts(len(domain), grid)
-        return
-    lifted = {m[0] for m in maps}
-    for first in range(grid // (len(lifted) + 1) + 1):
-        lift = [first * (i in lifted) for i in range(1, len(domain))]
-        for rest in _grid_counts(len(domain) - 1, grid - first * (len(lifted) + 1)):
-            combo = [first, *map(add, rest, lift)]
-            if all(combo[m[0]] > first or [combo[j] for j in m] >= combo for m in maps):
-                yield combo
-
-
 def audit_wsp(rule: RuleDescriptor, domain: Domain,
               config: AuditConfig) -> ManipulationWitness | None:
     """Sweep every generic grid profile on the domain for a small-coalition witness.
@@ -371,19 +392,18 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     Returns the first witness in canonical profile order, or None.  Finding
     none certifies only "no witness at this resolution", never full immunity.
     Raises `ValueError` when the domain does not rank all three alternatives.
-    The grid's count vectors go to the lattice search as they are, at scale
-    lcm(grid, moves); only a witness's profile is built.  Only the first
-    count vector of each orbit under the domain's symmetries is searched: a
-    symmetry maps the domain, its arcs, the unit mesh, `max_units`, "source
-    prefers target to old" and every (neutral) rule's statistics onto
-    themselves, so an orbit is nongeneric, manipulable at this resolution or
-    clean as a whole, and the first manipulable vector is its orbit's first.
+    Only the first count vector of each orbit under the domain's symmetries
+    is generated, with its statistics, and searched: a symmetry maps the
+    domain, its arcs, the unit mesh, `max_units`, "source prefers target to
+    old" and every (neutral) rule's statistics onto themselves, so an orbit is
+    nongeneric, manipulable at this resolution or clean as a whole, and the
+    first manipulable vector is its orbit's first.  Only a witness's profile is built.
     """
     grid = config.grid_denominator
-    scale = math.lcm(grid, config.move_denominator)
-    lattice = _Lattice(rule, domain, scale, config)
-    for combo in _orbit_firsts(domain, grid):
-        found = lattice.search([c * (scale // grid) for c in combo])
+    lattice = _Lattice(rule, domain, grid, config)
+    rows = [[lattice.per * v for v in row] for row in lattice.model.rows]  # at scale L
+    for combo, forward in _lex_counts(len(domain), grid, _symmetries(domain), rows):
+        found = lattice.search(forward, combo)
         if isinstance(found, tuple):  # None is clean; an Outcome, nongeneric, claims nothing
             return ManipulationWitness(_grid_profile(domain, grid, combo), *found, config.epsilon)
     return None

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import votaudit as va
-from votaudit.manipulation import _PAIRS, NongenericProfileError, _Lattice, _model
+from votaudit.manipulation import (_PAIRS, NongenericProfileError, _Branch, _Lattice,
+                                   _lex_counts, _model, _symmetries)
 from oracles import exhaustive_witness
 
 R = va.ranking
@@ -40,6 +41,31 @@ def test_audit_config_validation():
     assert va.AuditConfig(F(1, 20), 20, 100).max_units == 4
     assert va.AuditConfig(F(3, 100), 20, 100).max_units == 2
     assert va.AuditConfig(F(1, 30), 20, 100).max_units == 3
+    assert va.AuditConfig(F(1), 20, 100).max_units == 99
+    assert va.AuditConfig(F(10**6), 20, 100).max_units == 100  # the whole mass
+
+
+def test_an_epsilon_above_the_whole_mass_answers_as_epsilon_two(monkeypatch):
+    # No coalition moves more than the whole mass, so every epsilon above 1
+    # admits the same coalitions, and each branch is searched at most once per
+    # unit count up to `moves`: at epsilon 10**6 the loop would run 10**8 times.
+    search, calls = _Branch.search, {}
+
+    def counting(branch, total_units):  # keyed by the branch, which the dict keeps alive
+        calls[branch] = calls.get(branch, 0) + 1
+        return search(branch, total_units)
+    monkeypatch.setattr(_Branch, "search", counting)
+    for moves in (6, 20):
+        huge, two = va.AuditConfig(F(10**6), 2, moves), va.AuditConfig(F(2), 2, moves)
+        for rule in (va.BORDA, va.PLURALITY, va.CONDORCET):
+            assert text(va.audit_wsp(rule, va.FULL_DOMAIN, huge)) == \
+                text(va.audit_wsp(rule, va.FULL_DOMAIN, two))
+            for profile in (near_tie_plurality(), near_tie_borda()):
+                if va.evaluate(rule, profile).winner is not None:
+                    assert text(va.find_manipulation(rule, profile, huge)) == \
+                        text(va.find_manipulation(rule, profile, two))
+        assert calls and max(calls.values()) <= moves
+        calls.clear()
 
 
 def test_audit_config_refuses_a_float_epsilon():
@@ -349,12 +375,11 @@ def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, 
     # cycle's (28 + 2*1)/3 = 10, a four-ranking domain's (84 + 4)/2 = 44 under its
     # one transposition; with no symmetry every one of the 84 profiles is searched.
     config = va.AuditConfig(F(1, 100), 6, 100)  # no unit fits below epsilon: clean
-    scale = math.lcm(6, 100) // 6  # the lattice's counts per grid count
     search, seen = _Lattice.search, []
 
-    def counting(lattice, counts):
-        seen.append(va.manipulation._grid_profile(domain, 6, [c // scale for c in counts]))
-        return search(lattice, counts)
+    def counting(lattice, forward, counts):
+        seen.append(va.manipulation._grid_profile(domain, 6, counts))
+        return search(lattice, forward, counts)
     monkeypatch.setattr(_Lattice, "search", counting)
     assert va.audit_wsp(va.BORDA, domain, config) is None
     assert len(_symmetries_by_definition(domain)) == group
@@ -362,6 +387,38 @@ def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, 
     grid = set(va.grid_profiles(domain, 6))
     assert {va.permute_profile(p, perm) for p in seen
             for perm in _symmetries_by_definition(domain)} == grid
+
+
+def _firsts_by_definition(domain, grid):
+    """The grid's count vectors, in lex order, that are at most each of their renamed images."""
+    perms = _symmetries_by_definition(domain)
+    firsts = []
+    for counts in sorted(c for c in itertools.product(range(grid + 1), repeat=len(domain))
+                         if sum(c) == grid):
+        profile = va.Profile({r: F(n, grid) for r, n in zip(domain, counts)}, domain)
+        images = [va.permute_profile(profile, perm) for perm in perms]
+        if all(counts <= tuple(image.weight(r) * grid for r in domain) for image in images):
+            firsts.append(counts)
+    return firsts
+
+
+@pytest.mark.parametrize("rankings", [
+    rankings for size in range(1, 7) for rankings in itertools.combinations(va.RANKINGS, size)
+], ids=lambda rankings: "".join("".join(r.order) for r in rankings))
+def test_lex_counts_yields_exactly_the_orbit_firsts(rankings):
+    domain = va.Domain(rankings)
+    per = 7  # lattice counts per grid count
+    rows = _model(va.scoring(3, 1, 0).score_vector, domain).rows
+    scaled = [[per * v for v in row] for row in rows]
+    for grid in range(1, 9):
+        yielded = [(tuple(counts), sums)
+                   for counts, sums in _lex_counts(len(domain), grid, _symmetries(domain), scaled)]
+        assert [counts for counts, _ in yielded] == _firsts_by_definition(domain, grid)
+        for counts, sums in yielded:
+            assert sums == [per * sum(v * n for v, n in zip(row, counts)) for row in rows]
+    if len(domain) == 1:
+        assert [(list(c), sums) for c, sums in _lex_counts(1, 5, (), scaled)] == \
+            [([5], [5 * row[0] for row in scaled])]
 
 
 @settings(max_examples=40, deadline=None)
