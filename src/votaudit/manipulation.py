@@ -22,7 +22,10 @@ The search runs on an integer lattice, at L = lcm(move denominator, the
 profile's denominator).  `find_manipulation` takes a profile's statistics from
 its counts; `audit_wsp` generates, with its statistics, only the first count
 vector of each orbit under the renamings that fix the domain (the rules are
-neutral, so the first witness is the same).  A score vector is scaled by the
+neutral, so the first witness is the same), and skips every subtree of that
+enumeration in whose box of statistics the same bound, at the box's most
+favourable corner, cuts every (old, new) pair: each profile below would fail
+the root cut, which a witness's profile passes.  A score vector is scaled by the
 lcm of its entries' denominators, so every statistic, bound and leaf test is
 an exact comparison of integers.
 `Fraction` leaves only where a witness is built, in its move amounts
@@ -39,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (ALL_PERMUTATIONS, ALTERNATIVES, Domain, Move, Profile, Ranking,
                    as_fraction, format_profile, transfer_weight)
@@ -204,6 +207,7 @@ class _Lattice:
         self.need = (self.total + 1) // 2
         self.unit = scale // config.move_denominator
         self.max_units, self.moves = config.max_units, config.move_denominator
+        self.max_mass = self.max_units * self.unit  # in counts; at 0, old's unique win rejects all
 
     def may_win(self, target: str, values: Sequence[int], units: int,
                 hi: Sequence[int], lo: Sequence[int]) -> bool:
@@ -212,13 +216,35 @@ class _Lattice:
 
         Target needs both its statistics to reach `need` and each rival one
         below it.  The root cut, every search node and the leaf test (at
-        0 units, where the bound is exact) ask this.
+        0 units, where the bound is exact) ask this, and `may_hold` asks it of
+        a whole box of profiles.
         """
         need = self.need
         p, q, r, s, t, u = _GROUPS[target]
         return (values[p] + units * hi[p] >= need and values[q] + units * hi[q] >= need
                 and (values[r] + units * lo[r] < need or values[s] + units * lo[s] < need)
                 and (values[t] + units * lo[t] < need or values[u] + units * lo[u] < need))
+
+    def may_hold(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        """Can a profile whose `_FORWARD` statistics lie between lo and hi pass the
+        root cut: some old winning, and `may_win` holding for some rival target?
+
+        Both tests rise with the statistics they need to reach `need` and fall
+        with those they need below it, so each pair is asked once, at the corner
+        of the box that favours it most: the one bound, for a whole box of profiles.
+        """
+        need, total, reach, may_win = self.need, self.total, self.model.reach, self.may_win
+        upper = hi + [total - s for s in lo]
+        lower = lo + [total - s for s in hi]
+        for old, (p, q) in _OVER.items():
+            if upper[p] >= need and upper[q] >= need:
+                for target in _RIVALS[old]:
+                    corner = lower.copy()
+                    a, b = _OVER[target]
+                    corner[a], corner[b] = upper[a], upper[b]
+                    if may_win(target, corner, self.max_mass, *reach[old, target]):
+                        return True
+        return False
 
     def search(self, forward: list[int],
                counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | Outcome | None:
@@ -231,9 +257,8 @@ class _Lattice:
             return Outcome(frozenset(tie))
         old = tie[0]
 
-        max_mass = self.max_units * self.unit  # in counts; at 0, old's unique win rejects all
         branches = [_Branch(self, counts, values, old, target) for target in _RIVALS[old]
-                    if self.may_win(target, values, max_mass, *model.reach[old, target])]
+                    if self.may_win(target, values, self.max_mass, *model.reach[old, target])]
 
         if not branches:
             return None
@@ -247,6 +272,11 @@ class _Lattice:
                               for (src, dst), k in zip(model.arcs, amounts) if k)
                 return moves, old, target
         return None
+
+
+def _suffix(pick, vectors: list[list[int]]) -> list[list[int]]:
+    """Per index i, the entrywise `pick` (min or max) of vectors i onwards."""
+    return [*itertools.accumulate(vectors[::-1], lambda a, b: list(map(pick, a, b)))][::-1]
 
 
 class _Branch:
@@ -268,11 +298,8 @@ class _Branch:
         self.base = values
         self.source_caps = {src: counts[src] * per // unit for src, _ in self.arcs}
         self.deltas = [[unit * d for d in model.steps[arc]] for arc in self.arcs]
-
-        def suffix(pick):  # past the last arc nothing moves: only the exact leaf test is left
-            rows = itertools.accumulate(self.deltas[::-1], lambda a, b: list(map(pick, a, b)))
-            return list(rows)[::-1] + [[0] * len(_PAIRS)]
-        self.hi, self.lo = suffix(max), suffix(min)
+        # past the last arc nothing moves: only the exact leaf test is left
+        self.hi, self.lo = (_suffix(pick, self.deltas) + [[0] * len(_PAIRS)] for pick in (max, min))
         self.may_win = functools.partial(lattice.may_win, target)
 
     def search(self, total_units: int) -> tuple[int, ...] | None:
@@ -326,21 +353,30 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
 
 
 def _lex_counts(size: int, grid: int, maps: Sequence[Sequence[int]] = (),
-                rows: Sequence[Sequence[int]] = ()) -> Iterator[tuple[list[int], list[int]]]:
+                rows: Sequence[Sequence[int]] = (),
+                keep: Callable[[list[int], list[int]], bool] | None = None,
+                ) -> Iterator[tuple[list[int], list[int]]]:
     """In ascending lex order, every vector c of `size` counts summing to `grid` that is
     at most each image [c[j] for j in m], m in `maps`, with [row . c for row in rows].
     One recursion assigns the counts in order, the last two together, and carries the
     products along.  Map m's pointer p marks where c and its image may first differ: a
     prefix is dropped once the image is smaller there, or must be (c[m[p]] is at most the
-    mass left), and m retired once it is larger.  c is one list, reused: copy to keep."""
+    mass left), and m retired once it is larger.  With `keep`, a prefix is also dropped
+    unless keep(lo, hi) holds, where every product below it lies in [lo, hi]: the prefix's
+    sums plus the mass left times each row's least and greatest entry over the counts
+    still to assign.  c is one list, reused: copy to keep."""
     counts = [0] * size
     last = size - 1
     cols = [[row[i] for row in rows] for i in range(size)]
     if not last:  # one ranking: its one vector
         yield [grid], [grid * c for c in cols[0]]
         return
+    lows, highs = _suffix(min, cols), _suffix(max, cols)  # each row's extremes over i..last
 
     def assign(i: int, rem: int, live: list, sums: list[int]) -> Iterator:
+        if keep is not None and not keep([s + rem * c for s, c in zip(sums, lows[i])],
+                                         [s + rem * c for s, c in zip(sums, highs[i])]):
+            return
         known, step = i, cols[i]
         if i + 1 == last:  # count i takes k, and the last count rem - k
             known, step = last, list(map(sub, step, cols[last]))
@@ -397,12 +433,16 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     domain, its arcs, the unit mesh, `max_units`, "source prefers target to
     old" and every (neutral) rule's statistics onto themselves, so an orbit is
     nongeneric, manipulable at this resolution or clean as a whole, and the
-    first manipulable vector is its orbit's first.  Only a witness's profile is built.
+    first manipulable vector is its orbit's first.  A subtree of the enumeration
+    is skipped when `_Lattice.may_hold` rules out its box of statistics: every
+    profile in it fails the root cut, so none is a witness's, and the order of
+    the rest, hence the first witness, is unchanged.  Only a witness's profile is built.
     """
     grid = config.grid_denominator
     lattice = _Lattice(rule, domain, grid, config)
     rows = [[lattice.per * v for v in row] for row in lattice.model.rows]  # at scale L
-    for combo, forward in _lex_counts(len(domain), grid, _symmetries(domain), rows):
+    for combo, forward in _lex_counts(len(domain), grid, _symmetries(domain), rows,
+                                      lattice.may_hold):
         found = lattice.search(forward, combo)
         if isinstance(found, tuple):  # None is clean; an Outcome, nongeneric, claims nothing
             return ManipulationWitness(_grid_profile(domain, grid, combo), *found, config.epsilon)

@@ -21,7 +21,7 @@ it reads are bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -52,9 +52,13 @@ class ScenarioParams:
 
     Values are made `Fraction`s here, by `core.as_fraction` (floats are
     refused), so the environments built from them are exact as they stand.
+    `derived` is the scenario `sample_params` drew the values for and the
+    environment it derived there, which `build_env` hands on for that scenario
+    alone; equality, hashing and the text ignore it.
     """
 
     values: tuple[tuple[str, Fraction], ...]
+    derived: tuple[Scenario, Env] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple((k, as_fraction(v)) for k, v in self.values))
@@ -126,7 +130,10 @@ def _derive(scenario: Scenario, env: Env) -> str | None:
 
 
 def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
-    """Parameter values plus derived quantities, then precondition checks."""
+    """Parameter values plus derived quantities, then precondition checks; a copy of
+    the environment `sample_params` derived, if it drew `params` for this scenario."""
+    if params.derived is not None and params.derived[0] is scenario:
+        return dict(params.derived[1])
     env = params.as_dict()
     missing = (set(scenario.params) | {"epsilon"}) - set(env)
     if missing:
@@ -390,7 +397,8 @@ def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
 
     Uses the scenario's sampling hints (ordered ranges over every parameter
     and epsilon, bounds may reference earlier variables) with rejection
-    against the full precondition list.
+    against the full precondition list.  The point carries the environment
+    derived to accept it, so `verify_full` of this scenario derives nothing again.
     """
     for _ in range(_MAX_TRIES):
         env: Env = {}
@@ -405,7 +413,7 @@ def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
                 break
             env[var] = Fraction(rng.randint(lo_num, hi_num), den)
         else:  # every variable drawn
-            params = ScenarioParams(tuple(sorted(env.items())))
+            drawn = tuple(sorted(env.items()))
             if env["epsilon"] > 0 and _derive(scenario, env) is None:
-                return params
+                return ScenarioParams(drawn, (scenario, env))
     raise RuntimeError(f"could not sample parameters for scenario {scenario.id}")

@@ -346,47 +346,102 @@ def _first_witness_by_definition(rule, domain, config):
     return None
 
 
-@pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,
-                                  va.scoring(3, 1, 0), va.scoring(1, 1, 0)], ids=str)
-@pytest.mark.parametrize("domain", [
+#: The audits of the first-witness and cut tests: 5 rules x 7 domains x 3 meshes.
+_AUDIT_RULES = pytest.mark.parametrize("rule", [va.PLURALITY, va.BORDA, va.CONDORCET,
+                                                va.scoring(3, 1, 0), va.scoring(1, 1, 0)],
+                                       ids=str)
+_AUDIT_DOMAINS = pytest.mark.parametrize("domain", [
     va.FULL_DOMAIN, va.CYCLE_DOMAIN, UI_DOMAIN, va.CYCLE_DOMAIN.permute(SWAP_XY),
     UI_DOMAIN.permute(ROTATE), EXPANDED_CYCLE, EXPANDED_CYCLE.permute(SWAP_XY),
 ], ids=["full", "cycle", "ui", "cycle-renamed", "ui-renamed", "expanded-cycle",
         "expanded-cycle-renamed"])
-@pytest.mark.parametrize("config", [va.AuditConfig(F(2, 3), 7, 6),
-                                    va.AuditConfig(F(1, 2), 8, 6),
-                                    va.AuditConfig(F(3, 10), 6, 10)],
-                         ids=["7x6", "8x6", "6x10"])
+_AUDIT_MESHES = pytest.mark.parametrize("config", [va.AuditConfig(F(2, 3), 7, 6),
+                                                   va.AuditConfig(F(1, 2), 8, 6),
+                                                   va.AuditConfig(F(3, 10), 6, 10)],
+                                        ids=["7x6", "8x6", "6x10"])
+
+
+@_AUDIT_RULES
+@_AUDIT_DOMAINS
+@_AUDIT_MESHES
 def test_audit_wsp_is_the_first_grid_witness(rule, domain, config):
     expected = _first_witness_by_definition(rule, domain, config)
     assert text(va.audit_wsp(rule, domain, config)) == text(expected)
+
+
+@_AUDIT_RULES
+@_AUDIT_DOMAINS
+@_AUDIT_MESHES
+def test_the_subtree_cut_drops_no_manipulable_first(rule, domain, config):
+    # Every orbit first that audit_wsp's cut drops is nongeneric or clean, searched
+    # from scratch; the firsts it keeps are the others, in the same order.
+    grid = config.grid_denominator
+    lattice = _Lattice(rule, domain, grid, config)
+    rows = [[lattice.per * v for v in row] for row in lattice.model.rows]
+    maps = _symmetries(domain)
+    firsts = [tuple(counts) for counts, _ in _lex_counts(len(domain), grid, maps)]
+    kept = [tuple(counts)
+            for counts, _ in _lex_counts(len(domain), grid, maps, rows, lattice.may_hold)]
+    assert set(kept) <= set(firsts) and kept == sorted(kept)
+    for counts in set(firsts) - set(kept):
+        profile = va.manipulation._grid_profile(domain, grid, counts)
+        try:
+            assert va.find_manipulation(rule, profile, config) is None
+        except NongenericProfileError:
+            pass
+
+
+@st.composite
+def _score_vectors(draw):
+    s1, s2, s3 = sorted(draw(st.lists(st.fractions(0, 3, max_denominator=4), min_size=3,
+                                      max_size=3).filter(lambda s: len(set(s)) > 1)),
+                        reverse=True)
+    return va.scoring(s1, s2, s3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_score_vectors(), st.just(va.CONDORCET)),
+       st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.fractions(F(1, 20), 1, max_denominator=20),
+       st.integers(1, 8), st.integers(1, 8))
+def test_audit_wsp_is_the_first_grid_witness_on_drawn_rules(rule, rankings, epsilon, grid,
+                                                            moves):
+    domain = va.Domain(tuple(rankings))
+    config = va.AuditConfig(epsilon, grid, moves)
+    assert text(va.audit_wsp(rule, domain, config)) == \
+        text(_first_witness_by_definition(rule, domain, config))
 
 
 def _symmetries_by_definition(domain):
     return [perm for perm in va.ALL_PERMUTATIONS if domain.permute(perm) == domain]
 
 
-@pytest.mark.parametrize("domain,group,searched", [
+@pytest.mark.parametrize("domain,group,firsts", [
     (va.FULL_DOMAIN, 6, 83), (va.CYCLE_DOMAIN, 3, 10), (UI_DOMAIN, 2, 44),
     (UI_DOMAIN.permute(ROTATE), 2, 44), (EXPANDED_CYCLE, 1, 84),
 ], ids=["full", "cycle", "ui", "ui-renamed", "expanded-cycle"])
-def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, searched):
+def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, firsts):
     # Burnside at grid 6: the full domain's (462 + 3*10 + 2*3)/6 = 83 orbits, the
     # cycle's (28 + 2*1)/3 = 10, a four-ranking domain's (84 + 4)/2 = 44 under its
-    # one transposition; with no symmetry every one of the 84 profiles is searched.
+    # one transposition; with no symmetry every one of the 84 profiles is a first.
+    # The audit's cut may drop firsts whole subtrees at a time, so it searches a
+    # subset of them.
+    assert len(_symmetries_by_definition(domain)) == group
+    generated = [tuple(counts) for counts, _ in _lex_counts(len(domain), 6, _symmetries(domain))]
+    assert len(generated) == firsts
+    profiles = [va.manipulation._grid_profile(domain, 6, counts) for counts in generated]
+    grid = set(va.grid_profiles(domain, 6))
+    assert {va.permute_profile(p, perm) for p in profiles
+            for perm in _symmetries_by_definition(domain)} == grid
     config = va.AuditConfig(F(1, 100), 6, 100)  # no unit fits below epsilon: clean
     search, seen = _Lattice.search, []
 
     def counting(lattice, forward, counts):
-        seen.append(va.manipulation._grid_profile(domain, 6, counts))
+        seen.append(tuple(counts))
         return search(lattice, forward, counts)
     monkeypatch.setattr(_Lattice, "search", counting)
     assert va.audit_wsp(va.BORDA, domain, config) is None
-    assert len(_symmetries_by_definition(domain)) == group
-    assert len(seen) == searched
-    grid = set(va.grid_profiles(domain, 6))
-    assert {va.permute_profile(p, perm) for p in seen
-            for perm in _symmetries_by_definition(domain)} == grid
+    assert seen and set(seen) <= set(generated) and seen == sorted(seen)
 
 
 def _firsts_by_definition(domain, grid):

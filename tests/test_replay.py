@@ -28,6 +28,7 @@ from votaudit.replay.expressions import (
     evaluate_predicate,
 )
 from votaudit.replay.model import _parse_scenario
+from votaudit.replay import verify as verify_module
 from votaudit.replay.verify import TemplateError, build_env, instantiate
 
 
@@ -195,6 +196,58 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_params(scenario, random.Random(5))
     b = sample_params(scenario, random.Random(5))
     assert a == b
+
+
+def _counting_derive(monkeypatch):
+    """Patch the verifier's `_derive` to log whether each call accepted its point."""
+    derive, accepted = verify_module._derive, []
+
+    def counting(scenario, env):
+        failed = derive(scenario, env)
+        accepted.append(failed is None)
+        return failed
+    monkeypatch.setattr(verify_module, "_derive", counting)
+    return accepted
+
+
+def _outcome(scenario, params):
+    try:
+        return verify_full(scenario, params).text()
+    except PreconditionViolation as exc:
+        return f"PreconditionViolation: {exc}"
+
+
+def test_a_sampled_point_is_derived_once_and_reports_as_its_values(monkeypatch):
+    accepted = _counting_derive(monkeypatch)
+    rng = random.Random(15)
+    for scenario in scenario_catalog():
+        for _ in range(2):
+            del accepted[:]
+            params = sample_params(scenario, rng)
+            report = verify_full(scenario, params)
+            assert accepted.count(True) == 1 and accepted[-1]  # sample_params accepted it
+            fresh = ScenarioParams(params.values)
+            assert (fresh, hash(fresh), str(fresh), repr(fresh)) == \
+                (params, hash(params), str(params), repr(params))
+            assert report.text() == verify_full(scenario, fresh).text()
+            assert accepted.count(True) == 2  # the bare values are derived afresh
+
+
+def test_a_point_sampled_for_one_scenario_is_derived_afresh_for_another(monkeypatch):
+    accepted = _counting_derive(monkeypatch)
+    catalog, refused = scenario_catalog(), 0
+    for scenario in catalog:
+        params = sample_params(scenario, random.Random(scenario.id))
+        for other in catalog:
+            if other is scenario or set(other.params) != set(scenario.params):
+                continue
+            del accepted[:]
+            outcome = _outcome(other, params)
+            assert len(accepted) == 1
+            assert outcome == _outcome(other, ScenarioParams(params.values))
+            refused += outcome.startswith("PreconditionViolation")
+    # e.g. a point of 1.I.1.1.1 with epsilon > a - b breaks 1.I.1.1.2's preconditions
+    assert refused > 0
 
 
 def test_unknown_scenario_id():
