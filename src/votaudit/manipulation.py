@@ -439,7 +439,9 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     the rest, hence the first witness, is unchanged.  Only a witness's profile is built.
     """
     grid = config.grid_denominator
-    lattice = _Lattice(rule, domain, grid, config)
+    lattice = _Lattice(rule, domain, grid, config)  # refuses a domain missing x, y or z
+    if lattice.max_units == 0:  # no coalition fits below epsilon
+        return None
     rows = [[lattice.per * v for v in row] for row in lattice.model.rows]  # at scale L
     for combo, forward in _lex_counts(len(domain), grid, _symmetries(domain), rows,
                                       lattice.may_hold):

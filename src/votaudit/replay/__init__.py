@@ -16,7 +16,6 @@ from .verify import (
     PreconditionViolation,
     ScenarioParams,
     ScenarioReport,
-    TemplateError,
     epsilon_partition,
     sample_params,
     verify_full,

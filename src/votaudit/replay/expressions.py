@@ -16,7 +16,7 @@ exact values (`Fraction` or `int`); `evaluate_expression`/
 `evaluate_predicate` make the environment they are given so, with
 `core.as_fraction`.  Calling an `Expr` gives one normalised `Fraction` (or a
 `bool` for a predicate); `Expr.ratio` gives the raw pair, for callers that
-only compute with it (`verify.instantiate`, `verify.sample_params`).
+only compute with it (the verifier's profile weights, `verify.sample_params`).
 """
 
 from __future__ import annotations

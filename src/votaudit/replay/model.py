@@ -8,17 +8,18 @@ exact rationals; hypothesized evaluations are scenario data, never computed,
 because the rule under analysis is universally quantified.
 
 Scenarios ship as YAML in ``data/`` so every case is auditable as plain text.
-The loader validates structure eagerly: unknown profiles, off-domain
-rankings, or malformed winner specs fail at load time.  It also compiles
-every expression once, so an expression that is malformed, inexact, or reads
-a name its scenario does not define fails at load time too, and the verifier
-never parses text.
+The loader validates structure eagerly: unknown keys, unknown profiles,
+off-domain rankings, or malformed winner specs fail at load time.  It also
+compiles every expression once, so an expression that is malformed, inexact,
+or reads a name its scenario does not define fails at load time too, and the
+verifier never parses text.  The defs and preconditions are kept once, as
+`Scenario.derivation`, in the order the verifier checks them.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
@@ -30,6 +31,16 @@ _VALID_GROUPS = ("cycle", "expansion", "rich")
 #: The rules a rule check may name, by name.
 _RULES = {str(rule): rule for rule in (BORDA, CONDORCET, PLURALITY)}
 
+#: The keys each part of a scenario record may hold.  Any other key fails the
+#: load, so a misspelled key cannot drop its claims unseen.
+_KEYS = {part: frozenset(keys.split()) for part, keys in (
+    ("scenario", "id group domain params sample assume window defs profiles hypotheses "
+                 "rule_checks pareto_excluded identities checks perm_links steps chains note"),
+    ("step", "from to moves improvement"), ("perm link", "source target mapping"),
+    ("affine chain", "kind index count weights moves direction first last improvement "
+                     "pareto_excluded"),
+    ("descent chain", "kind fixed components absorber base pair improvement"))}
+
 
 class CatalogError(ValueError):
     """Raised when a scenario record is structurally invalid."""
@@ -37,14 +48,10 @@ class CatalogError(ValueError):
 
 def expand_winner_spec(spec: str) -> frozenset[str]:
     """``"x"`` -> {x};  ``"not:x"`` -> {y, z}."""
-    if spec.startswith("not:"):
-        excluded = spec[len("not:"):]
-        if excluded not in ALTERNATIVES:
-            raise CatalogError(f"bad winner spec {spec!r}")
-        return frozenset(a for a in ALTERNATIVES if a != excluded)
-    if spec not in ALTERNATIVES:
+    named, negated = spec.removeprefix("not:"), spec.startswith("not:")
+    if named not in ALTERNATIVES:
         raise CatalogError(f"bad winner spec {spec!r}")
-    return frozenset((spec,))
+    return frozenset(a for a in ALTERNATIVES if (a == named) != negated)
 
 
 @dataclass(frozen=True)
@@ -112,8 +119,9 @@ class Scenario:
     domain: Domain
     params: tuple[str, ...]
     sample: tuple[tuple[str, Expr, Expr], ...]  # (var, low, high), in order
-    assume: tuple[Expr, ...]  # predicates
-    defs: tuple[tuple[str, Expr], ...]
+    #: the defs as (name, expr) and the preconditions as (None, predicate), each
+    #: precondition right after the last def it reads: checked once its names are bound
+    derivation: tuple[tuple[str | None, Expr], ...]
     profiles: tuple[tuple[str, tuple[tuple[Ranking, Expr], ...]], ...]
     hypotheses: tuple[tuple[str, str], ...]
     rule_checks: tuple[tuple[str, RuleDescriptor, str], ...]  # (profile, rule, winner)
@@ -123,17 +131,6 @@ class Scenario:
     steps: tuple[MisreportStep, ...]
     chains: tuple[AffineChain | DescentChain, ...]
     perm_links: tuple[PermLink, ...] = ()
-    note: str = ""
-    #: the defs as (name, expr) and the preconditions as (None, predicate), each
-    #: precondition right after the last def it reads: checked once its names are bound
-    derivation: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        last = {name: i for i, (name, _) in enumerate(self.defs, 1)}
-        steps = [*enumerate(self.defs, 1)] + [
-            (max((last.get(n, 0) for n in p.names), default=0), (None, p)) for p in self.assume]
-        object.__setattr__(self, "derivation",  # a stable sort keeps defs before their checks
-                           tuple(item for _, item in sorted(steps, key=lambda step: step[0])))
 
 
 def _compiled(compile_fn, text, scope: set[str], where: str) -> Expr:
@@ -145,6 +142,13 @@ def _compiled(compile_fn, text, scope: set[str], where: str) -> Expr:
     for name in sorted(expr.names - scope):
         raise CatalogError(f"{where}: expression {expr.text!r} uses unknown name {name!r}")
     return expr
+
+
+def _fields(raw: dict, part: str, where: str) -> dict:
+    """`raw`, once each of its keys is one that a `part` may hold."""
+    for key in sorted(set(raw) - _KEYS[part], key=str):
+        raise CatalogError(f"{where}: unknown {part} key {key!r}")
+    return raw
 
 
 def _as_moves(raw, domain: Domain, where: str, arith):
@@ -189,6 +193,7 @@ def _parse_scenario(raw: dict) -> Scenario:
     """
     sid = str(raw["id"])
     where = f"scenario {sid}"
+    _fields(raw, "scenario", where)
     group = raw.get("group", "")
     if group not in _VALID_GROUPS:
         raise CatalogError(f"{where}: group must be one of {_VALID_GROUPS}")
@@ -214,9 +219,13 @@ def _parse_scenario(raw: dict) -> Scenario:
     scope |= {str(chain.get("index", "j")) for chain in raw.get("chains", ())
               if chain.get("kind", "affine") == "affine"}
 
-    # "window" holds the case's epsilon-interval preconditions; it is kept as a
-    # separate key in the data files for readability but is a precondition.
-    assume = tuple(predicate(a) for a in (*raw.get("assume", ()), *raw.get("window", ())))
+    # "window" holds the case's epsilon-interval preconditions, kept apart for reading.
+    # The stable sort keeps each def before the preconditions placed right after it.
+    assume = [predicate(a) for a in (*raw.get("assume", ()), *raw.get("window", ()))]
+    last = {name: i for i, (name, _) in enumerate(defs, 1)}
+    placed = [*enumerate(defs, 1)] + [
+        (max((last.get(n, 0) for n in p.names), default=0), (None, p)) for p in assume]
+    derivation = tuple(item for _, item in sorted(placed, key=lambda step: step[0]))
 
     profiles = tuple(
         (str(name), _as_template(tmpl, domain, f"{where} profile {name}", arith))
@@ -263,13 +272,14 @@ def _parse_scenario(raw: dict) -> Scenario:
             moves=_as_moves(step["moves"], domain, f"{where} step", arith),
             improvement=_as_improvement(step["improvement"], f"{where} step"),
         )
-        for step in raw.get("steps", ())
+        for step in (_fields(item, "step", where) for item in raw.get("steps", ()))
     )
 
     chains = []
     for chain in raw.get("chains", ()):
         kind = chain.get("kind", "affine")
         if kind == "affine":
+            _fields(chain, "affine chain", where)
             chains.append(AffineChain(
                 index=str(chain.get("index", "j")),
                 count=str(chain["count"]),
@@ -289,6 +299,7 @@ def _parse_scenario(raw: dict) -> Scenario:
                 raise CatalogError(f"{where}: chain pareto exclusion of unknown alternative "
                                    f"{chains[-1].pareto_excluded!r}")
         elif kind == "descent":
+            _fields(chain, "descent chain", where)
             chains.append(DescentChain(
                 fixed=_as_template(chain.get("fixed", {}), domain, f"{where} descent", arith),
                 components=_as_template(chain["components"], domain, f"{where} descent", arith),
@@ -309,15 +320,15 @@ def _parse_scenario(raw: dict) -> Scenario:
             perm=CandidatePermutation.from_mapping(
                 {str(k): str(v) for k, v in link["mapping"].items()}),
         )
-        for link in raw.get("perm_links", ())
+        for link in (_fields(item, "perm link", where) for item in raw.get("perm_links", ()))
     )
 
     return Scenario(
         id=sid, group=group, domain=domain, params=params, sample=sample,
-        assume=assume, defs=tuple(defs), profiles=profiles, hypotheses=tuple(hypotheses),
+        derivation=derivation, profiles=profiles, hypotheses=tuple(hypotheses),
         rule_checks=tuple(rule_checks), pareto_excluded=tuple(pareto_excluded),
         identities=identities, checks=checks, steps=steps, chains=tuple(chains),
-        perm_links=perm_links, note=str(raw.get("note", "")),
+        perm_links=perm_links,
     )
 
 

@@ -7,9 +7,9 @@ agreements, domination, renamings, misreport steps and induction chains;
 `_misreport`, checks every misreport, a step's or a chain level's: the transfer
 reproduces the next profile exactly, with coalition mass in (0, epsilon).
 Chains are unrolled level by level, keeping only the last one, so memory does
-not grow with their length.  Every profile is built and checked by
-`core.Profile._checked` from the scenario's compiled expressions; no text is
-parsed.
+not grow with their length.  `instantiate` builds every profile through
+`core.Profile._checked` and returns it, or the text that says why the weights
+make none, as `_misreport` says why a misreport fails; no text is parsed.
 
 Reports list one pass/fail line per check, and a construction that fails
 (a level or shape that is no profile, a negative mass) is a FAIL line, never
@@ -40,10 +40,6 @@ class PreconditionViolation(ValueError):
         self.inequality = inequality
         shown = {k: str(v) for k, v in env.items()}
         super().__init__(f"scenario {scenario_id}: precondition {inequality!r} fails at {shown}")
-
-
-class TemplateError(ValueError):
-    """A profile template does not instantiate to a valid profile."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,8 @@ class CheckResult:
     detail: str = ""
 
     def line(self) -> str:
-        status = "pass" if self.ok else "FAIL"
         suffix = f"  ({self.detail})" if self.detail and not self.ok else ""
-        return f"{status}  {self.label}{suffix}"
+        return f"{'pass' if self.ok else 'FAIL'}  {self.label}{suffix}"
 
 
 @dataclass(frozen=True)
@@ -146,26 +141,23 @@ def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
     return env
 
 
-def instantiate(template, env: Env, domain, label: str) -> Profile:
-    """The template's profile at `env`, as `Profile._checked` builds and checks it."""
+def instantiate(domain, weights) -> Profile | str:
+    """The profile of the `(ranking, n, d)` weights, as `Profile._checked` builds and
+    checks it, or the `ProfileError` text that says why they make none."""
     try:
-        return Profile._checked(domain, [(r, *expr.ratio(env)) for r, expr in template])
+        return Profile._checked(domain, weights)
     except ProfileError as exc:
-        raise TemplateError(f"{label}: {exc}") from None
+        return str(exc)
 
 
 def _build(scenario: Scenario, params: ScenarioParams):
     """The environment, the named profiles that instantiate, and one validity check per profile."""
     env = build_env(scenario, params)
-    profiles: dict[str, Profile] = {}
-    results: list[CheckResult] = []
-    for name, template in scenario.profiles:
-        label = f"profile {name} is valid (weights >= 0, sum 1)"
-        try:
-            profiles[name] = instantiate(template, env, scenario.domain, name)
-            results.append(CheckResult(label, True))
-        except TemplateError as exc:
-            results.append(CheckResult(label, False, str(exc)))
+    built = {name: instantiate(scenario.domain, [(r, *e.ratio(env)) for r, e in template])
+             for name, template in scenario.profiles}
+    profiles = {name: p for name, p in built.items() if not isinstance(p, str)}
+    results = [CheckResult(f"profile {name} is valid (weights >= 0, sum 1)", name in profiles,
+                           "" if name in profiles else f"{name}: {p}") for name, p in built.items()]
     return env, profiles, results
 
 
@@ -271,10 +263,10 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
     dominated = True
     for j in range(count + 1):
         level_env[chain.index] = Fraction(j)
-        try:
-            level = instantiate(chain.weights, level_env, scenario.domain, f"chain level {j}")
-        except TemplateError as exc:
-            yield CheckResult(f"chain level {j} is a valid profile", False, str(exc))
+        level = instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
+        if isinstance(level, str):
+            yield CheckResult(f"chain level {j} is a valid profile", False,
+                              f"chain level {j}: {level}")
             return
         if j == 0:
             first = level
@@ -304,20 +296,15 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     fixed = [(r, e(env)) for r, e in chain.fixed]
     components = {r: e(env) for r, e in chain.components}
 
-    def level_profile(comps: dict[Ranking, Fraction]) -> Profile | ProfileError:
-        """Fixed weights, components, and the rest on the absorber (negative if overfull),
-        or the `ProfileError` that says why they make no profile."""
+    def level_profile(comps: dict[Ranking, Fraction]) -> Profile | str:
+        """Fixed weights, components, and the rest on the absorber (negative if overfull)."""
         weights = [*fixed, *comps.items()]
         weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
-        try:
-            return Profile._checked(scenario.domain,
-                                    [(r, *w.as_integer_ratio()) for r, w in weights])
-        except ProfileError as exc:
-            return exc
+        return instantiate(scenario.domain, [(r, *w.as_integer_ratio()) for r, w in weights])
 
     current = level_profile(components)
-    if isinstance(current, ProfileError):
-        yield CheckResult("descent level 0 is a valid profile", False, str(current))
+    if isinstance(current, str):
+        yield CheckResult("descent level 0 is a valid profile", False, current)
         return
     yield CheckResult(f"descent level 0 equals profile {chain.base}",
                       current == profiles[chain.base])
@@ -328,7 +315,7 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
         factor = Fraction(window, window + 1)
         next_comps = {r: v * factor for r, v in comps.items()}
         nxt = level_profile(next_comps)
-        if isinstance(nxt, ProfileError):
+        if isinstance(nxt, str):
             detail = f"level {level + 1}: {nxt}"
             break
         moves = [(chain.absorber, r, comps[r] - next_comps[r]) for r in comps]
@@ -349,7 +336,7 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     pair, terminal = profiles[chain.pair], level_profile({r: Fraction(0) for r in comps})
     yield CheckResult(
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
-        pair == terminal, str(terminal) if isinstance(terminal, ProfileError) else "")
+        pair == terminal, terminal if isinstance(terminal, str) else "")
     final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
     detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)[:2]))
     yield CheckResult(

@@ -146,6 +146,12 @@ def test_replay_def_without_a_value_is_input_error(capsys):
     assert "precondition '2*a + (1 - a - b) > b + 2*(1 - a - b)' fails" in line
 
 
+def test_replay_flags_cover_every_catalog_parameter():
+    # `replay` takes a parameter only through one of these flags
+    params = {name for scenario in scenario_catalog() for name in scenario.params}
+    assert params and params <= set(cli._PARAM_FLAGS)
+
+
 def test_replay_unknown_case():
     code, _ = run(["replay", "--case", "9.Z.1"])
     assert code == 2

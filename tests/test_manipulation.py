@@ -433,7 +433,7 @@ def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, 
     grid = set(va.grid_profiles(domain, 6))
     assert {va.permute_profile(p, perm) for p in profiles
             for perm in _symmetries_by_definition(domain)} == grid
-    config = va.AuditConfig(F(1, 100), 6, 100)  # no unit fits below epsilon: clean
+    config = va.AuditConfig(F(1, 50), 6, 100)  # one unit fits below epsilon; still clean
     search, seen = _Lattice.search, []
 
     def counting(lattice, forward, counts):
@@ -442,6 +442,25 @@ def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, 
     monkeypatch.setattr(_Lattice, "search", counting)
     assert va.audit_wsp(va.BORDA, domain, config) is None
     assert seen and set(seen) <= set(generated) and seen == sorted(seen)
+
+
+@_AUDIT_RULES
+@pytest.mark.parametrize("config", [va.AuditConfig(F(1, 100), 6, 100),
+                                    va.AuditConfig(F(1, 6), 7, 6)], ids=["6x100", "7x6"])
+def test_an_audit_with_no_coalition_below_epsilon_searches_nothing(monkeypatch, rule, config):
+    # At max_units 0 every coalition has mass at least epsilon, so the answer is None
+    # by definition; audit_wsp gives it without a search, after checking the domain.
+    assert config.max_units == 0
+    domains = [va.FULL_DOMAIN, va.CYCLE_DOMAIN, UI_DOMAIN, EXPANDED_CYCLE]
+    expected = [text(_first_witness_by_definition(rule, domain, config)) for domain in domains]
+    assert expected == [None] * len(domains)
+    seen = []
+    monkeypatch.setattr(_Lattice, "search", lambda lattice, forward, counts: seen.append(counts))
+    assert [text(va.audit_wsp(rule, domain, config)) for domain in domains] == expected
+    assert seen == []
+    xy, yx = va.Ranking(("x", "y")), va.Ranking(("y", "x"))
+    with pytest.raises(ValueError, match="all of x, y, z"):
+        va.audit_wsp(rule, va.Domain((xy, yx)), config)
 
 
 def _firsts_by_definition(domain, grid):

@@ -29,7 +29,7 @@ from votaudit.replay.expressions import (
 )
 from votaudit.replay.model import _parse_scenario
 from votaudit.replay import verify as verify_module
-from votaudit.replay.verify import TemplateError, build_env, instantiate
+from votaudit.replay.verify import build_env, instantiate
 
 
 def test_catalog_loads_and_ids_unique():
@@ -554,22 +554,25 @@ def _template(*entries):
     return tuple((va.ranking(r), compile_expression(text)) for r, text in entries)
 
 
+def _weights(template, env):
+    return [(r, *expr.ratio(env)) for r, expr in template]
+
+
 @pytest.mark.parametrize("template,text", [
     (_template(("xyz", "1/2 - a"), ("yzx", "1/2")), "profile u: negative weight -1/6 on x>y>z"),
     (_template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2")), "profile u: weights sum to 7/8, expected exactly 1"),
     (_template(("xyz", "0"), ("yzx", "a - a")), "profile u: weights sum to 0, expected exactly 1"),
 ])
 def test_instantiate_error_texts(template, text):
-    with pytest.raises(TemplateError) as caught:
-        instantiate(template, {"a": F(2, 3) if "negative" in text else F(1, 4)},
-                    va.FULL_DOMAIN, "profile u")
-    assert str(caught.value) == text
+    env = {"a": F(2, 3) if "negative" in text else F(1, 4)}
+    built = instantiate(va.FULL_DOMAIN, _weights(template, env))
+    assert isinstance(built, str) and f"profile u: {built}" == text
 
 
 def test_instantiate_sums_repeated_rankings_to_a_canonical_profile():
     # 1/4 + 1/8 + 1/8 on x>y>z, 1/2 on y>z>x: denominators 8 and 2 reduce to 2
-    u = instantiate(_template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2"), ("xyz", "a/2")), {"a": F(1, 4)},
-                    va.CYCLE_DOMAIN, "profile u")
+    template = _template(("xyz", "a"), ("yzx", "1/2"), ("xyz", "a/2"), ("xyz", "a/2"))
+    u = instantiate(va.CYCLE_DOMAIN, _weights(template, {"a": F(1, 4)}))
     assert u == va.profile_from({"xyz": "1/2", "yzx": "1/2"}, va.CYCLE_DOMAIN)
     assert (u.den, u.domain) == (2, va.CYCLE_DOMAIN)
 
@@ -826,3 +829,44 @@ def test_affine_chain_is_checked_in_constant_memory():
         tracemalloc.stop()
     assert report.passed, report.text()
     assert peak < 500_000
+
+
+def _record_with_every_part():
+    """`_record` with a step, an affine and a descent chain, a renaming, a note and a window."""
+    return _record(
+        note="free text", window=["epsilon < 1"],
+        steps=[{"from": "u", "to": "u", "moves": [], "improvement": ["x", "y"]}],
+        chains=[_affine_chain(kind="affine", index="j"),
+                {"kind": "descent", "fixed": {}, "components": {"xyz": "a"}, "absorber": "yzx",
+                 "base": "u", "pair": "u", "improvement": ["x", "y"]}],
+        perm_links=[{"source": "u", "target": "u", "mapping": {"x": "y", "y": "z", "z": "x"}}])
+
+
+@pytest.mark.parametrize("part,select", [
+    ("scenario", lambda raw: raw),
+    ("step", lambda raw: raw["steps"][0]),
+    ("affine chain", lambda raw: raw["chains"][0]),
+    ("descent chain", lambda raw: raw["chains"][1]),
+    ("perm link", lambda raw: raw["perm_links"][0]),
+], ids=["scenario", "step", "affine-chain", "descent-chain", "perm-link"])
+def test_catalog_rejects_an_unknown_key(part, select):
+    raw = _record_with_every_part()
+    scenario = _parse_scenario(raw)
+    assert (len(scenario.steps), len(scenario.chains), len(scenario.perm_links)) == (1, 2, 1)
+    select(raw)["improvment"] = ["x", "y"]
+    with pytest.raises(CatalogError, match=f"^scenario t.1: unknown {part} key 'improvment'$"):
+        _parse_scenario(raw)
+
+
+def test_a_misspelled_catalog_key_fails_the_load_instead_of_dropping_its_claims():
+    # Ignored, `chekcs` and `stpes` would leave a record that verifies on what is left.
+    yaml = pytest.importorskip("yaml")
+    import importlib.resources
+    text = (importlib.resources.files("votaudit.replay") / "data" / "cycle_domain.yaml").read_text(
+        encoding="utf-8")
+    raw = next(r for r in yaml.safe_load(text) if "checks" in r and "steps" in r)
+    assert _parse_scenario(raw).checks and _parse_scenario(raw).steps
+    for key, typo in (("checks", "chekcs"), ("steps", "stpes")):
+        misspelt = {typo if k == key else k: v for k, v in raw.items()}
+        with pytest.raises(CatalogError, match=f"unknown scenario key '{typo}'"):
+            _parse_scenario(misspelt)
