@@ -17,11 +17,21 @@ exact values (`Fraction` or `int`); `evaluate_expression`/
 `core.as_fraction`.  Calling an `Expr` gives one normalised `Fraction` (or a
 `bool` for a predicate); `Expr.ratio` gives the raw pair, for callers that
 only compute with it (the verifier's profile weights, `verify.sample_params`).
+
+Compiling also records which names an arithmetic expression is provably
+affine in (`Expr.affine_in`), by a syntactic degree rule that never
+understates a degree: a name has degree 1 and a literal 0; `+` and `-` take
+the larger degree of their operands, `*` adds them and a sign keeps it; `/`
+keeps its dividend's degree in a name its divisor does not read; floor, ceil
+and abs, and a divisor, make every name they read non-affine.  A predicate is
+affine in none of its names.  The verifier decides an affine induction chain
+from its end levels only when every weight is affine in the chain's index.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +54,12 @@ class Expr:
 
     text: str
     names: frozenset[str]  # the free names it reads
+    nonaffine: tuple[str, ...]  # the names it reads that the degree rule leaves above 1
     fn: Callable[[Env], Pair | bool] = field(compare=False, repr=False)
+
+    def affine_in(self, name: str) -> bool:
+        """Whether the value is provably affine in `name` (constant if it reads none)."""
+        return name not in self.nonaffine
 
     def ratio(self, env: Env) -> Pair | bool:
         """The value as an unreduced pair ``(n, d)``, ``d > 0``; a predicate gives a `bool`."""
@@ -184,6 +199,25 @@ def _predicate(node: ast.AST, names: set[str]) -> Callable[[Env], bool]:
     raise ExpressionError("predicate must be a comparison")
 
 
+def _degrees(node: ast.AST) -> dict[str, float]:
+    """Each name's degree in arithmetic `node` by the module's syntactic rule,
+    `math.inf` for a name read by floor/ceil/abs or a divisor; `{}` for a literal
+    or any other node."""
+    if isinstance(node, ast.Name):
+        return {node.id: 1}
+    if isinstance(node, ast.UnaryOp):
+        return _degrees(node.operand)
+    if isinstance(node, ast.BinOp):
+        left, right = _degrees(node.left), _degrees(node.right)
+        if isinstance(node.op, ast.Div):
+            return {**left, **dict.fromkeys(right, math.inf)}
+        join = operator.add if isinstance(node.op, ast.Mult) else max
+        return {n: join(left.get(n, 0), right.get(n, 0)) for n in left.keys() | right}
+    if isinstance(node, ast.Call):
+        return dict.fromkeys(_degrees(node.args[0]), math.inf)
+    return {}
+
+
 # Catalog texts repeat (2,088 expression sites, about 350 distinct texts), and
 # an `Expr` is immutable, so every site with the same text shares one.
 @lru_cache(maxsize=1024)
@@ -194,7 +228,9 @@ def _compile(text: str, build) -> Expr:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
     names: set[str] = set()
     fn = build(tree.body, names)
-    return Expr(text, frozenset(names), fn)
+    degrees = _degrees(tree.body)  # {} for a predicate: none of its names is affine
+    nonaffine = tuple(n for n in sorted(names) if degrees.get(n, math.inf) > 1)
+    return Expr(text, frozenset(names), nonaffine, fn)
 
 
 def compile_expression(text: str) -> Expr:

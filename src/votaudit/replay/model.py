@@ -188,8 +188,9 @@ def _as_template(raw, domain: Domain, where: str, arith):
 def _parse_scenario(raw: dict) -> Scenario:
     """Validate one catalog record and compile every expression in it.
 
-    Sampling bounds may read the parameters and epsilon, defs also the defs
-    before them, and every other expression also the affine chains' indices.
+    Sampling bounds may read the parameters and epsilon, and every other
+    expression also the defs (each def those before it).  Only an affine chain's
+    weights may read its index, the one name bound per level.
     """
     sid = str(raw["id"])
     where = f"scenario {sid}"
@@ -215,9 +216,6 @@ def _parse_scenario(raw: dict) -> Scenario:
     for name, text in raw.get("defs", ()):
         defs.append((str(name), arith(text)))
         scope.add(str(name))
-    quantities = set(scope)  # what an affine chain's count may name
-    scope |= {str(chain.get("index", "j")) for chain in raw.get("chains", ())
-              if chain.get("kind", "affine") == "affine"}
 
     # "window" holds the case's epsilon-interval preconditions, kept apart for reading.
     # The stable sort keeps each def before the preconditions placed right after it.
@@ -280,10 +278,13 @@ def _parse_scenario(raw: dict) -> Scenario:
         kind = chain.get("kind", "affine")
         if kind == "affine":
             _fields(chain, "affine chain", where)
+            index = str(chain.get("index", "j"))
             chains.append(AffineChain(
-                index=str(chain.get("index", "j")),
+                index=index,
                 count=str(chain["count"]),
-                weights=_as_template(chain["weights"], domain, f"{where} chain", arith),
+                weights=_as_template(
+                    chain["weights"], domain, f"{where} chain",
+                    lambda text: _compiled(compile_expression, text, scope | {index}, where)),
                 moves=_as_moves(chain["moves"], domain, f"{where} chain", arith),
                 direction=str(chain["direction"]),
                 first=known(chain["first"], "chain"),
@@ -293,7 +294,7 @@ def _parse_scenario(raw: dict) -> Scenario:
             ))
             if chains[-1].direction not in ("down", "up"):
                 raise CatalogError(f"{where}: chain direction must be down or up")
-            if chains[-1].count not in quantities:
+            if chains[-1].count not in scope:
                 raise CatalogError(f"{where}: chain count uses unknown name {chains[-1].count!r}")
             if chains[-1].pareto_excluded not in (None, *ALTERNATIVES):
                 raise CatalogError(f"{where}: chain pareto exclusion of unknown alternative "

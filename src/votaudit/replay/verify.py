@@ -6,10 +6,15 @@ agreements, domination, renamings, misreport steps and induction chains;
 `verify_scenario` and `verify_induction_chain` are its halves.  One judgement,
 `_misreport`, checks every misreport, a step's or a chain level's: the transfer
 reproduces the next profile exactly, with coalition mass in (0, epsilon).
-Chains are unrolled level by level, keeping only the last one, so memory does
-not grow with their length.  `instantiate` builds every profile through
-`core.Profile._checked` and returns it, or the text that says why the weights
-make none, as `_misreport` says why a misreport fails; no text is parsed.
+An affine chain whose weights are all provably affine in its index
+(`Expr.affine_in`) is decided from levels 0, 1, count-1 and count, in the
+same work at any length.  A descent chain, an affine chain with another
+weight, and an affine chain that fails at those levels are unrolled level by
+level, keeping only the last one, so memory does not grow with their length
+and a failing report names the first failing level.  `instantiate` builds
+every profile through `core.Profile._checked` and returns it, or the text that
+says why the weights make none, as `_misreport` says why a misreport fails; no
+text is parsed.
 
 Reports list one pass/fail line per check, and a construction that fails
 (a level or shape that is no profile, a negative mass) is a FAIL line, never
@@ -248,8 +253,48 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
     return ScenarioReport(scenario.id, params, tuple(results))
 
 
+def _chain_level(scenario, chain: AffineChain, level_env: Env, j: int) -> Profile | str:
+    """Level `j` as `instantiate` gives it, with the index bound in `level_env`."""
+    level_env[chain.index] = Fraction(j)
+    return instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
+
+
+def _chain_ends(scenario, chain: AffineChain, env: Env, count: int, moves):
+    """Levels 0 and `count`, if levels 0, 1, count-1 and count prove every per-level claim.
+
+    Every weight is affine in the index, and an affine function on [0, count] takes
+    its extremes at the ends, so:
+    - each ranking's weight and the weights' sum are affine, so both end levels
+      being profiles makes every level one;
+    - level(j+1) - level(j) is constant, so the steps 0->1 and count-1->count
+      reproducing their targets make every step do so;
+    - each source's held mass is affine, so its cap holds at every "before" level
+      once it holds at those of both end steps, the extremes of that range;
+    - the size is the sum of the amounts, the same at every step;
+    - a weight that is 0 at both ends is 0 throughout and otherwise positive on the
+      open interval, so every interior level has level 1's support, on which alone
+      domination depends.
+    None when a claim fails at these levels: the walk then names the first failing level.
+    """
+    levels, level_env = {}, dict(env)
+    for j in sorted({0, min(1, count), max(count - 1, 0), count}):
+        level = levels[j] = _chain_level(scenario, chain, level_env, j)
+        if isinstance(level, str):
+            return None
+        if chain.pareto_excluded is not None and not _dominated(level, chain.pareto_excluded):
+            return None
+    for j in {1, count} if count else ():
+        before, after = (levels[j], levels[j - 1]) if chain.direction == "down" else (
+            levels[j - 1], levels[j])
+        if any(_misreport(before, moves, after, env["epsilon"])[:2]):
+            return None
+    return levels[0], levels[count]
+
+
 def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict[str, Profile]):
-    """Build the levels one at a time, checking each step against the level before it."""
+    """Decide the chain from its end levels when every weight is affine in the index
+    (`_chain_ends`); otherwise, or when an end fails, build the levels one at a time,
+    checking each step against the level before it."""
     count_value = env[chain.count]  # the catalog loader admits only a parameter or a def
     if count_value.denominator != 1 or count_value < 0:
         yield CheckResult(f"chain count {chain.count} is a nonnegative integer", False,
@@ -258,26 +303,30 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
     count = int(count_value)
     yield CheckResult(f"chain count {chain.count} = {count} is a nonnegative integer", True)
     moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
-    level_env = dict(env)
     details = ("", "")  # (transfer, size) at the first level where either fails
     dominated = True
-    for j in range(count + 1):
-        level_env[chain.index] = Fraction(j)
-        level = instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
-        if isinstance(level, str):
-            yield CheckResult(f"chain level {j} is a valid profile", False,
-                              f"chain level {j}: {level}")
-            return
-        if j == 0:
-            first = level
-        elif not any(details):
-            before, after = (level, last) if chain.direction == "down" else (last, level)
-            found = _misreport(before, moves, after, env["epsilon"])[:2]
-            if any(found):
-                details = tuple(f"level {j - 1}: {d}" if d else "" for d in found)
-        if chain.pareto_excluded is not None:
-            dominated = dominated and _dominated(level, chain.pareto_excluded)
-        last = level
+    ends = (_chain_ends(scenario, chain, env, count, moves)
+            if all(e.affine_in(chain.index) for _, e in chain.weights) else None)
+    if ends is not None:
+        first, last = ends
+    else:
+        level_env = dict(env)
+        for j in range(count + 1):
+            level = _chain_level(scenario, chain, level_env, j)
+            if isinstance(level, str):
+                yield CheckResult(f"chain level {j} is a valid profile", False,
+                                  f"chain level {j}: {level}")
+                return
+            if j == 0:
+                first = level
+            elif not any(details):
+                before, after = (level, last) if chain.direction == "down" else (last, level)
+                found = _misreport(before, moves, after, env["epsilon"])[:2]
+                if any(found):
+                    details = tuple(f"level {j - 1}: {d}" if d else "" for d in found)
+            if chain.pareto_excluded is not None:
+                dominated = dominated and _dominated(level, chain.pareto_excluded)
+            last = level
     yield CheckResult(f"all {count + 1} chain profiles are valid", True)
     yield CheckResult(f"chain level 0 equals profile {chain.first}", first == profiles[chain.first])
     yield CheckResult(f"chain level {count} equals profile {chain.last} (relabeled weights)",

@@ -126,3 +126,33 @@ def test_catalog_texts_match_the_fraction_reference():
             for expr in exprs:
                 _agrees(expr, env)
     assert len(texts) > 300  # about 350 distinct texts
+
+
+@pytest.mark.parametrize("text,affine", [
+    ("a + j*kp", True), ("(r - j)*(q/r)", True), ("j*(q/r)", True), ("j/2", True), ("a", True),
+    ("-(j - ceil(a))/(2*a)", True),
+    ("j*j", False), ("1/j", False), ("floor(j)", False), ("abs(j)", False),
+    ("j*(j - 1)/1000", False),
+])
+def test_the_degree_rule_finds_the_affine_expressions(text, affine):
+    assert compile_expression(text).affine_in("j") is affine
+
+
+def test_a_predicate_is_affine_in_no_name_it_reads():
+    predicate = compile_predicate("j < 1")
+    assert not predicate.affine_in("j") and predicate.affine_in("a")
+
+
+@settings(max_examples=150)
+@given(st.tuples(_arith_texts(), _arith_texts()).map(lambda t: f"({t[0]})*a + ({t[1]})"), _ENVS,
+       st.lists(_VALUES, min_size=3, max_size=3, unique=True))
+def test_an_expression_the_degree_rule_calls_affine_is_affine(text, env, points):
+    expr = compile_expression(text)
+    for name in sorted(n for n in expr.names if expr.affine_in(n)):
+        values = [_outcome(lambda: expr({**env, name: x})) for x in points]
+        if any(type(v) is not F for v in values):
+            # no divisor reads `name`, so a missing name or a zero divisor fails every point
+            assert len(set(values)) == 1, (text, name, env, points, values)
+            continue
+        (x0, x1, x2), (v0, v1, v2) = points, values
+        assert (v1 - v0) * (x2 - x0) == (v2 - v0) * (x1 - x0), (text, name, env, points)

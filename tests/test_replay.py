@@ -816,11 +816,8 @@ def test_catalog_rejects_a_chain_pareto_exclusion_that_is_no_alternative():
         _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="w")]))
 
 
-def test_affine_chain_is_checked_in_constant_memory():
-    # 8,000 levels; holding every level took about 450 bytes each, 3.6 MB here
-    scenario = get_scenario("1.I.1.1.n+1")
-    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 20000))
-    assert build_env(scenario, params)["n"] == 8000
+def _verified_in_traced_peak(scenario, params):
+    """The passing report's traced peak memory, in bytes."""
     tracemalloc.start()
     try:
         report = verify_full(scenario, params)
@@ -828,7 +825,134 @@ def test_affine_chain_is_checked_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert report.passed, report.text()
-    assert peak < 500_000
+    return peak
+
+
+_LEVELS_8000 = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 20000))
+
+
+def test_affine_chain_is_checked_in_constant_memory():
+    # 8,000 levels; holding every level took about 450 bytes each, 3.6 MB here
+    scenario = get_scenario("1.I.1.1.n+1")
+    assert build_env(scenario, _LEVELS_8000)["n"] == 8000
+    assert _verified_in_traced_peak(scenario, _LEVELS_8000) < 500_000
+
+
+def test_a_walked_affine_chain_is_checked_in_constant_memory():
+    assert _verified_in_traced_peak(_walked(get_scenario("1.I.1.1.n+1")), _LEVELS_8000) < 500_000
+
+
+def test_an_affine_chain_of_four_hundred_million_levels_is_decided_at_its_ends(monkeypatch):
+    scenario = get_scenario("1.I.1.1.n+1")
+    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10**9))
+    assert build_env(scenario, params)["n"] == 400_000_000
+    built = []
+
+    def counting(domain, weights):
+        built.append(weights)
+        assert len(built) <= 10, "the chain is being walked"
+        return instantiate(domain, weights)
+
+    monkeypatch.setattr(verify_module, "instantiate", counting)
+    report = verify_full(scenario, params)
+    assert report.passed, report.text()
+    assert "  pass  all 400000001 chain profiles are valid" in report.text()
+    assert len(built) == 3 + 4  # the named profiles, then levels 0, 1, n - 1 and n
+
+
+def test_a_bump_that_vanishes_at_the_end_levels_still_fails_at_its_level():
+    # 4/1000 at level 2 and 0 at levels 0, 1, 3 and 4: not affine in j, so the chain is walked
+    scenario = get_scenario("1.I.1.1.n+1")
+    bumped = _replace_chain(scenario, weights=_shifted_weight(
+        scenario.chains[0], "j*(j - 1)*(j - 3)*(j - 4)/1000"))
+    assert [r.line() for r in verify_full(bumped, _CHAIN).failures()] == [
+        "FAIL  chain level 2 is a valid profile  "
+        "(chain level 2: weights sum to 251/250, expected exactly 1)"]
+
+
+_CYCLE = (["xyz", "yzx", "zxy"], {"u": {"xyz": "1/4", "yzx": "1/4", "zxy": "1/2"},
+                                   "v": {"xyz": "1/20", "yzx": "1/20", "zxy": "9/10"}})
+_MOVES = [["zxy", "xyz", "1/5"], ["xyz", "yzx", "1/10"]]  # net: +1/10, +1/10, -1/5
+
+
+@pytest.mark.parametrize("domain,profiles,chain,failure", [
+    # x>y>z holds 1/20 < 1/10 at the "before" level of the last step only
+    (*_CYCLE, _affine_chain(
+        weights={"xyz": "1/4 - j/10", "yzx": "1/4 - j/10", "zxy": "1/2 + j/5"},
+        moves=_MOVES, direction="down", last="v", improvement=["y", "x"]),
+     "consecutive chain profiles differ by exactly the per-step moves  "
+     "(level 1: transfer of 1/10 exceeds the weight 1/20 on x>y>z)"),
+    # the same levels in reverse: the cap fails at the first step only
+    (*_CYCLE, _affine_chain(
+        weights={"xyz": "1/20 + j/10", "yzx": "1/20 + j/10", "zxy": "9/10 - j/5"},
+        moves=_MOVES, direction="up", first="v", last="u", improvement=["y", "x"]),
+     "consecutive chain profiles differ by exactly the per-step moves  "
+     "(level 0: transfer of 1/10 exceeds the weight 1/20 on x>y>z)"),
+    # x beats z at level 0 and y at level 2; at level 1 neither does
+    (["xzy", "yzx"], {"u": {"xzy": "1"}, "v": {"yzx": "1"}}, _affine_chain(
+        weights={"xzy": "1 - j/2", "yzx": "j/2"}, moves=[["xzy", "yzx", "1/2"]],
+        direction="up", last="v", improvement=["z", "x"], pareto_excluded="z"),
+     "z is unanimously dominated at every chain level"),
+], ids=["cap-at-the-last-step", "cap-at-the-first-step", "domination-inside"])
+def test_an_affine_chain_claim_that_fails_off_the_end_levels_is_reported(
+        domain, profiles, chain, failure):
+    # two steps, so each end step's "before" level is an extreme of that range
+    scenario = _parse_scenario(_record(
+        domain=domain, profiles=profiles, defs=[["n", "2"]], chains=[{**chain, "count": "n"}]))
+    report = verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(3, 5)))
+    assert [r.line() for r in report.failures()] == [f"FAIL  {failure}"]
+
+
+def _walked(scenario, moves_factor=1):
+    """The scenario with each affine chain weight made non-affine by syntax but equal in
+    value, so its chain is walked; the chains' move amounts times `moves_factor`."""
+    def walked(chain):
+        if not isinstance(chain, AffineChain):
+            return chain
+        nonaffine = f"0*{chain.index}*{chain.index}"
+        return replace(
+            chain, weights=tuple((r, compile_expression(f"({w}) + {nonaffine}"))
+                                 for r, w in chain.weights),
+            moves=tuple((src, dst, compile_expression(f"({a})*{moves_factor}"))
+                        for src, dst, a in chain.moves))
+    return replace(scenario, chains=tuple(walked(chain) for chain in scenario.chains))
+
+
+def test_affine_chains_decided_at_their_ends_report_as_the_walk():
+    rng = random.Random(1717)
+    scenarios = [s for s in scenario_catalog() if any(isinstance(c, AffineChain) for c in s.chains)]
+    assert len(scenarios) == 25
+    for scenario in scenarios:
+        chains = [c for c in scenario.chains if isinstance(c, AffineChain)]
+        assert all(w.affine_in(c.index) for c in chains for _, w in c.weights)
+        walked = _walked(scenario)
+        assert not any(w.affine_in(c.index) for c in walked.chains if isinstance(c, AffineChain)
+                       for _, w in c.weights)
+        # with twice the moves a chain's steps fail: it is decided by the walk either way
+        doubled, doubled_walked = _walked(scenario, 2), _walked(walked, 2)
+        for _ in range(20):
+            params = sample_params(scenario, rng)
+            report = verify_full(scenario, params)
+            assert report.passed, report.text()
+            assert report.text() == verify_full(walked, params).text()
+            assert verify_full(doubled, params).text() == verify_full(doubled_walked, params).text()
+
+
+@pytest.mark.parametrize("fields", [
+    {"assume": ["j < 1"]},
+    {"window": ["epsilon < j"]},
+    {"checks": ["j > 0"]},
+    {"identities": [["a", "a + 0*j"]]},
+    {"profiles": {"u": {"xyz": "a + j", "yzx": "1 - a - j"}}},
+    {"steps": [{"from": "u", "to": "u", "moves": [["xyz", "yzx", "j"]],
+                "improvement": ["x", "y"]}]},
+    {"chains": [_affine_chain(moves=[["xyz", "yzx", "j"]])]},
+], ids=["assume", "window", "check", "identity", "template", "step-move", "chain-move"])
+def test_only_affine_chain_weights_may_read_the_chain_index(fields):
+    chain = _affine_chain(weights={"xyz": "a - j*a", "yzx": "1 - a + j*a"})
+    assert _parse_scenario(_record(chains=[chain])).chains[0].weights[0][1].names == {"a", "j"}
+    with pytest.raises(CatalogError, match="^scenario t.1: expression .* uses unknown name 'j'$"):
+        _parse_scenario(_record(**{"chains": [chain], **fields}))
 
 
 def _record_with_every_part():
