@@ -8,12 +8,12 @@ exact rationals; hypothesized evaluations are scenario data, never computed,
 because the rule under analysis is universally quantified.
 
 Scenarios ship as YAML in ``data/`` so every case is auditable as plain text.
-The loader validates structure eagerly: unknown keys, unknown profiles,
-off-domain rankings, or malformed winner specs fail at load time.  It also
-compiles every expression once, so an expression that is malformed, inexact,
-or reads a name its scenario does not define fails at load time too, and the
-verifier never parses text.  The defs and preconditions are kept once, as
-`Scenario.derivation`, in the order the verifier checks them.
+The loader validates structure eagerly: missing or unknown keys, unknown
+profiles, off-domain rankings, or malformed winner specs fail at load time.
+It also compiles every expression once, so an expression that is malformed,
+inexact, or reads a name its scenario does not define fails at load time too,
+and the verifier never parses text.  The defs and preconditions are kept once,
+as `Scenario.derivation`, in the order the verifier checks them.
 """
 
 from __future__ import annotations
@@ -31,15 +31,18 @@ _VALID_GROUPS = ("cycle", "expansion", "rich")
 #: The rules a rule check may name, by name.
 _RULES = {str(rule): rule for rule in (BORDA, CONDORCET, PLURALITY)}
 
-#: The keys each part of a scenario record may hold.  Any other key fails the
-#: load, so a misspelled key cannot drop its claims unseen.
-_KEYS = {part: frozenset(keys.split()) for part, keys in (
-    ("scenario", "id group domain params sample assume window defs profiles hypotheses "
-                 "rule_checks pareto_excluded identities checks perm_links steps chains note"),
-    ("step", "from to moves improvement"), ("perm link", "source target mapping"),
-    ("affine chain", "kind index count weights moves direction first last improvement "
-                     "pareto_excluded"),
-    ("descent chain", "kind fixed components absorber base pair improvement"))}
+#: The keys each part of a scenario record must hold, and the further keys it
+#: may hold.  A missing key fails the load, and so does any other key, so a
+#: misspelled key cannot drop its claims unseen.
+_KEYS = {part: (tuple(required.split()), frozenset(f"{required} {optional}".split()))
+         for part, required, optional in (
+    ("scenario", "id domain", "group params sample assume window defs profiles hypotheses "
+                              "rule_checks pareto_excluded identities checks perm_links steps "
+                              "chains note"),
+    ("step", "from to moves improvement", ""), ("perm link", "source target mapping", ""),
+    ("affine chain", "count weights moves direction first last improvement",
+                     "kind index pareto_excluded"),
+    ("descent chain", "kind components absorber base pair improvement", "fixed"))}
 
 
 class CatalogError(ValueError):
@@ -145,9 +148,13 @@ def _compiled(compile_fn, text, scope: set[str], where: str) -> Expr:
 
 
 def _fields(raw: dict, part: str, where: str) -> dict:
-    """`raw`, once each of its keys is one that a `part` may hold."""
-    for key in sorted(set(raw) - _KEYS[part], key=str):
+    """`raw`, once it holds every key a `part` must hold and no key it may not."""
+    required, allowed = _KEYS[part]
+    for key in sorted(set(raw) - allowed, key=str):
         raise CatalogError(f"{where}: unknown {part} key {key!r}")
+    for key in required:
+        if key not in raw:
+            raise CatalogError(f"{where}: missing {part} key {key!r}")
     return raw
 
 
@@ -192,7 +199,7 @@ def _parse_scenario(raw: dict) -> Scenario:
     expression also the defs (each def those before it).  Only an affine chain's
     weights may read its index, the one name bound per level.
     """
-    sid = str(raw["id"])
+    sid = str(raw.get("id", "?"))  # a record without one fails `_fields`
     where = f"scenario {sid}"
     _fields(raw, "scenario", where)
     group = raw.get("group", "")

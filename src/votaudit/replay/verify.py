@@ -6,15 +6,14 @@ agreements, domination, renamings, misreport steps and induction chains;
 `verify_scenario` and `verify_induction_chain` are its halves.  One judgement,
 `_misreport`, checks every misreport, a step's or a chain level's: the transfer
 reproduces the next profile exactly, with coalition mass in (0, epsilon).
-An affine chain whose weights are all provably affine in its index
-(`Expr.affine_in`) is decided from levels 0, 1, count-1 and count, in the
-same work at any length.  A descent chain, an affine chain with another
-weight, and an affine chain that fails at those levels are unrolled level by
-level, keeping only the last one, so memory does not grow with their length
-and a failing report names the first failing level.  `instantiate` builds
-every profile through `core.Profile._checked` and returns it, or the text that
-says why the weights make none, as `_misreport` says why a misreport fails; no
-text is parsed.
+One walker, `_walk`, checks both kinds of induction chain: from levels 0, 1,
+count-1 and count when its levels are affine in the index (a descent chain's
+always are; an affine chain's when `Expr.affine_in` proves its weights so), and
+otherwise, or when those levels fail, level by level, keeping only the last, so
+a failing report names its first failing level.
+`instantiate` builds every profile through `core.Profile._checked` and returns
+it, or the text that says why the weights make none, as `_misreport` says why a
+misreport fails; no text is parsed.
 
 Reports list one pass/fail line per check, and a construction that fails
 (a level or shape that is no profile, a negative mass) is a FAIL line, never
@@ -31,8 +30,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ..axioms import _dominations
-from ..core import (Profile, ProfileError, Ranking, as_fraction, permute_profile,
-                    transfer_weight)
+from ..core import Profile, ProfileError, as_fraction, permute_profile, transfer_weight
 from ..rules import evaluate
 from .expressions import ExpressionError
 from .model import AffineChain, DescentChain, Scenario, expand_winner_spec
@@ -253,17 +251,14 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
     return ScenarioReport(scenario.id, params, tuple(results))
 
 
-def _chain_level(scenario, chain: AffineChain, level_env: Env, j: int) -> Profile | str:
-    """Level `j` as `instantiate` gives it, with the index bound in `level_env`."""
-    level_env[chain.index] = Fraction(j)
-    return instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
+def _walk(count: int, build, moves, eps: Fraction, claim, *, affine: bool, down: bool):
+    """Levels 0 and `count` of a chain (None if not reached) and the first failure of each
+    kind as `(j, why)`, or None: level j is no profile (`build(j)`'s text; the walk stops),
+    the step between levels j-1 and j fails `_misreport` (its transfer and size texts),
+    or level j fails `claim(j, level)` (the truthy answer).
 
-
-def _chain_ends(scenario, chain: AffineChain, env: Env, count: int, moves):
-    """Levels 0 and `count`, if levels 0, 1, count-1 and count prove every per-level claim.
-
-    Every weight is affine in the index, and an affine function on [0, count] takes
-    its extremes at the ends, so:
+    When the levels are `affine` in j, levels 0, 1, count-1 and count decide every claim,
+    as an affine function on [0, count] takes its extremes at the ends:
     - each ranking's weight and the weights' sum are affine, so both end levels
       being profiles makes every level one;
     - level(j+1) - level(j) is constant, so the steps 0->1 and count-1->count
@@ -273,28 +268,34 @@ def _chain_ends(scenario, chain: AffineChain, env: Env, count: int, moves):
     - the size is the sum of the amounts, the same at every step;
     - a weight that is 0 at both ends is 0 throughout and otherwise positive on the
       open interval, so every interior level has level 1's support, on which alone
-      domination depends.
-    None when a claim fails at these levels: the walk then names the first failing level.
+      domination depends;
+    - a descent's window claim is affine too (`_descent_chain_results`).
+    Otherwise, or when those levels fail, every level is built, keeping only the last.
     """
-    levels, level_env = {}, dict(env)
-    for j in sorted({0, min(1, count), max(count - 1, 0), count}):
-        level = levels[j] = _chain_level(scenario, chain, level_env, j)
-        if isinstance(level, str):
-            return None
-        if chain.pareto_excluded is not None and not _dominated(level, chain.pareto_excluded):
-            return None
-    for j in {1, count} if count else ():
-        before, after = (levels[j], levels[j - 1]) if chain.direction == "down" else (
-            levels[j - 1], levels[j])
-        if any(_misreport(before, moves, after, env["epsilon"])[:2]):
-            return None
-    return levels[0], levels[count]
+    ends = sorted({0, min(1, count), max(count - 1, 0), count})
+    for levels in ([ends] if affine else []) + [range(count + 1)]:
+        first = last = invalid = step = broken = None
+        for j in levels:
+            level = build(j)
+            if isinstance(level, str):
+                invalid = j, level
+                break
+            if j == 0:
+                first = level
+            elif step is None and last_j == j - 1:
+                before, after = (level, last) if down else (last, level)
+                found = _misreport(before, moves, after, eps)[:2]
+                if any(found):
+                    step = j, found
+            if broken is None and (why := claim(j, level)):
+                broken = j, why
+            last, last_j = level, j
+        if not (invalid or step or broken):
+            break
+    return first, last, invalid, step, broken
 
 
 def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict[str, Profile]):
-    """Decide the chain from its end levels when every weight is affine in the index
-    (`_chain_ends`); otherwise, or when an end fails, build the levels one at a time,
-    checking each step against the level before it."""
     count_value = env[chain.count]  # the catalog loader admits only a parameter or a def
     if count_value.denominator != 1 or count_value < 0:
         yield CheckResult(f"chain count {chain.count} is a nonnegative integer", False,
@@ -303,90 +304,86 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
     count = int(count_value)
     yield CheckResult(f"chain count {chain.count} = {count} is a nonnegative integer", True)
     moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
-    details = ("", "")  # (transfer, size) at the first level where either fails
-    dominated = True
-    ends = (_chain_ends(scenario, chain, env, count, moves)
-            if all(e.affine_in(chain.index) for _, e in chain.weights) else None)
-    if ends is not None:
-        first, last = ends
-    else:
-        level_env = dict(env)
-        for j in range(count + 1):
-            level = _chain_level(scenario, chain, level_env, j)
-            if isinstance(level, str):
-                yield CheckResult(f"chain level {j} is a valid profile", False,
-                                  f"chain level {j}: {level}")
-                return
-            if j == 0:
-                first = level
-            elif not any(details):
-                before, after = (level, last) if chain.direction == "down" else (last, level)
-                found = _misreport(before, moves, after, env["epsilon"])[:2]
-                if any(found):
-                    details = tuple(f"level {j - 1}: {d}" if d else "" for d in found)
-            if chain.pareto_excluded is not None:
-                dominated = dominated and _dominated(level, chain.pareto_excluded)
-            last = level
+    level_env, excluded = dict(env), chain.pareto_excluded
+
+    def level(j: int) -> Profile | str:
+        level_env[chain.index] = Fraction(j)
+        return instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
+
+    first, last, invalid, step, undominated = _walk(
+        count, level, moves, env["epsilon"],
+        lambda _, profile: excluded is not None and not _dominated(profile, excluded),
+        affine=all(e.affine_in(chain.index) for _, e in chain.weights),
+        down=chain.direction == "down")
+    if invalid:
+        yield CheckResult(f"chain level {invalid[0]} is a valid profile", False,
+                          f"chain level {invalid[0]}: {invalid[1]}")
+        return
     yield CheckResult(f"all {count + 1} chain profiles are valid", True)
     yield CheckResult(f"chain level 0 equals profile {chain.first}", first == profiles[chain.first])
     yield CheckResult(f"chain level {count} equals profile {chain.last} (relabeled weights)",
                       last == profiles[chain.last])
+    details = (f"level {step[0] - 1}: {d}" if d else "" for d in step[1]) if step else ("", "")
     for label, detail in zip(("consecutive chain profiles differ by exactly the per-step moves",
                               "every chain step has coalition size < epsilon"), details):
         yield CheckResult(label, not detail, detail)
     yield from _improvement_results(moves, chain.improvement, "chain step")
-    if chain.pareto_excluded is not None:
-        yield CheckResult(
-            f"{chain.pareto_excluded} is unanimously dominated at every chain level", dominated)
+    if excluded is not None:
+        yield CheckResult(f"{excluded} is unanimously dominated at every chain level",
+                          undominated is None)
 
 
 def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: dict[str, Profile]):
+    """The descent in closed form, checked by `_walk` like an affine chain.
+
+    With w = epsilon_partition(M, epsilon) for the component mass M, level t scales each
+    component by n/(n+1) for n = w, ..., w+1-t, which telescopes to (w+1-t)/(w+1); the
+    absorber holds the rest.  So every weight is affine in t, each step moves the constant
+    1/(w+1) of each component out of the absorber, and level w+1 is the terminal shape.
+    Level t's window index should be k = w - t: with c = M/((w+1)*epsilon) that reads
+    k <= c*(k+1) < k+1, affine in k, so the end levels decide it too.
+    """
     eps = env["epsilon"]
     fixed = [(r, e(env)) for r, e in chain.fixed]
     components = {r: e(env) for r, e in chain.components}
+    mass = sum(components.values(), Fraction(0))  # level 0 can hold a negative component mass
+    windows = 0 if mass < 0 else epsilon_partition(mass, eps)
+    moves = [(chain.absorber, r, v / (windows + 1)) for r, v in components.items()]
 
-    def level_profile(comps: dict[Ranking, Fraction]) -> Profile | str:
-        """Fixed weights, components, and the rest on the absorber (negative if overfull)."""
-        weights = [*fixed, *comps.items()]
+    def level(t: int) -> Profile | str:  # w + 1 - t steps' moves on each component
+        weights = [*fixed, *((r, amount * (windows + 1 - t)) for _, r, amount in moves)]
         weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
         return instantiate(scenario.domain, [(r, *w.as_integer_ratio()) for r, w in weights])
 
-    current = level_profile(components)
-    if isinstance(current, str):
-        yield CheckResult("descent level 0 is a valid profile", False, current)
+    def window_index(t: int, _) -> str:  # "" when level t's is w - t; level 0's is w
+        got = epsilon_partition(mass * (windows + 1 - t) / (windows + 1), eps) if t else windows
+        return "" if got == windows - t else (
+            f"window index went {windows - t + 1} -> {got}, expected {windows - t}")
+
+    first, last, invalid, step, window = _walk(windows, level, moves, eps, window_index,
+                                               affine=True, down=True)
+    if invalid and invalid[0] == 0:
+        yield CheckResult("descent level 0 is a valid profile", False, invalid[1])
         return
     yield CheckResult(f"descent level 0 equals profile {chain.base}",
-                      current == profiles[chain.base])
-    mass = sum(components.values(), Fraction(0))  # level 0 can hold a negative component mass
-    level, comps, detail = 0, components, f"component mass {mass} is negative" if mass < 0 else ""
-    window = 0 if detail else epsilon_partition(mass, eps)
-    while window >= 1:
-        factor = Fraction(window, window + 1)
-        next_comps = {r: v * factor for r, v in comps.items()}
-        nxt = level_profile(next_comps)
-        if isinstance(nxt, str):
-            detail = f"level {level + 1}: {nxt}"
-            break
-        moves = [(chain.absorber, r, comps[r] - next_comps[r]) for r in comps]
-        found = "; ".join(filter(None, _misreport(nxt, moves, current, eps)[:2]))
-        if found:
-            detail = f"level {level + 1}: {found}"
-            break
-        next_window = epsilon_partition(sum(next_comps.values(), Fraction(0)), eps)
-        if next_window != window - 1:
-            detail = f"window index went {window} -> {next_window}, expected {window - 1}"
-            break
-        comps, current, window = next_comps, nxt, next_window
-        level += 1
+                      first == profiles[chain.base])
+    found = [(t, f"level {t}: {why}") for t, why in filter(None, [invalid])]
+    found += [(t, f"level {t}: " + "; ".join(filter(None, why))) for t, why in filter(None, [step])]
+    found += filter(None, [window])
+    reached, detail = windows, f"component mass {mass} is negative" if mass < 0 else ""
+    if found:  # the first failing level, and there the first kind the walk judges
+        t, detail = min(found, key=lambda failure: failure[0])
+        reached = t - 1
     yield CheckResult(
-        f"descent of {level} level(s): each rebuilds the previous profile with "
+        f"descent of {reached} level(s): each rebuilds the previous profile with "
         "coalition mass < epsilon and drops the window index by one",
         not detail, detail)
-    pair, terminal = profiles[chain.pair], level_profile({r: Fraction(0) for r in comps})
+    current = last if reached == windows else level(reached)
+    pair, terminal = profiles[chain.pair], level(windows + 1)
     yield CheckResult(
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
         pair == terminal, terminal if isinstance(terminal, str) else "")
-    final_moves = [(chain.absorber, r, v) for r, v in comps.items()]
+    final_moves = [(src, r, amount * (windows + 1 - reached)) for src, r, amount in moves]
     detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)[:2]))
     yield CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
@@ -410,7 +407,7 @@ def _chain_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]):
 
 
 def verify_induction_chain(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
-    """Unroll and check every induction chain declared by the scenario."""
+    """Check every induction chain declared by the scenario."""
     env, profiles, _ = _build(scenario, params)
     return ScenarioReport(scenario.id, params, tuple(_chain_results(scenario, env, profiles)))
 

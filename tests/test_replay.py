@@ -10,6 +10,7 @@ import votaudit as va
 from votaudit.replay import (
     AffineChain,
     CatalogError,
+    DescentChain,
     PreconditionViolation,
     ScenarioParams,
     case_index,
@@ -598,13 +599,11 @@ def _without_steps(scenario):
 
 
 def _skip_a_window(scenario, monkeypatch):
-    """The descent's window index dropping by two at its second level, which exact
-    arithmetic never gives: `epsilon_partition` is patched to report it."""
-    calls = []
-
+    """The descent's window index dropping by two at level 5 of its 6, an end level,
+    which exact arithmetic never gives: `epsilon_partition` is patched to report it
+    for that level's component mass, 1/4 * 2/7."""
     def partition(quantity, epsilon):
-        calls.append(quantity)
-        return epsilon_partition(quantity, epsilon) - (len(calls) == 3)
+        return epsilon_partition(quantity, epsilon) - (quantity == F(1, 14))
 
     monkeypatch.setattr("votaudit.replay.verify.epsilon_partition", partition)
     return scenario
@@ -763,9 +762,9 @@ scenario 3.I.1.1.0.n+1 at a=11/20, b=1/10, c=1/5, epsilon=1/25
   pass  profile pairXY is valid (weights >= 0, sum 1)
   pass  condorcet elects x on base
   pass  descent level 0 equals profile base
-  FAIL  descent of 1 level(s): each rebuilds the previous profile with coalition mass < epsilon and drops the window index by one  (window index went 5 -> 3, expected 4)
+  FAIL  descent of 4 level(s): each rebuilds the previous profile with coalition mass < epsilon and drops the window index by one  (window index went 2 -> 0, expected 1)
   pass  profile pairXY equals the terminal shape with all component mass absorbed
-  FAIL  final misreport from pairXY rebuilds the terminal profile with size < epsilon  (size 3/14 vs epsilon 1/25)
+  FAIL  final misreport from pairXY rebuilds the terminal profile with size < epsilon  (size 3/28 vs epsilon 1/25)
   pass  descent step: movers with true ranking y>x>z gain (y over not:y)
   pass  descent step: movers with true ranking y>x>z gain (y over not:y)
 """),
@@ -842,22 +841,39 @@ def test_a_walked_affine_chain_is_checked_in_constant_memory():
     assert _verified_in_traced_peak(_walked(get_scenario("1.I.1.1.n+1")), _LEVELS_8000) < 500_000
 
 
-def test_an_affine_chain_of_four_hundred_million_levels_is_decided_at_its_ends(monkeypatch):
-    scenario = get_scenario("1.I.1.1.n+1")
-    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10**9))
-    assert build_env(scenario, params)["n"] == 400_000_000
+def _count_profiles_built(monkeypatch, limit=10):
+    """The weights of every profile `verify_full` builds from here on; one more than
+    `limit` fails the test, long before a walk of the long chains below would end."""
     built = []
 
     def counting(domain, weights):
         built.append(weights)
-        assert len(built) <= 10, "the chain is being walked"
+        assert len(built) <= limit, "the chain is being walked"
         return instantiate(domain, weights)
 
     monkeypatch.setattr(verify_module, "instantiate", counting)
+    return built
+
+
+def test_an_affine_chain_of_four_hundred_million_levels_is_decided_at_its_ends(monkeypatch):
+    scenario = get_scenario("1.I.1.1.n+1")
+    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10**9))
+    assert build_env(scenario, params)["n"] == 400_000_000
+    built = _count_profiles_built(monkeypatch)
     report = verify_full(scenario, params)
     assert report.passed, report.text()
     assert "  pass  all 400000001 chain profiles are valid" in report.text()
     assert len(built) == 3 + 4  # the named profiles, then levels 0, 1, n - 1 and n
+
+
+def test_a_descent_of_a_quarter_billion_windows_is_decided_at_its_ends(monkeypatch):
+    scenario = get_scenario("3.I.1.1.0.n+1")
+    params = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 10**9))
+    built = _count_profiles_built(monkeypatch)
+    report = verify_full(scenario, params)
+    assert report.passed, report.text()
+    assert "  pass  descent of 250000000 level(s): " in report.text()
+    assert len(built) == 2 + 4 + 1  # the named profiles, levels 0, 1, w - 1 and w, the terminal
 
 
 def test_a_bump_that_vanishes_at_the_end_levels_still_fails_at_its_level():
@@ -903,6 +919,30 @@ def test_an_affine_chain_claim_that_fails_off_the_end_levels_is_reported(
     assert [r.line() for r in report.failures()] == [f"FAIL  {failure}"]
 
 
+def test_a_claim_that_fails_from_an_inner_level_on_is_reported_at_that_level(monkeypatch):
+    # x>y>z holds 1/8 - j/40, less than the 1/10 it gives, at the steps out of levels 2-4:
+    # levels 0, 1, 3 and 4 show the failure at the step out of level 3, and the walk
+    # they then fall back to names the one out of level 2
+    scenario = _parse_scenario(_record(
+        domain=_CYCLE[0], defs=[["n", "4"]],
+        profiles={"u": {"xyz": "1/8", "yzx": "1/2", "zxy": "3/8"},
+                  "v": {"xyz": "1/40", "yzx": "1/10", "zxy": "7/8"}},
+        chains=[_affine_chain(
+            count="n", weights={"xyz": "1/8 - j/40", "yzx": "1/2 - j/10", "zxy": "3/8 + j/8"},
+            moves=[["zxy", "xyz", "1/8"], ["xyz", "yzx", "1/10"]], last="v",
+            improvement=["y", "x"])]))
+    report = verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(3, 5)))
+    assert [r.line() for r in report.failures()] == [
+        "FAIL  consecutive chain profiles differ by exactly the per-step moves  "
+        "(level 1: transfer of 1/10 exceeds the weight 3/40 on x>y>z)"]
+    # the window index misreported from level 3 of 6 on: 1/4 * 4/7 is level 3's mass
+    monkeypatch.setattr("votaudit.replay.verify.epsilon_partition", lambda quantity, epsilon: (
+        epsilon_partition(quantity, epsilon) - (quantity <= F(1, 7))))
+    [failure] = verify_full(get_scenario("3.I.1.1.0.n+1"), _DESCENT).failures()[:1]
+    assert failure.label.startswith("descent of 2 level(s)")
+    assert failure.detail == "window index went 4 -> 2, expected 3"
+
+
 def _walked(scenario, moves_factor=1):
     """The scenario with each affine chain weight made non-affine by syntax but equal in
     value, so its chain is walked; the chains' move amounts times `moves_factor`."""
@@ -936,6 +976,45 @@ def test_affine_chains_decided_at_their_ends_report_as_the_walk():
             assert report.passed, report.text()
             assert report.text() == verify_full(walked, params).text()
             assert verify_full(doubled, params).text() == verify_full(doubled_walked, params).text()
+
+
+def _descent_mutants(chain):
+    """The chain with its components scaled, one component or fixed weight shifted,
+    or its pair profile the base."""
+    def shifted(weights, text):
+        (r, weight), *rest = weights
+        return ((r, compile_expression(f"({weight}) + {text}")), *rest)
+
+    for factor in ("3", "1/2", "-1", "0"):
+        yield replace(chain, components=tuple(
+            (r, compile_expression(f"({c})*({factor})")) for r, c in chain.components))
+    for shift in ("1/1000", "-1/1000"):
+        yield replace(chain, components=shifted(chain.components, shift))
+        yield replace(chain, fixed=shifted(chain.fixed, shift))
+    yield replace(chain, pair=chain.base)
+
+
+def test_descent_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
+    rng = random.Random(1818)
+    scenarios = [s for s in scenario_catalog() if any(isinstance(c, DescentChain) for c in s.chains)]
+    assert len(scenarios) == 3
+    cases = []
+    for scenario in scenarios:
+        [chain] = scenario.chains
+        mutants = [replace(scenario, chains=(mutant,)) for mutant in _descent_mutants(chain)]
+        for _ in range(20):
+            params = sample_params(scenario, rng)
+            cases += [(variant, params) for variant in (scenario, *mutants)]
+    built = _count_profiles_built(monkeypatch, limit=100_000)
+    at_ends = [verify_full(variant, params) for variant, params in cases]
+    assert [r.passed for r in at_ends] == [variant in scenarios for variant, _ in cases]
+    built_at_ends = len(built)
+    walk = verify_module._walk
+    monkeypatch.setattr(verify_module, "_walk",
+                        lambda *args, **kwargs: walk(*args, **{**kwargs, "affine": False}))
+    assert [verify_full(variant, params).text() for variant, params in cases] == [
+        r.text() for r in at_ends]
+    assert len(built) - built_at_ends > built_at_ends  # the walk built the skipped levels
 
 
 @pytest.mark.parametrize("fields", [
@@ -980,6 +1059,25 @@ def test_catalog_rejects_an_unknown_key(part, select):
     select(raw)["improvment"] = ["x", "y"]
     with pytest.raises(CatalogError, match=f"^scenario t.1: unknown {part} key 'improvment'$"):
         _parse_scenario(raw)
+
+
+@pytest.mark.parametrize("part,select,keys", [
+    ("scenario", lambda raw: raw, ["id", "domain"]),
+    ("step", lambda raw: raw["steps"][0], ["from", "to", "moves", "improvement"]),
+    ("affine chain", lambda raw: raw["chains"][0],
+     ["count", "weights", "moves", "direction", "first", "last", "improvement"]),
+    ("descent chain", lambda raw: raw["chains"][1],
+     ["components", "absorber", "base", "pair", "improvement"]),
+    ("perm link", lambda raw: raw["perm_links"][0], ["source", "target", "mapping"]),
+], ids=["scenario", "step", "affine-chain", "descent-chain", "perm-link"])
+def test_catalog_rejects_a_missing_key(part, select, keys):
+    for key in keys:
+        raw = _record_with_every_part()
+        del select(raw)[key]
+        with pytest.raises(CatalogError) as exc:
+            _parse_scenario(raw)
+        sid = "?" if key == "id" else "t.1"
+        assert str(exc.value) == f"scenario {sid}: missing {part} key '{key}'"
 
 
 def test_a_misspelled_catalog_key_fails_the_load_instead_of_dropping_its_claims():
