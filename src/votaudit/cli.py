@@ -45,8 +45,8 @@ def _read_profile(path: str) -> core.Profile:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return core.parse_weight(text)
+    except core.ProfileParseError:
         raise _CliError(f"bad {what}: {text!r}") from None
 
 

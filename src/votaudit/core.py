@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -432,8 +433,17 @@ def transfer_weight(profile: Profile, moves: Sequence[Move]) -> tuple[Profile, F
 
 
 def parse_weight(token: str) -> Fraction:
-    """Exact rational reading of ``p/q`` or decimal text (``0.25`` -> 1/4)."""
+    """Exact rational reading of ``p/q`` or decimal text (``0.25`` -> 1/4, ``1e-3`` -> 1/1000).
+
+    An exponent of magnitude at least Python's limit on the digits of integer text
+    (`sys.get_int_max_str_digits()`, unless 0) is refused: `Fraction` would first build
+    10 to that power, which takes seconds and megabytes that the limit does not bound.
+    """
     try:
+        if "e" in token or "E" in token:  # only exponent text pays for the check
+            limit = sys.get_int_max_str_digits()
+            if limit and abs(int(token.lower().rpartition("e")[2])) >= limit:
+                raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ProfileParseError(f"bad weight {token!r}") from None

@@ -24,8 +24,8 @@ understates a degree: a name has degree 1 and a literal 0; `+` and `-` take
 the larger degree of their operands, `*` adds them and a sign keeps it; `/`
 keeps its dividend's degree in a name its divisor does not read; floor, ceil
 and abs, and a divisor, make every name they read non-affine.  A predicate is
-affine in none of its names.  The verifier decides an affine induction chain
-from its end levels only when every weight is affine in the chain's index.
+affine in none of its names.  The loader admits an affine induction chain only
+when every weight is affine in the chain's index, as the verifier's walk needs.
 """
 
 from __future__ import annotations

@@ -197,7 +197,7 @@ def _parse_scenario(raw: dict) -> Scenario:
 
     Sampling bounds may read the parameters and epsilon, and every other
     expression also the defs (each def those before it).  Only an affine chain's
-    weights may read its index, the one name bound per level.
+    weights may read its index, the one name bound per level, and only affinely.
     """
     sid = str(raw.get("id", "?"))  # a record without one fails `_fields`
     where = f"scenario {sid}"
@@ -299,6 +299,8 @@ def _parse_scenario(raw: dict) -> Scenario:
                 improvement=_as_improvement(chain["improvement"], f"{where} chain"),
                 pareto_excluded=chain.get("pareto_excluded"),
             ))
+            for r in [r for r, weight in chains[-1].weights if not weight.affine_in(index)]:
+                raise CatalogError(f"{where}: chain weight on {r} is not affine in {index!r}")
             if chains[-1].direction not in ("down", "up"):
                 raise CatalogError(f"{where}: chain direction must be down or up")
             if chains[-1].count not in scope:

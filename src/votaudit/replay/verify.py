@@ -6,11 +6,10 @@ agreements, domination, renamings, misreport steps and induction chains;
 `verify_scenario` and `verify_induction_chain` are its halves.  One judgement,
 `_misreport`, checks every misreport, a step's or a chain level's: the transfer
 reproduces the next profile exactly, with coalition mass in (0, epsilon).
-One walker, `_walk`, checks both kinds of induction chain: from levels 0, 1,
-count-1 and count when its levels are affine in the index (a descent chain's
-always are; an affine chain's when `Expr.affine_in` proves its weights so), and
-otherwise, or when those levels fail, level by level, keeping only the last, so
-a failing report names its first failing level.
+One walker, `_walk`, checks both kinds of induction chain in O(log count) levels: it
+asks levels 0, 1, count-1 and count, and bisects back from the first that fails to the
+first failing level.  That is sound as the levels are affine in the index: a descent's
+always, an affine chain's as the loader admits only weights `Expr.affine_in` proves so.
 `instantiate` builds every profile through `core.Profile._checked` and returns
 it, or the text that says why the weights make none, as `_misreport` says why a
 misreport fails; no text is parsed.
@@ -24,6 +23,8 @@ it reads are bound.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -251,48 +252,45 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
     return ScenarioReport(scenario.id, params, tuple(results))
 
 
-def _walk(count: int, build, moves, eps: Fraction, claim, *, affine: bool, down: bool):
-    """Levels 0 and `count` of a chain (None if not reached) and the first failure of each
-    kind as `(j, why)`, or None: level j is no profile (`build(j)`'s text; the walk stops),
-    the step between levels j-1 and j fails `_misreport` (its transfer and size texts),
-    or level j fails `claim(j, level)` (the truthy answer).
+def _walk(count: int, level, moves, eps: Fraction, claim, *, down: bool):
+    """The first failure of each kind as `(j, why)`, or None: level j is no profile
+    (`level(j)`'s text), the step between levels j-1 and j fails `_misreport` (its
+    transfer and size texts), or level j fails `claim(j)` (the truthy answer); steps
+    and claims are asked only up to `top`, the last level below the first invalid one.
 
-    When the levels are `affine` in j, levels 0, 1, count-1 and count decide every claim,
-    as an affine function on [0, count] takes its extremes at the ends:
-    - each ranking's weight and the weights' sum are affine, so both end levels
+    The levels are affine in j, so each kind is an affine inequality or identity in j,
+    a conjunction of such, or depends only on the support:
+    - each ranking's weight and the weights' sum are affine, so levels 0 and count
       being profiles makes every level one;
-    - level(j+1) - level(j) is constant, so the steps 0->1 and count-1->count
-      reproducing their targets make every step do so;
+    - level(j+1) - level(j) is constant, so every step or none reproduces its target;
     - each source's held mass is affine, so its cap holds at every "before" level
-      once it holds at those of both end steps, the extremes of that range;
+      once it holds at those of the steps into levels 1 and top;
     - the size is the sum of the amounts, the same at every step;
-    - a weight that is 0 at both ends is 0 throughout and otherwise positive on the
-      open interval, so every interior level has level 1's support, on which alone
-      domination depends;
+    - a weight 0 at both ends is 0 throughout, else positive inside, so every interior
+      level has level 1's support, on which alone domination depends;
     - a descent's window claim is affine too (`_descent_chain_results`).
-    Otherwise, or when those levels fail, every level is built, keeping only the last.
+    Claims are asked at the levels those steps read, 0, 1, top-1 and top.  A kind that
+    holds at one level asked and fails at the next fails on a suffix of the levels
+    between, where `bisect` finds the first failing one: O(log count) levels in all.
     """
-    ends = sorted({0, min(1, count), max(count - 1, 0), count})
-    for levels in ([ends] if affine else []) + [range(count + 1)]:
-        first = last = invalid = step = broken = None
-        for j in levels:
-            level = build(j)
-            if isinstance(level, str):
-                invalid = j, level
-                break
-            if j == 0:
-                first = level
-            elif step is None and last_j == j - 1:
-                before, after = (level, last) if down else (last, level)
-                found = _misreport(before, moves, after, eps)[:2]
-                if any(found):
-                    step = j, found
-            if broken is None and (why := claim(j, level)):
-                broken = j, why
-            last, last_j = level, j
-        if not (invalid or step or broken):
-            break
-    return first, last, invalid, step, broken
+    def first(why, ends):  # the first level at which `why` is truthy, and its answer
+        low = min(ends, default=0)  # the first level not known to pass
+        for end in ends:
+            if why(end):  # so a suffix of [low, end] fails
+                end = bisect.bisect_left(range(end), True, low, key=lambda j: bool(why(j)))
+                return end, why(end)
+            low = end + 1
+        return None
+
+    def step(j: int):
+        before, after = (level(j), level(j - 1)) if down else (level(j - 1), level(j))
+        found = _misreport(before, moves, after, eps)[:2]
+        return found if any(found) else None
+
+    invalid = first(lambda j: level(j) if isinstance(level(j), str) else "", [0, count])
+    top = count if invalid is None else invalid[0] - 1
+    ends = sorted({0, min(1, top), max(top - 1, 0), top}) if top >= 0 else []
+    return invalid, first(step, sorted({1, top}) if top > 0 else []), first(claim, ends)
 
 
 def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict[str, Profile]):
@@ -306,23 +304,24 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
     moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
     level_env, excluded = dict(env), chain.pareto_excluded
 
+    @functools.cache
     def level(j: int) -> Profile | str:
         level_env[chain.index] = Fraction(j)
         return instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
 
-    first, last, invalid, step, undominated = _walk(
+    invalid, step, undominated = _walk(
         count, level, moves, env["epsilon"],
-        lambda _, profile: excluded is not None and not _dominated(profile, excluded),
-        affine=all(e.affine_in(chain.index) for _, e in chain.weights),
+        lambda j: excluded is not None and not _dominated(level(j), excluded),
         down=chain.direction == "down")
     if invalid:
         yield CheckResult(f"chain level {invalid[0]} is a valid profile", False,
                           f"chain level {invalid[0]}: {invalid[1]}")
         return
     yield CheckResult(f"all {count + 1} chain profiles are valid", True)
-    yield CheckResult(f"chain level 0 equals profile {chain.first}", first == profiles[chain.first])
+    yield CheckResult(f"chain level 0 equals profile {chain.first}",
+                      level(0) == profiles[chain.first])
     yield CheckResult(f"chain level {count} equals profile {chain.last} (relabeled weights)",
-                      last == profiles[chain.last])
+                      level(count) == profiles[chain.last])
     details = (f"level {step[0] - 1}: {d}" if d else "" for d in step[1]) if step else ("", "")
     for label, detail in zip(("consecutive chain profiles differ by exactly the per-step moves",
                               "every chain step has coalition size < epsilon"), details):
@@ -341,7 +340,7 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     absorber holds the rest.  So every weight is affine in t, each step moves the constant
     1/(w+1) of each component out of the absorber, and level w+1 is the terminal shape.
     Level t's window index should be k = w - t: with c = M/((w+1)*epsilon) that reads
-    k <= c*(k+1) < k+1, affine in k, so the end levels decide it too.
+    k <= c*(k+1) < k+1, affine in k, so `_walk`'s argument covers it too.
     """
     eps = env["epsilon"]
     fixed = [(r, e(env)) for r, e in chain.fixed]
@@ -350,23 +349,23 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     windows = 0 if mass < 0 else epsilon_partition(mass, eps)
     moves = [(chain.absorber, r, v / (windows + 1)) for r, v in components.items()]
 
+    @functools.cache
     def level(t: int) -> Profile | str:  # w + 1 - t steps' moves on each component
         weights = [*fixed, *((r, amount * (windows + 1 - t)) for _, r, amount in moves)]
         weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
         return instantiate(scenario.domain, [(r, *w.as_integer_ratio()) for r, w in weights])
 
-    def window_index(t: int, _) -> str:  # "" when level t's is w - t; level 0's is w
+    def window_index(t: int) -> str:  # "" when level t's is w - t; level 0's is w
         got = epsilon_partition(mass * (windows + 1 - t) / (windows + 1), eps) if t else windows
         return "" if got == windows - t else (
             f"window index went {windows - t + 1} -> {got}, expected {windows - t}")
 
-    first, last, invalid, step, window = _walk(windows, level, moves, eps, window_index,
-                                               affine=True, down=True)
+    invalid, step, window = _walk(windows, level, moves, eps, window_index, down=True)
     if invalid and invalid[0] == 0:
         yield CheckResult("descent level 0 is a valid profile", False, invalid[1])
         return
     yield CheckResult(f"descent level 0 equals profile {chain.base}",
-                      first == profiles[chain.base])
+                      level(0) == profiles[chain.base])
     found = [(t, f"level {t}: {why}") for t, why in filter(None, [invalid])]
     found += [(t, f"level {t}: " + "; ".join(filter(None, why))) for t, why in filter(None, [step])]
     found += filter(None, [window])
@@ -378,13 +377,12 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
         f"descent of {reached} level(s): each rebuilds the previous profile with "
         "coalition mass < epsilon and drops the window index by one",
         not detail, detail)
-    current = last if reached == windows else level(reached)
     pair, terminal = profiles[chain.pair], level(windows + 1)
     yield CheckResult(
         f"profile {chain.pair} equals the terminal shape with all component mass absorbed",
         pair == terminal, terminal if isinstance(terminal, str) else "")
     final_moves = [(src, r, amount * (windows + 1 - reached)) for src, r, amount in moves]
-    detail = "; ".join(filter(None, _misreport(pair, final_moves, current, eps)[:2]))
+    detail = "; ".join(filter(None, _misreport(pair, final_moves, level(reached), eps)[:2]))
     yield CheckResult(
         f"final misreport from {chain.pair} rebuilds the terminal profile with size < epsilon",
         not detail, detail)

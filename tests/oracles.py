@@ -4,7 +4,7 @@ These deliberately take different code paths from the library: scores are
 rebuilt from the pairwise-comparison matrix, winners from first principles,
 and manipulation witnesses by exhaustive enumeration of entire move matrices
 in the order the search promises.  Catalog expressions are walked node by
-node in `Fraction` arithmetic.
+node in `Fraction` arithmetic, and induction chains level by level.
 """
 
 import ast
@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from votaudit import ALTERNATIVES, Profile, evaluate, transfer_weight
 from votaudit.manipulation import AuditConfig, ManipulationWitness
+from votaudit.replay.verify import _misreport
 from votaudit.rules import RuleDescriptor
 
 
@@ -158,3 +159,25 @@ def reference_value(text: str, env):
         raise ValueError(f"not a catalog expression: {ast.dump(node)}")
 
     return walk(ast.parse(text, mode="eval").body)
+
+
+def walk_every_level(count: int, level, moves, eps: Fraction, claim, *, down: bool):
+    """`replay.verify._walk`'s answer from every level 0..count in turn, with no
+    assumption on how the levels vary: the first level that is no profile, and below
+    it the first step that fails `_misreport` and the first level that fails `claim`,
+    each as `(j, why)`, or None."""
+    invalid = step = broken = previous = None
+    for j in range(count + 1):
+        current = level(j)
+        if isinstance(current, str):
+            invalid = j, current
+            break
+        if j and step is None:
+            before, after = (current, previous) if down else (previous, current)
+            found = _misreport(before, moves, after, eps)[:2]
+            if any(found):
+                step = j, found
+        if broken is None and (why := claim(j)):
+            broken = j, why
+        previous = current
+    return invalid, step, broken

@@ -255,9 +255,10 @@ def test_audit_evaluates_the_base_profile_once(fixtures, monkeypatch):
     (b"1 x>y>z\n", "line 1: expected 'domain:' header"),
     (b"domain: full\n1/0 x>y>z\n", "bad weight '1/0'"),
     (b"domain: full\nnan x>y>z\n", "bad weight 'nan'"),
+    (b"domain: full\n1e-999999999 x>y>z\n", "bad weight '1e-999999999'"),
     (b"domain: full\n1/2 x>y>z\n1/3 y>x>z\n", "weights sum to 5/6, expected exactly 1"),
 ], ids=["two-alternative-header", "trailing-comma-header", "not-utf8", "missing-header",
-        "zero-denominator", "nan", "sum-not-one"])
+        "zero-denominator", "nan", "huge-exponent", "sum-not-one"])
 @pytest.mark.parametrize("verb", [
     ["evaluate", "--rule", "borda"],
     ["margins"],
@@ -279,6 +280,8 @@ INPUT_ERRORS = [
      "degenerate score vector: s1 must exceed s3"),
     (["evaluate", "--rule", "score:0,1,2", "{profile}"], "score vector must be nonincreasing"),
     (["evaluate", "--rule", "score:1/0,0,0", "{profile}"], "bad weight '1/0'"),
+    (["evaluate", "--rule", "score:1e-999999999,0,0", "{profile}"],
+     "bad weight '1e-999999999'"),
     (["richness", "nope"], "bad domain spec 'nope': expected 'full' or '{...}'"),
     (["richness", "{}"], "domain list is empty"),
     (["richness", "{x>y>w}"], "unknown alternative 'w' in 'x>y>w'"),
@@ -293,6 +296,8 @@ INPUT_ERRORS = [
      "unknown alternative 'q' in ' q'"),
     (["manipulate", "--rule", "plurality", "--epsilon", "nan", "{profile}"],
      "bad epsilon: 'nan'"),
+    (["manipulate", "--rule", "borda", "--epsilon", "1e-999999999", "--domain", "full"],
+     "bad epsilon: '1e-999999999'"),
     (["replay", "--case", "1.I.1.1.2", "--a", "11/20", "--b", "1/4", "--epsilon", "1/10"],
      "scenario 1.I.1.1.2: precondition '1 - a - b >= b' fails at "
      "{'a': '11/20', 'b': '1/4', 'epsilon': '1/10'}"),
@@ -324,12 +329,12 @@ def test_input_error_line(fixtures, tmp_path, capsys, argv, line):
 # malformed half; argparse itself refuses none of them (it would print a usage block).
 _RULES = (["plurality", "borda", "condorcet", "score:3,1,0"],
           ["score:1,1,1", "score:0,1,2", "score:1/0,0,0", "score:1,0", "nonsense"])
-_EPSILONS = (["1/10", "1/4"], ["0", "-1", "nan", "1/0", "x"])
+_EPSILONS = (["1/10", "1/4"], ["0", "-1", "nan", "1/0", "x", "1e-999999999"])
 _DOMAINS = (["full", "{x>y>z, y>z>x, z>x>y}", "{x>y>z, x>z>y, y>z>x, z>y>x}", "{x>y>z}"],
             ["nope", "{}", "{x>y>w}", "{x>y>z, x>y}"])
 _AXIOMS = (["P,A,N,IIA", "IIA", "n, p"], ["Q", ""])
 _HEADERS = ["domain: full\n", "domain: {x>y>z, y>z>x, z>x>y}\n", ""]
-_WEIGHTS = ["1/2", "0.25", "-1/3", "1e999", "nan", "1/0"]
+_WEIGHTS = ["1/2", "0.25", "-1/3", "1e999", "1e-999999999", "nan", "1/0"]
 _RANKINGS = ["x>y>z", "y>z>x", "z>x>y", "x>y", "x>x>y", "w"]
 _PARAMS = ["1/10", "1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "0", "1", "x"]
 _PROFILE = "<profile>"  # stands for the drawn profile file's path

@@ -9,6 +9,7 @@ from votaudit.core import (
     ProfileError,
     ProfileParseError,
     RankingParseError,
+    parse_weight,
 )
 
 
@@ -232,6 +233,16 @@ def test_parse_profile_sums_unreduced_and_negative_repeats():
 def test_parse_profile_rejects(text):
     with pytest.raises(ProfileParseError):
         va.parse_profile(text)
+
+
+def test_parse_weight_refuses_an_exponent_at_the_integer_text_limit(monkeypatch):
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 1000)
+    assert parse_weight("1e999") == 10**999 and parse_weight("25E-2") == F(1, 4)
+    for token in ("1e1000", "1E-1000", "1e-999999999", "1e+99999999999999999999"):
+        with pytest.raises(ProfileParseError, match=f"^bad weight '{token}'$".replace("+", r"\+")):
+            parse_weight(token)
+    monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)  # 0: no limit
+    assert parse_weight("1e-1000") == F(1, 10**1000)
 
 
 def test_parse_domain_forms():

@@ -4,7 +4,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from oracles import walk_every_level
 
 import votaudit as va
 from votaudit.replay import (
@@ -815,15 +816,15 @@ def test_catalog_rejects_a_chain_pareto_exclusion_that_is_no_alternative():
         _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="w")]))
 
 
-def _verified_in_traced_peak(scenario, params):
-    """The passing report's traced peak memory, in bytes."""
+def _verified_in_traced_peak(scenario, params, passes=True):
+    """The report's traced peak memory, in bytes; the report passes, or fails if not `passes`."""
     tracemalloc.start()
     try:
         report = verify_full(scenario, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed, report.text()
+    assert report.passed == passes, report.text()
     return peak
 
 
@@ -837,8 +838,20 @@ def test_affine_chain_is_checked_in_constant_memory():
     assert _verified_in_traced_peak(scenario, _LEVELS_8000) < 500_000
 
 
-def test_a_walked_affine_chain_is_checked_in_constant_memory():
-    assert _verified_in_traced_peak(_walked(get_scenario("1.I.1.1.n+1")), _LEVELS_8000) < 500_000
+def _doubled(scenario):
+    """The scenario with each affine chain's move amounts doubled, so its steps fail."""
+    return replace(scenario, chains=tuple(
+        replace(chain, moves=tuple((src, dst, compile_expression(f"({a})*2"))
+                                   for src, dst, a in chain.moves))
+        if isinstance(chain, AffineChain) else chain for chain in scenario.chains))
+
+
+_LEVELS_4E8 = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10**9))
+
+
+def test_a_failing_affine_chain_is_checked_in_constant_memory():
+    doubled = _doubled(get_scenario("1.I.1.1.n+1"))
+    assert _verified_in_traced_peak(doubled, _LEVELS_4E8, passes=False) < 500_000
 
 
 def _count_profiles_built(monkeypatch, limit=10):
@@ -857,10 +870,9 @@ def _count_profiles_built(monkeypatch, limit=10):
 
 def test_an_affine_chain_of_four_hundred_million_levels_is_decided_at_its_ends(monkeypatch):
     scenario = get_scenario("1.I.1.1.n+1")
-    params = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 10**9))
-    assert build_env(scenario, params)["n"] == 400_000_000
+    assert build_env(scenario, _LEVELS_4E8)["n"] == 400_000_000
     built = _count_profiles_built(monkeypatch)
-    report = verify_full(scenario, params)
+    report = verify_full(scenario, _LEVELS_4E8)
     assert report.passed, report.text()
     assert "  pass  all 400000001 chain profiles are valid" in report.text()
     assert len(built) == 3 + 4  # the named profiles, then levels 0, 1, n - 1 and n
@@ -876,14 +888,55 @@ def test_a_descent_of_a_quarter_billion_windows_is_decided_at_its_ends(monkeypat
     assert len(built) == 2 + 4 + 1  # the named profiles, levels 0, 1, w - 1 and w, the terminal
 
 
-def test_a_bump_that_vanishes_at_the_end_levels_still_fails_at_its_level():
-    # 4/1000 at level 2 and 0 at levels 0, 1, 3 and 4: not affine in j, so the chain is walked
+def test_a_failing_chain_of_four_hundred_million_levels_fails_at_its_first_step(monkeypatch):
+    built = _count_profiles_built(monkeypatch)
+    report = verify_full(_doubled(get_scenario("1.I.1.1.n+1")), _LEVELS_4E8)
+    assert [r.line() for r in report.failures()] == [
+        "FAIL  consecutive chain profiles differ by exactly the per-step moves  "
+        "(level 0: transfer does not reproduce the next profile)",
+        "FAIL  every chain step has coalition size < epsilon  "
+        "(level 0: size 4/2000000005 vs epsilon 1/1000000000)"]
+    assert len(built) == 3 + 3  # the named profiles, then levels 0, n and 1
+
+
+def test_a_chain_level_that_fails_deep_inside_is_found_by_bisection(monkeypatch):
+    # 3*j/2000000000 moved from z>x>y to y>z>x: z>x>y's weight a - j*(mp + 3/2000000000)
+    # turns negative first at level 240000001 of 400000000
     scenario = get_scenario("1.I.1.1.n+1")
-    bumped = _replace_chain(scenario, weights=_shifted_weight(
-        scenario.chains[0], "j*(j - 1)*(j - 3)*(j - 4)/1000"))
-    assert [r.line() for r in verify_full(bumped, _CHAIN).failures()] == [
-        "FAIL  chain level 2 is a valid profile  "
-        "(chain level 2: weights sum to 251/250, expected exactly 1)"]
+    shift = {va.ranking("yzx"): " + 3*j/2000000000", va.ranking("zxy"): " - 3*j/2000000000"}
+    shifted = _replace_chain(scenario, weights=tuple(
+        (r, compile_expression(f"({w}){shift.get(r, '')}")) for r, w in scenario.chains[0].weights))
+    built = _count_profiles_built(monkeypatch, limit=40)
+    assert [r.line() for r in verify_full(shifted, _LEVELS_4E8).failures()] == [
+        "FAIL  chain level 240000001 is a valid profile  (chain level 240000001: "
+        "negative weight -1520000003/800000002000000000 on z>x>y)"]
+    assert len(built) > 3 + 4  # the bisection built levels between the end levels
+
+
+def test_a_descent_of_a_quarter_billion_windows_fails_at_its_first_failing_window(monkeypatch):
+    # the window index misreported from the level whose component mass is at most 1/8 on:
+    # 1/4 * (w + 1 - t)/(w + 1) <= 1/8 first at t = 125000001 of w = 250000000
+    monkeypatch.setattr("votaudit.replay.verify.epsilon_partition", lambda quantity, epsilon: (
+        epsilon_partition(quantity, epsilon) - (quantity <= F(1, 8))))
+    params = ScenarioParams.of(a=F(11, 20), b=F(1, 10), c=F(1, 5), epsilon=F(1, 10**9))
+    built = _count_profiles_built(monkeypatch)
+    assert [r.line() for r in verify_full(get_scenario("3.I.1.1.0.n+1"), params).failures()] == [
+        "FAIL  descent of 125000000 level(s): each rebuilds the previous profile with "
+        "coalition mass < epsilon and drops the window index by one  "
+        "(window index went 125000000 -> 124999998, expected 124999999)",
+        "FAIL  final misreport from pairXY rebuilds the terminal profile with size < epsilon  "
+        "(size 125000001/1000000004 vs epsilon 1/1000000000)"]
+    # the named profiles, levels 0, w, 1 and w - 1, the terminal shape, and level
+    # 125000000, which the final misreport rebuilds; the window index reads no level
+    assert len(built) == 2 + 4 + 1 + 1
+
+
+def test_a_bump_that_vanishes_at_the_end_levels_is_refused_at_load():
+    # 4/1000 at level 2 and 0 at levels 0, 1, 3 and 4: the end levels could not see it
+    bump = "a + j*(j - 1)*(j - 3)*(j - 4)/1000"
+    with pytest.raises(CatalogError,
+                       match="^scenario t.1: chain weight on x>y>z is not affine in 'j'$"):
+        _parse_scenario(_record(chains=[_affine_chain(weights={"xyz": bump, "yzx": "1 - a"})]))
 
 
 _CYCLE = (["xyz", "yzx", "zxy"], {"u": {"xyz": "1/4", "yzx": "1/4", "zxy": "1/2"},
@@ -921,8 +974,8 @@ def test_an_affine_chain_claim_that_fails_off_the_end_levels_is_reported(
 
 def test_a_claim_that_fails_from_an_inner_level_on_is_reported_at_that_level(monkeypatch):
     # x>y>z holds 1/8 - j/40, less than the 1/10 it gives, at the steps out of levels 2-4:
-    # levels 0, 1, 3 and 4 show the failure at the step out of level 3, and the walk
-    # they then fall back to names the one out of level 2
+    # levels 0, 1, 3 and 4 show the failure at the last step, and bisecting back from it
+    # names the one out of level 2
     scenario = _parse_scenario(_record(
         domain=_CYCLE[0], defs=[["n", "4"]],
         profiles={"u": {"xyz": "1/8", "yzx": "1/2", "zxy": "3/8"},
@@ -943,39 +996,23 @@ def test_a_claim_that_fails_from_an_inner_level_on_is_reported_at_that_level(mon
     assert failure.detail == "window index went 4 -> 2, expected 3"
 
 
-def _walked(scenario, moves_factor=1):
-    """The scenario with each affine chain weight made non-affine by syntax but equal in
-    value, so its chain is walked; the chains' move amounts times `moves_factor`."""
-    def walked(chain):
-        if not isinstance(chain, AffineChain):
-            return chain
-        nonaffine = f"0*{chain.index}*{chain.index}"
-        return replace(
-            chain, weights=tuple((r, compile_expression(f"({w}) + {nonaffine}"))
-                                 for r, w in chain.weights),
-            moves=tuple((src, dst, compile_expression(f"({a})*{moves_factor}"))
-                        for src, dst, a in chain.moves))
-    return replace(scenario, chains=tuple(walked(chain) for chain in scenario.chains))
-
-
-def test_affine_chains_decided_at_their_ends_report_as_the_walk():
+def test_affine_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
     rng = random.Random(1717)
     scenarios = [s for s in scenario_catalog() if any(isinstance(c, AffineChain) for c in s.chains)]
     assert len(scenarios) == 25
+    cases = []
     for scenario in scenarios:
         chains = [c for c in scenario.chains if isinstance(c, AffineChain)]
         assert all(w.affine_in(c.index) for c in chains for _, w in c.weights)
-        walked = _walked(scenario)
-        assert not any(w.affine_in(c.index) for c in walked.chains if isinstance(c, AffineChain)
-                       for _, w in c.weights)
-        # with twice the moves a chain's steps fail: it is decided by the walk either way
-        doubled, doubled_walked = _walked(scenario, 2), _walked(walked, 2)
+        # with twice the moves a chain's steps fail
         for _ in range(20):
             params = sample_params(scenario, rng)
-            report = verify_full(scenario, params)
-            assert report.passed, report.text()
-            assert report.text() == verify_full(walked, params).text()
-            assert verify_full(doubled, params).text() == verify_full(doubled_walked, params).text()
+            cases += [(scenario, params), (_doubled(scenario), params)]
+    at_ends = [verify_full(variant, params) for variant, params in cases]
+    assert [r.passed for r in at_ends] == [variant in scenarios for variant, _ in cases]
+    monkeypatch.setattr(verify_module, "_walk", walk_every_level)
+    assert [verify_full(variant, params).text() for variant, params in cases] == [
+        r.text() for r in at_ends]
 
 
 def _descent_mutants(chain):
@@ -1009,12 +1046,49 @@ def test_descent_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
     at_ends = [verify_full(variant, params) for variant, params in cases]
     assert [r.passed for r in at_ends] == [variant in scenarios for variant, _ in cases]
     built_at_ends = len(built)
-    walk = verify_module._walk
-    monkeypatch.setattr(verify_module, "_walk",
-                        lambda *args, **kwargs: walk(*args, **{**kwargs, "affine": False}))
+    monkeypatch.setattr(verify_module, "_walk", walk_every_level)
     assert [verify_full(variant, params).text() for variant, params in cases] == [
         r.text() for r in at_ends]
     assert len(built) - built_at_ends > built_at_ends  # the walk built the skipped levels
+
+
+@st.composite
+def _affine_chain_records(draw):
+    """A chain of at most 30 levels on the cycle domain whose weights start at drawn
+    shares and change by the drawn moves' net flow per level, sometimes with j/400 more
+    moved between two of them or a first level that does not sum to 1: its levels,
+    steps and domination fail at the end levels or inside, or not at all."""
+    rankings, amounts = _CYCLE[0], st.integers(0, 12).map(lambda k: F(k, 400))
+    moves = draw(st.lists(st.tuples(st.sampled_from(rankings), st.sampled_from(rankings), amounts),
+                          min_size=1, max_size=3))
+    if draw(st.booleans()):  # some mass flows back, so a source can hold less than it gives
+        moves.append((moves[0][1], moves[0][0], draw(amounts)))
+    sign = draw(st.sampled_from([1, -1]))  # an "up" chain gains the net flow per level
+    start = [F(draw(st.integers(0, 10)), 20) for _ in range(2)]
+    start.append(1 - sum(start) + draw(st.sampled_from([0, 0, 0, F(1, 10)])))
+    drifts = draw(st.sampled_from([("", "", "")] * 4 + [("", " + j/400", " - j/400")]))
+    weights = {}
+    for r, share, drift in zip(rankings, start, drifts):
+        flow = sum(a for _, dst, a in moves if dst == r) - sum(a for src, _, a in moves if src == r)
+        weights[r] = f"{share} + j*({sign * flow}){drift}"
+    return _record(
+        domain=rankings, profiles={"u": dict(zip(rankings, ["1/4", "1/4", "1/2"]))},
+        defs=[["n", str(draw(st.integers(0, 30)))]],
+        chains=[_affine_chain(
+            count="n", weights=weights, moves=[[src, dst, str(a)] for src, dst, a in moves],
+            direction="up" if sign == 1 else "down", improvement=["y", "x"],
+            pareto_excluded=draw(st.sampled_from([None, "x", "y", "z"])))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_affine_chain_records(), st.sampled_from([F(1, 5), F(1, 10)]))
+def test_drawn_affine_chains_report_as_the_walk(record, epsilon):
+    scenario = _parse_scenario(record)
+    params = ScenarioParams.of(a=F(1, 2), epsilon=epsilon)
+    at_ends = verify_full(scenario, params).text()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_module, "_walk", walk_every_level)
+        assert verify_full(scenario, params).text() == at_ends
 
 
 @pytest.mark.parametrize("fields", [
