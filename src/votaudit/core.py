@@ -272,10 +272,22 @@ def is_rich(domain: Domain) -> bool:
 def as_fraction(value) -> Fraction:
     """`value` as a `Fraction`: from a `Fraction`, an `int`, or text like ``"3/7"``.
 
-    A float is refused: it is already rounded.
+    A float is refused: it is already rounded.  Text whose exponent has a magnitude
+    at least Python's limit on the digits of integer text
+    (`sys.get_int_max_str_digits()`, unless 0) is refused with a `ValueError`:
+    `Fraction` would first build 10 to that power, which takes seconds and megabytes
+    that the limit does not bound.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and ("e" in value or "E" in value):  # only exponent text pays
+        limit = sys.get_int_max_str_digits()
+        try:
+            exponent = abs(int(value.lower().rpartition("e")[2]))
+        except ValueError:  # not a number: `Fraction` says so below
+            exponent = 0
+        if limit and exponent >= limit:
+            raise ValueError(f"exponent out of range in {value!r}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
@@ -435,16 +447,10 @@ def transfer_weight(profile: Profile, moves: Sequence[Move]) -> tuple[Profile, F
 def parse_weight(token: str) -> Fraction:
     """Exact rational reading of ``p/q`` or decimal text (``0.25`` -> 1/4, ``1e-3`` -> 1/1000).
 
-    An exponent of magnitude at least Python's limit on the digits of integer text
-    (`sys.get_int_max_str_digits()`, unless 0) is refused: `Fraction` would first build
-    10 to that power, which takes seconds and megabytes that the limit does not bound.
+    An exponent that `as_fraction` refuses is refused here too.
     """
     try:
-        if "e" in token or "E" in token:  # only exponent text pays for the check
-            limit = sys.get_int_max_str_digits()
-            if limit and abs(int(token.lower().rpartition("e")[2])) >= limit:
-                raise ValueError(token)
-        return Fraction(token)
+        return as_fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ProfileParseError(f"bad weight {token!r}") from None
 

@@ -9,8 +9,10 @@ from votaudit.core import (
     ProfileError,
     ProfileParseError,
     RankingParseError,
+    as_fraction,
     parse_weight,
 )
+from votaudit.replay import ScenarioParams
 
 
 def test_parse_ranking_canonical():
@@ -243,6 +245,21 @@ def test_parse_weight_refuses_an_exponent_at_the_integer_text_limit(monkeypatch)
             parse_weight(token)
     monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 0)  # 0: no limit
     assert parse_weight("1e-1000") == F(1, 10**1000)
+
+
+def test_library_text_refuses_an_exponent_at_the_integer_text_limit():
+    # `Fraction` alone would build 10**1000000 first (about 0.2 s), and a profile
+    # built from it would then fail on Python's limit on integer text
+    huge = "1e-1000000"
+    for build in (as_fraction, va.AuditConfig, lambda w: ScenarioParams.of(a=w),
+                  lambda w: va.profile_from({"xyz": w, "yzx": "1"}, va.CYCLE_DOMAIN)):
+        with pytest.raises(ValueError, match=f"^exponent out of range in '{huge}'$"):
+            build(huge)
+    assert as_fraction("1e999") == 10**999 and as_fraction("25E-2") == F(1, 4)
+    assert va.AuditConfig("1e999").max_units == 100
+    assert ScenarioParams.of(a="1e999").as_dict() == {"a": 10**999}
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'three'"):
+        as_fraction("three")  # not exponent text: `Fraction` names it
 
 
 def test_parse_domain_forms():

@@ -1,14 +1,16 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import votaudit as va
-from votaudit.manipulation import (_PAIRS, NongenericProfileError, _Branch, _Lattice,
-                                   _lex_counts, _model, _symmetries)
+from votaudit.manipulation import (_GROUPS, _OVER, _PAIRS, _RIVALS, NongenericProfileError,
+                                   _Branch, _Lattice, _lex_counts, _model, _symmetries)
 from oracles import exhaustive_witness
 
 R = va.ranking
@@ -410,6 +412,153 @@ def test_audit_wsp_is_the_first_grid_witness_on_drawn_rules(rule, rankings, epsi
     config = va.AuditConfig(epsilon, grid, moves)
     assert text(va.audit_wsp(rule, domain, config)) == \
         text(_first_witness_by_definition(rule, domain, config))
+
+
+def _root_cut_lattices(rule, rankings, epsilon, grid, moves):
+    """A drawn audit's lattice, and the same with no coalition below epsilon and with
+    epsilon far above the whole mass."""
+    domain = va.Domain(tuple(rankings))
+    configs = [va.AuditConfig(epsilon, grid, moves), va.AuditConfig(F(1, moves), grid, moves),
+               va.AuditConfig(F(10**6), grid, moves)]
+    assert [c.max_units for c in configs[1:]] == [0, moves]
+    return [_Lattice(rule, domain, grid, config) for config in configs]
+
+
+def _near_thresholds(lattice):
+    """Per `_FORWARD` statistic, the values at which a root-cut comparison on it can
+    flip, and one either side: a reverse statistic's threshold t is C - t forward."""
+    near = [set(), set(), set()]
+    for p, q, tests in lattice.cuts.values():
+        pairs = [(p, lattice.need), (q, lattice.need)]
+        pairs += [pair for _, *flat in tests for pair in zip(flat[::2], flat[1::2])]
+        for i, t in pairs:
+            near[i % 3].update(range(t - 1, t + 2) if i < 3 else
+                               range(lattice.total - t - 1, lattice.total - t + 2))
+    return [sorted(values) for values in near]
+
+
+def _root_cut(lattice, values):
+    """The unique winner of these six statistics and its targets that pass the root
+    cut, asked of `may_win` at max_mass; None if there is no unique winner."""
+    need = lattice.need
+    tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
+    if len(tie) != 1:
+        return None
+    old = tie[0]
+    return old, [target for target in _RIVALS[old] if lattice.may_win(
+        target, values, lattice.max_mass, *lattice.model.reach[old, target])]
+
+
+def _may_hold_at_corners(lattice, lo, hi):
+    """`may_hold` as the bound states it: `may_win` at max_mass, for each (old, target)
+    whose old may win somewhere in the box, at the box's corner most favourable to it."""
+    need, total = lattice.need, lattice.total
+    upper = hi + [total - s for s in lo]
+    lower = lo + [total - s for s in hi]
+    for old, (p, q) in _OVER.items():
+        if upper[p] >= need and upper[q] >= need:
+            for target in _RIVALS[old]:
+                corner = lower.copy()
+                a, b = _OVER[target]
+                corner[a], corner[b] = upper[a], upper[b]
+                if lattice.may_win(target, corner, lattice.max_mass,
+                                   *lattice.model.reach[old, target]):
+                    return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_score_vectors(), st.just(va.CONDORCET)),
+       st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.fractions(F(1, 20), 2, max_denominator=20),
+       st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32))
+def test_the_root_cut_thresholds_are_may_win_at_max_mass(rule, rankings, epsilon, grid, moves,
+                                                        seed):
+    rng, seen = random.Random(seed), []
+
+    class Recorded:  # a branch that records its (old, target) and finds nothing
+        def __init__(self, lattice, counts, values, old, target):
+            seen.append((old, target))
+
+        def search(self, units):
+            return None
+    for lattice in _root_cut_lattices(rule, rankings, epsilon, grid, moves):
+        reach = lattice.model.reach
+        # the table: every statistic at its threshold or one either side
+        for old, (p, q, tests) in lattice.cuts.items():
+            assert (p, q) == _OVER[old] and [target for target, *_ in tests] == list(_RIVALS[old])
+            for target, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in tests:
+                assert (a, b, r, s, t, u) == _GROUPS[target]
+                for shifts in [rng.choices((-1, 0, 1), k=6) for _ in range(50)]:
+                    values = [0] * len(_PAIRS)
+                    for i, threshold, shift in zip((a, b, r, s, t, u), (ta, tb, tr, ts, tt, tu),
+                                                   shifts):
+                        values[i] = threshold + shift
+                    passes = (values[a] >= ta and values[b] >= tb
+                              and (values[r] < tr or values[s] < ts)
+                              and (values[t] < tt or values[u] < tu))
+                    assert passes == lattice.may_win(target, values, lattice.max_mass,
+                                                     *reach[old, target])
+        # the two callers' comparisons: boxes for may_hold, their corners for search
+        near = _near_thresholds(lattice)
+        for _ in range(20):
+            lo, hi = map(list, zip(*(sorted(rng.choices(values, k=2)) for values in near)))
+            assert lattice.may_hold(lo, hi) == _may_hold_at_corners(lattice, lo, hi)
+            for forward in (lo, hi):
+                expected = _root_cut(lattice, forward + [lattice.total - v for v in forward])
+                seen.clear()
+                with mock.patch.object(va.manipulation, "_Branch", Recorded):
+                    lattice.search(forward, [0] * len(rankings))
+                assert seen == ([] if expected is None else
+                                [(expected[0], target) for target in expected[1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_score_vectors(), st.just(va.CONDORCET)),
+       st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.fractions(F(1, 20), 2, max_denominator=20),
+       st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32))
+def test_may_hold_holds_on_every_box_with_a_point_passing_the_root_cut(rule, rankings, epsilon,
+                                                                      grid, moves, seed):
+    rng = random.Random(seed)
+    for lattice in _root_cut_lattices(rule, rankings, epsilon, grid, moves):
+        near = _near_thresholds(lattice)
+        for _ in range(5):
+            lo = [rng.choice(values) for values in near]
+            hi = [v + rng.randint(0, 3) for v in lo]
+            points = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if any((cut := _root_cut(lattice, list(f) + [lattice.total - v for v in f]))
+                   and cut[1] for f in points):
+                assert lattice.may_hold(lo, hi)
+
+
+#: The full-domain audits of the benchmark's sweep, with the decisions of their root
+#: cut: (may_hold true, may_hold false) calls, `_Lattice.search` calls and
+#: `_Branch.search` calls.  Only the cost of a decision may change, never the count.
+@pytest.mark.parametrize("rule,epsilon,grid,holds,searches,branch_searches", [
+    ("borda", F(1, 20), 12, (248, 281), 402, 0),
+    ("plurality", F(1, 20), 12, (142, 335), 110, 0),
+    ("condorcet", F(1, 20), 12, (210, 304), 224, 0),
+    ("score:3,1,0", F(1, 20), 12, (185, 311), 247, 0),
+    ("condorcet", F(1, 8), 10, (147, 163), 137, 120),
+    ("borda", F(1, 10), 12, (5, 6), 2, 9),
+], ids=["pruned-borda", "pruned-plurality", "pruned-condorcet", "pruned-score310",
+        "descend-condorcet-full", "witness-borda-full"])
+def test_the_sweep_root_cut_makes_the_same_decisions(monkeypatch, rule, epsilon, grid, holds,
+                                                     searches, branch_searches):
+    calls = {True: 0, False: 0, "search": 0, "branch": 0}
+    may_hold, search, branch_search = _Lattice.may_hold, _Lattice.search, _Branch.search
+
+    def counted(key, method, *args):
+        result = method(*args)
+        calls[result if key is None else key] += 1
+        return result
+    monkeypatch.setattr(_Lattice, "may_hold", lambda *args: counted(None, may_hold, *args))
+    monkeypatch.setattr(_Lattice, "search", lambda *args: counted("search", search, *args))
+    monkeypatch.setattr(_Branch, "search", lambda *args: counted("branch", branch_search, *args))
+    va.audit_wsp(va.parse_rule(rule), va.FULL_DOMAIN, va.AuditConfig(epsilon, grid, 100))
+    assert ((calls[True], calls[False]), calls["search"], calls["branch"]) == \
+        (holds, searches, branch_searches)
 
 
 def _symmetries_by_definition(domain):
