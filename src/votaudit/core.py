@@ -276,7 +276,7 @@ def as_fraction(value) -> Fraction:
     at least Python's limit on the digits of integer text
     (`sys.get_int_max_str_digits()`, unless 0) is refused with a `ValueError`:
     `Fraction` would first build 10 to that power, which takes seconds and megabytes
-    that the limit does not bound.
+    that the limit does not bound.  So is text with a zero denominator, like ``"1/0"``.
     """
     if isinstance(value, Fraction):
         return value
@@ -289,7 +289,10 @@ def as_fraction(value) -> Fraction:
         if limit and exponent >= limit:
             raise ValueError(f"exponent out of range in {value!r}")
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:  # only text, like "1/0"
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
 
 
@@ -451,7 +454,7 @@ def parse_weight(token: str) -> Fraction:
     """
     try:
         return as_fraction(token)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ProfileParseError(f"bad weight {token!r}") from None
 
 

@@ -10,14 +10,16 @@ with total strictly below epsilon, and only rankings strictly preferring the
 candidate new winner over the current one may send mass (nobody else would
 join).  Both rule families decide through one statistic per ordered pair of
 alternatives, linear in the moved amounts: a positional rule's score gap, or
-the pairwise rule's support.  So one bound, each statistic plus the units
-left times its most favorable change per unit, against the criterion's
-threshold, cuts a candidate at the root and every subtree of the arc
-enumeration that cannot make it win; with no units left it is the leaf test.
-At the root, with the most units, each lattice compiles it into thresholds.
-Among valid witnesses the search returns the one minimal by total size and
-then by the amounts vector over canonically ordered arcs, so results are
-reproducible byte for byte.
+the pairwise rule's support.  Each of the six is a row over the rankings dotted
+with the counts, a reverse pair's too: a pair's two rows sum to a constant, and
+the counts to the whole mass.  So one bound, each statistic plus the units left
+times its most favorable change per unit, against the criterion's threshold,
+cuts a candidate at the root and every subtree of the arc enumeration that
+cannot make it win; with no units left it is the leaf test.  At the root, with
+the most units, each lattice compiles it into thresholds.  Among valid
+witnesses the search returns the one minimal by total size and then by the
+amounts vector over canonically ordered arcs, so results are reproducible byte
+for byte.
 
 The search runs on an integer lattice, at L = lcm(move denominator, the
 profile's denominator).  `find_manipulation` takes a profile's statistics from
@@ -58,7 +60,8 @@ class NongenericProfileError(ValueError):
 class AuditConfig:
     """Search resolution: mass bound, profile mesh 1/grid, move mesh 1/moves.
 
-    Epsilon is made exact by `core.as_fraction`, so a float is refused.
+    Epsilon is made exact by `core.as_fraction`, so a float is refused; either
+    denominator that is not an `int` is refused with a `ValueError`.
     """
 
     epsilon: Fraction
@@ -69,6 +72,8 @@ class AuditConfig:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if not all(isinstance(d, int) for d in (self.grid_denominator, self.move_denominator)):
+            raise ValueError("denominators must be integers")
         if self.grid_denominator < 1 or self.move_denominator < 1:
             raise ValueError("denominators must be at least 1")
 
@@ -141,8 +146,7 @@ def verify_witness(rule: RuleDescriptor, witness: ManipulationWitness) -> Witnes
 
 
 #: The ordered pairs of alternatives: (a, b), a before b, at i < 3, and its reverse at i + 3.
-_FORWARD = tuple(itertools.combinations(ALTERNATIVES, 2))
-_PAIRS = _FORWARD + tuple((b, a) for a, b in _FORWARD)
+_PAIRS = tuple(pair[::d] for d in (1, -1) for pair in itertools.combinations(ALTERNATIVES, 2))
 
 #: Per alternative: the `_PAIRS` indices of its statistics over the two others; those
 #: two others, its rivals, in canonical order; and its own two statistics, then theirs.
@@ -156,11 +160,12 @@ class _Model:
 
     For a positional rule it is the score gap a - b, times D, the lcm of the
     score vector's denominators; for the pairwise rule, the support of a over
-    b: the count preferring a to b.  The three pairs with a before b have
-    `rows` over the rankings, dotted with the counts; a reverse pair's
-    statistic is C - s, C = `total` * L at scale L (0 for gaps, L for
-    supports).  An alternative meets the criterion when both its statistics
-    reach need = ceil(C / 2), a gap of 0 or a support of a half.
+    b: the count preferring a to b.  Each pair of `_PAIRS` has a row of
+    `rows` over the rankings, dotted with the counts.  A pair's row and its
+    reverse's sum to `total` on every ranking (0 for gaps, 1 for supports),
+    so the two statistics sum to C = `total` * L at scale L.  An alternative
+    meets the criterion when both its statistics reach need = ceil(C / 2), a
+    gap of 0 or a support of a half.
     `steps[arc]` is the change of all six per count moved along the arc, and
     `reach[old, target]` their largest and smallest change over the arcs whose
     source prefers target to old, clamped at 0.  `cuts[old]` is old's two
@@ -177,16 +182,16 @@ class _Model:
         self.rankings = rankings = tuple(domain)
         if vector is None:
             self.total = 1
-            self.rows = [[int(r.prefers(a, b)) for r in rankings] for a, b in _FORWARD]
+            self.rows = [[int(r.prefers(a, b)) for r in rankings] for a, b in _PAIRS]
         else:
             d = math.lcm(*(s.denominator for s in vector))
             points = [s.numerator * (d // s.denominator) for s in vector]
             self.total = 0
             self.rows = [[points[r.position(a)] - points[r.position(b)] for r in rankings]
-                         for a, b in _FORWARD]
+                         for a, b in _PAIRS]
         self.arcs = list(itertools.permutations(range(len(rankings)), 2))
         self.steps = {(src, dst): [row[dst] - row[src] for row in self.rows]
-                      + [row[src] - row[dst] for row in self.rows] for src, dst in self.arcs}
+                      for src, dst in self.arcs}
         self.gains = {(old, target): [r.prefers(target, old) for r in rankings]
                       for old in ALTERNATIVES for target in _RIVALS[old]}
         self.reach = {}
@@ -242,33 +247,30 @@ class _Lattice:
                 and (values[t] + units * lo[t] < need or values[u] + units * lo[u] < need))
 
     def may_hold(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        """Can a profile whose `_FORWARD` statistics lie between lo and hi pass the
-        root cut: some old winning, and `may_win` holding for some rival target?
+        """Can a profile whose six statistics lie between lo and hi pass the root
+        cut: some old winning, and `may_win` holding for some rival target?
 
         Both tests rise with the statistics they need to reach `need` and fall
         with those they need below it, so each pair is asked once, at the corner
-        of the box that favours it most: the root cut's thresholds, for a whole
-        box of profiles.
+        of the box that favours it most, hi for the former and lo for the latter:
+        the root cut's thresholds, for a whole box of profiles.
         """
-        need, total = self.need, self.total
-        upper = hi + [total - s for s in lo]
-        lower = lo + [total - s for s in hi]
+        need = self.need
         for p, q, tests in self.cuts.values():
-            if upper[p] >= need and upper[q] >= need:
+            if hi[p] >= need and hi[q] >= need:
                 # written out here and in `search`: through one shared helper the
                 # sweep's audits ran about 6% slower, in paired in-process runs
                 for _, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in tests:
-                    if (upper[a] >= ta and upper[b] >= tb and (lower[r] < tr or lower[s] < ts)
-                            and (lower[t] < tt or lower[u] < tu)):
+                    if (hi[a] >= ta and hi[b] >= tb and (lo[r] < tr or lo[s] < ts)
+                            and (lo[t] < tt or lo[u] < tu)):
                         return True
         return False
 
-    def search(self, forward: list[int],
+    def search(self, values: list[int],
                counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | Outcome | None:
         """The minimal witness's (moves, old winner, new winner) from these counts over den, with
-        `_FORWARD` statistics `forward` at L; else None; their `Outcome` if they elect no winner."""
+        the six statistics `values` at L; else None; their `Outcome` if they elect no winner."""
         model, need = self.model, self.need
-        values = forward + [self.total - s for s in forward]
         tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
         if len(tie) != 1:
             return Outcome(frozenset(tie))
@@ -463,9 +465,9 @@ def audit_wsp(rule: RuleDescriptor, domain: Domain,
     if lattice.max_units == 0:  # no coalition fits below epsilon
         return None
     rows = [[lattice.per * v for v in row] for row in lattice.model.rows]  # at scale L
-    for combo, forward in _lex_counts(len(domain), grid, _symmetries(domain), rows,
-                                      lattice.may_hold):
-        found = lattice.search(forward, combo)
+    for combo, values in _lex_counts(len(domain), grid, _symmetries(domain), rows,
+                                     lattice.may_hold):
+        found = lattice.search(values, combo)
         if isinstance(found, tuple):  # None is clean; an Outcome, nongeneric, claims nothing
             return ManipulationWitness(_grid_profile(domain, grid, combo), *found, config.epsilon)
     return None

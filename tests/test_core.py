@@ -249,12 +249,14 @@ def test_parse_weight_refuses_an_exponent_at_the_integer_text_limit(monkeypatch)
 
 def test_library_text_refuses_an_exponent_at_the_integer_text_limit():
     # `Fraction` alone would build 10**1000000 first (about 0.2 s), and a profile
-    # built from it would then fail on Python's limit on integer text
-    huge = "1e-1000000"
-    for build in (as_fraction, va.AuditConfig, lambda w: ScenarioParams.of(a=w),
-                  lambda w: va.profile_from({"xyz": w, "yzx": "1"}, va.CYCLE_DOMAIN)):
-        with pytest.raises(ValueError, match=f"^exponent out of range in '{huge}'$"):
-            build(huge)
+    # built from it would then fail on Python's limit on integer text; on "1/0" it
+    # would raise `ZeroDivisionError`, which no validator's caller expects
+    for bad, message in [("1e-1000000", "exponent out of range"), ("1/0", "zero denominator")]:
+        for build in (as_fraction, va.AuditConfig, lambda w: ScenarioParams.of(a=w),
+                      lambda w: va.profile_from({"xyz": w, "yzx": "1"}, va.CYCLE_DOMAIN),
+                      lambda w: va.scoring(w, 0, 0)):
+            with pytest.raises(ValueError, match=f"^{message} in '{bad}'$"):
+                build(bad)
     assert as_fraction("1e999") == 10**999 and as_fraction("25E-2") == F(1, 4)
     assert va.AuditConfig("1e999").max_units == 100
     assert ScenarioParams.of(a="1e999").as_dict() == {"a": 10**999}

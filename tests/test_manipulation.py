@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -45,6 +46,10 @@ def test_audit_config_validation():
     assert va.AuditConfig(F(1, 30), 20, 100).max_units == 3
     assert va.AuditConfig(F(1), 20, 100).max_units == 99
     assert va.AuditConfig(F(10**6), 20, 100).max_units == 100  # the whole mass
+    # `math.lcm` would refuse these later, in the middle of an audit, with a `TypeError`
+    for grid, moves in [(2.5, 100), (20, 2.5), (F(20), 100), (20, F(100)), ("20", 100)]:
+        with pytest.raises(ValueError, match="^denominators must be integers$"):
+            va.AuditConfig("1/10", grid, moves)
 
 
 def test_an_epsilon_above_the_whole_mass_answers_as_epsilon_two(monkeypatch):
@@ -425,8 +430,8 @@ def _root_cut_lattices(rule, rankings, epsilon, grid, moves):
 
 
 def _near_thresholds(lattice):
-    """Per `_FORWARD` statistic, the values at which a root-cut comparison on it can
-    flip, and one either side: a reverse statistic's threshold t is C - t forward."""
+    """Per forward statistic (i < 3), the values at which a root-cut comparison on it
+    can flip, and one either side: a reverse statistic's threshold t is C - t forward."""
     near = [set(), set(), set()]
     for p, q, tests in lattice.cuts.values():
         pairs = [(p, lattice.need), (q, lattice.need)]
@@ -435,6 +440,13 @@ def _near_thresholds(lattice):
             near[i % 3].update(range(t - 1, t + 2) if i < 3 else
                                range(lattice.total - t - 1, lattice.total - t + 2))
     return [sorted(values) for values in near]
+
+
+def _six(lattice, lo, hi):
+    """The box of all six statistics over a box of the three forward ones: a reverse
+    statistic is C - s, so its bounds are C - hi and C - lo."""
+    total = lattice.total
+    return lo + [total - s for s in hi], hi + [total - s for s in lo]
 
 
 def _root_cut(lattice, values):
@@ -452,9 +464,8 @@ def _root_cut(lattice, values):
 def _may_hold_at_corners(lattice, lo, hi):
     """`may_hold` as the bound states it: `may_win` at max_mass, for each (old, target)
     whose old may win somewhere in the box, at the box's corner most favourable to it."""
-    need, total = lattice.need, lattice.total
-    upper = hi + [total - s for s in lo]
-    lower = lo + [total - s for s in hi]
+    need = lattice.need
+    lower, upper = _six(lattice, lo, hi)
     for old, (p, q) in _OVER.items():
         if upper[p] >= need and upper[q] >= need:
             for target in _RIVALS[old]:
@@ -503,12 +514,14 @@ def test_the_root_cut_thresholds_are_may_win_at_max_mass(rule, rankings, epsilon
         near = _near_thresholds(lattice)
         for _ in range(20):
             lo, hi = map(list, zip(*(sorted(rng.choices(values, k=2)) for values in near)))
-            assert lattice.may_hold(lo, hi) == _may_hold_at_corners(lattice, lo, hi)
+            assert lattice.may_hold(*_six(lattice, lo, hi)) == \
+                _may_hold_at_corners(lattice, lo, hi)
             for forward in (lo, hi):
-                expected = _root_cut(lattice, forward + [lattice.total - v for v in forward])
+                values, _ = _six(lattice, forward, forward)
+                expected = _root_cut(lattice, values)
                 seen.clear()
                 with mock.patch.object(va.manipulation, "_Branch", Recorded):
-                    lattice.search(forward, [0] * len(rankings))
+                    lattice.search(values, [0] * len(rankings))
                 assert seen == ([] if expected is None else
                                 [(expected[0], target) for target in expected[1]])
 
@@ -527,9 +540,9 @@ def test_may_hold_holds_on_every_box_with_a_point_passing_the_root_cut(rule, ran
             lo = [rng.choice(values) for values in near]
             hi = [v + rng.randint(0, 3) for v in lo]
             points = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            if any((cut := _root_cut(lattice, list(f) + [lattice.total - v for v in f]))
-                   and cut[1] for f in points):
-                assert lattice.may_hold(lo, hi)
+            if any((cut := _root_cut(lattice, _six(lattice, [*f], [*f])[0])) and cut[1]
+                   for f in points):
+                assert lattice.may_hold(*_six(lattice, lo, hi))
 
 
 #: The full-domain audits of the benchmark's sweep, with the decisions of their root
@@ -585,9 +598,9 @@ def test_clean_audit_searches_one_profile_per_orbit(monkeypatch, domain, group, 
     config = va.AuditConfig(F(1, 50), 6, 100)  # one unit fits below epsilon; still clean
     search, seen = _Lattice.search, []
 
-    def counting(lattice, forward, counts):
+    def counting(lattice, values, counts):
         seen.append(tuple(counts))
-        return search(lattice, forward, counts)
+        return search(lattice, values, counts)
     monkeypatch.setattr(_Lattice, "search", counting)
     assert va.audit_wsp(va.BORDA, domain, config) is None
     assert seen and set(seen) <= set(generated) and seen == sorted(seen)
@@ -604,7 +617,7 @@ def test_an_audit_with_no_coalition_below_epsilon_searches_nothing(monkeypatch, 
     expected = [text(_first_witness_by_definition(rule, domain, config)) for domain in domains]
     assert expected == [None] * len(domains)
     seen = []
-    monkeypatch.setattr(_Lattice, "search", lambda lattice, forward, counts: seen.append(counts))
+    monkeypatch.setattr(_Lattice, "search", lambda lattice, values, counts: seen.append(counts))
     assert [text(va.audit_wsp(rule, domain, config)) for domain in domains] == expected
     assert seen == []
     xy, yx = va.Ranking(("x", "y")), va.Ranking(("y", "x"))
@@ -642,6 +655,41 @@ def test_lex_counts_yields_exactly_the_orbit_firsts(rankings):
     if len(domain) == 1:
         assert [(list(c), sums) for c, sums in _lex_counts(1, 5, (), scaled)] == \
             [([5], [5 * row[0] for row in scaled])]
+
+
+def _check_six_statistics(rule):
+    """On every domain, rows i and i + 3 sum to the model's constant on every ranking;
+    at grids up to 6, `_lex_counts` yields each first's six statistics as the scaled rows
+    dotted with its counts, and its boxes bound each reverse statistic by C - hi to C - lo
+    of the forward one."""
+    for size in range(1, 7):
+        for rankings in itertools.combinations(va.RANKINGS, size):
+            domain = va.Domain(rankings)
+            model = _model(rule.score_vector, domain)
+            assert len(model.rows) == len(_PAIRS)
+            for forward, reverse in zip(model.rows[:3], model.rows[3:]):
+                assert {f + r for f, r in zip(forward, reverse)} == {model.total}
+            for grid in range(1, 7):
+                lattice = _Lattice(rule, domain, grid, va.AuditConfig(F(1, 5), grid, 10))
+                rows = [[lattice.per * v for v in row] for row in model.rows]
+
+                def keep(lo, hi):
+                    assert (lo, hi) == _six(lattice, lo[:3], hi[:3])
+                    return True
+                for counts, values in _lex_counts(size, grid, _symmetries(domain), rows, keep):
+                    assert values == [sum(map(mul, row, counts)) for row in rows]
+                    assert {f + r for f, r in zip(values[:3], values[3:])} == {lattice.total}
+
+
+@pytest.mark.parametrize("rule", [va.BORDA, va.PLURALITY, va.CONDORCET], ids=str)
+def test_the_six_statistics_are_rows_dotted_with_the_counts(rule):
+    _check_six_statistics(rule)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_score_vectors())
+def test_the_six_statistics_are_rows_dotted_with_the_counts_on_drawn_rules(rule):
+    _check_six_statistics(rule)
 
 
 @settings(max_examples=40, deadline=None)
