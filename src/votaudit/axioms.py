@@ -83,10 +83,16 @@ def _evaluator(rule: RuleLike) -> Callable[[Profile], Outcome]:
     return rule
 
 
+def _alternatives(profile: Profile) -> list[str]:
+    """The alternatives the profile orders (all three, or a pair), in `ALTERNATIVES` order."""
+    return [a for a in ALTERNATIVES if a in profile.alternatives]
+
+
 def _dominations(profile: Profile) -> list[tuple[str, str]]:
     """Pairs (a, b) such that every positive-weight ranking places a above b."""
     support = profile.support
-    return [(a, b) for a in ALTERNATIVES for b in ALTERNATIVES
+    alts = _alternatives(profile)
+    return [(a, b) for a in alts for b in alts
             if a != b and support and all(r.prefers(a, b) for r in support)]
 
 
@@ -136,6 +142,8 @@ def check_anonymity_structural(rule: RuleLike) -> AxiomReport:
 def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
     """The winner must persist when the election is restricted to any pair containing it.
 
+    A pair profile restricts to itself, so there the axiom holds.
+
     A restricted election that ends in an exact tie is nongeneric: it neither
     confirms nor refutes the axiom, so (absent a real violation elsewhere) the
     report is not-applicable rather than violated.
@@ -149,7 +157,7 @@ def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
             note=f"no winner on the full alternative set ({full})",
         )
     nongeneric_pair = None
-    for other in ALTERNATIVES:
+    for other in _alternatives(profile):
         if other == winner:
             continue
         pair = frozenset((winner, other))

@@ -8,9 +8,11 @@ witness; 1 = violation or witness found (or a failed replay check);
 domain, profile, configuration or replay precondition), mapped to exit 2 in
 `run` alone.  Output is deterministic for fixed inputs.
 
-`run` may be called any number of times in one process: the argument parser
-is built on the first call and reused (parsing keeps no state between calls),
-so a request costs only its own work.
+`run` may be called any number of times in one process: the argument parsers
+are built on the first call and reused (parsing keeps no state between calls),
+so a request costs only its own work.  Each request goes straight to the
+parser of the verb it names first, as argparse would hand it on; the
+top-level parser sees only a request that names no verb.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import sys
 from fractions import Fraction
 
 from . import core, rules, axioms, manipulation
-from .replay import ScenarioParams, get_scenario, sample_params, scenario_catalog, verify_full
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -166,6 +167,9 @@ _PARAM_FLAGS = ("a", "b", "c")  # every catalog scenario's parameters are among 
 
 
 def _cmd_replay(args, out) -> int:
+    # Imported here, so no other verb pays for compiling the replay engine.
+    from .replay import ScenarioParams, get_scenario, sample_params, scenario_catalog, verify_full
+
     if args.list:
         for scenario in scenario_catalog():
             out(f"{scenario.id}  [{scenario.group}]  params: "
@@ -209,6 +213,11 @@ def _cmd_replay(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each verb's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="votaudit",
         description="Exact-rational election analysis over three alternatives.",
@@ -261,19 +270,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random parameter points when none are given")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_replay)
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `run` uses, built on its first call (not at import) and then kept."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers `run` uses, built on its first call (not at import) and then kept."""
+    return _build_parsers()
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Execute one command; returns (exit code, textual report)."""
+    """Execute one command; returns (exit code, textual report).
+
+    A request that names a verb first goes straight to that verb's parser, as
+    the top-level parser would hand it on, and the top-level parser refuses
+    what is left over, as its `parse_args` would.  Any other request (no verb,
+    help, an unknown verb) goes to the top-level parser.
+    """
+    parser, verbs = _parsers()
     try:
-        args = _parser().parse_args(argv)
+        verb = verbs.get(argv[0]) if argv else None
+        if verb is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = verb.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the input-error contract
         return (EXIT_INPUT if exc.code else EXIT_OK), ""

@@ -102,8 +102,12 @@ def ranking(text: str) -> Ranking:
 def parse_ranking(text: str) -> Ranking:
     """Parse a full three-alternative ranking string like ``"x>y>z"``.
 
-    Each of the three alternatives must appear exactly once.
+    Each of the three alternatives must appear exactly once.  The six canonical
+    texts (spaces around them aside) are one lookup and give the shared ranking.
     """
+    known = _RANKING_TEXTS.get(text.strip())
+    if known is not None:
+        return known
     parts = [p.strip() for p in text.split(">")]
     order = tuple(parts)
     seen = set()
@@ -123,6 +127,8 @@ def parse_ranking(text: str) -> Ranking:
 RANKINGS: tuple[Ranking, ...] = tuple(
     Ranking(p) for p in sorted(itertools.permutations(ALTERNATIVES))
 )
+
+_RANKING_TEXTS = {str(r): r for r in RANKINGS}
 
 #: Every ranking a profile can weight, in sorted order: the six of three
 #: alternatives and the six of two (a profile restricted to a pair).  A
@@ -259,7 +265,12 @@ def parse_domain(text: str) -> Domain:
     inner = text[1:-1].strip()
     if not inner:
         raise ProfileParseError("domain list is empty")
-    return Domain(tuple(parse_ranking(tok) for tok in inner.split(",")))
+    return _domain_of(frozenset(parse_ranking(tok) for tok in inner.split(",")))
+
+
+@functools.cache  # at most 63 member sets: `parse_ranking` reads three-alternative rankings only
+def _domain_of(members: frozenset[Ranking]) -> Domain:
+    return Domain(tuple(members))
 
 
 def is_rich(domain: Domain) -> bool:
@@ -269,9 +280,27 @@ def is_rich(domain: Domain) -> bool:
     return all(any(r.position(a) == 1 for r in domain) for a in ALTERNATIVES)
 
 
+def _plain_ratio(text: str) -> tuple[int, int] | None:
+    """(n, d) for text of ASCII digits n, optionally followed by ``/`` and digits d > 0.
+
+    Any other text gives None: `as_fraction` reads or refuses it through `Fraction`, and
+    so does digit text past `sys.get_int_max_str_digits()`, which `int` refuses here.
+    """
+    num, slash, den = text.partition("/")
+    den = den if slash else "1"
+    if not (text.isascii() and num.isdigit() and den.isdigit()):
+        return None
+    try:
+        n, d = int(num), int(den)
+    except ValueError:  # too many digits
+        return None
+    return (n, d) if d else None
+
+
 def as_fraction(value) -> Fraction:
     """`value` as a `Fraction`: from a `Fraction`, an `int`, or text like ``"3/7"``.
 
+    Plain ratio text (`_plain_ratio`) is read as two integers; other text goes to `Fraction`.
     A float is refused: it is already rounded.  Text whose exponent has a magnitude
     at least Python's limit on the digits of integer text
     (`sys.get_int_max_str_digits()`, unless 0) is refused with a `ValueError`:
@@ -280,14 +309,18 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and ("e" in value or "E" in value):  # only exponent text pays
-        limit = sys.get_int_max_str_digits()
-        try:
-            exponent = abs(int(value.lower().rpartition("e")[2]))
-        except ValueError:  # not a number: `Fraction` says so below
-            exponent = 0
-        if limit and exponent >= limit:
-            raise ValueError(f"exponent out of range in {value!r}")
+    if isinstance(value, str):
+        ratio = _plain_ratio(value)
+        if ratio is not None:
+            return Fraction(*ratio)
+        if "e" in value or "E" in value:  # only exponent text pays
+            limit = sys.get_int_max_str_digits()
+            try:
+                exponent = abs(int(value.lower().rpartition("e")[2]))
+            except ValueError:  # not a number: `Fraction` says so below
+                exponent = 0
+            if limit and exponent >= limit:
+                raise ValueError(f"exponent out of range in {value!r}")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)
@@ -482,12 +515,12 @@ def parse_profile(text: str) -> Profile:
         parts = line.split()
         if len(parts) != 2:
             raise ProfileParseError(f"line {lineno}: expected '<weight> <ranking>', got {line!r}")
-        w = parse_weight(parts[0])
+        n, d = _plain_ratio(parts[0]) or parse_weight(parts[0]).as_integer_ratio()
         try:
             r = parse_ranking(parts[1])
         except RankingParseError as exc:
             raise ProfileParseError(f"line {lineno}: {exc}") from None
-        terms.append((r, *w.as_integer_ratio()))
+        terms.append((r, n, d))
     if domain is None:
         raise ProfileParseError("missing 'domain:' header")
     try:
@@ -497,7 +530,12 @@ def parse_profile(text: str) -> Profile:
 
 
 def format_profile(profile: Profile) -> str:
-    """Serialize to the text format; parsing the result reproduces the profile exactly."""
+    """Serialize to the text format.
+
+    For a profile over three alternatives, parsing the result reproduces it exactly.  A
+    pair profile (from `rules.restrict_profile`) prints too, but `parse_domain` reads no
+    pair domain, so its text does not parse.
+    """
     lines = [f"domain: {profile.domain}"]
     for r, w in profile.weights.items():  # in slot order, which is sorted order
         lines.append(f"{w} {r}")

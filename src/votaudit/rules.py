@@ -152,6 +152,8 @@ BORDA = RuleDescriptor("borda")
 CONDORCET = RuleDescriptor("condorcet")
 PLURALITY = RuleDescriptor("plurality")
 
+_NAMED_RULES = {str(rule): rule for rule in (BORDA, CONDORCET, PLURALITY)}
+
 
 def scoring(s1, s2, s3) -> RuleDescriptor:
     return RuleDescriptor("scoring", (s1, s2, s3))
@@ -160,8 +162,9 @@ def scoring(s1, s2, s3) -> RuleDescriptor:
 def parse_rule(text: str) -> RuleDescriptor:
     """Parse ``borda``, ``condorcet``, ``plurality``, or ``score:s1,s2,s3``."""
     text = text.strip()
-    if text in ("borda", "condorcet", "plurality"):
-        return RuleDescriptor(text)
+    named = _NAMED_RULES.get(text)
+    if named is not None:
+        return named
     if text.startswith("score:"):
         parts = text[len("score:"):].split(",")
         if len(parts) != 3:

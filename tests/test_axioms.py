@@ -133,3 +133,28 @@ def test_report_serialization():
     assert report.record() == "axiom=N verdict=violated"
     text = report.text()
     assert "axiom N: violated" in text and "domain: full" in text
+
+
+PAIR_RULES = (va.BORDA, va.CONDORCET, va.PLURALITY, va.scoring(3, 1, 0))
+
+
+def test_pareto_and_iia_check_a_pair_profile_on_its_own_pair():
+    # `evaluate` and `check_neutrality` take a profile over two alternatives, so
+    # P and IIA must too: they range over the profile's alternatives only
+    for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
+        ab, ba = va.Ranking((a, b)), va.Ranking((b, a))
+        domain = va.Domain((ab, ba))
+        for p in (F(1), F(3, 5), F(1, 2), F(0)):
+            profile = va.Profile({ab: p, ba: 1 - p}, domain)
+            for rule in PAIR_RULES:
+                winner = va.evaluate(rule, profile).winner
+                assert winner == {F(1): a, F(3, 5): a, F(0): b}.get(p)
+                assert va.check_pareto(rule, profile).verdict is Verdict.SATISFIED
+                # the only pair is the profile itself, so a winner persists there
+                iia = va.check_iia(rule, profile)
+                assert iia.verdict is (Verdict.SATISFIED if winner else Verdict.NOT_APPLICABLE)
+                assert va.restrict_profile(profile, (a, b)) == profile
+            if p == 1:  # everyone places a above b, so a rule answering b breaks P
+                report = va.check_pareto(constant_rule(b), profile)
+                assert report.verdict is Verdict.VIOLATED
+                assert report.note == f"every voter places {a} above {b}, yet {b} wins"

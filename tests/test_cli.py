@@ -1,5 +1,10 @@
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -403,3 +408,78 @@ def test_exit_code_contract(tmp_path_factory, drawn):
         assert err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+# Argparse-level tokens and requests for the dispatch differential: help, `--`,
+# abbreviations, `=` forms, extra positionals, unknown verbs and empty argv.
+_ARGPARSE_TOKENS = ["-h", "--help", "--", "--ru", "--rule", "--form=record", "--format=text",
+                    "--form", "extra", "-x", "--nope", "--h", "-", "evaluate", "nope", "--ep",
+                    "--dom", "--a", "--d", "--points=2", "--list"]
+_ARGPARSE_REQUESTS = [[], ["-h"], ["--help"], ["--he"], ["--"], ["nope"], ["Evaluate"], ["eval"],
+                      ["-h", "evaluate"], ["--", "evaluate"], ["--", "margins", _PROFILE]]
+
+
+@st.composite
+def _dispatch_requests(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_ARGPARSE_REQUESTS)), CYCLE
+    argv, text = draw(_requests())
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ARGPARSE_TOKENS)))
+    if argv and draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, text
+
+
+def _outputs(call):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = call()
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dispatch_requests())
+def test_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, drawn):
+    """`run` gives the exit code, report, stdout and stderr, and hands its command the
+    namespace, that `build_parser().parse_args` followed by the same command gives."""
+    argv, text = drawn
+    path = tmp_path_factory.getbasetemp() / "dispatched.profile"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if arg == _PROFILE else arg for arg in argv]
+    parser, verbs = cli._build_parsers()
+    namespaces = []
+    for verb in verbs.values():
+        command = verb.get_default("func")
+        verb.set_defaults(func=lambda args, out, command=command:
+                          namespaces.append(vars(args)) or command(args, out))
+
+    def parse_args_then_command():
+        try:
+            args = parser.parse_args(list(argv))
+        except SystemExit as exc:
+            return (2 if exc.code else 0), ""
+        lines = []
+        try:
+            code = args.func(args, lines.append)
+        except ValueError as exc:
+            return 2, f"error: {exc}"
+        return code, "\n".join(lines)
+
+    with mock.patch.object(cli, "_parsers", lambda: (parser, verbs)):
+        dispatched = _outputs(lambda: cli.run(list(argv)))
+    assert dispatched == _outputs(parse_args_then_command)
+    assert len(namespaces) in (0, 2)
+    if namespaces:
+        ran, parsed = namespaces
+        assert parsed.pop("verb") == argv[0] and ran == parsed
+
+
+def test_importing_the_cli_leaves_the_replay_engine_unloaded():
+    # only `replay` needs the replay engine, so no other request pays for its import
+    src = str(Path(cli.__file__).parents[1])
+    probe = "import sys, votaudit.cli; print('votaudit.replay' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "False\n"

@@ -1,4 +1,7 @@
+import itertools
+import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,6 +270,75 @@ def test_library_text_refuses_an_exponent_at_the_integer_text_limit():
 def test_parse_domain_forms():
     assert va.parse_domain("full") == va.FULL_DOMAIN
     assert va.parse_domain("{x>y>z, y>z>x, z>x>y}") == va.CYCLE_DOMAIN
+
+
+def test_parse_ranking_gives_the_shared_ranking_for_canonical_text():
+    for r in va.RANKINGS:
+        assert va.parse_ranking(str(r)) is r and va.parse_ranking(f" {r}\t") is r
+        spaced = va.parse_ranking(str(r).replace(">", " > "))
+        assert spaced == r and hash(spaced) == hash(r)
+    for text, message in [("x>y", "missing alternative 'z' in 'x>y'"),
+                          ("y>x", "missing alternative 'z' in 'y>x'"),
+                          ("x>y>z>x", "duplicate alternative 'x' in 'x>y>z>x'")]:
+        with pytest.raises(RankingParseError, match=f"^{message}$"):
+            va.parse_ranking(text)
+
+
+def test_parse_domain_builds_one_domain_per_member_set():
+    rng = random.Random(0)
+    for k in range(1, 7):
+        for members in itertools.combinations(va.RANKINGS, k):
+            direct = va.Domain(members)
+            for _ in range(3):  # shuffled, duplicated and space-padded spellings
+                texts = [str(r) for r in members] + [str(r) for r in rng.sample(members, k // 2)]
+                rng.shuffle(texts)
+                spelled = [" " * rng.randint(0, 2) + (t.replace(">", " > ") if rng.random() < 0.3
+                                                      else t) + " " * rng.randint(0, 2)
+                           for t in texts]
+                parsed = va.parse_domain(" {" + ",".join(spelled) + "} ")
+                assert parsed == direct and hash(parsed) == hash(direct)
+                assert str(parsed) == str(direct)
+    assert va.core._domain_of.cache_info().currsize <= 63
+
+
+# -- the plain-ratio reader ------------------------------------------------------
+
+_digit_runs = st.text(alphabet="0123456789", min_size=1, max_size=6)
+_long_runs = st.builds(lambda k, d: d * k, st.integers(4290, 4310), st.sampled_from("179"))
+_weight_texts = st.one_of(
+    st.text(alphabet=st.sampled_from([*"0123456789/.eE+-_ ", "\u0663", "\u00b2", "\uff10"]),
+            max_size=10),
+    st.builds(lambda n, d: f"{n}/{d}", _digit_runs, _digit_runs),
+    st.builds(lambda n, z: f"{n}/{z}", _digit_runs, st.sampled_from(["0", "00", "000"])),
+    _long_runs, st.builds(lambda n, d: f"{n}/{d}", _long_runs, _digit_runs),
+    st.builds(lambda n, d: f"{n}/{d}", _digit_runs, _long_runs),
+)
+
+
+def _reading(read):
+    try:
+        value = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value, getattr(value, "den", None), getattr(value, "counts", None)
+
+
+@given(_weight_texts)
+def test_the_plain_ratio_reader_agrees_with_fraction(text):
+    """Weight text reads as it does through `Fraction` alone: the same value or the same error."""
+    ratio = va.core._plain_ratio(text)
+    if ratio is not None:
+        n, d = ratio
+        assert type(n) is type(d) is int and d > 0 and F(n, d) == F(text)
+    readers = [lambda: as_fraction(text), lambda: parse_weight(text),
+               lambda: va.scoring(text, 0, "-1"), lambda: va.AuditConfig(text)]
+    lines = f"{text} x>y>z\n"
+    if ratio is not None and n <= d:
+        lines += f"{F(d - n, d)} y>z>x\n"
+    readers.append(lambda: va.parse_profile(f"domain: full\n{lines}"))
+    fast = [_reading(read) for read in readers]
+    with mock.patch.object(va.core, "_plain_ratio", lambda text: None):
+        assert [_reading(read) for read in readers] == fast
 
 
 # -- the integer-count core ---------------------------------------------------

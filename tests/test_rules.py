@@ -111,6 +111,8 @@ def test_named_rules_carry_their_score_vectors():
     assert va.PLURALITY.score_vector == (1, 0, 0) and str(va.PLURALITY) == "plurality"
     assert va.CONDORCET.score_vector is None
     assert va.parse_rule("borda") == va.RuleDescriptor("borda", (2, 1, 0)) == va.BORDA
+    for rule in (va.BORDA, va.CONDORCET, va.PLURALITY):
+        assert va.parse_rule(f" {rule} ") is rule
     with pytest.raises(ValueError):
         va.RuleDescriptor("borda", (3, 1, 0))
     with pytest.raises(ValueError):
