@@ -12,7 +12,8 @@ domain, profile, configuration or replay precondition), mapped to exit 2 in
 are built on the first call and reused (parsing keeps no state between calls),
 so a request costs only its own work.  Each request goes straight to the
 parser of the verb it names first, as argparse would hand it on; the
-top-level parser sees only a request that names no verb.
+top-level parser sees only a request that names no verb.  `audit` reads the
+axioms, their order and its `--axioms` default from one table, `_AXIOMS`.
 """
 
 from __future__ import annotations
@@ -95,7 +96,14 @@ def _cmd_richness(args, out) -> int:
     return EXIT_OK if rich else EXIT_FOUND
 
 
-_AXIOM_ORDER = ("P", "A", "N", "IIA")
+#: Each axiom `audit` checks, in report order: its reports on (rule, evaluator, profile).
+_AXIOMS = {
+    "P": lambda rule, run_rule, profile: [axioms.check_pareto(run_rule, profile)],
+    "A": lambda rule, run_rule, profile: [axioms.check_anonymity_structural(rule)],
+    "N": lambda rule, run_rule, profile: [axioms.check_neutrality(run_rule, profile, perm)
+                                          for perm in core.ALL_PERMUTATIONS],
+    "IIA": lambda rule, run_rule, profile: [axioms.check_iia(run_rule, profile)],
+}
 
 
 def _cmd_audit(args, out) -> int:
@@ -103,8 +111,8 @@ def _cmd_audit(args, out) -> int:
     profile = _read_profile(args.profile)
     wanted = [a.strip().upper() for a in args.axioms.split(",")]
     for axiom in wanted:
-        if axiom not in _AXIOM_ORDER:
-            raise _CliError(f"unknown axiom {axiom!r} (choose from P,A,N,IIA)")
+        if axiom not in _AXIOMS:
+            raise _CliError(f"unknown axiom {axiom!r} (choose from {','.join(_AXIOMS)})")
     base = rules.evaluate(rule, profile)
 
     def run_rule(prof: core.Profile) -> rules.Outcome:
@@ -113,19 +121,8 @@ def _cmd_audit(args, out) -> int:
         # checks still compare real evaluations.
         return base if prof is profile else rules.evaluate(rule, prof)
 
-    reports: list[axioms.AxiomReport] = []
-    for axiom in _AXIOM_ORDER:
-        if axiom not in wanted:
-            continue
-        if axiom == "P":
-            reports.append(axioms.check_pareto(run_rule, profile))
-        elif axiom == "A":
-            reports.append(axioms.check_anonymity_structural(rule))
-        elif axiom == "N":
-            for perm in core.ALL_PERMUTATIONS:
-                reports.append(axioms.check_neutrality(run_rule, profile, perm))
-        else:
-            reports.append(axioms.check_iia(run_rule, profile))
+    reports = [report for axiom, check in _AXIOMS.items() if axiom in wanted
+               for report in check(rule, run_rule, profile)]
     violated = False
     for report in reports:
         if args.format == "record":
@@ -212,10 +209,6 @@ def _cmd_replay(args, out) -> int:
     return EXIT_OK if all_ok else EXIT_FOUND
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each verb's own parser by name."""
     parser = argparse.ArgumentParser(
@@ -245,7 +238,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
     p = sub.add_parser("audit", help="check axioms for a rule on a profile")
     p.add_argument("--rule", required=True)
-    p.add_argument("--axioms", default="P,A,N,IIA")
+    p.add_argument("--axioms", default=",".join(_AXIOMS))
     p.add_argument("profile")
     add_format(p)
     p.set_defaults(func=_cmd_audit)
@@ -273,10 +266,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers `run` uses, built on its first call (not at import) and then kept."""
-    return _build_parsers()
+# The parsers `run` uses, built on its first call (not at import) and then kept.
+_parsers = functools.cache(_build_parsers)
 
 
 def run(argv: list[str]) -> tuple[int, str]:

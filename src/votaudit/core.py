@@ -60,13 +60,7 @@ class Ranking:
     def __post_init__(self) -> None:
         if len(self.order) not in (2, 3):
             raise RankingParseError(f"ranking must list 2 or 3 alternatives, got {self.order!r}")
-        seen = set()
-        for alt in self.order:
-            if alt not in _ALT_INDEX:
-                raise RankingParseError(f"unknown alternative {alt!r}")
-            if alt in seen:
-                raise RankingParseError(f"duplicate alternative {alt!r}")
-            seen.add(alt)
+        _check_alternatives(self.order, "")
 
     def prefers(self, a: str, b: str) -> bool:
         """True iff `a` appears before `b`."""
@@ -92,6 +86,15 @@ class Ranking:
         return f"Ranking({self})"
 
 
+def _check_alternatives(order: tuple[str, ...], where: str) -> None:
+    """Refuse the first unknown or repeated alternative of `order`; `where` ends the message."""
+    for i, alt in enumerate(order):
+        if alt not in _ALT_INDEX:
+            raise RankingParseError(f"unknown alternative {alt!r}{where}")
+        if alt in order[:i]:
+            raise RankingParseError(f"duplicate alternative {alt!r}{where}")
+
+
 def ranking(text: str) -> Ranking:
     """Shorthand constructor from compact text, e.g. ``ranking("xyz")`` or ``ranking("x>y>z")``."""
     if ">" in text:
@@ -108,16 +111,9 @@ def parse_ranking(text: str) -> Ranking:
     known = _RANKING_TEXTS.get(text.strip())
     if known is not None:
         return known
-    parts = [p.strip() for p in text.split(">")]
-    order = tuple(parts)
-    seen = set()
-    for tok in order:
-        if tok not in _ALT_INDEX:
-            raise RankingParseError(f"unknown alternative {tok!r} in {text!r}")
-        if tok in seen:
-            raise RankingParseError(f"duplicate alternative {tok!r} in {text!r}")
-        seen.add(tok)
-    missing = [a for a in ALTERNATIVES if a not in seen]
+    order = tuple(p.strip() for p in text.split(">"))
+    _check_alternatives(order, f" in {text!r}")
+    missing = [a for a in ALTERNATIVES if a not in order]
     if missing:
         raise RankingParseError(f"missing alternative {missing[0]!r} in {text!r}")
     return Ranking(order)

@@ -18,14 +18,16 @@ exact values (`Fraction` or `int`); `evaluate_expression`/
 `bool` for a predicate); `Expr.ratio` gives the raw pair, for callers that
 only compute with it (the verifier's profile weights, `verify.sample_params`).
 
-Compiling also records which names an arithmetic expression is provably
-affine in (`Expr.affine_in`), by a syntactic degree rule that never
-understates a degree: a name has degree 1 and a literal 0; `+` and `-` take
-the larger degree of their operands, `*` adds them and a sign keeps it; `/`
+The walk that builds the closures also gives each name's degree, by a rule
+that never understates one, and so the names an arithmetic expression is
+provably affine in (`Expr.affine_in`): a name has degree 1 and a literal 0;
+`+` and `-` take the larger degree, `*` adds them and a sign keeps it; `/`
 keeps its dividend's degree in a name its divisor does not read; floor, ceil
-and abs, and a divisor, make every name they read non-affine.  A predicate is
-affine in none of its names.  The loader admits an affine induction chain only
-when every weight is affine in the chain's index, as the verifier's walk needs.
+and abs, and a divisor, make every name they read non-affine.  `_OPERATORS`
+pairs each operator's closure with its degree rule, and a predicate is affine
+in none of its names.  The loader admits an affine induction chain only when
+every weight is affine in the chain's index, as the verifier's walk needs.
+Text nested past the recursion limit is an `ExpressionError` like any other.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ class Expr:
             raise ExpressionError(f"unknown name {exc.args[0]!r}") from None
         except ZeroDivisionError:
             raise ExpressionError("division by zero") from None
+        except RecursionError:  # text that compiled just below the limit, called deeper
+            raise ExpressionError("expression nested too deeply") from None
 
     def __call__(self, env: Env) -> Fraction | bool:
         value = self.ratio(env)
@@ -131,7 +135,14 @@ def _unary(function, operand):
     return lambda env: function(*operand(env))
 
 
-_OPERATORS = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}
+# Each operator's closure builder, and its degree rule: a name's degree in the result
+# from its degrees in the operands (0 where not read); every divisor name is non-affine.
+_OPERATORS = {
+    ast.Add: (_add, max),
+    ast.Sub: (_sub, max),
+    ast.Mult: (_mul, operator.add),
+    ast.Div: (_div, lambda left, right: math.inf if right else left),
+}
 
 _FUNCTIONS = {
     "floor": lambda n, d: (n // d, 1),
@@ -150,42 +161,49 @@ _COMPARATORS = {
 }
 
 
-def _arith(node: ast.AST, names: set[str]) -> Callable[[Env], Pair]:
-    """The closure computing `node`; the names it reads are added to `names`."""
+def _arith(node: ast.AST) -> tuple[Callable[[Env], Pair], dict[str, float]]:
+    """The closure computing `node`, and the degree of each name it reads (or `math.inf`)."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return _literal(node.value)
+            return _literal(node.value), {}
         raise ExpressionError(f"only integer literals are exact, got {node.value!r}")
     if isinstance(node, ast.Name):
-        names.add(node.id)
-        return _read(node.id)
+        return _read(node.id), {node.id: 1}
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        operand = _arith(node.operand, names)
-        return operand if isinstance(node.op, ast.UAdd) else _unary(lambda n, d: (-n, d), operand)
+        operand, degrees = _arith(node.operand)
+        return (operand if isinstance(node.op, ast.UAdd)
+                else _unary(lambda n, d: (-n, d), operand)), degrees
     if isinstance(node, ast.BinOp):
-        op = _OPERATORS.get(type(node.op))
-        if op is None:
+        if type(node.op) not in _OPERATORS:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        return op(_arith(node.left, names), _arith(node.right, names))
+        build, join = _OPERATORS[type(node.op)]
+        (left, ldeg), (right, rdeg) = _arith(node.left), _arith(node.right)
+        return build(left, right), {n: join(ldeg.get(n, 0), rdeg.get(n, 0))
+                                    for n in ldeg.keys() | rdeg}
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only floor/ceil/abs calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"{node.func.id} takes exactly one argument")
-        return _unary(_FUNCTIONS[node.func.id], _arith(node.args[0], names))
+        operand, degrees = _arith(node.args[0])
+        return _unary(_FUNCTIONS[node.func.id], operand), dict.fromkeys(degrees, math.inf)
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def _predicate(node: ast.AST, names: set[str]) -> Callable[[Env], bool]:
+def _predicate(node: ast.AST) -> tuple[Callable[[Env], bool], dict[str, float]]:
+    """The test computing `node`; every name it reads has degree `math.inf`."""
     if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-        parts = [_predicate(v, names) for v in node.values]
-        return lambda env: all(part(env) for part in parts)
+        tests, degrees = zip(*map(_predicate, node.values))
+        return (lambda env: all(test(env) for test in tests),
+                {n: math.inf for part in degrees for n in part})
     if isinstance(node, ast.Compare):
-        first, links = _arith(node.left, names), []
+        (first, degrees), links = _arith(node.left), []
         for op, operand in zip(node.ops, node.comparators):
             if type(op) not in _COMPARATORS:
                 raise ExpressionError(f"comparison {type(op).__name__} not allowed")
-            links.append((_COMPARATORS[type(op)], _arith(operand, names)))
+            value, more = _arith(operand)
+            links.append((_COMPARATORS[type(op)], value))
+            degrees = degrees | more
 
         def compare(env: Env) -> bool:
             ln, ld = first(env)
@@ -195,27 +213,8 @@ def _predicate(node: ast.AST, names: set[str]) -> Callable[[Env], bool]:
                     return False
                 ln, ld = rn, rd
             return True
-        return compare
+        return compare, dict.fromkeys(degrees, math.inf)
     raise ExpressionError("predicate must be a comparison")
-
-
-def _degrees(node: ast.AST) -> dict[str, float]:
-    """Each name's degree in arithmetic `node` by the module's syntactic rule,
-    `math.inf` for a name read by floor/ceil/abs or a divisor; `{}` for a literal
-    or any other node."""
-    if isinstance(node, ast.Name):
-        return {node.id: 1}
-    if isinstance(node, ast.UnaryOp):
-        return _degrees(node.operand)
-    if isinstance(node, ast.BinOp):
-        left, right = _degrees(node.left), _degrees(node.right)
-        if isinstance(node.op, ast.Div):
-            return {**left, **dict.fromkeys(right, math.inf)}
-        join = operator.add if isinstance(node.op, ast.Mult) else max
-        return {n: join(left.get(n, 0), right.get(n, 0)) for n in left.keys() | right}
-    if isinstance(node, ast.Call):
-        return dict.fromkeys(_degrees(node.args[0]), math.inf)
-    return {}
 
 
 # Catalog texts repeat (2,088 expression sites, about 350 distinct texts), and
@@ -223,14 +222,13 @@ def _degrees(node: ast.AST) -> dict[str, float]:
 @lru_cache(maxsize=1024)
 def _compile(text: str, build) -> Expr:
     try:
-        tree = ast.parse(text, mode="eval")
+        fn, degrees = build(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
-    names: set[str] = set()
-    fn = build(tree.body, names)
-    degrees = _degrees(tree.body)  # {} for a predicate: none of its names is affine
-    nonaffine = tuple(n for n in sorted(names) if degrees.get(n, math.inf) > 1)
-    return Expr(text, frozenset(names), nonaffine, fn)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+    nonaffine = tuple(n for n in sorted(degrees) if degrees[n] > 1)
+    return Expr(text, frozenset(degrees), nonaffine, fn)
 
 
 def compile_expression(text: str) -> Expr:

@@ -23,13 +23,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
-from ..rules import BORDA, CONDORCET, PLURALITY, RuleDescriptor
+from ..rules import _NAMED_RULES, RuleDescriptor
 from .expressions import Expr, ExpressionError, compile_expression, compile_predicate
 
 _VALID_GROUPS = ("cycle", "expansion", "rich")
-
-#: The rules a rule check may name, by name.
-_RULES = {str(rule): rule for rule in (BORDA, CONDORCET, PLURALITY)}
 
 #: The keys each part of a scenario record must hold, and the further keys it
 #: may hold.  A missing key fails the load, and so does any other key, so a
@@ -254,7 +251,7 @@ def _parse_scenario(raw: dict) -> Scenario:
     rule_checks = []
     for profile, rule_name, winner in raw.get("rule_checks", ()):
         known(profile, "rule check")
-        if (rule := _RULES.get(str(rule_name))) is None:
+        if (rule := _NAMED_RULES.get(str(rule_name))) is None:  # no `score:` rule
             raise CatalogError(f"{where}: rule check uses unknown rule {rule_name!r}")
         if winner not in ALTERNATIVES:
             raise CatalogError(f"{where}: rule check winner {winner!r}")

@@ -227,7 +227,7 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
         yield CheckResult(f"renaming {perm} carries {link.source} to {link.target}", ok,
                           "" if ok else "permuted weights differ")
         hyp_src, hyp_dst = hypotheses.get(link.source), hypotheses.get(link.target)
-        if hyp_src is not None and hyp_dst is not None and not hyp_src.startswith("not:"):
+        if hyp_src is not None and hyp_dst is not None and len(expand_winner_spec(hyp_src)) == 1:
             ok = perm(hyp_src) == hyp_dst
             yield CheckResult(f"renaming {perm} carries winner {hyp_src} to {hyp_dst}", ok,
                               "" if ok else f"expected {perm(hyp_src)}")

@@ -85,6 +85,17 @@ def test_audit_exit_codes(fixtures):
     assert code == 0 and "axiom IIA: satisfied" in out
 
 
+@pytest.mark.parametrize("rule", ["plurality", "borda", "condorcet", "score:3,1,0"])
+def test_audit_checks_every_axiom_by_default(fixtures, rule):
+    for name in ("cycle", "near_tie", "unanimous"):
+        for form in ([], ["--format", "record"]):
+            argv = ["audit", "--rule", rule, fixtures[name], *form]
+            default = _outputs(lambda: main(argv))
+            assert default[1].count("\n") >= 9  # P, A, six renamings and IIA
+            assert default == _outputs(
+                lambda: main([*argv[:3], "--axioms", "P,A,N,IIA", *argv[3:]]))
+
+
 def test_audit_detects_iia_violation(tmp_path):
     profile = tmp_path / "iia.profile"
     # dominance count picks y while x beats y pairwise
@@ -442,7 +453,7 @@ def _outputs(call):
 @given(_dispatch_requests())
 def test_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, drawn):
     """`run` gives the exit code, report, stdout and stderr, and hands its command the
-    namespace, that `build_parser().parse_args` followed by the same command gives."""
+    namespace, that the top-level parser's `parse_args` followed by the same command gives."""
     argv, text = drawn
     path = tmp_path_factory.getbasetemp() / "dispatched.profile"
     if text is not None:

@@ -284,6 +284,48 @@ def test_parse_ranking_gives_the_shared_ranking_for_canonical_text():
             va.parse_ranking(text)
 
 
+# Every way a ranking's alternatives are checked, and the exact text each refusal gives:
+# unknown, repeated, empty and case-changed tokens, and one to four of them.
+_MALFORMED_RANKINGS = [
+    (va.Ranking, ('x',), "ranking must list 2 or 3 alternatives, got ('x',)"),
+    (va.Ranking, ('x', 'y', 'z', 'x'),
+     "ranking must list 2 or 3 alternatives, got ('x', 'y', 'z', 'x')"),
+    (va.Ranking, ('x', 'w'), "unknown alternative 'w'"),
+    (va.Ranking, ('x', 'x'), "duplicate alternative 'x'"),
+    (va.Ranking, ('X', 'y', 'z'), "unknown alternative 'X'"),
+    (va.Ranking, ('', 'y'), "unknown alternative ''"),
+    (va.Ranking, ('x', 'y', 'y'), "duplicate alternative 'y'"),
+    (va.Ranking, ('w', 'w'), "unknown alternative 'w'"),
+    (va.Ranking, (), 'ranking must list 2 or 3 alternatives, got ()'),
+    (va.ranking, 'x', "ranking must list 2 or 3 alternatives, got ('x',)"),
+    (va.ranking, 'xyzx', "ranking must list 2 or 3 alternatives, got ('x', 'y', 'z', 'x')"),
+    (va.ranking, 'xw', "unknown alternative 'w'"),
+    (va.ranking, 'xx', "duplicate alternative 'x'"),
+    (va.ranking, 'Xyz', "unknown alternative 'X'"),
+    (va.ranking, '', 'ranking must list 2 or 3 alternatives, got ()'),
+    (va.ranking, 'x>y', "missing alternative 'z' in 'x>y'"),
+    (va.ranking, 'x>Y>z', "unknown alternative 'Y' in 'x>Y>z'"),
+    (va.ranking, 'x>x>y>z', "duplicate alternative 'x' in 'x>x>y>z'"),
+    (va.parse_ranking, '', "unknown alternative '' in ''"),
+    (va.parse_ranking, 'x', "missing alternative 'y' in 'x'"),
+    (va.parse_ranking, 'x>>z', "unknown alternative '' in 'x>>z'"),
+    (va.parse_ranking, 'x>y>y', "duplicate alternative 'y' in 'x>y>y'"),
+    (va.parse_ranking, 'X>Y>Z', "unknown alternative 'X' in 'X>Y>Z'"),
+    (va.parse_ranking, 'x>y>z>w', "unknown alternative 'w' in 'x>y>z>w'"),
+    (va.parse_ranking, 'x>y>z>z', "duplicate alternative 'z' in 'x>y>z>z'"),
+    (va.parse_ranking, 'z>w>z', "unknown alternative 'w' in 'z>w>z'"),
+    (va.parse_ranking, 'y > x', "missing alternative 'z' in 'y > x'"),
+    (va.parse_ranking, 'x > y >  z > x', "duplicate alternative 'x' in 'x > y >  z > x'"),
+]
+
+
+@pytest.mark.parametrize("build,arg,message", _MALFORMED_RANKINGS)
+def test_malformed_rankings_are_refused_with_exact_texts(build, arg, message):
+    with pytest.raises(RankingParseError) as exc:
+        build(arg)
+    assert str(exc.value) == message
+
+
 def test_parse_domain_builds_one_domain_per_member_set():
     rng = random.Random(0)
     for k in range(1, 7):

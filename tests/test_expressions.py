@@ -2,14 +2,17 @@
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_value
+from oracles import reference_classification, reference_value
 from votaudit.replay import AffineChain, sample_params, scenario_catalog
-from votaudit.replay.expressions import Expr, ExpressionError, compile_expression, compile_predicate
+from votaudit.replay.expressions import (
+    Expr, ExpressionError, compile_expression, compile_predicate, evaluate_expression,
+    evaluate_predicate)
 from votaudit.replay.verify import build_env
 
 
@@ -126,6 +129,42 @@ def test_catalog_texts_match_the_fraction_reference():
             for expr in exprs:
                 _agrees(expr, env)
     assert len(texts) > 300  # about 350 distinct texts
+
+
+def test_catalog_names_and_degrees_match_the_reference_walk():
+    texts = {expr.text: expr for scenario in scenario_catalog() for expr in _expressions(scenario)}
+    for text, expr in texts.items():
+        assert (expr.names, expr.nonaffine) == reference_classification(text), text
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(st.just(compile_expression), _arith_texts()),
+                 st.tuples(st.just(compile_predicate), _predicate_texts())))
+def test_names_and_degrees_match_the_reference_walk(drawn):
+    compile_text, text = drawn
+    expr = compile_text(text)
+    assert (expr.names, expr.nonaffine) == reference_classification(text), text
+
+
+_DEEP_TEXTS = {"996 signs": "-" * 996 + "a", "3000 terms": " + ".join(["a"] * 3000)}
+
+
+@pytest.mark.parametrize("text", _DEEP_TEXTS.values(), ids=_DEEP_TEXTS)
+def test_deeply_nested_text_is_an_expression_error(text):
+    for refused in (lambda: compile_expression(text), lambda: evaluate_expression(text, _ENV),
+                    lambda: evaluate_predicate(f"{text} < 1", _ENV)):
+        with pytest.raises(ExpressionError, match="^expression nested too deeply$"):
+            refused()
+
+
+def test_an_expression_called_past_the_recursion_limit_is_an_expression_error():
+    expr = compile_expression("-" * 300 + "a")
+
+    def call_at_depth(k):  # leaves fewer than 300 frames for the 300 signs
+        return expr(_ENV) if k == 0 else call_at_depth(k - 1)
+
+    with pytest.raises(ExpressionError, match="^expression nested too deeply$"):
+        call_at_depth(sys.getrecursionlimit() - 300)
 
 
 @pytest.mark.parametrize("text,affine", [

@@ -314,6 +314,14 @@ def test_catalog_rejects_bad_expressions_at_load(text, fragment):
     assert str(exc.value).startswith("scenario t.1") and repr(text) in str(exc.value)
 
 
+def test_catalog_rejects_deeply_nested_expressions_at_load():
+    for text in ("-" * 996 + "a", " + ".join(["a"] * 3000)):
+        with pytest.raises(CatalogError, match="expression nested too deeply$"):
+            _parse_scenario(_record(identities=[[text, "a"]]))
+        with pytest.raises(CatalogError, match="expression nested too deeply$"):
+            _parse_scenario(_record(checks=[f"{text} < 1"]))
+
+
 def test_catalog_rejects_sampling_hints_that_miss_a_parameter():
     assert _parse_scenario(_record()).params == ("a",)
     with pytest.raises(CatalogError, match="sampling hints cover"):
