@@ -180,26 +180,19 @@ def _cmd_replay(args, out) -> int:
         scenario = get_scenario(args.case)
     except KeyError as exc:
         raise _CliError(str(exc.args[0])) from None
-    given = {
-        name: _parse_fraction(getattr(args, name), name)
-        for name in _PARAM_FLAGS
-        if getattr(args, name) is not None
-    }
-    if args.epsilon is not None:
-        given["epsilon"] = _parse_fraction(args.epsilon, "epsilon")
+    given = {name: _parse_fraction(getattr(args, name), name)
+             for name in (*_PARAM_FLAGS, "epsilon") if getattr(args, name) is not None}
     needed = set(scenario.params) | {"epsilon"}
     extra = set(given) - needed
     if extra:
         raise _CliError(
             f"scenario {scenario.id} takes {sorted(needed)}, not {sorted(extra)}")
-    if needed <= set(given):
-        points = [ScenarioParams(tuple(sorted((k, given[k]) for k in needed)))]
-    elif given:
+    if given and set(given) != needed:
         raise _CliError(
             f"scenario {scenario.id} needs all of {sorted(needed)} (or none, to sample)")
-    else:
-        rng = random.Random(args.seed)
-        points = [sample_params(scenario, rng) for _ in range(args.points)]
+    rng = random.Random(args.seed)
+    points = ([ScenarioParams.of(**given)] if given
+              else [sample_params(scenario, rng) for _ in range(args.points)])
     all_ok = True
     for params in points:
         report = verify_full(scenario, params)
@@ -256,8 +249,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p = sub.add_parser("replay", help="verify a catalog scenario")
     p.add_argument("--case", help="scenario id, e.g. 1.I.1.1.2")
     p.add_argument("--list", action="store_true", help="list catalog scenarios")
-    p.add_argument("--epsilon")
-    for name in _PARAM_FLAGS:
+    for name in ("epsilon", *_PARAM_FLAGS):
         p.add_argument(f"--{name}")
     p.add_argument("--points", type=int, default=20,
                    help="random parameter points when none are given")

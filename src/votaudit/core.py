@@ -28,8 +28,6 @@ from typing import Iterable, Mapping, Sequence
 
 ALTERNATIVES: tuple[str, str, str] = ("x", "y", "z")
 
-_ALT_INDEX = {a: i for i, a in enumerate(ALTERNATIVES)}
-
 
 class RankingParseError(ValueError):
     """Raised when a ranking string is malformed."""
@@ -89,17 +87,23 @@ class Ranking:
 def _check_alternatives(order: tuple[str, ...], where: str) -> None:
     """Refuse the first unknown or repeated alternative of `order`; `where` ends the message."""
     for i, alt in enumerate(order):
-        if alt not in _ALT_INDEX:
+        if alt not in ALTERNATIVES:
             raise RankingParseError(f"unknown alternative {alt!r}{where}")
         if alt in order[:i]:
             raise RankingParseError(f"duplicate alternative {alt!r}{where}")
 
 
+def _split_ranking(text: str) -> tuple[str, ...]:
+    """The alternatives of ``>`` text, each stripped; refuses the first unknown or repeated one."""
+    order = tuple(p.strip() for p in text.split(">"))
+    _check_alternatives(order, f" in {text!r}")
+    return order
+
+
 def ranking(text: str) -> Ranking:
-    """Shorthand constructor from compact text, e.g. ``ranking("xyz")`` or ``ranking("x>y>z")``."""
-    if ">" in text:
-        return parse_ranking(text)
-    return Ranking(tuple(text))
+    """Shorthand constructor from compact text, e.g. ``ranking("xyz")`` or ``ranking("x>y>z")``;
+    a pair ranking reads in either notation, ``ranking("xy")`` or ``ranking("x>y")``."""
+    return Ranking(_split_ranking(text) if ">" in text else tuple(text))
 
 
 def parse_ranking(text: str) -> Ranking:
@@ -111,8 +115,7 @@ def parse_ranking(text: str) -> Ranking:
     known = _RANKING_TEXTS.get(text.strip())
     if known is not None:
         return known
-    order = tuple(p.strip() for p in text.split(">"))
-    _check_alternatives(order, f" in {text!r}")
+    order = _split_ranking(text)
     missing = [a for a in ALTERNATIVES if a not in order]
     if missing:
         raise RankingParseError(f"missing alternative {missing[0]!r} in {text!r}")
@@ -297,9 +300,9 @@ def as_fraction(value) -> Fraction:
     """`value` as a `Fraction`: from a `Fraction`, an `int`, or text like ``"3/7"``.
 
     Plain ratio text (`_plain_ratio`) is read as two integers; other text goes to `Fraction`.
-    A float is refused: it is already rounded.  Text whose exponent has a magnitude
-    at least Python's limit on the digits of integer text
-    (`sys.get_int_max_str_digits()`, unless 0) is refused with a `ValueError`:
+    A float is refused: it is already rounded; so is a `bool`, though Python counts it an
+    `int`.  Text whose exponent has a magnitude at least Python's limit on the digits of
+    integer text (`sys.get_int_max_str_digits()`, unless 0) is refused with a `ValueError`:
     `Fraction` would first build 10 to that power, which takes seconds and megabytes
     that the limit does not bound.  So is text with a zero denominator, like ``"1/0"``.
     """
@@ -317,7 +320,7 @@ def as_fraction(value) -> Fraction:
                 exponent = 0
             if limit and exponent >= limit:
                 raise ValueError(f"exponent out of range in {value!r}")
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except ZeroDivisionError:  # only text, like "1/0"

@@ -60,8 +60,8 @@ class NongenericProfileError(ValueError):
 class AuditConfig:
     """Search resolution: mass bound, profile mesh 1/grid, move mesh 1/moves.
 
-    Epsilon is made exact by `core.as_fraction`, so a float is refused; either
-    denominator that is not an `int` is refused with a `ValueError`.
+    Epsilon is made exact by `core.as_fraction`, so a float or a `bool` is refused;
+    either denominator that is not an `int`, a `bool` too, is refused with a `ValueError`.
     """
 
     epsilon: Fraction
@@ -72,7 +72,7 @@ class AuditConfig:
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not all(isinstance(d, int) for d in (self.grid_denominator, self.move_denominator)):
+        if not all(type(d) is int for d in (self.grid_denominator, self.move_denominator)):
             raise ValueError("denominators must be integers")
         if self.grid_denominator < 1 or self.move_denominator < 1:
             raise ValueError("denominators must be at least 1")
@@ -168,11 +168,8 @@ class _Model:
     gap of 0 or a support of a half.
     `steps[arc]` is the change of all six per count moved along the arc, and
     `reach[old, target]` their largest and smallest change over the arcs whose
-    source prefers target to old, clamped at 0.  `cuts[old]` is old's two
-    statistics and, per rival target, `_GROUPS[target]` with the extreme of
-    `reach[old, target]` that `may_win` reads at each: hi at target's own two,
-    lo at the four rival ones; a lattice turns it into thresholds of the root
-    cut.  Nothing else in the search tells the rule families apart.
+    source prefers target to old, clamped at 0: a lattice reads its root cut's
+    thresholds off it.  Nothing else in the search tells the rule families apart.
     """
 
     def __init__(self, vector: tuple[Fraction, ...] | None, domain: Domain):
@@ -195,14 +192,10 @@ class _Model:
         self.gains = {(old, target): [r.prefers(target, old) for r in rankings]
                       for old in ALTERNATIVES for target in _RIVALS[old]}
         self.reach = {}
-        self.cuts = {old: (*_OVER[old], []) for old in ALTERNATIVES}
         for (old, target), gains in self.gains.items():
             columns = list(zip([0] * len(_PAIRS), *(self.steps[arc] for arc in self.arcs
                                                      if gains[arc[0]])))
-            hi, lo = self.reach[old, target] = [max(c) for c in columns], [min(c) for c in columns]
-            group = _GROUPS[target]
-            extremes = [hi[i] for i in group[:2]] + [lo[i] for i in group[2:]]
-            self.cuts[old][2].append((target, *itertools.chain(*zip(group, extremes))))
+            self.reach[old, target] = [max(c) for c in columns], [min(c) for c in columns]
 
 
 _model = functools.lru_cache(maxsize=256)(_Model)  # one per (score vector, domain)
@@ -210,7 +203,11 @@ _model = functools.lru_cache(maxsize=256)(_Model)  # one per (score vector, doma
 
 class _Lattice:
     """A rule's model at the integer scale L = lcm(den, moves), for profiles of denominator
-    den: a count is `per` = L / den counts, and a move is `unit` = L / moves counts."""
+    den: a count is `per` = L / den counts, and a move is `unit` = L / moves counts.
+    `cuts[old]` is old's two statistics and, per rival target, each of `_GROUPS[target]`
+    with its threshold in the root cut: `may_win` at `max_mass` asks v[i] + max_mass *
+    extreme against need, so v[i] against need - max_mass * extreme, where the extreme of
+    `reach[old, target]` is hi at target's own two statistics and lo at the four rival ones."""
 
     def __init__(self, rule: RuleDescriptor, domain: Domain, den: int, config: AuditConfig):
         self.model = _model(rule.score_vector, domain)
@@ -221,14 +218,13 @@ class _Lattice:
         self.unit = scale // config.move_denominator
         self.max_units, self.moves = config.max_units, config.move_denominator
         self.max_mass = self.max_units * self.unit  # in counts; at 0, old's unique win rejects all
-        # the root cut, may_win(target, v, max_mass, *reach[old, target]), with the inequality
-        # moved across: v[i] + max_mass * extreme against need is v[i] against a threshold
-        need, mass = self.need, self.max_mass
-        self.cuts = {old: (p, q, [(target, a, need - mass * ha, b, need - mass * hb,
-                                   r, need - mass * lr, s, need - mass * ls,
-                                   t, need - mass * lt, u, need - mass * lu)
-                                  for target, a, ha, b, hb, r, lr, s, ls, t, lt, u, lu in tests])
-                     for old, (p, q, tests) in self.model.cuts.items()}
+        need, mass, reach = self.need, self.max_mass, self.model.reach
+        self.cuts = {old: (*_OVER[old], [
+            (target, p, need - mass * hi[p], q, need - mass * hi[q], r, need - mass * lo[r],
+             s, need - mass * lo[s], t, need - mass * lo[t], u, need - mass * lo[u])
+            for target in _RIVALS[old]
+            for (hi, lo), (p, q, r, s, t, u) in [(reach[old, target], _GROUPS[target])]])
+            for old in ALTERNATIVES}
 
     def may_win(self, target: str, values: Sequence[int], units: int,
                 hi: Sequence[int], lo: Sequence[int]) -> bool:

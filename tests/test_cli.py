@@ -321,6 +321,14 @@ INPUT_ERRORS = [
      "scenario 2.I.n+1: precondition 'epsilon > 0' fails at {'epsilon': '0'}"),
     (["replay", "--case", "nope"], "unknown scenario id 'nope'"),
     (["replay", "--case", "2.I.n+1", "--a", "1/2"], "scenario 2.I.n+1 takes ['epsilon'], not ['a']"),
+    (["replay", "--case", "1.I.1.1.2", "--a", "1/2"],
+     "scenario 1.I.1.1.2 needs all of ['a', 'b', 'epsilon'] (or none, to sample)"),
+    (["replay", "--case", "1.I.1.1.2", "--a", "1/2", "--c", "1/5"],  # extra before partial
+     "scenario 1.I.1.1.2 takes ['a', 'b', 'epsilon'], not ['c']"),
+    (["replay", "--case", "1.I.1.1.2", "--epsilon", "x", "--a", "nan", "--b", "1/5"],
+     "bad a: 'nan'"),  # a, b, c, then epsilon, whatever the argv order
+    (["replay", "--case", "1.I.1.1.2", "--a", "1e-999999999", "--b", "1/5", "--epsilon", "1/10"],
+     "bad a: '1e-999999999'"),
     (["audit", "--rule", "borda", "--axioms", "Q", "{profile}"],
      "unknown axiom 'Q' (choose from P,A,N,IIA)"),
     (["evaluate", "--rule", "borda", "/dev/null"], "/dev/null: missing 'domain:' header"),

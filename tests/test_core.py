@@ -267,6 +267,22 @@ def test_library_text_refuses_an_exponent_at_the_integer_text_limit():
         as_fraction("three")  # not exponent text: `Fraction` names it
 
 
+def test_a_bool_is_no_exact_rational():
+    # `bool` is an `int` subclass, so `Fraction(True)` would read it as 1
+    for value in (True, False):
+        with pytest.raises(TypeError, match=f"^expected an exact rational, got bool {value}$"):
+            as_fraction(value)
+    for build in (lambda: va.AuditConfig(True), lambda: va.scoring(True, False, False),
+                  lambda: va.profile_from({"xyz": True})):
+        with pytest.raises(TypeError, match="^expected an exact rational, got bool True$"):
+            build()
+
+
+def test_ranking_reads_back_its_own_text_in_either_notation():
+    for r in va.core.SLOT_RANKINGS:  # the six of three alternatives and the six pairs
+        assert va.ranking(str(r)) == r and va.ranking("".join(r.order)) == r
+
+
 def test_parse_domain_forms():
     assert va.parse_domain("full") == va.FULL_DOMAIN
     assert va.parse_domain("{x>y>z, y>z>x, z>x>y}") == va.CYCLE_DOMAIN
@@ -303,7 +319,7 @@ _MALFORMED_RANKINGS = [
     (va.ranking, 'xx', "duplicate alternative 'x'"),
     (va.ranking, 'Xyz', "unknown alternative 'X'"),
     (va.ranking, '', 'ranking must list 2 or 3 alternatives, got ()'),
-    (va.ranking, 'x>y', "missing alternative 'z' in 'x>y'"),
+    (va.ranking, 'x>w', "unknown alternative 'w' in 'x>w'"),
     (va.ranking, 'x>Y>z', "unknown alternative 'Y' in 'x>Y>z'"),
     (va.ranking, 'x>x>y>z', "duplicate alternative 'x' in 'x>x>y>z'"),
     (va.parse_ranking, '', "unknown alternative '' in ''"),

@@ -47,7 +47,8 @@ def test_audit_config_validation():
     assert va.AuditConfig(F(1), 20, 100).max_units == 99
     assert va.AuditConfig(F(10**6), 20, 100).max_units == 100  # the whole mass
     # `math.lcm` would refuse these later, in the middle of an audit, with a `TypeError`
-    for grid, moves in [(2.5, 100), (20, 2.5), (F(20), 100), (20, F(100)), ("20", 100)]:
+    for grid, moves in [(2.5, 100), (20, 2.5), (F(20), 100), (20, F(100)), ("20", 100),
+                        (True, 100), (20, False)]:
         with pytest.raises(ValueError, match="^denominators must be integers$"):
             va.AuditConfig("1/10", grid, moves)
 
