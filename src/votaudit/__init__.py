@@ -13,7 +13,6 @@ from .core import (
     CandidatePermutation,
     Domain,
     FULL_DOMAIN,
-    IDENTITY_PERMUTATION,
     Profile,
     RANKINGS,
     Ranking,

@@ -118,7 +118,7 @@ def check_neutrality(rule: RuleLike, profile: Profile,
     base = run(profile)
     permuted_profile = permute_profile(profile, perm)
     permuted = run(permuted_profile)
-    expected = perm.apply_set(base.tie_set)
+    expected = frozenset(map(perm, base.tie_set))
     if permuted.tie_set == expected:
         return AxiomReport("N", Verdict.SATISFIED)
     return AxiomReport(

@@ -31,25 +31,21 @@ EXIT_FOUND = 1
 EXIT_INPUT = 2
 
 
-class _CliError(ValueError):
-    """An input error found by the CLI itself; `run` reports it as it reports the library's."""
-
-
 def _read_profile(path: str) -> core.Profile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return core.parse_profile(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except core.ProfileParseError as exc:
-        raise _CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return core.parse_weight(text)
     except core.ProfileParseError:
-        raise _CliError(f"bad {what}: {text!r}") from None
+        raise ValueError(f"bad {what}: {text!r}") from None
 
 
 def _cmd_evaluate(args, out) -> int:
@@ -112,7 +108,7 @@ def _cmd_audit(args, out) -> int:
     wanted = [a.strip().upper() for a in args.axioms.split(",")]
     for axiom in wanted:
         if axiom not in _AXIOMS:
-            raise _CliError(f"unknown axiom {axiom!r} (choose from {','.join(_AXIOMS)})")
+            raise ValueError(f"unknown axiom {axiom!r} (choose from {','.join(_AXIOMS)})")
     base = rules.evaluate(rule, profile)
 
     def run_rule(prof: core.Profile) -> rules.Outcome:
@@ -144,12 +140,12 @@ def _cmd_manipulate(args, out) -> int:
         witness = manipulation.audit_wsp(rule, core.parse_domain(args.domain), config)
     else:
         if args.profile is None:
-            raise _CliError("manipulate needs a profile file or --domain")
+            raise ValueError("manipulate needs a profile file or --domain")
         profile = _read_profile(args.profile)
         try:
             witness = manipulation.find_manipulation(rule, profile, config)
         except manipulation.NongenericProfileError as exc:
-            raise _CliError(f"not applicable: {exc}") from None
+            raise ValueError(f"not applicable: {exc}") from None
     if witness is None:
         out(f"no witness at this resolution (epsilon={epsilon}, "
             f"grid=1/{config.grid_denominator}, moves=1/{config.move_denominator})")
@@ -173,22 +169,22 @@ def _cmd_replay(args, out) -> int:
                 + (", ".join(scenario.params) or "(epsilon only)"))
         return EXIT_OK
     if not args.case:
-        raise _CliError("replay needs --case ID (or --list)")
+        raise ValueError("replay needs --case ID (or --list)")
     if args.points < 1:
-        raise _CliError(f"--points must be at least 1, not {args.points}")
+        raise ValueError(f"--points must be at least 1, not {args.points}")
     try:
         scenario = get_scenario(args.case)
     except KeyError as exc:
-        raise _CliError(str(exc.args[0])) from None
+        raise ValueError(str(exc.args[0])) from None
     given = {name: _parse_fraction(getattr(args, name), name)
              for name in (*_PARAM_FLAGS, "epsilon") if getattr(args, name) is not None}
     needed = set(scenario.params) | {"epsilon"}
     extra = set(given) - needed
     if extra:
-        raise _CliError(
+        raise ValueError(
             f"scenario {scenario.id} takes {sorted(needed)}, not {sorted(extra)}")
     if given and set(given) != needed:
-        raise _CliError(
+        raise ValueError(
             f"scenario {scenario.id} needs all of {sorted(needed)} (or none, to sample)")
     rng = random.Random(args.seed)
     points = ([ScenarioParams.of(**given)] if given
@@ -285,7 +281,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     lines: list[str] = []
     try:
         code = args.func(args, lines.append)
-    except ValueError as exc:  # every input error, the library's and `_CliError`
+    except ValueError as exc:  # every input error, the library's and the CLI's own
         return EXIT_INPUT, f"error: {exc}"
     return code, "\n".join(lines)
 

@@ -11,7 +11,7 @@ and counts are keyed by slot: `Profile._checked` alone turns weights into
 counts, and renaming and restriction to a pair are both `relabel`, a slot map
 built at import.  The public API stays on
 `fractions.Fraction`: `Profile(weights, domain)` takes weights and
-`weights`, `weight`, `total_weight` and the text format give them back.
+`weights`, `weight` and the text format give them back.
 
 All types are immutable and hashable; every function is pure.
 """
@@ -164,17 +164,9 @@ class CandidatePermutation:
     def __call__(self, alt: str) -> str:
         return self._mapping[alt]
 
-    def apply_set(self, alts: Iterable[str]) -> frozenset[str]:
-        return frozenset(self(a) for a in alts)
-
-    def inverse(self) -> "CandidatePermutation":
-        return CandidatePermutation.from_mapping({v: k for k, v in self.pairs})
-
     def __str__(self) -> str:
         return ",".join(f"{a}->{b}" for a, b in self.pairs)
 
-
-IDENTITY_PERMUTATION = CandidatePermutation.from_mapping({a: a for a in ALTERNATIVES})
 
 #: All six permutations of the alternative names, in a fixed deterministic order.
 ALL_PERMUTATIONS: tuple[CandidatePermutation, ...] = tuple(
@@ -345,14 +337,15 @@ class Profile:
 
     def __init__(self, weights: Mapping[Ranking, Fraction] | Iterable[tuple[Ranking, Fraction]],
                  domain: Domain | None = None):
-        items = dict(weights)
+        """Read `weights`, a mapping or (ranking, weight) pairs, as `_checked` reads the
+        text format's terms: each made exact by `as_fraction`, a repeated ranking's weights
+        added up.  No `domain` means every ranking over the weights' alternatives (or all three)."""
+        pairs = weights.items() if isinstance(weights, Mapping) else weights
+        terms = [(r, *as_fraction(w).as_integer_ratio()) for r, w in pairs]
         if domain is None:
-            domain = FULL_DOMAIN if all(len(r.order) == 3 for r in items) else Domain(tuple(items))
-        checked = Profile._checked(domain, [(r, *as_fraction(w).as_integer_ratio())
-                                            for r, w in items.items()])
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "den", checked.den)
-        object.__setattr__(self, "counts", checked.counts)
+            alternatives = {r.alternatives for r, _, _ in terms} or {FULL_DOMAIN.alternatives}
+            domain = Domain(tuple(r for r in SLOT_RANKINGS if r.alternatives in alternatives))
+        vars(self).update(vars(Profile._checked(domain, terms)))
 
     @classmethod
     def _checked(cls, domain: Domain, weights: Sequence[tuple[Ranking, int, int]]) -> "Profile":
@@ -411,16 +404,14 @@ class Profile:
     def alternatives(self) -> frozenset[str]:
         return self.domain.alternatives
 
-    def total_weight(self) -> Fraction:
-        return Fraction(sum(c for _, c in self.counts), self.den)
-
     def __str__(self) -> str:
         return format_profile(self)
 
 
 def profile_from(weights: Mapping[str, object], domain: Domain | None = None) -> Profile:
-    """Build a profile from compact text keys, e.g. ``profile_from({"xyz": "1/2", "yzx": "1/2"})``."""
-    return Profile({ranking(k): as_fraction(v) for k, v in weights.items()}, domain)
+    """Build a profile from ranking text keys, e.g. ``profile_from({"xyz": "1/2", "yzx": "1/2"})``,
+    as `Profile` builds it: keys that name one ranking (``"xyz"``, ``"x>y>z"``) add up."""
+    return Profile([(ranking(k), v) for k, v in weights.items()], domain)
 
 
 def relabel(profile: Profile, images: tuple[int | None, ...]) -> Profile:

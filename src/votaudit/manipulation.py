@@ -86,11 +86,17 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class ManipulationWitness:
+    """Move amounts and epsilon are made exact by `core.as_fraction`, so a float is refused."""
+
     base_profile: Profile
     moves: tuple[tuple[Ranking, Ranking, Fraction], ...]
     old_outcome: str
     new_outcome: str
     epsilon: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "moves", tuple((s, d, as_fraction(a)) for s, d, a in self.moves))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
 
     @property
     def size(self) -> Fraction:

@@ -67,9 +67,6 @@ class ScenarioParams:
     def of(cls, **values) -> "ScenarioParams":
         return cls(tuple(sorted(values.items())))
 
-    def as_dict(self) -> Env:
-        return dict(self.values)
-
     def __str__(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.values)
 
@@ -133,7 +130,7 @@ def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
     the environment `sample_params` derived, if it drew `params` for this scenario."""
     if params.derived is not None and params.derived[0] is scenario:
         return dict(params.derived[1])
-    env = params.as_dict()
+    env = dict(params.values)
     missing = (set(scenario.params) | {"epsilon"}) - set(env)
     if missing:
         raise ValueError(f"scenario {scenario.id}: missing parameters {sorted(missing)}")

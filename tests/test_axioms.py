@@ -44,7 +44,7 @@ def test_pareto_borda_never_elects_dominated_z():
 def test_neutrality_identity_permutation():
     for rule in (va.BORDA, va.CONDORCET, va.PLURALITY):
         report = va.check_neutrality(rule, profile_u(F(1, 2), F(1, 5)),
-                                     va.IDENTITY_PERMUTATION)
+                                     va.ALL_PERMUTATIONS[0])
         assert report.satisfied
 
 

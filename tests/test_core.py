@@ -79,13 +79,13 @@ def full_profiles(draw):
 @given(full_profiles(), st.sampled_from(va.ALL_PERMUTATIONS))
 def test_permute_preserves_total_and_inverts(profile, perm):
     image = va.permute_profile(profile, perm)
-    assert image.total_weight() == 1
-    assert va.permute_profile(image, perm.inverse()) == profile
+    assert sum(image.weights.values()) == 1
+    assert va.permute_profile(image, va.CandidatePermutation.from_mapping({b: a for a, b in perm.pairs})) == profile
 
 
 def test_permute_identity():
     u = va.profile_from({"xyz": "1/2", "yxz": "3/10", "yzx": "1/5"})
-    assert va.permute_profile(u, va.IDENTITY_PERMUTATION) == u
+    assert va.permute_profile(u, va.ALL_PERMUTATIONS[0]) == u
 
 
 @pytest.mark.parametrize("pairs", [
@@ -165,7 +165,7 @@ def test_transfer_conserves_total(profile):
     support = profile.support
     moves = [(support[0], va.RANKINGS[0], profile.weight(support[0]) / 2)]
     moved, size = va.transfer_weight(profile, moves)
-    assert moved.total_weight() == 1
+    assert sum(moved.weights.values()) == 1
     assert size == moves[0][2]
 
 
@@ -262,7 +262,7 @@ def test_library_text_refuses_an_exponent_at_the_integer_text_limit():
                 build(bad)
     assert as_fraction("1e999") == 10**999 and as_fraction("25E-2") == F(1, 4)
     assert va.AuditConfig("1e999").max_units == 100
-    assert ScenarioParams.of(a="1e999").as_dict() == {"a": 10**999}
+    assert dict(ScenarioParams.of(a="1e999").values) == {"a": 10**999}
     with pytest.raises(ValueError, match="Invalid literal for Fraction: 'three'"):
         as_fraction("three")  # not exponent text: `Fraction` names it
 
@@ -403,7 +403,7 @@ def test_the_plain_ratio_reader_agrees_with_fraction(text):
 
 @given(full_profiles(), st.sampled_from(va.ALL_PERMUTATIONS))
 def test_permute_and_inverse_give_the_canonical_profile(profile, perm):
-    back = va.permute_profile(va.permute_profile(profile, perm), perm.inverse())
+    back = va.permute_profile(va.permute_profile(profile, perm), va.CandidatePermutation.from_mapping({b: a for a, b in perm.pairs}))
     assert back == profile and hash(back) == hash(profile)
     assert (back.den, back.counts) == (profile.den, profile.counts)
 
@@ -439,7 +439,7 @@ def test_weights_round_trip_through_the_constructor(profile):
     assert va.Profile(weights, profile.domain) == profile
     assert all(profile.weight(r) == weights.get(r, 0) for r in va.RANKINGS)
     assert sum(c for _, c in profile.counts) == profile.den
-    assert profile.total_weight() == 1
+    assert sum(profile.weights.values()) == 1
 
 
 def test_slots_cover_every_ranking_of_two_or_three_alternatives():
@@ -478,6 +478,38 @@ def test_checked_constructor_agrees_with_the_fraction_sums(terms, domain):
     else:
         built = va.Profile._checked(domain, terms)
         assert built == expected and (built.den, built.counts) == (expected.den, expected.counts)
+
+
+@given(weight_terms())
+def test_the_constructor_reads_weights_as_the_text_format_does(terms):
+    """Repeated, zero and negative weights: the same profile, or the same refusal."""
+    weights = [(r, f"{n}/{d}") for r, n, d in terms]
+    text = "".join(f"{w} {r}\n" for r, w in weights)
+    try:
+        expected = va.parse_profile("domain: full\n" + text)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as caught:
+            va.Profile(weights, va.FULL_DOMAIN)
+        assert str(caught.value) == str(exc)
+    else:
+        assert va.Profile(weights, va.FULL_DOMAIN) == expected
+
+
+def test_repeated_keys_add_up_in_profile_from():
+    with pytest.raises(ProfileError, match="^weights sum to 5/4, expected exactly 1$"):
+        va.profile_from({"xyz": "1/4", "x>y>z": "1/2", "yzx": "1/2"})
+    assert va.profile_from({"xyz": "1/4", "x>y>z": "1/4", "yzx": "1/2"}) == \
+        va.profile_from({"xyz": "1/2", "yzx": "1/2"})
+
+
+def test_an_inferred_pair_domain_holds_both_rankings_of_the_pair():
+    pair = va.Profile({va.ranking("xy"): 1})
+    assert pair == va.restrict_profile(va.profile_from({"xyz": 1}), "xy")
+    assert pair.domain == va.Domain((va.ranking("xy"), va.ranking("yx")))
+    with pytest.raises(ValueError, match="^domain mixes rankings over different alternatives$"):
+        va.Profile({va.ranking("xy"): F(1, 2), va.ranking("xz"): F(1, 2)})
+    with pytest.raises(ProfileError, match="^weights sum to 0, expected exactly 1$"):
+        va.Profile([])
 
 
 @pytest.mark.parametrize("build,error,text", [

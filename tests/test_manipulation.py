@@ -84,6 +84,18 @@ def test_audit_config_refuses_a_float_epsilon():
     assert va.AuditConfig("1/20", 20, 100).epsilon == F(1, 20)
 
 
+def test_a_witness_makes_its_amounts_and_epsilon_exact():
+    # a float is already rounded, so it is refused where the witness is built; text is
+    # read exactly
+    base, arc = near_tie_plurality(), (R("zyx"), R("yzx"))
+    for amount, epsilon in ((0.02, F(1, 20)), (F(1, 50), 0.05)):
+        with pytest.raises(TypeError, match="float"):
+            va.ManipulationWitness(base, ((*arc, amount),), "x", "y", epsilon)
+    witness = va.ManipulationWitness(base, ((*arc, "1/50"),), "x", "y", F(1, 20))
+    assert witness.moves == ((*arc, F(1, 50)),) and witness.size == F(1, 50)
+    assert va.verify_witness(va.PLURALITY, witness)
+
+
 def test_verify_witness_plurality_example():
     witness = va.ManipulationWitness(
         near_tie_plurality(),

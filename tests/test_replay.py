@@ -340,7 +340,7 @@ def test_sample_params_rejects_a_draw_where_a_def_has_no_value():
     scenario = _parse_scenario(_record(defs=[["q", "1/floor(2*a)"]]))
     rng = random.Random(0)
     for _ in range(20):
-        assert sample_params(scenario, rng).as_dict()["a"] >= F(1, 2)
+        assert dict(sample_params(scenario, rng).values)["a"] >= F(1, 2)
     with pytest.raises(PreconditionViolation, match="def q = 1/floor"):
         build_env(scenario, ScenarioParams.of(a=F(1, 4), epsilon=F(1, 10)))
 

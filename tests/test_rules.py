@@ -87,7 +87,7 @@ def test_restrict_cycle_to_pair():
     r = va.restrict_profile(cycle_profile(), {"x", "y"})
     assert r.weight(va.Ranking(("x", "y"))) == F(2, 3)
     assert r.weight(va.Ranking(("y", "x"))) == F(1, 3)
-    assert r.total_weight() == 1
+    assert sum(r.weights.values()) == 1
 
 
 def test_restrict_unanimous():
@@ -148,7 +148,7 @@ def test_neutrality_of_rules_on_grid(rule):
         for perm in va.ALL_PERMUTATIONS:
             base = va.evaluate(rule, profile).tie_set
             image = va.evaluate(rule, va.permute_profile(profile, perm)).tie_set
-            assert image == perm.apply_set(base)
+            assert image == frozenset(map(perm, base))
 
 
 def test_condorcet_tie_set_singleton_when_margins_strict():
@@ -237,6 +237,6 @@ def test_oracle_equivalence_at_large_denominators(profile):
         a, b = pair
         majority = frozenset(v for v, w in ((a, b), (b, a)) if matrix[(v, w)] >= F(1, 2))
         restricted = va.restrict_profile(profile, pair)
-        assert restricted.total_weight() == 1
+        assert sum(restricted.weights.values()) == 1
         for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(3, 1, 0)):
             assert va.evaluate(rule, restricted).tie_set == majority
