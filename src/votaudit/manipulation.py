@@ -16,10 +16,16 @@ the counts to the whole mass.  So one bound, each statistic plus the units left
 times its most favorable change per unit, against the criterion's threshold,
 cuts a candidate at the root and every subtree of the arc enumeration that
 cannot make it win; with no units left it is the leaf test.  At the root, with
-the most units, each lattice compiles it into thresholds.  Among valid
-witnesses the search returns the one minimal by total size and then by the
-amounts vector over canonically ordered arcs, so results are reproducible byte
-for byte.
+the most units, each lattice compiles it into thresholds.  A candidate they
+pass meets a second stage there, the same bound with each source's share
+capped by what it holds: per statistic, the sum over the sources of the units
+each holds, but no more than the coalition may move, times its best change per
+unit along an arc out of it.  A source moves no more than it holds, so this
+stage is sound; it cuts the candidates whose reach rests on sources too small
+to use it, which the thresholds alone leave to a long branch search.  Among
+valid witnesses the search returns the one minimal by total size and then by
+the amounts vector over canonically ordered arcs, so results are reproducible
+byte for byte.
 
 The search runs on an integer lattice, at L = lcm(move denominator, the
 profile's denominator).  `find_manipulation` takes a profile's statistics from
@@ -28,9 +34,11 @@ vector of each orbit under the renamings that fix the domain (the rules are
 neutral, so the first witness is the same), and skips every subtree of that
 enumeration in whose box of statistics the root cut's thresholds, at the box's
 most favourable corner, cut every (old, new) pair: each profile below would fail
-the root cut, which a witness's profile passes.  A score vector is scaled by the
-lcm of its entries' denominators, so every statistic, bound and leaf test is
-an exact comparison of integers.
+the root cut, which a witness's profile passes.  The box is read in place: a
+corner's entry, the prefix's sum plus the mass left times the row's extreme
+over the counts still to assign, is computed only where it is compared.  A
+score vector is scaled by the lcm of its entries' denominators, so every
+statistic, bound and leaf test is an exact comparison of integers.
 `Fraction` leaves only where a witness is built, in its move amounts
 k/move_denominator; a grid witness's profile is the grid's counts.
 `verify_witness` replays a witness through `transfer_weight` and
@@ -172,10 +180,14 @@ class _Model:
     so the two statistics sum to C = `total` * L at scale L.  An alternative
     meets the criterion when both its statistics reach need = ceil(C / 2), a
     gap of 0 or a support of a half.
-    `steps[arc]` is the change of all six per count moved along the arc, and
-    `reach[old, target]` their largest and smallest change over the arcs whose
-    source prefers target to old, clamped at 0: a lattice reads its root cut's
-    thresholds off it.  Nothing else in the search tells the rule families apart.
+    `best[old, target]` is 12 rows over the rankings: per statistic, the most a
+    count moved along an arc out of the ranking raises it, then the most it
+    lowers it, 0 for a ranking that does not prefer target to old.  Moving to the
+    ranking where a row is largest raises it most, so a rise is at least 0 and a
+    fall at most 0.  `reach[old, target]` is each rise row's max and each fall
+    row's min, over all the sources: a lattice reads its root cut's thresholds
+    off it, and the capacity stage reads `best` itself.  Nothing else in the
+    search tells the rule families apart.
     """
 
     def __init__(self, vector: tuple[Fraction, ...] | None, domain: Domain):
@@ -193,15 +205,13 @@ class _Model:
             self.rows = [[points[r.position(a)] - points[r.position(b)] for r in rankings]
                          for a, b in _PAIRS]
         self.arcs = list(itertools.permutations(range(len(rankings)), 2))
-        self.steps = {(src, dst): [row[dst] - row[src] for row in self.rows]
-                      for src, dst in self.arcs}
         self.gains = {(old, target): [r.prefers(target, old) for r in rankings]
                       for old in ALTERNATIVES for target in _RIVALS[old]}
-        self.reach = {}
-        for (old, target), gains in self.gains.items():
-            columns = list(zip([0] * len(_PAIRS), *(self.steps[arc] for arc in self.arcs
-                                                     if gains[arc[0]])))
-            self.reach[old, target] = [max(c) for c in columns], [min(c) for c in columns]
+        self.best = {pair: [[(pick(row) - v) * gain for v, gain in zip(row, gains)]
+                            for pick in (max, min) for row in self.rows]
+                     for pair, gains in self.gains.items()}
+        self.reach = {pair: ([max(row) for row in best[:6]], [min(row) for row in best[6:]])
+                      for pair, best in self.best.items()}
 
 
 _model = functools.lru_cache(maxsize=256)(_Model)  # one per (score vector, domain)
@@ -213,7 +223,8 @@ class _Lattice:
     `cuts[old]` is old's two statistics and, per rival target, each of `_GROUPS[target]`
     with its threshold in the root cut: `may_win` at `max_mass` asks v[i] + max_mass *
     extreme against need, so v[i] against need - max_mass * extreme, where the extreme of
-    `reach[old, target]` is hi at target's own two statistics and lo at the four rival ones."""
+    `reach[old, target]` is hi at target's own two statistics and lo at the four rival ones.
+    A pair that passes them must pass `may_win_held` too before a branch is built."""
 
     def __init__(self, rule: RuleDescriptor, domain: Domain, den: int, config: AuditConfig):
         self.model = _model(rule.score_vector, domain)
@@ -248,25 +259,42 @@ class _Lattice:
                 and (values[r] + units * lo[r] < need or values[s] + units * lo[s] < need)
                 and (values[t] + units * lo[t] < need or values[u] + units * lo[u] < need))
 
-    def may_hold(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
-        """Can a profile whose six statistics lie between lo and hi pass the root
-        cut: some old winning, and `may_win` holding for some rival target?
+    def may_hold(self, sums: Sequence[int], rem: int, lo: Sequence[int],
+                 hi: Sequence[int]) -> bool:
+        """Can a profile whose six statistics lie between sums + rem * lo and
+        sums + rem * hi, entrywise, pass the root cut's thresholds: some old
+        winning, and `may_win` holding for some rival target?
 
         Both tests rise with the statistics they need to reach `need` and fall
         with those they need below it, so each pair is asked once, at the corner
         of the box that favours it most, hi for the former and lo for the latter:
-        the root cut's thresholds, for a whole box of profiles.
+        the root cut's thresholds, for a whole box of profiles.  The corners are
+        not built: each entry is computed where it is compared, so a test that
+        fails early computes few.
         """
         need = self.need
         for p, q, tests in self.cuts.values():
-            if hi[p] >= need and hi[q] >= need:
+            if sums[p] + rem * hi[p] >= need and sums[q] + rem * hi[q] >= need:
                 # written out here and in `search`: through one shared helper the
                 # sweep's audits ran about 6% slower, in paired in-process runs
                 for _, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in tests:
-                    if (hi[a] >= ta and hi[b] >= tb and (lo[r] < tr or lo[s] < ts)
-                            and (lo[t] < tt or lo[u] < tu)):
+                    if (sums[a] + rem * hi[a] >= ta and sums[b] + rem * hi[b] >= tb
+                            and (sums[r] + rem * lo[r] < tr or sums[s] + rem * lo[s] < ts)
+                            and (sums[t] + rem * lo[t] < tt or sums[u] + rem * lo[u] < tu)):
                         return True
         return False
+
+    def may_win_held(self, counts: Sequence[int], values: Sequence[int], old: str,
+                     target: str) -> bool:
+        """The root cut's second stage, after the thresholds: can target win if each source
+        moves at most the units it holds and at most `max_units`?  Per statistic, ext is
+        the sum over the sources of those units times the source's best change per unit
+        (`best`), the most the statistic can rise, then fall; `may_win` asks it for one unit
+        of moves.  It does not bound the coalition's total, as the thresholds do, so a pair
+        must pass both."""
+        held = [min(c * self.per // self.unit, self.max_units) * self.unit for c in counts]
+        ext = [sum(map(mul, row, held)) for row in self.model.best[old, target]]
+        return self.may_win(target, values, 1, ext, ext[6:])
 
     def search(self, values: list[int],
                counts: Sequence[int]) -> tuple[tuple[Move, ...], str, str] | Outcome | None:
@@ -281,7 +309,8 @@ class _Lattice:
         branches = [_Branch(self, counts, values, old, target)
                     for target, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in self.cuts[old][2]
                     if values[a] >= ta and values[b] >= tb and (values[r] < tr or values[s] < ts)
-                    and (values[t] < tt or values[u] < tu)]
+                    and (values[t] < tt or values[u] < tu)
+                    and self.may_win_held(counts, values, old, target)]
 
         if not branches:
             return None
@@ -290,8 +319,7 @@ class _Lattice:
                      if (amounts := branch.search(units)) is not None]
             if found:
                 amounts, target = min(found)
-                mass = Fraction(1, self.moves)
-                moves = tuple((model.rankings[src], model.rankings[dst], k * mass)
+                moves = tuple((model.rankings[src], model.rankings[dst], Fraction(k, self.moves))
                               for (src, dst), k in zip(model.arcs, amounts) if k)
                 return moves, old, target
         return None
@@ -320,7 +348,8 @@ class _Branch:
         self.arcs = [arc for arc in model.arcs if counts[arc[0]] and gains[arc[0]]]
         self.base = values
         self.source_caps = {src: counts[src] * per // unit for src, _ in self.arcs}
-        self.deltas = [[unit * d for d in model.steps[arc]] for arc in self.arcs]
+        self.deltas = [[unit * (row[dst] - row[src]) for row in model.rows]
+                       for src, dst in self.arcs]
         # past the last arc nothing moves: only the exact leaf test is left
         self.hi, self.lo = (_suffix(pick, self.deltas) + [[0] * len(_PAIRS)] for pick in (max, min))
         self.may_win = functools.partial(lattice.may_win, target)
@@ -351,7 +380,9 @@ class _Branch:
             combo[i] = 0
             return False
 
-        if not rec(0, total_units, self.base):
+        found = rec(0, total_units, self.base)
+        del rec  # rec holds itself through its closure: a cycle left for the collector
+        if not found:
             return None
         amounts = dict(zip(self.arcs, combo))
         return tuple(amounts.get(arc, 0) for arc in self.all_arcs)
@@ -377,7 +408,7 @@ def find_manipulation(rule: RuleDescriptor, profile: Profile,
 
 def _lex_counts(size: int, grid: int, maps: Sequence[Sequence[int]] = (),
                 rows: Sequence[Sequence[int]] = (),
-                keep: Callable[[list[int], list[int]], bool] | None = None,
+                keep: Callable[[list[int], int, list[int], list[int]], bool] | None = None,
                 ) -> Iterator[tuple[list[int], list[int]]]:
     """In ascending lex order, every vector c of `size` counts summing to `grid` that is
     at most each image [c[j] for j in m], m in `maps`, with [row . c for row in rows].
@@ -385,9 +416,11 @@ def _lex_counts(size: int, grid: int, maps: Sequence[Sequence[int]] = (),
     products along.  Map m's pointer p marks where c and its image may first differ: a
     prefix is dropped once the image is smaller there, or must be (c[m[p]] is at most the
     mass left), and m retired once it is larger.  With `keep`, a prefix is also dropped
-    unless keep(lo, hi) holds, where every product below it lies in [lo, hi]: the prefix's
-    sums plus the mass left times each row's least and greatest entry over the counts
-    still to assign.  c is one list, reused: copy to keep."""
+    unless keep(sums, rem, lo, hi) holds, where every product below it lies between
+    sums + rem * lo and sums + rem * hi, entrywise: the prefix's sums, the mass left, and
+    each row's least and greatest entry over the counts still to assign.  The corners are
+    not built, so keep computes only the entries it reads.  c is one list, reused: copy
+    to keep."""
     counts = [0] * size
     last = size - 1
     cols = [[row[i] for row in rows] for i in range(size)]
@@ -397,8 +430,7 @@ def _lex_counts(size: int, grid: int, maps: Sequence[Sequence[int]] = (),
     lows, highs = _suffix(min, cols), _suffix(max, cols)  # each row's extremes over i..last
 
     def assign(i: int, rem: int, live: list, sums: list[int]) -> Iterator:
-        if keep is not None and not keep([s + rem * c for s, c in zip(sums, lows[i])],
-                                         [s + rem * c for s, c in zip(sums, highs[i])]):
+        if keep is not None and not keep(sums, rem, lows[i], highs[i]):
             return
         known, step = i, cols[i]
         if i + 1 == last:  # count i takes k, and the last count rem - k

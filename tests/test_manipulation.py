@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import votaudit as va
 from votaudit.manipulation import (_GROUPS, _OVER, _PAIRS, _RIVALS, NongenericProfileError,
                                    _Branch, _Lattice, _lex_counts, _model, _symmetries)
+import oracles
 from oracles import exhaustive_witness
 
 R = va.ranking
@@ -462,14 +464,26 @@ def _six(lattice, lo, hi):
     return lo + [total - s for s in hi], hi + [total - s for s in lo]
 
 
+def _box(lattice, lo, hi):
+    """`may_hold`'s arguments for the box of `_six`: sums at its low corner, one unit
+    of mass left, and per statistic a least entry of 0 and a greatest of hi - lo."""
+    lower, upper = _six(lattice, lo, hi)
+    return lower, 1, [0] * len(_PAIRS), [u - v for u, v in zip(upper, lower)]
+
+
+def _elects(lattice, values):
+    """The unique winner of these six statistics, or None."""
+    need = lattice.need
+    tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
+    return tie[0] if len(tie) == 1 else None
+
+
 def _root_cut(lattice, values):
     """The unique winner of these six statistics and its targets that pass the root
     cut, asked of `may_win` at max_mass; None if there is no unique winner."""
-    need = lattice.need
-    tie = [a for a, (p, q) in _OVER.items() if values[p] >= need and values[q] >= need]
-    if len(tie) != 1:
+    old = _elects(lattice, values)
+    if old is None:
         return None
-    old = tie[0]
     return old, [target for target in _RIVALS[old] if lattice.may_win(
         target, values, lattice.max_mass, *lattice.model.reach[old, target])]
 
@@ -508,6 +522,9 @@ def test_the_root_cut_thresholds_are_may_win_at_max_mass(rule, rankings, epsilon
             return None
     for lattice in _root_cut_lattices(rule, rankings, epsilon, grid, moves):
         reach = lattice.model.reach
+        # every ranking holds at least max_units units, so the capacity stage asks at
+        # least as much as the thresholds and cannot cut: this checks the thresholds alone
+        held = [lattice.max_mass] * len(rankings)
         # the table: every statistic at its threshold or one either side
         for old, (p, q, tests) in lattice.cuts.items():
             assert (p, q) == _OVER[old] and [target for target, *_ in tests] == list(_RIVALS[old])
@@ -527,14 +544,14 @@ def test_the_root_cut_thresholds_are_may_win_at_max_mass(rule, rankings, epsilon
         near = _near_thresholds(lattice)
         for _ in range(20):
             lo, hi = map(list, zip(*(sorted(rng.choices(values, k=2)) for values in near)))
-            assert lattice.may_hold(*_six(lattice, lo, hi)) == \
+            assert lattice.may_hold(*_box(lattice, lo, hi)) == \
                 _may_hold_at_corners(lattice, lo, hi)
             for forward in (lo, hi):
                 values, _ = _six(lattice, forward, forward)
                 expected = _root_cut(lattice, values)
                 seen.clear()
                 with mock.patch.object(va.manipulation, "_Branch", Recorded):
-                    lattice.search(values, [0] * len(rankings))
+                    lattice.search(values, held)
                 assert seen == ([] if expected is None else
                                 [(expected[0], target) for target in expected[1]])
 
@@ -555,18 +572,20 @@ def test_may_hold_holds_on_every_box_with_a_point_passing_the_root_cut(rule, ran
             points = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
             if any((cut := _root_cut(lattice, _six(lattice, [*f], [*f])[0])) and cut[1]
                    for f in points):
-                assert lattice.may_hold(*_six(lattice, lo, hi))
+                assert lattice.may_hold(*_box(lattice, lo, hi))
 
 
 #: The full-domain audits of the benchmark's sweep, with the decisions of their root
 #: cut: (may_hold true, may_hold false) calls, `_Lattice.search` calls and
 #: `_Branch.search` calls.  Only the cost of a decision may change, never the count.
+#: The capacity stage (`_Lattice.may_win_held`) drops 4 of descend-condorcet-full's
+#: 10 branches, so it makes 72 branch searches where the thresholds alone make 120.
 @pytest.mark.parametrize("rule,epsilon,grid,holds,searches,branch_searches", [
     ("borda", F(1, 20), 12, (248, 281), 402, 0),
     ("plurality", F(1, 20), 12, (142, 335), 110, 0),
     ("condorcet", F(1, 20), 12, (210, 304), 224, 0),
     ("score:3,1,0", F(1, 20), 12, (185, 311), 247, 0),
-    ("condorcet", F(1, 8), 10, (147, 163), 137, 120),
+    ("condorcet", F(1, 8), 10, (147, 163), 137, 72),
     ("borda", F(1, 10), 12, (5, 6), 2, 9),
 ], ids=["pruned-borda", "pruned-plurality", "pruned-condorcet", "pruned-score310",
         "descend-condorcet-full", "witness-borda-full"])
@@ -585,6 +604,112 @@ def test_the_sweep_root_cut_makes_the_same_decisions(monkeypatch, rule, epsilon,
     va.audit_wsp(va.parse_rule(rule), va.FULL_DOMAIN, va.AuditConfig(epsilon, grid, 100))
     assert ((calls[True], calls[False]), calls["search"], calls["branch"]) == \
         (holds, searches, branch_searches)
+
+
+def _reachable(lattice, counts, values, old, target):
+    """Every (units, statistics) that some unit vector reaches from these counts: each
+    source preferring target to old moves at most the units it holds, one at a time
+    along any arc out of it, and all together at most max_units."""
+    model, unit = lattice.model, lattice.unit
+    states = {(0, tuple(values))}
+    for src, count in enumerate(counts):
+        if not model.gains[old, target][src]:
+            continue
+        moves = [[unit * (row[dst] - row[src]) for row in model.rows]
+                 for dst in range(len(counts)) if dst != src]
+        frontier = states
+        for _ in range(min(count * lattice.per // unit, lattice.max_units)):
+            frontier = {(n + 1, tuple(map(sum, zip(v, move)))) for n, v in frontier
+                        for move in moves if n < lattice.max_units}
+            states = states | frontier
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_score_vectors(), st.sampled_from([va.CONDORCET, va.PLURALITY])),
+       st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.integers(2, 6), st.fractions(F(1, 5), 1, max_denominator=20), st.integers(2, 8))
+def test_the_capacity_stage_drops_only_pairs_no_unit_vector_elects(rule, rankings, grid,
+                                                                   epsilon, moves):
+    # on every profile of the grid; the first witness of each passes the stage too
+    domain = va.Domain(tuple(rankings))
+    config = va.AuditConfig(epsilon, grid, moves)
+    lattice = _Lattice(rule, domain, grid, config)
+    for counts, _ in _lex_counts(len(domain), grid):
+        values = [lattice.per * sum(map(mul, row, counts)) for row in lattice.model.rows]
+        old = _elects(lattice, values)
+        if old is None:
+            continue
+        for target in _RIVALS[old]:
+            if not lattice.may_win_held(counts, values, old, target):
+                assert all(_elects(lattice, v) != target
+                           for _, v in _reachable(lattice, counts, values, old, target))
+        profile = va.manipulation._grid_profile(domain, grid, counts)
+        witness = va.find_manipulation(rule, profile, config)
+        if witness is not None:
+            assert lattice.may_win_held(counts, values, witness.old_outcome,
+                                        witness.new_outcome)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_score_vectors(), st.sampled_from([va.CONDORCET, va.PLURALITY])),
+       st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.fractions(F(1, 20), 1, max_denominator=20),
+       st.integers(1, 8), st.integers(1, 12))
+def test_an_audit_is_the_same_without_the_capacity_stage(rule, rankings, epsilon, grid, moves):
+    domain = va.Domain(tuple(rankings))
+    config = va.AuditConfig(epsilon, grid, moves)
+    found = text(va.audit_wsp(rule, domain, config))
+    with mock.patch.object(_Lattice, "may_win_held", lambda *args: True):
+        assert text(va.audit_wsp(rule, domain, config)) == found
+
+
+#: A profile on which the thresholds alone pass plurality's (y, z) pair at epsilon 1/5:
+#: only its 1/20 on x>z>y can raise z over y, and moving all of it ties them.
+_HELD_BACK = {"xzy": F(1, 20), "yzx": F(1, 2), "zyx": F(9, 20)}
+
+
+def test_the_known_worst_case_searches_end():
+    profile = va.profile_from(_HELD_BACK)
+    assert va.find_manipulation(va.PLURALITY, profile, va.AuditConfig(F(1, 5), 20, 500)) is None
+    # the oracle's winners: all of x>z>y's mass at z first ties z with y
+    moved, _ = va.transfer_weight(profile, [(R("xzy"), R("zxy"), F(1, 20))])
+    assert oracles.brute_plurality_tie_set(profile) == {"y"}
+    assert oracles.brute_plurality_tie_set(moved) == {"y", "z"}
+    for moves in (20, 25):  # move meshes the oracle can enumerate
+        config = va.AuditConfig(F(1, 5), 20, moves)
+        assert va.find_manipulation(va.PLURALITY, profile, config) is None
+        assert exhaustive_witness(va.PLURALITY, profile, config) is None
+    for grid, moves, expected in [
+        (12, 100, ["1/4 x>z>y", "5/12 y>z>x", "1/3 z>y>x", "9/100 x>z>y -> z>y>x",
+                   "old=y new=z size=9/100"]),
+        (20, 500, ["3/20 x>z>y", "9/20 y>z>x", "2/5 z>y>x", "13/250 x>z>y -> z>y>x",
+                   "old=y new=z size=13/250"]),
+    ]:
+        config = va.AuditConfig(F(1, 5), grid, moves)
+        witness = va.audit_wsp(va.PLURALITY, va.FULL_DOMAIN, config)
+        assert text(witness).splitlines() == ["domain: full", *expected]
+        assert va.verify_witness(va.PLURALITY, witness)
+        moved, _ = va.transfer_weight(witness.base_profile, witness.moves)
+        assert oracles.brute_plurality_tie_set(witness.base_profile) == {"y"}
+        assert oracles.brute_plurality_tie_set(moved) == {"z"}
+        assert text(va.find_manipulation(va.PLURALITY, witness.base_profile, config)) == \
+            text(witness)
+
+
+def test_a_witness_search_leaves_no_reference_cycle():
+    # the branch search's recursion refers to itself through its closure; once the
+    # search returns, nothing of it is left for the cyclic collector
+    profile = va.profile_from({"yzx": F(1, 2), "zxy": F(1, 12), "zyx": F(5, 12)})
+    config = va.AuditConfig(F(1, 10), 20, 100)
+    assert va.find_manipulation(va.BORDA, profile, config) is not None  # caches filled
+    gc.collect()
+    gc.disable()
+    try:
+        assert va.find_manipulation(va.BORDA, profile, config) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _symmetries_by_definition(domain):
@@ -686,7 +811,9 @@ def _check_six_statistics(rule):
                 lattice = _Lattice(rule, domain, grid, va.AuditConfig(F(1, 5), grid, 10))
                 rows = [[lattice.per * v for v in row] for row in model.rows]
 
-                def keep(lo, hi):
+                def keep(sums, rem, least, greatest):
+                    lo = [s + rem * c for s, c in zip(sums, least)]
+                    hi = [s + rem * c for s, c in zip(sums, greatest)]
                     assert (lo, hi) == _six(lattice, lo[:3], hi[:3])
                     return True
                 for counts, values in _lex_counts(size, grid, _symmetries(domain), rows, keep):
