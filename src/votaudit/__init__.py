@@ -19,7 +19,6 @@ from .core import (
     format_profile,
     is_rich,
     parse_domain,
-    parse_permutation,
     parse_profile,
     parse_ranking,
     permute_profile,

@@ -175,18 +175,6 @@ ALL_PERMUTATIONS: tuple[CandidatePermutation, ...] = tuple(
 )
 
 
-def parse_permutation(text: str) -> CandidatePermutation:
-    """Parse ``"x->y,y->z,z->x"`` (whitespace tolerated)."""
-    mapping = {}
-    for part in text.split(","):
-        try:
-            src, dst = (t.strip() for t in part.split("->"))
-        except ValueError:
-            raise ValueError(f"bad permutation component {part!r}") from None
-        mapping[src] = dst
-    return CandidatePermutation.from_mapping(mapping)
-
-
 @dataclass(frozen=True)
 class Domain:
     """A nonempty set of admissible rankings, iterated in canonical order."""

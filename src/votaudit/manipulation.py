@@ -22,7 +22,8 @@ capped by what it holds: per statistic, the sum over the sources of the units
 each holds, but no more than the coalition may move, times its best change per
 unit along an arc out of it.  A source moves no more than it holds, so this
 stage is sound; it cuts the candidates whose reach rests on sources too small
-to use it, which the thresholds alone leave to a long branch search.  Among
+to use it, which the thresholds alone leave to a long branch search.  A branch
+walks only the arcs a minimal witness's amounts can use (`_Model.arcs`).  Among
 valid witnesses the search returns the one minimal by total size and then by
 the amounts vector over canonically ordered arcs, so results are reproducible
 byte for byte.
@@ -188,6 +189,10 @@ class _Model:
     row's min, over all the sources: a lattice reads its root cut's thresholds
     off it, and the capacity stage reads `best` itself.  Nothing else in the
     search tells the rule families apart.
+    `arcs` are the (source, destination) index pairs the branch search walks, in order:
+    none that changes no statistic, as its units could go, leaving a smaller witness; and
+    of those from one ranking to rankings with equal columns, only the last, as the
+    lex-first witness puts all their units there.
     """
 
     def __init__(self, vector: tuple[Fraction, ...] | None, domain: Domain):
@@ -204,7 +209,8 @@ class _Model:
             self.total = 0
             self.rows = [[points[r.position(a)] - points[r.position(b)] for r in rankings]
                          for a, b in _PAIRS]
-        self.arcs = list(itertools.permutations(range(len(rankings)), 2))
+        self.arcs = sorted({(s, c): (s, d) for (s, b), (d, c) in itertools.permutations(
+            enumerate(zip(*self.rows)), 2) if c != b}.values())  # columns b of s, c of d
         self.gains = {(old, target): [r.prefers(target, old) for r in rankings]
                       for old in ALTERNATIVES for target in _RIVALS[old]}
         self.best = {pair: [[(pick(row) - v) * gain for v, gain in zip(row, gains)]

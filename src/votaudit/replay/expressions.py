@@ -4,19 +4,20 @@ The catalog stores weights, move amounts, and inequalities as text like
 ``"(1 - a - 2*b)/2"`` or ``"n*epsilon <= a - b"``.  Each text is parsed once
 with `ast` and compiled into an `Expr`, a tree of closures that is then
 called at every parameter point.  Only +, -, *, /, parentheses, integer
-literals, names, comparisons, `and`, and the functions floor/ceil/abs are
-admitted.  Float literals are rejected so nothing silently loses exactness.
+literals, names and the functions floor/ceil/abs are admitted, and a
+predicate is one comparison by one of < <= > >= ==: a conjunction is the
+catalog's list of them.  Float literals are rejected so nothing silently
+loses exactness.
 
 Inside, every value is an unreduced integer pair ``(numerator, denominator)``
 with a positive denominator: `+ - * /` cross-multiply with no gcd, `/` moves
 the sign of its divisor to the numerator, floor/ceil/abs work on the
 numerator, and a comparison compares cross products.  A name is read from
 the environment with ``as_integer_ratio()``, so the environment must hold
-exact values (`Fraction` or `int`); `evaluate_expression`/
-`evaluate_predicate` make the environment they are given so, with
-`core.as_fraction`.  Calling an `Expr` gives one normalised `Fraction` (or a
-`bool` for a predicate); `Expr.ratio` gives the raw pair, for callers that
-only compute with it (the verifier's profile weights, `verify.sample_params`).
+exact values (`Fraction` or `int`).  Calling an `Expr` gives one normalised
+`Fraction` (or a `bool` for a predicate); `Expr.ratio` gives the raw pair, for
+callers that only compute with it (the verifier's profile weights,
+`verify.sample_params`).
 
 The walk that builds the closures also gives each name's degree, by a rule
 that never understates one, and so the names an arithmetic expression is
@@ -39,8 +40,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping
-
-from ..core import as_fraction
 
 Env = Mapping[str, Fraction]
 Pair = tuple[int, int]  # (numerator, denominator > 0), not reduced
@@ -157,7 +156,6 @@ _COMPARATORS = {
     ast.Gt: operator.gt,
     ast.GtE: operator.ge,
     ast.Eq: operator.eq,
-    ast.NotEq: operator.ne,
 }
 
 
@@ -192,29 +190,18 @@ def _arith(node: ast.AST) -> tuple[Callable[[Env], Pair], dict[str, float]]:
 
 def _predicate(node: ast.AST) -> tuple[Callable[[Env], bool], dict[str, float]]:
     """The test computing `node`; every name it reads has degree `math.inf`."""
-    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-        tests, degrees = zip(*map(_predicate, node.values))
-        return (lambda env: all(test(env) for test in tests),
-                {n: math.inf for part in degrees for n in part})
-    if isinstance(node, ast.Compare):
-        (first, degrees), links = _arith(node.left), []
-        for op, operand in zip(node.ops, node.comparators):
-            if type(op) not in _COMPARATORS:
-                raise ExpressionError(f"comparison {type(op).__name__} not allowed")
-            value, more = _arith(operand)
-            links.append((_COMPARATORS[type(op)], value))
-            degrees = degrees | more
+    if not isinstance(node, ast.Compare) or len(node.ops) != 1:
+        raise ExpressionError("predicate must be one comparison")
+    if type(node.ops[0]) not in _COMPARATORS:
+        raise ExpressionError(f"comparison {type(node.ops[0]).__name__} not allowed")
+    holds = _COMPARATORS[type(node.ops[0])]
+    (left, ldeg), (right, rdeg) = _arith(node.left), _arith(node.comparators[0])
 
-        def compare(env: Env) -> bool:
-            ln, ld = first(env)
-            for holds, operand in links:
-                rn, rd = operand(env)
-                if not holds(ln * rd, rn * ld):
-                    return False
-                ln, ld = rn, rd
-            return True
-        return compare, dict.fromkeys(degrees, math.inf)
-    raise ExpressionError("predicate must be a comparison")
+    def compare(env: Env) -> bool:
+        ln, ld = left(env)
+        rn, rd = right(env)
+        return holds(ln * rd, rn * ld)
+    return compare, dict.fromkeys(ldeg.keys() | rdeg, math.inf)
 
 
 # Catalog texts repeat (2,088 expression sites, about 350 distinct texts), and
@@ -237,19 +224,5 @@ def compile_expression(text: str) -> Expr:
 
 
 def compile_predicate(text: str) -> Expr:
-    """Compile comparison text (chained comparisons and `and` allowed) to a test."""
+    """Compile one comparison to a test."""
     return _compile(text, _predicate)
-
-
-def _exact_env(env: Mapping) -> Env:
-    return {name: as_fraction(value) for name, value in env.items()}
-
-
-def evaluate_expression(text: str, env: Mapping) -> Fraction:
-    """Evaluate arithmetic text to an exact rational; `env` values pass through `as_fraction`."""
-    return compile_expression(text)(_exact_env(env))
-
-
-def evaluate_predicate(text: str, env: Mapping) -> bool:
-    """Evaluate comparison text (chained comparisons and `and` allowed); `env` as above."""
-    return compile_predicate(text)(_exact_env(env))

@@ -28,6 +28,9 @@ from .expressions import Expr, ExpressionError, compile_expression, compile_pred
 
 _VALID_GROUPS = ("cycle", "expansion", "rich")
 
+#: The index of every affine chain: the one name bound per level, to 0..count.
+_INDEX = "j"
+
 #: The keys each part of a scenario record must hold, and the further keys it
 #: may hold.  A missing key fails the load, and so does any other key, so a
 #: misspelled key cannot drop its claims unseen.
@@ -38,7 +41,7 @@ _KEYS = {part: (tuple(required.split()), frozenset(f"{required} {optional}".spli
                               "chains note"),
     ("step", "from to moves improvement", ""), ("perm link", "source target mapping", ""),
     ("affine chain", "count weights moves direction first last improvement",
-                     "kind index pareto_excluded"),
+                     "kind pareto_excluded"),
     ("descent chain", "kind components absorber base pair improvement", "fixed"))}
 
 
@@ -66,13 +69,12 @@ class MisreportStep:
 
 @dataclass(frozen=True)
 class AffineChain:
-    """Profiles u^(0..count) whose weights are expressions in the index variable.
+    """Profiles u^(0..count) whose weights are expressions in the index `j` (`_INDEX`).
 
     Consecutive profiles differ by the fixed per-step move matrix: applied to
     u^(j+1) when direction is "down" (toward the anchor), to u^(j) when "up".
     """
 
-    index: str
     count: str  # name of a derived integer quantity
     weights: tuple[tuple[Ranking, Expr], ...]
     moves: tuple[tuple[Ranking, Ranking, Expr], ...]
@@ -172,10 +174,8 @@ def _as_improvement(raw, where: str) -> tuple[str, str]:
         raise CatalogError(f"{where}: improvement must be [old, new]")
     old, new = str(raw[0]), str(raw[1])
     old_set, new_set = expand_winner_spec(old), expand_winner_spec(new)
-    if old_set & new_set:
+    if old_set & new_set:  # two pairs of the three meet, so one side is a single one
         raise CatalogError(f"{where}: improvement sets overlap: {raw}")
-    if len(old_set) != 1 and len(new_set) != 1:
-        raise CatalogError(f"{where}: at least one improvement side must be a single alternative")
     return old, new
 
 
@@ -194,7 +194,7 @@ def _parse_scenario(raw: dict) -> Scenario:
 
     Sampling bounds may read the parameters and epsilon, and every other
     expression also the defs (each def those before it).  Only an affine chain's
-    weights may read its index, the one name bound per level, and only affinely.
+    weights may read its index `j`, the one name bound per level, and only affinely.
     """
     sid = str(raw.get("id", "?"))  # a record without one fails `_fields`
     where = f"scenario {sid}"
@@ -282,13 +282,11 @@ def _parse_scenario(raw: dict) -> Scenario:
         kind = chain.get("kind", "affine")
         if kind == "affine":
             _fields(chain, "affine chain", where)
-            index = str(chain.get("index", "j"))
             chains.append(AffineChain(
-                index=index,
                 count=str(chain["count"]),
                 weights=_as_template(
                     chain["weights"], domain, f"{where} chain",
-                    lambda text: _compiled(compile_expression, text, scope | {index}, where)),
+                    lambda text: _compiled(compile_expression, text, scope | {_INDEX}, where)),
                 moves=_as_moves(chain["moves"], domain, f"{where} chain", arith),
                 direction=str(chain["direction"]),
                 first=known(chain["first"], "chain"),
@@ -296,8 +294,8 @@ def _parse_scenario(raw: dict) -> Scenario:
                 improvement=_as_improvement(chain["improvement"], f"{where} chain"),
                 pareto_excluded=chain.get("pareto_excluded"),
             ))
-            for r in [r for r, weight in chains[-1].weights if not weight.affine_in(index)]:
-                raise CatalogError(f"{where}: chain weight on {r} is not affine in {index!r}")
+            for r in [r for r, weight in chains[-1].weights if not weight.affine_in(_INDEX)]:
+                raise CatalogError(f"{where}: chain weight on {r} is not affine in {_INDEX!r}")
             if chains[-1].direction not in ("down", "up"):
                 raise CatalogError(f"{where}: chain direction must be down or up")
             if chains[-1].count not in scope:

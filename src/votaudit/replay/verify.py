@@ -34,7 +34,7 @@ from ..axioms import _dominations
 from ..core import Profile, ProfileError, as_fraction, permute_profile, transfer_weight
 from ..rules import evaluate
 from .expressions import ExpressionError
-from .model import AffineChain, DescentChain, Scenario, expand_winner_spec
+from .model import _INDEX, AffineChain, DescentChain, Scenario, expand_winner_spec
 
 Env = dict[str, Fraction]
 
@@ -303,7 +303,7 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
 
     @functools.cache
     def level(j: int) -> Profile | str:
-        level_env[chain.index] = Fraction(j)
+        level_env[_INDEX] = Fraction(j)
         return instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
 
     invalid, step, undominated = _walk(

@@ -121,10 +121,10 @@ _REFERENCE_FUNCTIONS = {"floor": math.floor, "ceil": math.ceil, "abs": abs}
 
 
 def reference_value(text: str, env):
-    """Catalog expression or predicate text evaluated in CPython `Fraction` arithmetic.
+    """Catalog expression or predicate (one comparison) text evaluated in CPython
+    `Fraction` arithmetic.
 
-    Operands are evaluated left to right and chained comparisons and `and`
-    stop at the first false part, as Python does.  A missing name raises
+    Operands are evaluated left to right, as Python does.  A missing name raises
     `KeyError` and a zero divisor `ZeroDivisionError`.
     """
     def walk(node):
@@ -146,18 +146,10 @@ def reference_value(text: str, env):
             return left / right
         if isinstance(node, ast.Call):
             return Fraction(_REFERENCE_FUNCTIONS[node.func.id](walk(node.args[0])))
-        if isinstance(node, ast.BoolOp):
-            return all(walk(value) for value in node.values)
         if isinstance(node, ast.Compare):
-            left = walk(node.left)
-            for op, operand in zip(node.ops, node.comparators):
-                right = walk(operand)
-                if not {ast.Lt: left < right, ast.LtE: left <= right, ast.Gt: left > right,
-                        ast.GtE: left >= right, ast.Eq: left == right,
-                        ast.NotEq: left != right}[type(op)]:
-                    return False
-                left = right
-            return True
+            [op], left, right = node.ops, walk(node.left), walk(node.comparators[0])
+            return {ast.Lt: left < right, ast.LtE: left <= right, ast.Gt: left > right,
+                    ast.GtE: left >= right, ast.Eq: left == right}[type(op)]
         raise ValueError(f"not a catalog expression: {ast.dump(node)}")
 
     return walk(ast.parse(text, mode="eval").body)

@@ -52,14 +52,14 @@ def test_neutrality_carries_winner_through_renaming():
     # winner y under x->y, y->z, z->x must become z on the renamed profile
     u = profile_u(F(3, 10), F(2, 5))
     assert va.evaluate(va.BORDA, u).winner == "y"
-    sigma = va.parse_permutation("x->y,y->z,z->x")
+    sigma = va.CandidatePermutation.from_mapping({"x": "y", "y": "z", "z": "x"})
     assert va.evaluate(va.BORDA, va.permute_profile(u, sigma)).winner == "z"
     assert va.check_neutrality(va.BORDA, u, sigma).satisfied
 
 
 def test_neutrality_violated_by_constant_rule():
     u = profile_u(F(3, 5), F(1, 5))
-    sigma = va.parse_permutation("x->y,y->x,z->z")
+    sigma = va.CandidatePermutation.from_mapping({"x": "y", "y": "x", "z": "z"})
     report = va.check_neutrality(constant_rule("x"), u, sigma)
     assert report.verdict is Verdict.VIOLATED
     assert report.counterexample.permutation == sigma
@@ -128,8 +128,8 @@ def test_every_rule_fails_some_axiom_on_the_full_domain():
 
 def test_report_serialization():
     u = profile_u(F(3, 10), F(2, 5))
-    report = va.check_neutrality(constant_rule("x"),
-                                 u, va.parse_permutation("x->y,y->x,z->z"))
+    swap = va.CandidatePermutation.from_mapping({"x": "y", "y": "x", "z": "z"})
+    report = va.check_neutrality(constant_rule("x"), u, swap)
     assert report.record() == "axiom=N verdict=violated"
     text = report.text()
     assert "axiom N: violated" in text and "domain: full" in text

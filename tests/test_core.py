@@ -100,9 +100,9 @@ def test_permutation_must_be_a_bijection(pairs):
 
 def test_permutation_is_one_value_in_any_pair_order():
     built = va.CandidatePermutation((("y", "x"), ("x", "y"), ("z", "z")))
-    parsed = va.parse_permutation("x->y,y->x,z->z")
-    assert built == parsed and hash(built) == hash(parsed)
-    assert str(built) == str(parsed) == "x->y,y->x,z->z"
+    mapped = va.CandidatePermutation.from_mapping({"z": "z", "x": "y", "y": "x"})
+    assert built == mapped and hash(built) == hash(mapped)
+    assert str(built) == str(mapped) == "x->y,y->x,z->z"
     assert built.pairs == (("x", "y"), ("y", "x"), ("z", "z"))
 
 
@@ -110,7 +110,7 @@ def test_permute_matches_displayed_table():
     # (p: x>y>z, q: y>x>z, 1-p-q: y>z>x) under x->y, y->z, z->x
     p, q = F(1, 2), F(3, 10)
     u = va.profile_from({"xyz": p, "yxz": q, "yzx": 1 - p - q})
-    sigma = va.parse_permutation("x->y,y->z,z->x")
+    sigma = va.CandidatePermutation.from_mapping({"x": "y", "y": "z", "z": "x"})
     image = va.permute_profile(u, sigma)
     assert image.weights == {
         va.ranking("yzx"): p,

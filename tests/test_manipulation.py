@@ -22,8 +22,8 @@ R = va.ranking
 UI_DOMAIN = va.Domain((R("xyz"), R("yzx"), R("yxz"), R("zyx")))
 #: The cycle domain plus x>z>y: no renaming but the identity maps it onto itself.
 EXPANDED_CYCLE = va.parse_domain("{x>y>z, y>z>x, z>x>y, x>z>y}")
-ROTATE = va.parse_permutation("x->y,y->z,z->x")
-SWAP_XY = va.parse_permutation("x->y,y->x,z->z")
+ROTATE = va.CandidatePermutation.from_mapping({"x": "y", "y": "z", "z": "x"})
+SWAP_XY = va.CandidatePermutation.from_mapping({"x": "y", "y": "x", "z": "z"})
 
 
 def text(witness):
@@ -133,6 +133,36 @@ def test_verify_witness_rejects_overdraw_and_size():
     big_eps = va.ManipulationWitness(
         base, ((R("zyx"), R("yzx"), F(1, 50)),), "x", "y", F(1, 100))
     assert not va.verify_witness(va.PLURALITY, big_eps)
+
+
+#: x wins plurality with 2/5 against 3/10 each; 3/20 of y>z>x reporting z>y>x elects z.
+_FLIP_BASE = va.profile_from({"xyz": F(2, 5), "yzx": F(3, 10), "zyx": F(3, 10)})
+_FLIP = ((R("yzx"), R("zyx"), F(3, 20)),)
+
+
+@pytest.mark.parametrize("base,moves,old,new,epsilon,reason", [
+    (_FLIP_BASE, ((R("yzx"), R("zyx"), F(0)),), "x", "z", F(1, 5),
+     "empty coalition: no outcome change is possible"),
+    (_FLIP_BASE, (*_FLIP, (R("xyz"), R("yxz"), F(-1, 20))), "x", "z", F(1, 5),
+     "negative move amount"),
+    (va.profile_from({"xyz": F(2, 5), "yzx": F(1, 5), "zyx": F(2, 5)}), _FLIP, "x", "z", F(1, 5),
+     "nongeneric: base profile has no winner (tie {x, z})"),
+    (_FLIP_BASE, _FLIP, "y", "z", F(1, 5), "old outcome mismatch: rule gives x"),
+    (_FLIP_BASE, ((R("yzx"), R("zyx"), F(2, 5)),), "x", "z", F(1, 2),
+     "infeasible moves: transfer of 2/5 exceeds the weight 3/10 on y>z>x"),
+    (_FLIP_BASE, ((R("yzx"), R("zyx"), F(1, 10)),), "x", "z", F(1, 5),
+     "nongeneric: misreported profile has no winner (tie {x, z})"),
+    (_FLIP_BASE, _FLIP, "x", "y", F(1, 5), "new outcome mismatch: rule gives z"),
+    (_FLIP_BASE, (*_FLIP, (R("xyz"), R("xzy"), F(1, 20))), "x", "z", F(1, 5),
+     "coalition member x>y>z does not strictly gain from the change"),
+    (_FLIP_BASE, _FLIP, "x", "z", F(3, 20), "coalition size 3/20 is not below 3/20"),
+], ids=["empty", "negative", "base-nongeneric", "old-mismatch", "infeasible",
+        "moved-nongeneric", "new-mismatch", "mover-does-not-gain", "size"])
+def test_verify_witness_names_why_a_broken_witness_fails(base, moves, old, new, epsilon, reason):
+    assert va.verify_witness(va.PLURALITY, va.ManipulationWitness(_FLIP_BASE, _FLIP, "x", "z",
+                                                                  F(1, 5)))
+    check = va.verify_witness(va.PLURALITY, va.ManipulationWitness(base, moves, old, new, epsilon))
+    assert (check.ok, check.reason) == (False, reason)
 
 
 def test_find_manipulation_plurality_example():
@@ -695,6 +725,62 @@ def test_the_known_worst_case_searches_end():
         assert oracles.brute_plurality_tie_set(moved) == {"z"}
         assert text(va.find_manipulation(va.PLURALITY, witness.base_profile, config)) == \
             text(witness)
+
+
+#: Clean searches under score:1,1,0 that ran for seconds when every arc was searched:
+#: (profile, epsilon, moves, the most `may_win` calls allowed).  Over every arc the first
+#: asked `may_win` 4,109,882 times (7.3 s), and the second ran past 20 s; over the arcs
+#: `_Model` keeps they ask it 3,200 and 63,439 times.
+_SLOW_CLEAN = [
+    ({"xyz": F(1, 8), "xzy": F(1, 8), "yxz": F(5, 24), "yzx": F(7, 24), "zxy": F(1, 8),
+      "zyx": F(1, 8)}, F(2, 5), 50, 10_000),
+    ({"xyz": F(7, 34), "xzy": F(3, 17), "yxz": F(5, 34), "yzx": F(2, 17), "zxy": F(7, 34),
+      "zyx": F(5, 34)}, F(7, 20), 100, 200_000),
+]
+
+
+@pytest.mark.parametrize("weights,epsilon,moves,most", _SLOW_CLEAN, ids=["moves-50", "moves-100"])
+def test_clean_searches_that_ran_for_seconds_end(monkeypatch, weights, epsilon, moves, most):
+    rule, profile = va.scoring(1, 1, 0), va.profile_from(weights)
+    coarse = va.AuditConfig(epsilon, 20, 8)  # a move mesh the oracle can enumerate
+    assert va.find_manipulation(rule, profile, coarse) is None
+    assert exhaustive_witness(rule, profile, coarse) is None
+    calls, may_win = [0], _Lattice.may_win
+
+    def counted(*args):
+        calls[0] += 1
+        return may_win(*args)
+    monkeypatch.setattr(_Lattice, "may_win", counted)
+    assert va.find_manipulation(rule, profile, va.AuditConfig(epsilon, 20, moves)) is None
+    assert calls[0] <= most
+
+
+def test_the_model_keeps_the_last_arc_of_each_step_from_a_ranking():
+    # under plurality only a ranking's first alternative counts: from y>x>z, the arcs to
+    # x>y>z and x>z>y take the same step, and the one to y>z>x none
+    model = _model(va.PLURALITY.score_vector, va.FULL_DOMAIN)
+    index = {str(r): i for i, r in enumerate(model.rankings)}
+    y_first = [(str(model.rankings[src]), str(model.rankings[dst]))
+               for src, dst in model.arcs if src == index["y>x>z"]]
+    assert y_first == [("y>x>z", "x>z>y"), ("y>x>z", "z>y>x")]
+    assert len(model.arcs) == 12  # 2 of the 5 arcs from each ranking
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([va.PLURALITY, va.scoring(1, 1, 0), va.scoring(2, 1, 1)]),
+       st.lists(st.integers(0, 8), min_size=6, max_size=6).filter(any),
+       st.fractions(F(1, 5), F(2, 5), max_denominator=20), st.integers(5, 8))
+def test_the_arcs_the_model_drops_change_no_witness(rule, counts, epsilon, moves):
+    # the oracle enumerates every arc, in the order the search promises; at most 3 units
+    # move, so it stays quick, and about one drawn profile in six has a witness
+    profile = va.Profile([(r, F(c, sum(counts))) for r, c in zip(va.RANKINGS, counts) if c],
+                         va.FULL_DOMAIN)
+    config = va.AuditConfig(epsilon, 20, moves)
+    try:
+        found = va.find_manipulation(rule, profile, config)
+    except NongenericProfileError:
+        return
+    assert text(found) == text(exhaustive_witness(rule, profile, config))
 
 
 def test_a_witness_search_leaves_no_reference_cycle():

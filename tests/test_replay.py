@@ -23,12 +23,7 @@ from votaudit.replay import (
     verify_induction_chain,
     verify_scenario,
 )
-from votaudit.replay.expressions import (
-    ExpressionError,
-    compile_expression,
-    evaluate_expression,
-    evaluate_predicate,
-)
+from votaudit.replay.expressions import ExpressionError, compile_expression, compile_predicate
 from votaudit.replay.model import _parse_scenario
 from votaudit.replay import verify as verify_module
 from votaudit.replay.verify import build_env, instantiate
@@ -131,8 +126,9 @@ def test_step_two_constants_at_tenth():
 
 
 def test_half_ceiling_property():
+    half = compile_expression("ceil((n + 1)/2)")
     for n in range(1, 101):
-        r = evaluate_expression("ceil((n + 1)/2)", {"n": F(n)})
+        r = half({"n": F(n)})
         assert r >= F(n + 1, 2)
         assert r.denominator == 1
 
@@ -259,14 +255,14 @@ def test_unknown_scenario_id():
 
 def test_expression_guards():
     with pytest.raises(ExpressionError):
-        evaluate_expression("0.5 + a", {"a": F(1)})  # float literals lose exactness
+        compile_expression("0.5 + a")  # float literals lose exactness
     with pytest.raises(ExpressionError):
-        evaluate_expression("__import__('os')", {})
+        compile_expression("__import__('os')")
     with pytest.raises(ExpressionError):
-        evaluate_expression("a ** 2", {"a": F(2)})
-    assert evaluate_expression("floor(7/2)", {}) == 3
-    assert evaluate_expression("ceil(7/2)", {}) == 4
-    assert evaluate_expression("abs(1 - 2)", {}) == 1
+        compile_expression("a ** 2")
+    assert compile_expression("floor(7/2)")({}) == 3
+    assert compile_expression("ceil(7/2)")({}) == 4
+    assert compile_expression("abs(1 - 2)")({}) == 1
     inverse = compile_expression("1/(a - 1)")  # division by zero is found when evaluated
     assert inverse.names == {"a"} and str(inverse) == "1/(a - 1)"
     assert inverse({"a": F(3)}) == F(1, 2)
@@ -275,16 +271,14 @@ def test_expression_guards():
 
 
 def test_environments_are_exact():
-    # int and text values are made Fractions once, so `/` never gives a float
-    for value in (evaluate_expression("a/b", {"a": 1, "b": "2"}),
-                  evaluate_expression("floor(7/2)/ceil(3/2)", {}),
-                  evaluate_expression("ceil(a)", {"a": F(5, 2)})):
+    # every value, an int's too, is read as an exact pair, so `/` never gives a float
+    for value in (compile_expression("a/b")({"a": 1, "b": F(2)}),
+                  compile_expression("floor(7/2)/ceil(3/2)")({}),
+                  compile_expression("ceil(a)")({"a": F(5, 2)})):
         assert type(value) is F
-    assert evaluate_expression("a/b", {"a": 1, "b": 2}) == F(1, 2)
-    assert evaluate_expression("floor(7/2)/ceil(3/2)", {}) == F(3, 2)
-    assert evaluate_predicate("a/3 < 1/2", {"a": 1})
-    with pytest.raises(TypeError, match="float"):
-        evaluate_expression("a", {"a": 0.5})
+    assert compile_expression("a/b")({"a": 1, "b": 2}) == F(1, 2)
+    assert compile_expression("floor(7/2)/ceil(3/2)")({}) == F(3, 2)
+    assert compile_predicate("a/3 < 1/2")({"a": F(1)})
     params = ScenarioParams((("a", 1), ("epsilon", "1/10")))
     assert params.values == (("a", F(1)), ("epsilon", F(1, 10)))
     assert all(type(v) is F for _, v in params.values)
@@ -665,7 +659,8 @@ scenario 2.III.2 at epsilon=1/5
   pass  step 2 (u6 -> u7): movers with true ranking z>x>y gain (z over x)
 """),
     "renaming": ("1.I.1.1.1", _ONE_I, lambda s, _: replace(
-        s, perm_links=(replace(s.perm_links[0], perm=va.parse_permutation("x->y,y->x,z->z")),)), """\
+        s, perm_links=(replace(s.perm_links[0], perm=va.CandidatePermutation.from_mapping(
+            {"x": "y", "y": "x", "z": "z"})),)), """\
 scenario 1.I.1.1.1 at a=3/5, b=1/5, epsilon=1/2
   pass  profile base is valid (weights >= 0, sum 1)
   pass  profile u1 is valid (weights >= 0, sum 1)
@@ -1011,7 +1006,7 @@ def test_affine_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
     cases = []
     for scenario in scenarios:
         chains = [c for c in scenario.chains if isinstance(c, AffineChain)]
-        assert all(w.affine_in(c.index) for c in chains for _, w in c.weights)
+        assert all(w.affine_in("j") for c in chains for _, w in c.weights)
         # with twice the moves a chain's steps fail
         for _ in range(20):
             params = sample_params(scenario, rng)
@@ -1121,7 +1116,7 @@ def _record_with_every_part():
     return _record(
         note="free text", window=["epsilon < 1"],
         steps=[{"from": "u", "to": "u", "moves": [], "improvement": ["x", "y"]}],
-        chains=[_affine_chain(kind="affine", index="j"),
+        chains=[_affine_chain(kind="affine"),
                 {"kind": "descent", "fixed": {}, "components": {"xyz": "a"}, "absorber": "yzx",
                  "base": "u", "pair": "u", "improvement": ["x", "y"]}],
         perm_links=[{"source": "u", "target": "u", "mapping": {"x": "y", "y": "z", "z": "x"}}])
@@ -1174,3 +1169,109 @@ def test_a_misspelled_catalog_key_fails_the_load_instead_of_dropping_its_claims(
         misspelt = {typo if k == key else k: v for k, v in raw.items()}
         with pytest.raises(CatalogError, match=f"unknown scenario key '{typo}'"):
             _parse_scenario(misspelt)
+
+
+#: One mutation of `_record_with_every_part` per loader refusal, and the exact message.
+_LOADER_REFUSALS = {
+    "winner-spec": (lambda raw: raw.update(hypotheses={"u": "w"}), "bad winner spec 'w'"),
+    "move-arity": (lambda raw: raw["steps"][0].update(moves=[["xyz", "yzx"]]),
+                   "scenario t.1 step: move must be [true, reported, amount]"),
+    "move-off-the-domain": (lambda raw: raw["steps"][0].update(moves=[["xyz", "xzy", "a"]]),
+                            "scenario t.1 step: move x>y>z->x>z>y leaves the domain"),
+    "improvement-shape": (lambda raw: raw["steps"][0].update(improvement=["x"]),
+                          "scenario t.1 step: improvement must be [old, new]"),
+    "improvement-overlap": (lambda raw: raw["steps"][0].update(improvement=["not:y", "x"]),
+                            "scenario t.1 step: improvement sets overlap: ['not:y', 'x']"),
+    # two sides of two alternatives each share one of the three
+    "improvement-both-plural": (lambda raw: raw["steps"][0].update(improvement=["not:x", "not:y"]),
+                                "scenario t.1 step: improvement sets overlap: ['not:x', 'not:y']"),
+    "template-off-the-domain": (lambda raw: raw["profiles"]["u"].update(xzy="0"),
+                                "scenario t.1 profile u: ranking x>z>y outside the domain"),
+    "group": (lambda raw: raw.update(group="ring"),
+              "scenario t.1: group must be one of ('cycle', 'expansion', 'rich')"),
+    "duplicate-profile-names": (lambda raw: raw["profiles"].update({1: {"xyz": "1"},
+                                                                    "1": {"xyz": "1"}}),
+                                "scenario t.1: duplicate profile names"),
+    "unknown-profile": (lambda raw: raw.update(hypotheses={"w": "x"}),
+                        "scenario t.1: hypothesis references unknown profile 'w'"),
+    "rule-check-winner": (lambda raw: raw.update(rule_checks=[["u", "borda", "w"]]),
+                          "scenario t.1: rule check winner 'w'"),
+    "pareto-alternative": (lambda raw: raw.update(pareto_excluded=[["u", "w"]]),
+                           "scenario t.1: pareto exclusion of unknown alternative 'w'"),
+    "chain-direction": (lambda raw: raw["chains"][0].update(direction="sideways"),
+                        "scenario t.1: chain direction must be down or up"),
+    "absorber-off-the-domain": (lambda raw: raw["chains"][1].update(absorber="xzy"),
+                                "scenario t.1: absorber outside the domain"),
+    "chain-kind": (lambda raw: raw["chains"][0].update(kind="spiral"),
+                   "scenario t.1: unknown chain kind 'spiral'"),
+    # every affine chain's index is j
+    "chain-index": (lambda raw: raw["chains"][0].update(index="j"),
+                    "scenario t.1: unknown affine chain key 'index'"),
+}
+
+
+@pytest.mark.parametrize("mutate,message", _LOADER_REFUSALS.values(), ids=_LOADER_REFUSALS)
+def test_the_loader_names_why_it_refuses_a_record(mutate, message):
+    raw = _record_with_every_part()
+    assert _parse_scenario(raw).id == "t.1"
+    mutate(raw)
+    with pytest.raises(CatalogError) as exc:
+        _parse_scenario(raw)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field", ["assume", "window", "checks"])
+@pytest.mark.parametrize("text,reason", [
+    ("0 < a and a < 1", "predicate must be one comparison"),
+    ("0 < a < 1", "predicate must be one comparison"),
+    ("a != 1", "comparison NotEq not allowed"),
+])
+def test_the_loader_refuses_a_predicate_that_is_not_one_comparison(field, text, reason):
+    # a conjunction is the field's list of comparisons
+    both = _parse_scenario(_record(**{field: ["0 < a", "a < 1"]}))
+    assert [str(p) for p in (*(p for _, p in both.derivation), *both.checks)] == ["0 < a", "a < 1"]
+    with pytest.raises(CatalogError) as exc:
+        _parse_scenario(_record(**{field: [text]}))
+    assert str(exc.value) == f"scenario t.1: expression {text!r}: {reason}"
+
+
+def test_the_loader_refuses_duplicate_scenario_ids(monkeypatch):
+    yaml = pytest.importorskip("yaml")
+    import importlib.resources
+    from votaudit.replay import model
+    text = (importlib.resources.files("votaudit.replay") / "data" / "cycle_domain.yaml").read_text(
+        encoding="utf-8")
+    ids = sorted(raw["id"] for raw in yaml.safe_load(text))
+    monkeypatch.setattr(model, "_DATA_FILES", ("cycle_domain.yaml",) * 2)
+    with pytest.raises(CatalogError) as exc:
+        model.scenario_catalog.__wrapped__()  # past the cache of the shipped catalog
+    assert str(exc.value) == f"duplicate scenario ids: {ids}"
+
+
+def test_a_profile_that_fails_to_instantiate_fails_only_the_claims_that_read_it():
+    # u sums to 2: its rule check, Pareto exclusion and renaming are not asked, and the
+    # step and chains that read it fail
+    scenario = _parse_scenario(_record(
+        profiles={"u": {"xyz": "a", "yzx": "2 - a"}, "v": {"xyz": "a", "yzx": "1 - a"}},
+        rule_checks=[["u", "borda", "x"], ["v", "borda", "y"]], pareto_excluded=[["u", "z"]],
+        perm_links=[{"source": "u", "target": "v", "mapping": {"x": "x", "y": "y", "z": "z"}}],
+        steps=[{"from": "u", "to": "v", "moves": [], "improvement": ["x", "y"]}],
+        chains=[_affine_chain(), {"kind": "descent", "components": {"xyz": "a"},
+                                  "absorber": "yzx", "base": "v", "pair": "u",
+                                  "improvement": ["x", "y"]}]))
+    assert verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(1, 10))).text() == """\
+scenario t.1 at a=1/2, epsilon=1/10
+  FAIL  profile u is valid (weights >= 0, sum 1)  (u: weights sum to 2, expected exactly 1)
+  pass  profile v is valid (weights >= 0, sum 1)
+  pass  borda elects y on v
+  FAIL  step 1 (u -> v)  (profile failed to instantiate)
+  FAIL  chain (u -> u)  (profile failed to instantiate)
+  FAIL  chain (v -> u)  (profile failed to instantiate)"""
+
+
+def test_a_scenario_with_no_chain_says_so_in_its_chain_report():
+    scenario, params = get_scenario("1.I.1.1.1"), _ONE_I
+    assert not scenario.chains
+    report = verify_induction_chain(scenario, params)
+    assert report.text().splitlines()[1:] == ["  pass  scenario declares no induction chain"]
+    assert "induction chain" not in verify_full(scenario, params).text()
