@@ -172,17 +172,12 @@ def _cmd_replay(args, out) -> int:
         raise ValueError("replay needs --case ID (or --list)")
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, not {args.points}")
-    try:
-        scenario = get_scenario(args.case)
-    except KeyError as exc:
-        raise ValueError(str(exc.args[0])) from None
+    scenario = get_scenario(args.case)
     given = {name: _parse_fraction(getattr(args, name), name)
              for name in (*_PARAM_FLAGS, "epsilon") if getattr(args, name) is not None}
     needed = set(scenario.params) | {"epsilon"}
-    extra = set(given) - needed
-    if extra:
-        raise ValueError(
-            f"scenario {scenario.id} takes {sorted(needed)}, not {sorted(extra)}")
+    if extra := set(given) - needed:
+        raise ValueError(f"scenario {scenario.id} takes {sorted(needed)}, not {sorted(extra)}")
     if given and set(given) != needed:
         raise ValueError(
             f"scenario {scenario.id} needs all of {sorted(needed)} (or none, to sample)")
@@ -191,8 +186,14 @@ def _cmd_replay(args, out) -> int:
               else [sample_params(scenario, rng) for _ in range(args.points)])
     all_ok = True
     for params in points:
-        report = verify_full(scenario, params)
-        out(report.text())
+        try:
+            report = verify_full(scenario, params)
+            out(report.text())
+        except ValueError as exc:  # a value at a given point that Python will not print
+            if "integer string conversion" not in str(exc):
+                raise
+            raise ValueError(f"scenario {scenario.id}: a value has more digits than Python's "
+                             f"limit on integer text ({sys.get_int_max_str_digits()})") from None
         all_ok = all_ok and report.passed
     out(f"result: {'all checks pass' if all_ok else 'CHECK FAILURES'}")
     return EXIT_OK if all_ok else EXIT_FOUND

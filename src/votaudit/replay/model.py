@@ -1,6 +1,6 @@
 """Scenario records for replaying coalition-misreport constructions.
 
-A scenario is pure data: parameter names, preconditions, named profile
+A scenario is pure data: sampling hints, preconditions, named profile
 templates, hypothesized evaluations of an abstract rule on those profiles,
 misreport steps, exact-identity claims, and optional induction chains.  The
 verification engine in `verify.py` re-derives every arithmetic claim with
@@ -12,8 +12,9 @@ The loader validates structure eagerly: missing or unknown keys, unknown
 profiles, off-domain rankings, or malformed winner specs fail at load time.
 It also compiles every expression once, so an expression that is malformed,
 inexact, or reads a name its scenario does not define fails at load time too,
-and the verifier never parses text.  The defs and preconditions are kept once,
-as `Scenario.derivation`, in the order the verifier checks them.
+and the verifier never parses text.  A group is its file's (`_DATA_FILES`), the parameters
+are what `sample` draws but epsilon, and the defs and preconditions, ``epsilon > 0`` first,
+are kept once, as `Scenario.derivation`, in the order the verifier checks them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
 from ..rules import _NAMED_RULES, RuleDescriptor
 from .expressions import Expr, ExpressionError, compile_expression, compile_predicate
 
-_VALID_GROUPS = ("cycle", "expansion", "rich")
-
 #: The index of every affine chain: the one name bound per level, to 0..count.
 _INDEX = "j"
 
@@ -36,9 +35,8 @@ _INDEX = "j"
 #: misspelled key cannot drop its claims unseen.
 _KEYS = {part: (tuple(required.split()), frozenset(f"{required} {optional}".split()))
          for part, required, optional in (
-    ("scenario", "id domain", "group params sample assume window defs profiles hypotheses "
-                              "rule_checks pareto_excluded identities checks perm_links steps "
-                              "chains note"),
+    ("scenario", "id domain", "sample assume window defs profiles hypotheses rule_checks "
+                              "pareto_excluded identities checks perm_links steps chains note"),
     ("step", "from to moves improvement", ""), ("perm link", "source target mapping", ""),
     ("affine chain", "count weights moves direction first last improvement",
                      "kind pareto_excluded"),
@@ -119,10 +117,11 @@ class Scenario:
     id: str
     group: str
     domain: Domain
-    params: tuple[str, ...]
-    sample: tuple[tuple[str, Expr, Expr], ...]  # (var, low, high), in order
+    params: tuple[str, ...]  # the variables `sample` draws, in order, but epsilon
+    sample: tuple[tuple[str, Expr, Expr], ...]  # (var, low, high), in draw order
     #: the defs as (name, expr) and the preconditions as (None, predicate), each
-    #: precondition right after the last def it reads: checked once its names are bound
+    #: precondition right after the last def it reads: checked once its names are bound;
+    #: the first is ``epsilon > 0``, which the loader writes into every scenario
     derivation: tuple[tuple[str | None, Expr], ...]
     profiles: tuple[tuple[str, tuple[tuple[Ranking, Expr], ...]], ...]
     hypotheses: tuple[tuple[str, str], ...]
@@ -189,22 +188,19 @@ def _as_template(raw, domain: Domain, where: str, arith):
     return tuple(sorted(template, key=lambda item: item[0]))
 
 
-def _parse_scenario(raw: dict) -> Scenario:
-    """Validate one catalog record and compile every expression in it.
+def _parse_scenario(raw: dict, group: str) -> Scenario:
+    """Validate one catalog record of `group` and compile every expression in it.
 
-    Sampling bounds may read the parameters and epsilon, and every other
-    expression also the defs (each def those before it).  Only an affine chain's
-    weights may read its index `j`, the one name bound per level, and only affinely.
+    The parameters are the variables `sample` draws but epsilon, which it must draw.
+    Each sampling bound may read only the variables drawn before it, and every other
+    expression all of them and the defs (each def those before it).  Only an affine
+    chain's weights may read its index `j`, the one name bound per level, and only affinely.
     """
     sid = str(raw.get("id", "?"))  # a record without one fails `_fields`
     where = f"scenario {sid}"
     _fields(raw, "scenario", where)
-    group = raw.get("group", "")
-    if group not in _VALID_GROUPS:
-        raise CatalogError(f"{where}: group must be one of {_VALID_GROUPS}")
     domain = Domain(tuple(ranking(t) for t in raw["domain"]))
-    params = tuple(raw.get("params", ()))
-    scope = set(params) | {"epsilon"}
+    scope: set[str] = set()
 
     def arith(text) -> Expr:
         return _compiled(compile_expression, text, scope, where)
@@ -212,18 +208,22 @@ def _parse_scenario(raw: dict) -> Scenario:
     def predicate(text) -> Expr:
         return _compiled(compile_predicate, text, scope, where)
 
-    sample = tuple((var, arith(lo), arith(hi)) for var, lo, hi in raw.get("sample", ()))
-    sampled = {var for var, _, _ in sample}
-    if sampled != scope:
-        raise CatalogError(f"{where}: sampling hints cover {sorted(sampled)}, need {sorted(scope)}")
+    sample = []
+    for var, lo, hi in raw.get("sample", ()):
+        sample.append((var, arith(lo), arith(hi)))  # the bounds read only earlier draws
+        scope.add(var)
+    if "epsilon" not in scope:
+        raise CatalogError(f"{where}: sampling hints draw no 'epsilon'")
+    params = tuple(var for var, _, _ in sample if var != "epsilon")
     defs = []
     for name, text in raw.get("defs", ()):
         defs.append((str(name), arith(text)))
         scope.add(str(name))
 
-    # "window" holds the case's epsilon-interval preconditions, kept apart for reading.
-    # The stable sort keeps each def before the preconditions placed right after it.
-    assume = [predicate(a) for a in (*raw.get("assume", ()), *raw.get("window", ()))]
+    # Every scenario's first precondition is epsilon > 0; "window" holds the case's
+    # epsilon-interval ones, kept apart for reading.  The stable sort keeps each def
+    # before the preconditions placed right after it.
+    assume = map(predicate, ("epsilon > 0", *raw.get("assume", ()), *raw.get("window", ())))
     last = {name: i for i, (name, _) in enumerate(defs, 1)}
     placed = [*enumerate(defs, 1)] + [
         (max((last.get(n, 0) for n in p.names), default=0), (None, p)) for p in assume]
@@ -329,7 +329,7 @@ def _parse_scenario(raw: dict) -> Scenario:
     )
 
     return Scenario(
-        id=sid, group=group, domain=domain, params=params, sample=sample,
+        id=sid, group=group, domain=domain, params=params, sample=tuple(sample),
         derivation=derivation, profiles=profiles, hypotheses=tuple(hypotheses),
         rule_checks=tuple(rule_checks), pareto_excluded=tuple(pareto_excluded),
         identities=identities, checks=checks, steps=steps, chains=tuple(chains),
@@ -337,7 +337,9 @@ def _parse_scenario(raw: dict) -> Scenario:
     )
 
 
-_DATA_FILES = ("cycle_domain.yaml", "expanded_domain.yaml", "rich_domains.yaml")
+#: Each catalog file, in load order, and the group of every scenario in it.
+_DATA_FILES = (("cycle_domain.yaml", "cycle"), ("expanded_domain.yaml", "expansion"),
+               ("rich_domains.yaml", "rich"))
 
 
 @lru_cache(maxsize=1)
@@ -355,10 +357,10 @@ def scenario_catalog() -> tuple[Scenario, ...]:
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     scenarios: list[Scenario] = []
     package = importlib.resources.files(__package__) / "data"
-    for filename in _DATA_FILES:
+    for filename, group in _DATA_FILES:
         text = (package / filename).read_text(encoding="utf-8")
         for raw in yaml.load(text, Loader=loader):
-            scenarios.append(_parse_scenario(raw))
+            scenarios.append(_parse_scenario(raw, group))
     ids = [s.id for s in scenarios]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -370,7 +372,7 @@ def get_scenario(scenario_id: str) -> Scenario:
     for scenario in scenario_catalog():
         if scenario.id == scenario_id:
             return scenario
-    raise KeyError(f"unknown scenario id {scenario_id!r}")
+    raise ValueError(f"unknown scenario id {scenario_id!r}")
 
 
 def case_index() -> tuple[tuple[str, str], ...]:

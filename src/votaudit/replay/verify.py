@@ -126,18 +126,14 @@ def _derive(scenario: Scenario, env: Env) -> str | None:
 
 
 def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
-    """Parameter values plus derived quantities, then precondition checks; a copy of
-    the environment `sample_params` derived, if it drew `params` for this scenario."""
+    """The sampled variables' values and the derived quantities, as `_derive` checks them
+    (``epsilon > 0`` first); a copy of what `sample_params` derived, if it drew `params` here."""
     if params.derived is not None and params.derived[0] is scenario:
         return dict(params.derived[1])
     env = dict(params.values)
-    missing = (set(scenario.params) | {"epsilon"}) - set(env)
-    if missing:
+    if missing := {var for var, _, _ in scenario.sample} - set(env):
         raise ValueError(f"scenario {scenario.id}: missing parameters {sorted(missing)}")
-    if env.get("epsilon", Fraction(0)) <= 0:
-        raise PreconditionViolation(scenario.id, "epsilon > 0", env)
-    failed = _derive(scenario, env)
-    if failed is not None:
+    if (failed := _derive(scenario, env)) is not None:
         raise PreconditionViolation(scenario.id, failed, env)
     return env
 
@@ -424,7 +420,7 @@ def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
     """Draw a random rational parameter point satisfying the scenario's preconditions.
 
     Uses the scenario's sampling hints (ordered ranges over every parameter
-    and epsilon, bounds may reference earlier variables) with rejection
+    and epsilon, each bound reading only earlier variables) with rejection
     against the full precondition list.  The point carries the environment
     derived to accept it, so `verify_full` of this scenario derives nothing again.
     """
@@ -442,6 +438,6 @@ def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
             env[var] = Fraction(rng.randint(lo_num, hi_num), den)
         else:  # every variable drawn
             drawn = tuple(sorted(env.items()))
-            if env["epsilon"] > 0 and _derive(scenario, env) is None:
+            if _derive(scenario, env) is None:
                 return ScenarioParams(drawn, (scenario, env))
     raise RuntimeError(f"could not sample parameters for scenario {scenario.id}")

@@ -173,6 +173,11 @@ def test_replay_unknown_case():
     assert code == 2
 
 
+def test_replay_reports_at_an_epsilon_of_thousands_of_digits():
+    code, out = run(["replay", "--case", "2.I.n+1", "--epsilon", "1e-2000"])
+    assert code == 0 and out.splitlines()[-1] == "result: all checks pass"
+
+
 def test_replay_sampled_points():
     code, out = run(["replay", "--case", "2.II.2", "--points", "3", "--seed", "1"])
     assert code == 0
@@ -314,12 +319,17 @@ INPUT_ERRORS = [
      "bad epsilon: 'nan'"),
     (["manipulate", "--rule", "borda", "--epsilon", "1e-999999999", "--domain", "full"],
      "bad epsilon: '1e-999999999'"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "1/20"],
+     "manipulate needs a profile file or --domain"),
     (["replay", "--case", "1.I.1.1.2", "--a", "11/20", "--b", "1/4", "--epsilon", "1/10"],
      "scenario 1.I.1.1.2: precondition '1 - a - b >= b' fails at "
      "{'a': '11/20', 'b': '1/4', 'epsilon': '1/10'}"),
     (["replay", "--case", "2.I.n+1", "--epsilon", "0"],
      "scenario 2.I.n+1: precondition 'epsilon > 0' fails at {'epsilon': '0'}"),
     (["replay", "--case", "nope"], "unknown scenario id 'nope'"),
+    # an epsilon Python reads, at which a value the report would print has too many digits
+    (["replay", "--case", "2.I.n+1", "--epsilon", "1e-4299"],
+     "scenario 2.I.n+1: a value has more digits than Python's limit on integer text (4300)"),
     (["replay", "--case", "2.I.n+1", "--a", "1/2"], "scenario 2.I.n+1 takes ['epsilon'], not ['a']"),
     (["replay", "--case", "1.I.1.1.2", "--a", "1/2"],
      "scenario 1.I.1.1.2 needs all of ['a', 'b', 'epsilon'] (or none, to sample)"),

@@ -177,6 +177,15 @@ def test_domain_rejects_rankings_over_different_alternatives(orders):
     assert len(va.Domain((va.ranking("xy"), va.ranking("yx")))) == 2
 
 
+def test_an_empty_domain_and_the_richness_of_a_pair_domain_are_refused():
+    with pytest.raises(ValueError) as exc:
+        va.Domain(())
+    assert str(exc.value) == "domain must be nonempty"
+    with pytest.raises(ValueError) as exc:
+        va.is_rich(va.Domain((va.ranking("xy"), va.ranking("yx"))))
+    assert str(exc.value) == "richness is defined for three-alternative domains"
+
+
 def test_domain_compares_and_hashes_by_its_rankings():
     shuffled = va.Domain(tuple(va.ranking(t) for t in ("zxy", "xyz", "yzx", "xyz")))
     assert shuffled == va.CYCLE_DOMAIN and hash(shuffled) == hash(va.CYCLE_DOMAIN)

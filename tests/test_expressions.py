@@ -1,5 +1,6 @@
 """The integer-pair expression kernel against a `Fraction` tree-walker (`oracles.reference_value`)."""
 
+import ast
 import dataclasses
 import random
 import sys
@@ -47,6 +48,26 @@ _ENV = {"a": F(-7, 3), "b": F(5, 2), "c": F(-1, 4), "z": F(0)}
 ])
 def test_expression_cases(text):
     _agrees(compile_expression(text), _ENV)
+
+
+def _syntax_error(text: str) -> str:
+    """`ast`'s own text for why `text` does not parse, which varies between Pythons."""
+    try:
+        ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parses")
+
+
+@pytest.mark.parametrize("text,refusal", [
+    ("1 +", f"cannot parse '1 +': {_syntax_error('1 +')}"),
+    ("a[0]", f"unsupported syntax: {ast.dump(ast.parse('a[0]', mode='eval').body)}"),
+    ("floor(a, b)", "floor takes exactly one argument"),
+], ids=["incomplete", "subscript", "two-arguments"])
+def test_compile_expression_names_what_it_refuses(text, refusal):
+    with pytest.raises(ExpressionError) as exc:
+        compile_expression(text)
+    assert str(exc.value) == refusal
 
 
 _ONE = "predicate must be one comparison"

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -47,9 +48,21 @@ def test_catalog_covers_expected_groups():
     groups = {}
     for s in scenario_catalog():
         groups.setdefault(s.group, []).append(s.id)
+        # each file holds one group, and the thesis numbers its cases by group
+        assert s.group == {"1": "cycle", "2": "expansion", "3": "rich"}[s.id[0]]
     assert len(groups["cycle"]) == 28
     assert len(groups["expansion"]) == 12
     assert len(groups["rich"]) == 36
+
+
+def test_every_scenario_draws_its_parameters_then_epsilon_and_first_assumes_epsilon_positive():
+    catalog = scenario_catalog()
+    assert Counter(s.params for s in catalog) == {
+        ("a", "b"): 33, ("a", "b", "c"): 24, ("a",): 7, (): 12}
+    for s in catalog:
+        assert [var for var, _, _ in s.sample] == [*s.params, "epsilon"]
+        [(name, first)] = [step for step in s.derivation if str(step[1]) == "epsilon > 0"]
+        assert (name, first) == s.derivation[0] and name is None
 
 
 def test_case_index_matches_catalog_exactly():
@@ -249,8 +262,9 @@ def test_a_point_sampled_for_one_scenario_is_derived_afresh_for_another(monkeypa
 
 
 def test_unknown_scenario_id():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as exc:
         get_scenario("4.X.9")
+    assert str(exc.value) == "unknown scenario id '4.X.9'"
 
 
 def test_expression_guards():
@@ -289,7 +303,7 @@ def test_environments_are_exact():
 
 def _record(**fields):
     """A minimal catalog record with one parameter, `a`."""
-    raw = {"id": "t.1", "group": "cycle", "domain": ["xyz", "yzx", "zxy"], "params": ["a"],
+    raw = {"id": "t.1", "domain": ["xyz", "yzx", "zxy"],
            "sample": [["a", "0", "1"], ["epsilon", "1/10", "1/5"]],
            "profiles": {"u": {"xyz": "a", "yzx": "1 - a"}}}
     raw.update(fields)
@@ -304,34 +318,68 @@ def _record(**fields):
 ])
 def test_catalog_rejects_bad_expressions_at_load(text, fragment):
     with pytest.raises(CatalogError, match=fragment) as exc:
-        _parse_scenario(_record(identities=[[text, "a"]]))
+        _parse_scenario(_record(identities=[[text, "a"]]), "cycle")
     assert str(exc.value).startswith("scenario t.1") and repr(text) in str(exc.value)
 
 
 def test_catalog_rejects_deeply_nested_expressions_at_load():
     for text in ("-" * 996 + "a", " + ".join(["a"] * 3000)):
         with pytest.raises(CatalogError, match="expression nested too deeply$"):
-            _parse_scenario(_record(identities=[[text, "a"]]))
+            _parse_scenario(_record(identities=[[text, "a"]]), "cycle")
         with pytest.raises(CatalogError, match="expression nested too deeply$"):
-            _parse_scenario(_record(checks=[f"{text} < 1"]))
+            _parse_scenario(_record(checks=[f"{text} < 1"]), "cycle")
 
 
-def test_catalog_rejects_sampling_hints_that_miss_a_parameter():
-    assert _parse_scenario(_record()).params == ("a",)
-    with pytest.raises(CatalogError, match="sampling hints cover"):
-        _parse_scenario(_record(sample=[["a", "0", "1"]]))
+def test_the_parameters_are_what_the_sampling_hints_draw_but_epsilon():
+    assert _parse_scenario(_record(), "cycle").params == ("a",)
+    drawn = [["c", "0", "1"], ["epsilon", "1/10", "c"], ["a", "epsilon", "1 - c"]]
+    scenario = _parse_scenario(_record(sample=drawn), "expansion")
+    assert (scenario.group, scenario.params) == ("expansion", ("c", "a"))
+    assert [str(e) for _, e in scenario.derivation] == ["epsilon > 0"]
+
+
+@pytest.mark.parametrize("sample,message", [
+    ([["a", "0", "1"]], "scenario t.1: sampling hints draw no 'epsilon'"),
+    ([], "scenario t.1: sampling hints draw no 'epsilon'"),
+    ([["a", "0", "epsilon"], ["epsilon", "1/10", "1/5"]],
+     "scenario t.1: expression 'epsilon' uses unknown name 'epsilon'"),
+    ([["a", "0", "1"], ["epsilon", "1/10", "a + b"], ["b", "0", "1"]],
+     "scenario t.1: expression 'a + b' uses unknown name 'b'"),
+    ([["a", "c/2", "1"], ["epsilon", "1/10", "1/5"]],
+     "scenario t.1: expression 'c/2' uses unknown name 'c'"),
+], ids=["no-epsilon", "no-hints", "epsilon-drawn-later", "parameter-drawn-later", "never-drawn"])
+def test_each_sampling_bound_reads_only_the_variables_drawn_before_it(sample, message):
+    with pytest.raises(CatalogError) as exc:
+        _parse_scenario(_record(sample=sample), "cycle")
+    assert str(exc.value) == message
+
+
+def test_build_env_and_sample_params_name_why_they_give_no_point():
+    scenario = _parse_scenario(_record(assume=["a > 1"]), "cycle")  # a is drawn in [0, 1]
+    for values, missing in (({"epsilon": F(1, 10)}, "['a']"), ({}, "['a', 'epsilon']")):
+        with pytest.raises(ValueError) as exc:
+            build_env(scenario, ScenarioParams.of(**values))
+        assert str(exc.value) == f"scenario t.1: missing parameters {missing}"
+    with pytest.raises(PreconditionViolation) as exc:  # epsilon > 0 is checked first
+        build_env(scenario, ScenarioParams.of(a=0, epsilon=0))
+    assert str(exc.value) == (
+        "scenario t.1: precondition 'epsilon > 0' fails at {'a': '0', 'epsilon': '0'}")
+    with pytest.raises(RuntimeError) as exc:
+        sample_params(scenario, random.Random(0))
+    assert str(exc.value) == "could not sample parameters for scenario t.1"
 
 
 def test_catalog_resolves_rule_check_names_at_load():
-    scenario = _parse_scenario(_record(rule_checks=[["u", "borda", "x"], ["u", "condorcet", "y"]]))
+    scenario = _parse_scenario(
+        _record(rule_checks=[["u", "borda", "x"], ["u", "condorcet", "y"]]), "cycle")
     assert scenario.rule_checks == (("u", va.BORDA, "x"), ("u", va.CONDORCET, "y"))
     with pytest.raises(CatalogError, match="rule check uses unknown rule 'score:1,0,0'"):
-        _parse_scenario(_record(rule_checks=[["u", "score:1,0,0", "x"]]))
+        _parse_scenario(_record(rule_checks=[["u", "score:1,0,0", "x"]]), "cycle")
 
 
 def test_sample_params_rejects_a_draw_where_a_def_has_no_value():
     # floor(2*a) is 0 for every a below 1/2, so about half the draws divide by zero
-    scenario = _parse_scenario(_record(defs=[["q", "1/floor(2*a)"]]))
+    scenario = _parse_scenario(_record(defs=[["q", "1/floor(2*a)"]]), "cycle")
     rng = random.Random(0)
     for _ in range(20):
         assert dict(sample_params(scenario, rng).values)["a"] >= F(1, 2)
@@ -587,7 +635,7 @@ def test_catalog_reads_the_same_with_either_yaml_parser():
         pytest.skip("PyYAML was built without libyaml")
     import importlib.resources
     from votaudit.replay.model import _DATA_FILES
-    for filename in _DATA_FILES:
+    for filename, _ in _DATA_FILES:
         text = (importlib.resources.files("votaudit.replay") / "data" / filename).read_text(encoding="utf-8")
         assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text)
 
@@ -806,17 +854,17 @@ def _affine_chain(**fields):
 
 
 def test_catalog_rejects_a_chain_count_that_names_no_parameter_or_def():
-    assert _parse_scenario(_record(chains=[_affine_chain()])).chains[0].count == "a"
+    assert _parse_scenario(_record(chains=[_affine_chain()]), "cycle").chains[0].count == "a"
     for count in ("nn", "j"):  # j is the chain's own index, bound only per level
         with pytest.raises(CatalogError, match=f"chain count uses unknown name '{count}'"):
-            _parse_scenario(_record(chains=[_affine_chain(count=count)]))
+            _parse_scenario(_record(chains=[_affine_chain(count=count)]), "cycle")
 
 
 def test_catalog_rejects_a_chain_pareto_exclusion_that_is_no_alternative():
-    chain = _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="y")])).chains[0]
+    chain = _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="y")]), "cycle").chains[0]
     assert chain.pareto_excluded == "y"
     with pytest.raises(CatalogError, match="chain pareto exclusion of unknown alternative 'w'"):
-        _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="w")]))
+        _parse_scenario(_record(chains=[_affine_chain(pareto_excluded="w")]), "cycle")
 
 
 def _verified_in_traced_peak(scenario, params, passes=True):
@@ -939,7 +987,8 @@ def test_a_bump_that_vanishes_at_the_end_levels_is_refused_at_load():
     bump = "a + j*(j - 1)*(j - 3)*(j - 4)/1000"
     with pytest.raises(CatalogError,
                        match="^scenario t.1: chain weight on x>y>z is not affine in 'j'$"):
-        _parse_scenario(_record(chains=[_affine_chain(weights={"xyz": bump, "yzx": "1 - a"})]))
+        _parse_scenario(
+            _record(chains=[_affine_chain(weights={"xyz": bump, "yzx": "1 - a"})]), "cycle")
 
 
 _CYCLE = (["xyz", "yzx", "zxy"], {"u": {"xyz": "1/4", "yzx": "1/4", "zxy": "1/2"},
@@ -970,7 +1019,8 @@ def test_an_affine_chain_claim_that_fails_off_the_end_levels_is_reported(
         domain, profiles, chain, failure):
     # two steps, so each end step's "before" level is an extreme of that range
     scenario = _parse_scenario(_record(
-        domain=domain, profiles=profiles, defs=[["n", "2"]], chains=[{**chain, "count": "n"}]))
+        domain=domain, profiles=profiles, defs=[["n", "2"]], chains=[{**chain, "count": "n"}]),
+        "cycle")
     report = verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(3, 5)))
     assert [r.line() for r in report.failures()] == [f"FAIL  {failure}"]
 
@@ -986,7 +1036,7 @@ def test_a_claim_that_fails_from_an_inner_level_on_is_reported_at_that_level(mon
         chains=[_affine_chain(
             count="n", weights={"xyz": "1/8 - j/40", "yzx": "1/2 - j/10", "zxy": "3/8 + j/8"},
             moves=[["zxy", "xyz", "1/8"], ["xyz", "yzx", "1/10"]], last="v",
-            improvement=["y", "x"])]))
+            improvement=["y", "x"])]), "cycle")
     report = verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(3, 5)))
     assert [r.line() for r in report.failures()] == [
         "FAIL  consecutive chain profiles differ by exactly the per-step moves  "
@@ -1086,7 +1136,7 @@ def _affine_chain_records(draw):
 @settings(max_examples=150, deadline=None)
 @given(_affine_chain_records(), st.sampled_from([F(1, 5), F(1, 10)]))
 def test_drawn_affine_chains_report_as_the_walk(record, epsilon):
-    scenario = _parse_scenario(record)
+    scenario = _parse_scenario(record, "cycle")
     params = ScenarioParams.of(a=F(1, 2), epsilon=epsilon)
     at_ends = verify_full(scenario, params).text()
     with pytest.MonkeyPatch.context() as patch:
@@ -1106,9 +1156,10 @@ def test_drawn_affine_chains_report_as_the_walk(record, epsilon):
 ], ids=["assume", "window", "check", "identity", "template", "step-move", "chain-move"])
 def test_only_affine_chain_weights_may_read_the_chain_index(fields):
     chain = _affine_chain(weights={"xyz": "a - j*a", "yzx": "1 - a + j*a"})
-    assert _parse_scenario(_record(chains=[chain])).chains[0].weights[0][1].names == {"a", "j"}
+    [(_, weight), _] = _parse_scenario(_record(chains=[chain]), "cycle").chains[0].weights
+    assert weight.names == {"a", "j"}
     with pytest.raises(CatalogError, match="^scenario t.1: expression .* uses unknown name 'j'$"):
-        _parse_scenario(_record(**{"chains": [chain], **fields}))
+        _parse_scenario(_record(**{"chains": [chain], **fields}), "cycle")
 
 
 def _record_with_every_part():
@@ -1131,11 +1182,11 @@ def _record_with_every_part():
 ], ids=["scenario", "step", "affine-chain", "descent-chain", "perm-link"])
 def test_catalog_rejects_an_unknown_key(part, select):
     raw = _record_with_every_part()
-    scenario = _parse_scenario(raw)
+    scenario = _parse_scenario(raw, "cycle")
     assert (len(scenario.steps), len(scenario.chains), len(scenario.perm_links)) == (1, 2, 1)
     select(raw)["improvment"] = ["x", "y"]
     with pytest.raises(CatalogError, match=f"^scenario t.1: unknown {part} key 'improvment'$"):
-        _parse_scenario(raw)
+        _parse_scenario(raw, "cycle")
 
 
 @pytest.mark.parametrize("part,select,keys", [
@@ -1152,7 +1203,7 @@ def test_catalog_rejects_a_missing_key(part, select, keys):
         raw = _record_with_every_part()
         del select(raw)[key]
         with pytest.raises(CatalogError) as exc:
-            _parse_scenario(raw)
+            _parse_scenario(raw, "cycle")
         sid = "?" if key == "id" else "t.1"
         assert str(exc.value) == f"scenario {sid}: missing {part} key '{key}'"
 
@@ -1164,11 +1215,11 @@ def test_a_misspelled_catalog_key_fails_the_load_instead_of_dropping_its_claims(
     text = (importlib.resources.files("votaudit.replay") / "data" / "cycle_domain.yaml").read_text(
         encoding="utf-8")
     raw = next(r for r in yaml.safe_load(text) if "checks" in r and "steps" in r)
-    assert _parse_scenario(raw).checks and _parse_scenario(raw).steps
+    assert _parse_scenario(raw, "cycle").checks and _parse_scenario(raw, "cycle").steps
     for key, typo in (("checks", "chekcs"), ("steps", "stpes")):
         misspelt = {typo if k == key else k: v for k, v in raw.items()}
         with pytest.raises(CatalogError, match=f"unknown scenario key '{typo}'"):
-            _parse_scenario(misspelt)
+            _parse_scenario(misspelt, "cycle")
 
 
 #: One mutation of `_record_with_every_part` per loader refusal, and the exact message.
@@ -1187,8 +1238,9 @@ _LOADER_REFUSALS = {
                                 "scenario t.1 step: improvement sets overlap: ['not:x', 'not:y']"),
     "template-off-the-domain": (lambda raw: raw["profiles"]["u"].update(xzy="0"),
                                 "scenario t.1 profile u: ranking x>z>y outside the domain"),
-    "group": (lambda raw: raw.update(group="ring"),
-              "scenario t.1: group must be one of ('cycle', 'expansion', 'rich')"),
+    # the file gives the group, and the sampling hints the parameters
+    "group": (lambda raw: raw.update(group="cycle"), "scenario t.1: unknown scenario key 'group'"),
+    "params": (lambda raw: raw.update(params=["a"]), "scenario t.1: unknown scenario key 'params'"),
     "duplicate-profile-names": (lambda raw: raw["profiles"].update({1: {"xyz": "1"},
                                                                     "1": {"xyz": "1"}}),
                                 "scenario t.1: duplicate profile names"),
@@ -1213,10 +1265,10 @@ _LOADER_REFUSALS = {
 @pytest.mark.parametrize("mutate,message", _LOADER_REFUSALS.values(), ids=_LOADER_REFUSALS)
 def test_the_loader_names_why_it_refuses_a_record(mutate, message):
     raw = _record_with_every_part()
-    assert _parse_scenario(raw).id == "t.1"
+    assert _parse_scenario(raw, "cycle").id == "t.1"
     mutate(raw)
     with pytest.raises(CatalogError) as exc:
-        _parse_scenario(raw)
+        _parse_scenario(raw, "cycle")
     assert str(exc.value) == message
 
 
@@ -1228,10 +1280,11 @@ def test_the_loader_names_why_it_refuses_a_record(mutate, message):
 ])
 def test_the_loader_refuses_a_predicate_that_is_not_one_comparison(field, text, reason):
     # a conjunction is the field's list of comparisons
-    both = _parse_scenario(_record(**{field: ["0 < a", "a < 1"]}))
-    assert [str(p) for p in (*(p for _, p in both.derivation), *both.checks)] == ["0 < a", "a < 1"]
+    both = _parse_scenario(_record(**{field: ["0 < a", "a < 1"]}), "cycle")
+    assert [str(p) for p in (*(p for _, p in both.derivation), *both.checks)] == [
+        "epsilon > 0", "0 < a", "a < 1"]
     with pytest.raises(CatalogError) as exc:
-        _parse_scenario(_record(**{field: [text]}))
+        _parse_scenario(_record(**{field: [text]}), "cycle")
     assert str(exc.value) == f"scenario t.1: expression {text!r}: {reason}"
 
 
@@ -1242,7 +1295,7 @@ def test_the_loader_refuses_duplicate_scenario_ids(monkeypatch):
     text = (importlib.resources.files("votaudit.replay") / "data" / "cycle_domain.yaml").read_text(
         encoding="utf-8")
     ids = sorted(raw["id"] for raw in yaml.safe_load(text))
-    monkeypatch.setattr(model, "_DATA_FILES", ("cycle_domain.yaml",) * 2)
+    monkeypatch.setattr(model, "_DATA_FILES", (("cycle_domain.yaml", "cycle"),) * 2)
     with pytest.raises(CatalogError) as exc:
         model.scenario_catalog.__wrapped__()  # past the cache of the shipped catalog
     assert str(exc.value) == f"duplicate scenario ids: {ids}"
@@ -1258,7 +1311,7 @@ def test_a_profile_that_fails_to_instantiate_fails_only_the_claims_that_read_it(
         steps=[{"from": "u", "to": "v", "moves": [], "improvement": ["x", "y"]}],
         chains=[_affine_chain(), {"kind": "descent", "components": {"xyz": "a"},
                                   "absorber": "yzx", "base": "v", "pair": "u",
-                                  "improvement": ["x", "y"]}]))
+                                  "improvement": ["x", "y"]}]), "cycle")
     assert verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(1, 10))).text() == """\
 scenario t.1 at a=1/2, epsilon=1/10
   FAIL  profile u is valid (weights >= 0, sum 1)  (u: weights sum to 2, expected exactly 1)

@@ -106,6 +106,21 @@ def test_rule_descriptor_validation():
         va.parse_rule("approval")
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: va.RuleDescriptor("bogus"), "unknown rule kind 'bogus'"),
+    (lambda: va.RuleDescriptor("scoring"), "scoring rule needs a triple of rationals"),
+    (lambda: va.restrict_profile(va.profile_from({"xyz": 1}), {"x"}),
+     "restriction target must contain exactly two alternatives"),
+    (lambda: va.restrict_profile(va.restrict_profile(va.profile_from({"xyz": 1}), {"x", "y"}),
+                                 {"x", "z"}),
+     "alternatives ['z'] not in the profile"),
+], ids=["unknown-kind", "scoring-without-a-vector", "one-alternative", "off-the-pair"])
+def test_rules_and_restrictions_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_named_rules_carry_their_score_vectors():
     assert va.BORDA.score_vector == (2, 1, 0) and str(va.BORDA) == "borda"
     assert va.PLURALITY.score_vector == (1, 0, 0) and str(va.PLURALITY) == "plurality"
