@@ -10,10 +10,16 @@ domain, profile, configuration or replay precondition), mapped to exit 2 in
 
 `run` may be called any number of times in one process: the argument parsers
 are built on the first call and reused (parsing keeps no state between calls),
-so a request costs only its own work.  Each request goes straight to the
-parser of the verb it names first, as argparse would hand it on; the
-top-level parser sees only a request that names no verb.  `audit` reads the
-axioms, their order and its `--axioms` default from one table, `_AXIOMS`.
+so a request costs only its own work.  A request that names a verb and then
+holds only that verb's exact option strings, each but a flag followed by its
+value, and positionals, none of them beginning with '-', is read by one lookup
+per token (`_read`) into the namespace argparse would give.  Every other
+request goes to argparse: to the verb's parser, as the top-level parser would
+hand it on, or to the top-level parser when it names no verb.  So does each
+request the lookup refuses (a failed `type` or `choices`, a missing required
+option, a positional too many), so every usage message, help text and refusal
+is argparse's own.  `audit` reads the axioms, their order and its `--axioms`
+default from one table, `_AXIOMS`.
 """
 
 from __future__ import annotations
@@ -259,20 +265,72 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 _parsers = functools.cache(_build_parsers)
 
 
+@functools.cache
+def _table(verb: argparse.ArgumentParser):
+    """What `_read` needs of a verb's parser, read from its actions once: each option
+    string's action, the positionals in order, the required actions and the defaults."""
+    actions = [a for a in verb._actions if a.default is not argparse.SUPPRESS]
+    defaults = {a.dest: a.default for a in actions}
+    for dest, value in verb._defaults.items():  # `set_defaults`, as argparse adds them
+        defaults.setdefault(dest, value)
+    options = {string: a for a in actions for string in a.option_strings}
+    return (options, [a for a in actions if not a.option_strings],
+            [a for a in actions if a.required], defaults)
+
+
+def _read(verb: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace `verb.parse_known_args(tokens)` gives with nothing left over, for a
+    request in the plain shape below; None for any other request, left to argparse.
+
+    The plain shape holds exact option strings, each but a flag followed by its value,
+    and positionals; no value or positional begins with '-'.  Each value passes its
+    action's `type` and `choices`, every required action is given, and no positional is
+    left over.  Each action stores its value itself, as under argparse.
+    """
+    options, positionals, required, defaults = _table(verb)
+    args = argparse.Namespace()
+    vars(args).update(defaults)  # cheaper than `Namespace(**defaults)`, which sets each
+    slots = iter(positionals)
+    given = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if token.startswith("-"):
+            action, option = options.get(token), token
+            if action is not None and action.nargs == 0:  # a flag: it stores its `const`
+                action(verb, args, [], option)
+                given.add(action)
+                continue
+            text = next(tokens, None)
+        else:
+            action, option, text = next(slots, None), None, token
+        if action is None or text is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        action(verb, args, value, option)
+        given.add(action)
+    return args if given.issuperset(required) else None
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, textual report).
 
-    A request that names a verb first goes straight to that verb's parser, as
-    the top-level parser would hand it on, and the top-level parser refuses
-    what is left over, as its `parse_args` would.  Any other request (no verb,
-    help, an unknown verb) goes to the top-level parser.
+    A request that names a verb first is read from that verb's table by
+    `_read` when it can be.  Otherwise it goes to the verb's parser, as the
+    top-level parser would hand it on, and the top-level parser refuses what is
+    left over, as its `parse_args` would.  Any other request (no verb, help, an
+    unknown verb) goes to the top-level parser.
     """
     parser, verbs = _parsers()
     try:
         verb = verbs.get(argv[0]) if argv else None
         if verb is None:
             args = parser.parse_args(argv)
-        else:
+        elif (args := _read(verb, argv[1:])) is None:
             args, extra = verb.parse_known_args(argv[1:])
             if extra:
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")

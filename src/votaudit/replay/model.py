@@ -192,6 +192,7 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
     """Validate one catalog record of `group` and compile every expression in it.
 
     The parameters are the variables `sample` draws but epsilon, which it must draw.
+    Each variable is drawn once, and each def binds a new name.
     Each sampling bound may read only the variables drawn before it, and every other
     expression all of them and the defs (each def those before it).  Only an affine
     chain's weights may read its index `j`, the one name bound per level, and only affinely.
@@ -210,6 +211,8 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
 
     sample = []
     for var, lo, hi in raw.get("sample", ()):
+        if var in scope:
+            raise CatalogError(f"{where}: sampling hints draw {var!r} twice")
         sample.append((var, arith(lo), arith(hi)))  # the bounds read only earlier draws
         scope.add(var)
     if "epsilon" not in scope:
@@ -217,8 +220,11 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
     params = tuple(var for var, _, _ in sample if var != "epsilon")
     defs = []
     for name, text in raw.get("defs", ()):
-        defs.append((str(name), arith(text)))
-        scope.add(str(name))
+        name = str(name)
+        if name in scope:
+            raise CatalogError(f"{where}: def {name!r} rebinds a drawn variable or an earlier def")
+        defs.append((name, arith(text)))
+        scope.add(name)
 
     # Every scenario's first precondition is epsilon > 0; "window" holds the case's
     # epsilon-interval ones, kept apart for reading.  The stable sort keeps each def

@@ -1,5 +1,7 @@
+import argparse
 import io
 import contextlib
+import functools
 import os
 import subprocess
 import sys
@@ -391,16 +393,19 @@ def _requests(draw):
         return draw(st.sampled_from(pools[0]) | st.sampled_from(pools[1]))
 
     verb = pick(["evaluate", "margins", "richness", "audit", "manipulate", "replay"])
-    form = pick([[], ["--format", "record"]])
+    form = pick([[], ["--format", "record"], ["--format", "record", "--format", "text"]])
     if verb == "richness":
         return ["richness", mixed(_DOMAINS), *form], None
     if verb == "replay":
-        kind = pick(["list", "unknown", "given"])
+        kind = pick(["list", "unknown", "sampled", "given"])
+        scenario = pick(scenario_catalog())
         if kind == "list":
-            return ["replay", "--list"], None
+            return ["replay", "--list", *pick([[], ["--case", scenario.id]])], None
         if kind == "unknown":
             return ["replay", "--case", pick(["nope", "9.Z.1", ""])], None
-        scenario = pick(scenario_catalog())
+        if kind == "sampled":
+            return ["replay", "--case", scenario.id, "--points", pick(["-1", "0", "1", "2"]),
+                    "--seed", pick(["0", "7"])], None
         names = draw(st.just(scenario.params) | st.sets(st.sampled_from("abc")))
         values = [arg for name in sorted(names) for arg in (f"--{name}", pick(_PARAMS))]
         return ["replay", "--case", scenario.id, "--epsilon", pick(["1/10", "1/4", "1/2", "1"]),
@@ -440,10 +445,14 @@ def test_exit_code_contract(tmp_path_factory, drawn):
 
 
 # Argparse-level tokens and requests for the dispatch differential: help, `--`,
-# abbreviations, `=` forms, extra positionals, unknown verbs and empty argv.
+# abbreviations, `=` forms, extra positionals, unknown verbs and empty argv; and, each
+# inserted whole, the option-and-value pairs that `cli._read` leaves to argparse: a
+# value failing its `type` or `choices`, or beginning with '-'.
 _ARGPARSE_TOKENS = ["-h", "--help", "--", "--ru", "--rule", "--form=record", "--format=text",
                     "--form", "extra", "-x", "--nope", "--h", "-", "evaluate", "nope", "--ep",
-                    "--dom", "--a", "--d", "--points=2", "--list"]
+                    "--dom", "--a", "--d", "--points=2", "--list", "", "-1/3",
+                    ("--grid", "x"), ("--grid", "-1"), ("--moves", "x"), ("--format", "bogus"),
+                    ("--epsilon", "-1/3"), ("--points", "x"), ("--seed", "-1"), ("--rule", "")]
 _ARGPARSE_REQUESTS = [[], ["-h"], ["--help"], ["--he"], ["--"], ["nope"], ["Evaluate"], ["eval"],
                       ["-h", "evaluate"], ["--", "evaluate"], ["--", "margins", _PROFILE]]
 
@@ -454,7 +463,9 @@ def _dispatch_requests(draw):
         return draw(st.sampled_from(_ARGPARSE_REQUESTS)), CYCLE
     argv, text = draw(_requests())
     for _ in range(draw(st.integers(0, 2))):
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_ARGPARSE_TOKENS)))
+        token = draw(st.sampled_from(_ARGPARSE_TOKENS))
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = [token] if isinstance(token, str) else token
     if argv and draw(st.booleans()):
         del argv[draw(st.integers(0, len(argv) - 1))]
     return argv, text
@@ -467,12 +478,23 @@ def _outputs(call):
     return result, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_dispatch_requests())
-def test_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, drawn):
+def _parse_args_then_command(parser, argv):
+    """What `run` answers by the top-level parser's `parse_args` and the command it picks."""
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        return (2 if exc.code else 0), ""
+    lines = []
+    try:
+        code = args.func(args, lines.append)
+    except ValueError as exc:
+        return 2, f"error: {exc}"
+    return code, "\n".join(lines)
+
+
+def _assert_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, argv, text):
     """`run` gives the exit code, report, stdout and stderr, and hands its command the
     namespace, that the top-level parser's `parse_args` followed by the same command gives."""
-    argv, text = drawn
     path = tmp_path_factory.getbasetemp() / "dispatched.profile"
     if text is not None:
         path.write_text(text)
@@ -483,26 +505,83 @@ def test_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, drawn):
         command = verb.get_default("func")
         verb.set_defaults(func=lambda args, out, command=command:
                           namespaces.append(vars(args)) or command(args, out))
-
-    def parse_args_then_command():
-        try:
-            args = parser.parse_args(list(argv))
-        except SystemExit as exc:
-            return (2 if exc.code else 0), ""
-        lines = []
-        try:
-            code = args.func(args, lines.append)
-        except ValueError as exc:
-            return 2, f"error: {exc}"
-        return code, "\n".join(lines)
-
-    with mock.patch.object(cli, "_parsers", lambda: (parser, verbs)):
+    # a table cache of its own, so the parsers built here are not kept past the test
+    with mock.patch.object(cli, "_parsers", lambda: (parser, verbs)), \
+            mock.patch.object(cli, "_table", functools.cache(cli._table.__wrapped__)):
         dispatched = _outputs(lambda: cli.run(list(argv)))
-    assert dispatched == _outputs(parse_args_then_command)
+    assert dispatched == _outputs(lambda: _parse_args_then_command(parser, argv))
     assert len(namespaces) in (0, 2)
     if namespaces:
         ran, parsed = namespaces
         assert parsed.pop("verb") == argv[0] and ran == parsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dispatch_requests())
+def test_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, drawn):
+    _assert_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, *drawn)
+
+
+# Each rule by which `cli._read` takes a request or leaves it to argparse, on both sides.
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--rule", "borda", "--format", "record", _PROFILE],
+    ["evaluate", "--format", "record", "--rule", "borda", "--format", "text", _PROFILE],
+    ["evaluate", "--rule", "borda", "--format", "bogus", _PROFILE],
+    ["evaluate", "--rule", "", _PROFILE],
+    ["evaluate", "--rule", "borda", ""],
+    ["evaluate", "--rule", "borda", "-"],
+    ["evaluate", "--rule", "borda"],
+    ["evaluate", _PROFILE],
+    ["evaluate", "--rule", "borda", _PROFILE, _PROFILE],
+    ["evaluate", "--rule", "borda", _PROFILE, "--format"],
+    ["manipulate", "--rule", "borda", "--epsilon", "1/10", "--grid", "3", _PROFILE],
+    ["manipulate", "--rule", "borda", "--epsilon", "1/10", "--grid", "x", _PROFILE],
+    ["manipulate", "--rule", "borda", "--epsilon", "1/10", "--grid", "-1", _PROFILE],
+    ["manipulate", "--rule", "borda", "--epsilon", "-1/3", _PROFILE],
+    ["manipulate", "--rule", "borda", "--epsilon", "1/10", "--domain", "full", "--grid", "3"],
+    ["replay", "--case", "4.X.9", "--points", "2", "--seed", "5"],
+    ["replay", "--case", "4.X.9", "--points", "x"],
+    ["replay", "--case", "4.X.9", "--seed", "-1", "--points", "1"],
+    ["replay", "--list", "--case", "4.X.9"],
+    ["replay", "--list", "--list"],
+], ids=lambda argv: " ".join(argv))
+def test_run_dispatches_each_reading_rule_as_the_top_level_parser_would(tmp_path_factory,
+                                                                         argv):
+    _assert_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, argv, NEAR_TIE)
+
+
+class _Parsed(Exception):
+    """Raised in place of argparse's parsing, to show which requests reach it."""
+
+
+def _refuse_to_parse(*args, **kwargs):
+    raise _Parsed
+
+
+def test_plain_requests_dispatch_without_argparse_and_the_rest_with_it(fixtures):
+    # each request shape the `queries` benchmark sends, for each of its rules
+    profile = fixtures["near_tie"]
+    plain = [argv for rule in ("borda", "plurality", "condorcet", "score:3,1,0") for argv in (
+        ["evaluate", "--rule", rule, "--format", "record", profile],
+        ["margins", "--format", "record", profile],
+        ["audit", "--rule", rule, "--axioms", "P,A,N,IIA", "--format", "record", profile],
+        ["manipulate", "--rule", rule, "--epsilon", "1/20", "--format", "record", profile])]
+    parsed = [["evaluate", "-h"], ["evaluate", "--ru", "borda", profile],
+              ["margins", "--format=record", profile]]
+    parser = cli._build_parsers()[0]
+    expected = {tuple(argv): _outputs(lambda: _parse_args_then_command(parser, argv))
+                for argv in plain + parsed}
+    assert {expected[tuple(argv)][0][0] for argv in plain} == {0, 1}
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", _refuse_to_parse), \
+            mock.patch.object(argparse.ArgumentParser, "parse_args", _refuse_to_parse):
+        for argv in plain:
+            assert _outputs(lambda: cli.run(list(argv))) == expected[tuple(argv)]
+        for argv in parsed:
+            with pytest.raises(_Parsed):
+                cli.run(list(argv))
+    for argv in parsed:
+        assert _outputs(lambda: cli.run(list(argv))) == expected[tuple(argv)]
+    assert expected[("evaluate", "-h")][1].startswith("usage: votaudit evaluate")
 
 
 def test_importing_the_cli_leaves_the_replay_engine_unloaded():

@@ -347,7 +347,10 @@ def test_the_parameters_are_what_the_sampling_hints_draw_but_epsilon():
      "scenario t.1: expression 'a + b' uses unknown name 'b'"),
     ([["a", "c/2", "1"], ["epsilon", "1/10", "1/5"]],
      "scenario t.1: expression 'c/2' uses unknown name 'c'"),
-], ids=["no-epsilon", "no-hints", "epsilon-drawn-later", "parameter-drawn-later", "never-drawn"])
+    ([["a", "0", "1/2"], ["a", "a", "1"], ["epsilon", "1/10", "1/5"]],
+     "scenario t.1: sampling hints draw 'a' twice"),
+], ids=["no-epsilon", "no-hints", "epsilon-drawn-later", "parameter-drawn-later", "never-drawn",
+        "drawn-twice"])
 def test_each_sampling_bound_reads_only_the_variables_drawn_before_it(sample, message):
     with pytest.raises(CatalogError) as exc:
         _parse_scenario(_record(sample=sample), "cycle")
@@ -1259,6 +1262,14 @@ _LOADER_REFUSALS = {
     # every affine chain's index is j
     "chain-index": (lambda raw: raw["chains"][0].update(index="j"),
                     "scenario t.1: unknown affine chain key 'index'"),
+    # each name is bound once: a def names neither a drawn variable nor an earlier def
+    "def-rebinds-a-parameter": (lambda raw: raw.update(defs=[["a", "1/2"]]),
+                                "scenario t.1: def 'a' rebinds a drawn variable or an earlier def"),
+    "def-rebinds-epsilon": (lambda raw: raw.update(defs=[["epsilon", "1/2"]]),
+                            "scenario t.1: def 'epsilon' rebinds a drawn variable or an earlier "
+                            "def"),
+    "def-rebinds-a-def": (lambda raw: raw.update(defs=[["q", "a"], ["q", "1"]]),
+                          "scenario t.1: def 'q' rebinds a drawn variable or an earlier def"),
 }
 
 
