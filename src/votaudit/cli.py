@@ -10,12 +10,13 @@ domain, profile, configuration or replay precondition), mapped to exit 2 in
 
 `run` may be called any number of times in one process: the argument parsers
 are built on the first call and reused (parsing keeps no state between calls),
-so a request costs only its own work.  A request that names a verb and then
-holds only that verb's exact option strings, each but a flag followed by its
-value, and positionals, none of them beginning with '-', is read by one lookup
-per token (`_read`) into the namespace argparse would give.  Every other
-request goes to argparse: to the verb's parser, as the top-level parser would
-hand it on, or to the top-level parser when it names no verb.  So does each
+so a request costs only its own work.  `_build_parsers` declares each verb's
+arguments once, and the actions that declaration returns are the table by which
+`_read` reads a request that names a verb and then holds only that verb's exact
+option strings, each but a flag followed by its value, and positionals, none of
+them beginning with '-': one lookup per token, into the namespace argparse
+would give.  Every other request goes to the top-level parser's `parse_args`,
+the one fallback: no verb, help, an abbreviation, an `=` form, `--`, and each
 request the lookup refuses (a failed `type` or `choices`, a missing required
 option, a positional too many), so every usage message, help text and refusal
 is argparse's own.  `audit` reads the axioms, their order and its `--axioms`
@@ -143,6 +144,8 @@ def _cmd_manipulate(args, out) -> int:
     epsilon = _parse_fraction(args.epsilon, "epsilon")
     config = manipulation.AuditConfig(epsilon, args.grid, args.moves)
     if args.domain is not None:
+        if args.profile is not None:
+            raise ValueError("manipulate takes a profile file or --domain, not both")
         witness = manipulation.audit_wsp(rule, core.parse_domain(args.domain), config)
     else:
         if args.profile is None:
@@ -205,89 +208,67 @@ def _cmd_replay(args, out) -> int:
     return EXIT_OK if all_ok else EXIT_FOUND
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each verb's own parser by name."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and for each verb by name what `_read` reads it by: the
+    verb's parser, its actions by option string, its positionals in order, its required
+    actions, and the namespace defaults its parser gives, `verb` and `func` included."""
     parser = argparse.ArgumentParser(
         prog="votaudit",
         description="Exact-rational election analysis over three alternatives.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    tables = {}
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "record"), default="text")
+    def add(name, func, summary, *arguments):  # each argument is an `arg`, in help order
+        verb = sub.add_parser(name, help=summary)
+        verb.set_defaults(func=func)
+        actions = [verb.add_argument(*flags, **options) for flags, options in arguments]
+        tables[name] = (verb, {string: a for a in actions for string in a.option_strings},
+                        [a for a in actions if not a.option_strings],
+                        [a for a in actions if a.required],
+                        {"verb": name, "func": func, **{a.dest: a.default for a in actions}})
 
-    p = sub.add_parser("evaluate", help="evaluate a rule on a profile")
-    p.add_argument("--rule", required=True)
-    p.add_argument("profile")
-    add_format(p)
-    p.set_defaults(func=_cmd_evaluate)
+    def arg(*flags, **options):
+        return flags, options
 
-    p = sub.add_parser("margins", help="pairwise majority margins of a profile")
-    p.add_argument("profile")
-    add_format(p)
-    p.set_defaults(func=_cmd_margins)
-
-    p = sub.add_parser("richness", help="check the middle-position richness of a domain")
-    p.add_argument("domain", help="'full' or a ranking set like '{x>y>z, y>z>x}'")
-    add_format(p)
-    p.set_defaults(func=_cmd_richness)
-
-    p = sub.add_parser("audit", help="check axioms for a rule on a profile")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--axioms", default=",".join(_AXIOMS))
-    p.add_argument("profile")
-    add_format(p)
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("manipulate", help="search for a small-coalition manipulation")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--grid", type=int, default=20, help="profile mesh denominator")
-    p.add_argument("--moves", type=int, default=100, help="move mesh denominator")
-    p.add_argument("--domain", help="sweep every grid profile on this domain")
-    p.add_argument("profile", nargs="?")
-    add_format(p)
-    p.set_defaults(func=_cmd_manipulate)
-
-    p = sub.add_parser("replay", help="verify a catalog scenario")
-    p.add_argument("--case", help="scenario id, e.g. 1.I.1.1.2")
-    p.add_argument("--list", action="store_true", help="list catalog scenarios")
-    for name in ("epsilon", *_PARAM_FLAGS):
-        p.add_argument(f"--{name}")
-    p.add_argument("--points", type=int, default=20,
-                   help="random parameter points when none are given")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_replay)
-    return parser, sub.choices
+    form = arg("--format", choices=("text", "record"), default="text")
+    rule = arg("--rule", required=True)
+    add("evaluate", _cmd_evaluate, "evaluate a rule on a profile", rule, arg("profile"), form)
+    add("margins", _cmd_margins, "pairwise majority margins of a profile", arg("profile"), form)
+    add("richness", _cmd_richness, "check the middle-position richness of a domain",
+        arg("domain", help="'full' or a ranking set like '{x>y>z, y>z>x}'"), form)
+    add("audit", _cmd_audit, "check axioms for a rule on a profile",
+        rule, arg("--axioms", default=",".join(_AXIOMS)), arg("profile"), form)
+    add("manipulate", _cmd_manipulate, "search for a small-coalition manipulation",
+        rule, arg("--epsilon", required=True),
+        arg("--grid", type=int, default=20, help="profile mesh denominator"),
+        arg("--moves", type=int, default=100, help="move mesh denominator"),
+        arg("--domain", help="sweep every grid profile on this domain"),
+        arg("profile", nargs="?"), form)
+    add("replay", _cmd_replay, "verify a catalog scenario",
+        arg("--case", help="scenario id, e.g. 1.I.1.1.2"),
+        arg("--list", action="store_true", help="list catalog scenarios"),
+        *[arg(f"--{name}") for name in ("epsilon", *_PARAM_FLAGS)],
+        arg("--points", type=int, default=20, help="random parameter points when none are given"),
+        arg("--seed", type=int, default=0))
+    return parser, tables
 
 
 # The parsers `run` uses, built on its first call (not at import) and then kept.
 _parsers = functools.cache(_build_parsers)
 
 
-@functools.cache
-def _table(verb: argparse.ArgumentParser):
-    """What `_read` needs of a verb's parser, read from its actions once: each option
-    string's action, the positionals in order, the required actions and the defaults."""
-    actions = [a for a in verb._actions if a.default is not argparse.SUPPRESS]
-    defaults = {a.dest: a.default for a in actions}
-    for dest, value in verb._defaults.items():  # `set_defaults`, as argparse adds them
-        defaults.setdefault(dest, value)
-    options = {string: a for a in actions for string in a.option_strings}
-    return (options, [a for a in actions if not a.option_strings],
-            [a for a in actions if a.required], defaults)
-
-
-def _read(verb: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace `verb.parse_known_args(tokens)` gives with nothing left over, for a
-    request in the plain shape below; None for any other request, left to argparse.
+def _read(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace the top-level parser's `parse_args` gives for a request that names
+    the verb of `table` (from `_build_parsers`) and then holds `tokens` in the plain shape
+    below; None for any other request, left to that parser.
 
     The plain shape holds exact option strings, each but a flag followed by its value,
     and positionals; no value or positional begins with '-'.  Each value passes its
     action's `type` and `choices`, every required action is given, and no positional is
     left over.  Each action stores its value itself, as under argparse.
     """
-    options, positionals, required, defaults = _table(verb)
+    verb, options, positionals, required, defaults = table
     args = argparse.Namespace()
     vars(args).update(defaults)  # cheaper than `Namespace(**defaults)`, which sets each
     slots = iter(positionals)
@@ -319,21 +300,16 @@ def _read(verb: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespac
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, textual report).
 
-    A request that names a verb first is read from that verb's table by
-    `_read` when it can be.  Otherwise it goes to the verb's parser, as the
-    top-level parser would hand it on, and the top-level parser refuses what is
-    left over, as its `parse_args` would.  Any other request (no verb, help, an
-    unknown verb) goes to the top-level parser.
+    A request that names a verb first is read from that verb's table by `_read`
+    when it can be.  Every other request (no verb, help, an abbreviation, an `=`
+    form, `--`, and each one `_read` refuses) goes to the top-level parser's
+    `parse_args`, so argparse runs at this one place.
     """
-    parser, verbs = _parsers()
+    parser, tables = _parsers()
     try:
-        verb = verbs.get(argv[0]) if argv else None
-        if verb is None:
+        table = tables.get(argv[0]) if argv else None
+        if table is None or (args := _read(table, argv[1:])) is None:
             args = parser.parse_args(argv)
-        elif (args := _read(verb, argv[1:])) is None:
-            args, extra = verb.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the input-error contract
         return (EXIT_INPUT if exc.code else EXIT_OK), ""

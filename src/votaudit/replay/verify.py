@@ -239,7 +239,8 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
 
 
 def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:
-    """Check templates, identities, inequalities, rule agreements, and misreport steps."""
+    """Check templates, identities, inequalities, rule agreements, Pareto exclusions,
+    renamings (of profiles and of hypothesised winners) and misreport steps."""
     env, profiles, results = _build(scenario, params)
     results.extend(_scenario_results(scenario, env, profiles))
     return ScenarioReport(scenario.id, params, tuple(results))

@@ -1,7 +1,6 @@
 import argparse
 import io
 import contextlib
-import functools
 import os
 import subprocess
 import sys
@@ -323,6 +322,9 @@ INPUT_ERRORS = [
      "bad epsilon: '1e-999999999'"),
     (["manipulate", "--rule", "plurality", "--epsilon", "1/20"],
      "manipulate needs a profile file or --domain"),
+    (["manipulate", "--rule", "plurality", "--epsilon", "1/20", "--domain",
+      "{x>y>z, y>z>x, z>x>y}", "{dir}/missing.profile"],
+     "manipulate takes a profile file or --domain, not both"),
     (["replay", "--case", "1.I.1.1.2", "--a", "11/20", "--b", "1/4", "--epsilon", "1/10"],
      "scenario 1.I.1.1.2: precondition '1 - a - b >= b' fails at "
      "{'a': '11/20', 'b': '1/4', 'epsilon': '1/10'}"),
@@ -420,8 +422,9 @@ def _requests(draw):
         return ["audit", *rule, "--axioms", mixed(_AXIOMS), _PROFILE, *form], text
     config = ["--epsilon", mixed(_EPSILONS), "--grid", str(draw(st.integers(-1, 6))),
               "--moves", pick(["0", "10", "20"])]
-    target = pick([["--domain", mixed(_DOMAINS)], [_PROFILE], []])
-    return ["manipulate", *rule, *config, *target, *form], text if target == [_PROFILE] else None
+    domain = ["--domain", mixed(_DOMAINS)]
+    target = pick([domain, [_PROFILE], [], [*domain, _PROFILE]])
+    return ["manipulate", *rule, *config, *target, *form], text if _PROFILE in target else None
 
 
 @settings(max_examples=200, deadline=None)
@@ -499,21 +502,23 @@ def _assert_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, argv,
     if text is not None:
         path.write_text(text)
     argv = [str(path) if arg == _PROFILE else arg for arg in argv]
-    parser, verbs = cli._build_parsers()
     namespaces = []
-    for verb in verbs.values():
-        command = verb.get_default("func")
-        verb.set_defaults(func=lambda args, out, command=command:
-                          namespaces.append(vars(args)) or command(args, out))
-    # a table cache of its own, so the parsers built here are not kept past the test
-    with mock.patch.object(cli, "_parsers", lambda: (parser, verbs)), \
-            mock.patch.object(cli, "_table", functools.cache(cli._table.__wrapped__)):
+
+    def recording(command):
+        return lambda args, out: namespaces.append(vars(args)) or command(args, out)
+
+    # parsers of this test's own, built on commands that record the namespace each is handed
+    commands = {name: recording(command) for name, command in vars(cli).items()
+                if name.startswith("_cmd_")}
+    with mock.patch.multiple(cli, **commands):
+        parser, tables = cli._build_parsers()
+    with mock.patch.object(cli, "_parsers", lambda: (parser, tables)):
         dispatched = _outputs(lambda: cli.run(list(argv)))
     assert dispatched == _outputs(lambda: _parse_args_then_command(parser, argv))
     assert len(namespaces) in (0, 2)
     if namespaces:
         ran, parsed = namespaces
-        assert parsed.pop("verb") == argv[0] and ran == parsed
+        assert ran == parsed  # `verb` and `func` included
 
 
 @settings(max_examples=300, deadline=None)
@@ -548,6 +553,49 @@ def test_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, drawn):
 def test_run_dispatches_each_reading_rule_as_the_top_level_parser_would(tmp_path_factory,
                                                                          argv):
     _assert_run_dispatches_as_the_top_level_parser_would(tmp_path_factory, argv, NEAR_TIE)
+
+
+# Each verb's declared arguments, its options and then its positionals, each in the
+# order declared: option strings, dest, nargs, type, choices, default, required, help.
+# The differential cannot see a change here, as both its sides read these declarations.
+_FORMAT = (["--format"], "format", None, None, ("text", "record"), "text", False, None)
+_RULE = (["--rule"], "rule", None, None, None, None, True, None)
+_PROFILE_ARGUMENT = ([], "profile", None, None, None, None, True, None)
+_DECLARED = {
+    "evaluate": [_RULE, _FORMAT, _PROFILE_ARGUMENT],
+    "margins": [_FORMAT, _PROFILE_ARGUMENT],
+    "richness": [_FORMAT, ([], "domain", None, None, None, None, True,
+                           "'full' or a ranking set like '{x>y>z, y>z>x}'")],
+    "audit": [_RULE, (["--axioms"], "axioms", None, None, None, "P,A,N,IIA", False, None),
+              _FORMAT, _PROFILE_ARGUMENT],
+    "manipulate": [
+        _RULE, (["--epsilon"], "epsilon", None, None, None, None, True, None),
+        (["--grid"], "grid", None, int, None, 20, False, "profile mesh denominator"),
+        (["--moves"], "moves", None, int, None, 100, False, "move mesh denominator"),
+        (["--domain"], "domain", None, None, None, None, False,
+         "sweep every grid profile on this domain"),
+        _FORMAT, ([], "profile", "?", None, None, None, False, None)],
+    "replay": [
+        (["--case"], "case", None, None, None, None, False, "scenario id, e.g. 1.I.1.1.2"),
+        (["--list"], "list", 0, None, None, False, False, "list catalog scenarios"),
+        *[([f"--{name}"], name, None, None, None, None, False, None)
+          for name in ("epsilon", "a", "b", "c")],
+        (["--points"], "points", None, int, None, 20, False,
+         "random parameter points when none are given"),
+        (["--seed"], "seed", None, int, None, 0, False, None)],
+}
+
+
+def test_each_verb_declares_its_arguments_in_order():
+    _, tables = cli._build_parsers()
+    assert list(tables) == list(_DECLARED)
+    for name, (_, options, positionals, required, defaults) in tables.items():
+        actions = [*dict.fromkeys(options.values()), *positionals]
+        assert [(a.option_strings, a.dest, a.nargs, a.type, a.choices, a.default, a.required,
+                 a.help) for a in actions] == _DECLARED[name], name
+        assert set(required) == {a for a in actions if a.required}
+        assert defaults == {"verb": name, "func": getattr(cli, f"_cmd_{name}"),
+                            **{a.dest: a.default for a in actions}}
 
 
 class _Parsed(Exception):
