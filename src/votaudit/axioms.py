@@ -2,10 +2,16 @@
 
 Each checker returns an `AxiomReport` whose counterexample, when present, can
 be replayed: re-running the recorded evaluations reproduces the mismatch
-exactly.  Checkers accept either a built-in `RuleDescriptor` or any callable
-``rule(profile) -> Outcome``, so degenerate rules (say, a constant one) can be
-audited too.  IIA votes on a pair by calling the rule on the profile that
-`restrict_profile` collapses to it.
+exactly.  Checkers accept a built-in `RuleDescriptor`, any callable
+``rule(profile) -> Outcome`` (so degenerate rules, say a constant one, can be
+audited too), or an `Election`: a rule on one profile, whose outcome there
+every check of that profile shares.
+
+N and IIA evaluate the rule on the profile's images under slot maps: a
+renaming's, and a restriction's to a pair.  A `RuleDescriptor` scores an
+image on the profile's own counts (`rules.evaluate_image`), so the renamed or
+restricted `Profile` is built only for a counterexample; a callable rule is
+called on that profile (`permute_profile`, `restrict_profile`) itself.
 
 Anonymity is structural here: rules see only weight vectors, so relabeling
 voters cannot change anything, and the report says so instead of searching.
@@ -22,8 +28,18 @@ from .core import (
     CandidatePermutation,
     Profile,
     permute_profile,
+    relabel,
 )
-from .rules import Outcome, RuleDescriptor, evaluate, restrict_profile
+from .rules import (
+    _PAIRS,
+    _PREFERRED,
+    _RESTRICTIONS,
+    Outcome,
+    RuleDescriptor,
+    evaluate,
+    evaluate_image,
+    restrict_profile,
+)
 
 RuleLike = RuleDescriptor | Callable[[Profile], Outcome]
 
@@ -77,10 +93,31 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _evaluator(rule: RuleLike) -> Callable[[Profile], Outcome]:
-    if isinstance(rule, RuleDescriptor):
-        return lambda profile: evaluate(rule, profile)
-    return rule
+class Election:
+    """`rule` on one profile: its outcome there, computed once, and on the profile's
+    images under slot maps.  The checkers take one in place of a rule, so the checks of
+    one profile evaluate the rule on it once."""
+
+    def __init__(self, rule: RuleLike, profile: Profile):
+        self.rule = rule
+        self.profile = profile
+        self.outcome = (evaluate(rule, profile) if isinstance(rule, RuleDescriptor)
+                        else rule(profile))
+
+    def image(self, images: tuple[int | None, ...]) -> Outcome:
+        """The outcome on `relabel(profile, images)`; a descriptor's is read off the counts."""
+        if isinstance(self.rule, RuleDescriptor):
+            return evaluate_image(self.rule, self.profile, images)
+        return self.rule(relabel(self.profile, images))
+
+
+def _election(rule: RuleLike | Election, profile: Profile) -> Election:
+    """`rule` itself if it is an election on `profile`, else a new one there."""
+    if isinstance(rule, Election):
+        if rule.profile is profile:
+            return rule
+        rule = rule.rule
+    return Election(rule, profile)
 
 
 def _alternatives(profile: Profile) -> list[str]:
@@ -88,18 +125,22 @@ def _alternatives(profile: Profile) -> list[str]:
     return [a for a in ALTERNATIVES if a in profile.alternatives]
 
 
+#: Per slot, bit i set iff its ranking puts a above b for the i-th pair (a, b) of `_PAIRS`.
+_PREFERRED_MASKS = tuple(sum(1 << i for i in preferred) for preferred in _PREFERRED)
+
+
 def _dominations(profile: Profile) -> list[tuple[str, str]]:
-    """Pairs (a, b) such that every positive-weight ranking places a above b."""
-    support = profile.support
-    alts = _alternatives(profile)
-    return [(a, b) for a in alts for b in alts
-            if a != b and support and all(r.prefers(a, b) for r in support)]
+    """Pairs (a, b) such that every positive-weight ranking places a above b, in `_PAIRS`
+    order; a pair profile's rankings set no bit of a pair they do not order."""
+    mask = (1 << len(_PAIRS)) - 1
+    for slot, _ in profile.counts:
+        mask &= _PREFERRED_MASKS[slot]
+    return [pair for i, pair in enumerate(_PAIRS) if mask >> i & 1]
 
 
-def check_pareto(rule: RuleLike, profile: Profile) -> AxiomReport:
+def check_pareto(rule: RuleLike | Election, profile: Profile) -> AxiomReport:
     """Violated iff some unanimously dominated alternative is the winner."""
-    run = _evaluator(rule)
-    outcome = run(profile)
+    outcome = _election(rule, profile).outcome
     winner = outcome.winner
     for a, b in _dominations(profile):
         if winner == b:
@@ -111,16 +152,16 @@ def check_pareto(rule: RuleLike, profile: Profile) -> AxiomReport:
     return AxiomReport("P", Verdict.SATISFIED)
 
 
-def check_neutrality(rule: RuleLike, profile: Profile,
+def check_neutrality(rule: RuleLike | Election, profile: Profile,
                      perm: CandidatePermutation) -> AxiomReport:
     """Permuting candidate names must permute the outcome set accordingly."""
-    run = _evaluator(rule)
-    base = run(profile)
-    permuted_profile = permute_profile(profile, perm)
-    permuted = run(permuted_profile)
+    election = _election(rule, profile)
+    base = election.outcome
+    permuted = election.image(perm._slots)
     expected = frozenset(map(perm, base.tie_set))
     if permuted.tie_set == expected:
         return AxiomReport("N", Verdict.SATISFIED)
+    permuted_profile = permute_profile(profile, perm)
     return AxiomReport(
         "N", Verdict.VIOLATED,
         note=f"expected outcome set {sorted(expected)}, got {sorted(permuted.tie_set)}",
@@ -139,7 +180,7 @@ def check_anonymity_structural(rule: RuleLike) -> AxiomReport:
     )
 
 
-def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
+def check_iia(rule: RuleLike | Election, profile: Profile) -> AxiomReport:
     """The winner must persist when the election is restricted to any pair containing it.
 
     A pair profile restricts to itself, so there the axiom holds.
@@ -148,8 +189,8 @@ def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
     confirms nor refutes the axiom, so (absent a real violation elsewhere) the
     report is not-applicable rather than violated.
     """
-    run = _evaluator(rule)
-    full = run(profile)
+    election = _election(rule, profile)
+    full = election.outcome
     winner = full.winner
     if winner is None:
         return AxiomReport(
@@ -161,27 +202,26 @@ def check_iia(rule: RuleLike, profile: Profile) -> AxiomReport:
         if other == winner:
             continue
         pair = frozenset((winner, other))
-        restricted = restrict_profile(profile, pair)
-        outcome = run(restricted)
+        outcome = election.image(_RESTRICTIONS[pair])
         if outcome.winner == winner:
             continue
         if outcome.winner is None:
-            nongeneric_pair = (pair, restricted, outcome)
+            nongeneric_pair = (pair, outcome)
             continue
         return AxiomReport(
             "IIA", Verdict.VIOLATED,
             note=f"{winner} wins overall but loses to {outcome.winner} on the pair",
             counterexample=Counterexample(
-                (profile, restricted), (full, outcome), pair=pair
+                (profile, restrict_profile(profile, pair)), (full, outcome), pair=pair
             ),
         )
     if nongeneric_pair is not None:
-        pair, restricted, outcome = nongeneric_pair
+        pair, outcome = nongeneric_pair
         return AxiomReport(
             "IIA", Verdict.NOT_APPLICABLE,
             note="a restricted election is tied (nongeneric), so persistence is undecided",
             counterexample=Counterexample(
-                (profile, restricted), (full, outcome), pair=pair
+                (profile, restrict_profile(profile, pair)), (full, outcome), pair=pair
             ),
         )
     return AxiomReport("IIA", Verdict.SATISFIED)

@@ -40,8 +40,9 @@ EXIT_INPUT = 2
 
 def _read_profile(path: str) -> core.Profile:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return core.parse_profile(handle.read())
+        with open(path, "rb") as handle:  # bytes, decoded once: no text-mode wrapper
+            text = handle.read().decode("utf-8")
+        return core.parse_profile(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except core.ProfileParseError as exc:
@@ -99,13 +100,12 @@ def _cmd_richness(args, out) -> int:
     return EXIT_OK if rich else EXIT_FOUND
 
 
-#: Each axiom `audit` checks, in report order: its reports on (rule, evaluator, profile).
+#: Each axiom `audit` checks, in report order: its reports on an `axioms.Election`.
 _AXIOMS = {
-    "P": lambda rule, run_rule, profile: [axioms.check_pareto(run_rule, profile)],
-    "A": lambda rule, run_rule, profile: [axioms.check_anonymity_structural(rule)],
-    "N": lambda rule, run_rule, profile: [axioms.check_neutrality(run_rule, profile, perm)
-                                          for perm in core.ALL_PERMUTATIONS],
-    "IIA": lambda rule, run_rule, profile: [axioms.check_iia(run_rule, profile)],
+    "P": lambda e: [axioms.check_pareto(e, e.profile)],
+    "A": lambda e: [axioms.check_anonymity_structural(e.rule)],
+    "N": lambda e: [axioms.check_neutrality(e, e.profile, perm) for perm in core.ALL_PERMUTATIONS],
+    "IIA": lambda e: [axioms.check_iia(e, e.profile)],
 }
 
 
@@ -116,16 +116,11 @@ def _cmd_audit(args, out) -> int:
     for axiom in wanted:
         if axiom not in _AXIOMS:
             raise ValueError(f"unknown axiom {axiom!r} (choose from {','.join(_AXIOMS)})")
-    base = rules.evaluate(rule, profile)
-
-    def run_rule(prof: core.Profile) -> rules.Outcome:
-        # Each checker starts from `profile` itself, so its outcome is kept;
-        # every permuted or restricted profile is evaluated afresh, so the
-        # checks still compare real evaluations.
-        return base if prof is profile else rules.evaluate(rule, prof)
-
+    # The rule is evaluated on the profile once, for every check; each renamed or
+    # restricted election is evaluated afresh, so the checks compare real evaluations.
+    election = axioms.Election(rule, profile)
     reports = [report for axiom, check in _AXIOMS.items() if axiom in wanted
-               for report in check(rule, run_rule, profile)]
+               for report in check(election)]
     violated = False
     for report in reports:
         if args.format == "record":
@@ -173,6 +168,10 @@ def _cmd_replay(args, out) -> int:
     from .replay import ScenarioParams, get_scenario, sample_params, scenario_catalog, verify_full
 
     if args.list:
+        ignored = [f"--{name}" for name in ("case", "epsilon", *_PARAM_FLAGS)
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise ValueError(f"replay --list takes no {', '.join(ignored)}")
         for scenario in scenario_catalog():
             out(f"{scenario.id}  [{scenario.group}]  params: "
                 + (", ".join(scenario.params) or "(epsilon only)"))

@@ -15,13 +15,18 @@ strictly below it, per unit of voter weight, so on the profile
 (2p + q, 2 - p, 1 - p - q).
 
 A rule votes on the alternatives its profile orders: to vote on a pair,
-evaluate the profile `restrict_profile` collapses to it.
+evaluate the profile `restrict_profile` collapses to it, or evaluate the
+profile's image under the pair's slot map in `_RESTRICTIONS`.
 
 Rules read a profile's integer counts: a score is an integer dot product
 with the score vector scaled to integers (by the lcm D of its entries'
 denominators), and a margin m over den reaches a half when 2*m >= den.
-`Fraction` appears only in what `scoring_scores`, `borda_scores` and
-`condorcet_margins` return.  This code shares nothing with the lattice of
+One kernel scores a rule on (slot, count) pairs: `evaluate` hands it a
+profile's counts, and `evaluate_image` the same counts at their images under a
+slot map, a renaming's or a restriction's to a pair, where counts that meet
+add up; so an image is evaluated as `relabel` would build it, but no `Profile`
+is built.  `Fraction` appears only in what `scoring_scores`, `borda_scores`
+and `condorcet_margins` return.  This code shares nothing with the lattice of
 `manipulation`: it is the independent check `verify_witness` replays on.
 """
 
@@ -68,6 +73,9 @@ _RESTRICTIONS = {
                            if set(pair) <= r.alternatives else None for r in SLOT_RANKINGS)
     for pair in itertools.combinations(ALTERNATIVES, 2)
 }
+
+#: Per slot, the alternatives its ranking orders.
+_SLOT_ALTERNATIVES = tuple(r.alternatives for r in SLOT_RANKINGS)
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,7 @@ def scoring(s1, s2, s3) -> RuleDescriptor:
     return RuleDescriptor("scoring", (s1, s2, s3))
 
 
+@functools.lru_cache(maxsize=256)  # descriptors are immutable; a refusal is not cached
 def parse_rule(text: str) -> RuleDescriptor:
     """Parse ``borda``, ``condorcet``, ``plurality``, or ``score:s1,s2,s3``."""
     text = text.strip()
@@ -181,32 +190,50 @@ def _score_table(vector: tuple[int, int, int]) -> tuple:
                  for r in SLOT_RANKINGS)
 
 
-def _integer_scores(rule: RuleDescriptor, profile: Profile) -> dict[str, int]:
-    """The positional scores of the profile's alternatives times den * D."""
+def _integer_scores(rule: RuleDescriptor, alternatives: frozenset[str],
+                    counts: Iterable[tuple[int, int]]) -> dict[str, int]:
+    """The positional scores of `alternatives` on (slot, count) pairs summing to den,
+    times den * D."""
     table = _score_table(rule._integers)
     sx = sy = sz = 0
-    for slot, count in profile.counts:
+    for slot, count in counts:
         x, y, z = table[slot]
         sx += x * count
         sy += y * count
         sz += z * count
-    alts = profile.alternatives
-    return {a: s for a, s in zip(ALTERNATIVES, (sx, sy, sz)) if a in alts}
+    return {a: s for a, s in zip(ALTERNATIVES, (sx, sy, sz)) if a in alternatives}
 
 
-def _integer_margins(profile: Profile) -> list[int]:
+def _integer_margins(counts: Iterable[tuple[int, int]]) -> list[int]:
     """Per `_PAIRS` entry (a, b), the count of the rankings preferring a to b."""
     margins = [0] * len(_PAIRS)
-    for slot, count in profile.counts:
+    for slot, count in counts:
         for i in _PREFERRED[slot]:
             margins[i] += count
     return margins
 
 
+def _outcome(rule: RuleDescriptor, alternatives: frozenset[str], den: int,
+             counts: Iterable[tuple[int, int]]) -> Outcome:
+    """The one integer kernel: `rule`'s outcome on (slot, count) pairs of rankings over
+    `alternatives`, the counts summing to `den`.  A slot may occur more than once, as
+    under a restriction's slot map; its counts add up."""
+    if rule.score_vector is not None:
+        scores = _integer_scores(rule, alternatives, counts)
+        best = max(scores.values())
+        return Outcome(frozenset(a for a, s in scores.items() if s == best))
+    margins = _integer_margins(counts)
+    return Outcome(frozenset(
+        a for a, rivals in _CONTESTS[alternatives]
+        if all(2 * margins[i] >= den for i in rivals)
+    ))
+
+
 def scoring_scores(rule: RuleDescriptor, profile: Profile) -> dict[str, Fraction]:
     """Positional scores for a positional rule; a pair profile uses the first two components."""
     scale = profile.den * rule._scale()
-    return {a: Fraction(s, scale) for a, s in _integer_scores(rule, profile).items()}
+    return {a: Fraction(s, scale)
+            for a, s in _integer_scores(rule, profile.alternatives, profile.counts).items()}
 
 
 def borda_scores(profile: Profile) -> dict[str, Fraction]:
@@ -223,22 +250,22 @@ def condorcet_margins(profile: Profile) -> dict[tuple[str, str], Fraction]:
     """margin(a, b) = total weight of rankings preferring a to b; margin(a,b) + margin(b,a) = 1."""
     alts = profile.alternatives
     den = profile.den
-    return {pair: Fraction(m, den) for pair, m in zip(_PAIRS, _integer_margins(profile))
+    return {pair: Fraction(m, den) for pair, m in zip(_PAIRS, _integer_margins(profile.counts))
             if pair[0] in alts and pair[1] in alts}
 
 
 def evaluate(rule: RuleDescriptor, profile: Profile) -> Outcome:
     """Evaluate a rule on a profile; vote on a pair through `restrict_profile`."""
-    if rule.score_vector is not None:
-        scores = _integer_scores(rule, profile)
-        best = max(scores.values())
-        return Outcome(frozenset(a for a, s in scores.items() if s == best))
-    margins = _integer_margins(profile)
-    den = profile.den
-    return Outcome(frozenset(
-        a for a, rivals in _CONTESTS[profile.alternatives]
-        if all(2 * margins[i] >= den for i in rivals)
-    ))
+    return _outcome(rule, profile.alternatives, profile.den, profile.counts)
+
+
+def evaluate_image(rule: RuleDescriptor, profile: Profile,
+                   images: tuple[int | None, ...]) -> Outcome:
+    """`evaluate(rule, relabel(profile, images))`, read off the profile's own counts:
+    each slot's count is scored at its image, so no `Profile` is built.  `images` is
+    a renaming's slot map (`CandidatePermutation._slots`) or a pair's (`_RESTRICTIONS`)."""
+    counts = [(images[slot], count) for slot, count in profile.counts]
+    return _outcome(rule, _SLOT_ALTERNATIVES[counts[0][0]], profile.den, counts)
 
 
 def restrict_profile(profile: Profile, alts: Iterable[str]) -> Profile:

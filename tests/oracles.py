@@ -205,3 +205,12 @@ def walk_every_level(count: int, level, moves, eps: Fraction, claim, *, down: bo
             broken = j, why
         previous = current
     return invalid, step, broken
+
+
+def dominations(profile: Profile) -> list[tuple[str, str]]:
+    """Pairs (a, b) that every positive-weight ranking orders a above b, for a and b among
+    the profile's alternatives, in `ALTERNATIVES` order of a and then of b."""
+    support = profile.support
+    alts = [a for a in ALTERNATIVES if a in profile.alternatives]
+    return [(a, b) for a in alts for b in alts
+            if a != b and support and all(r.prefers(a, b) for r in support)]

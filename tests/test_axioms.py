@@ -1,8 +1,13 @@
+import itertools
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
+import oracles
 import votaudit as va
-from votaudit.axioms import Verdict
-from votaudit.rules import Outcome
+from votaudit.axioms import Election, Verdict, _dominations
+from votaudit.core import relabel
+from votaudit.rules import _RESTRICTIONS, Outcome, evaluate_image
 
 
 def profile_u(p, q):
@@ -158,3 +163,98 @@ def test_pareto_and_iia_check_a_pair_profile_on_its_own_pair():
                 report = va.check_pareto(constant_rule(b), profile)
                 assert report.verdict is Verdict.VIOLATED
                 assert report.note == f"every voter places {a} above {b}, yet {b} wins"
+
+
+# -- the derived elections, evaluated on the profile's counts -------------------
+
+#: The full domain, the cycle, a four-ranking domain, one ranking, and each pair's two.
+_DOMAINS = (va.FULL_DOMAIN, va.CYCLE_DOMAIN, va.parse_domain("{x>y>z, y>x>z, y>z>x, z>y>x}"),
+            va.parse_domain("{x>y>z}"),
+            *(va.Domain((va.Ranking(p), va.Ranking(p[::-1])))
+              for p in itertools.combinations(va.ALTERNATIVES, 2)))
+
+
+@st.composite
+def domain_profiles(draw):
+    """A profile on one of `_DOMAINS`, its counts over a denominator up to 60 (zeros
+    allowed), so restrictions and whole elections often tie."""
+    domain = draw(st.sampled_from(_DOMAINS))
+    den = draw(st.integers(1, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(domain) - 1,
+                                max_size=len(domain) - 1)))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    return va.Profile({r: F(c, den) for r, c in zip(domain, counts)}, domain)
+
+
+_score_vectors = st.lists(st.fractions(-3, 3, max_denominator=6), min_size=3, max_size=3) \
+    .map(lambda v: sorted(v, reverse=True)).filter(lambda v: v[0] > v[2])
+
+
+def _slot_maps(profile):
+    """Every renaming's slot map, and the restriction to each pair of the profile's
+    alternatives (a pair profile's own pair only)."""
+    pairs = itertools.combinations(sorted(profile.alternatives), 2)
+    return [perm._slots for perm in va.ALL_PERMUTATIONS] + \
+        [_RESTRICTIONS[frozenset(pair)] for pair in pairs]
+
+
+@given(domain_profiles(), _score_vectors)
+@settings(max_examples=300)
+def test_image_evaluation_equals_evaluating_the_relabeled_profile(profile, vector):
+    for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(*vector)):
+        for images in _slot_maps(profile):
+            assert evaluate_image(rule, profile, images) == \
+                va.evaluate(rule, relabel(profile, images))
+
+
+@given(domain_profiles())
+@settings(max_examples=300)
+def test_dominations_by_mask_equal_the_reference(profile):
+    assert _dominations(profile) == oracles.dominations(profile)
+
+
+def _reports(rule, profile):
+    return [va.check_pareto(rule, profile),
+            *[va.check_neutrality(rule, profile, perm) for perm in va.ALL_PERMUTATIONS],
+            va.check_iia(rule, profile)]
+
+
+def _assert_descriptor_and_callable_report_alike(rule, profile):
+    """A descriptor, which scores the derived elections on counts, reports as the callable
+    that evaluates each derived profile, and as an `Election` on the profile; equal reports
+    hold equal verdicts, notes, counterexample profiles and outcomes."""
+    expected = _reports(lambda p: va.evaluate(rule, p), profile)
+    assert _reports(rule, profile) == expected
+    assert _reports(Election(rule, profile), profile) == expected
+    return expected
+
+
+@given(domain_profiles(), _score_vectors)
+@settings(max_examples=200)
+def test_checkers_report_alike_for_a_descriptor_and_its_callable(profile, vector):
+    for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(*vector)):
+        _assert_descriptor_and_callable_report_alike(rule, profile)
+
+
+def test_checkers_report_alike_on_iia_violations_and_tied_restrictions():
+    seen = set()
+    # at grid 5 Borda and score:3,1,0 violate IIA; at grid 6 restrictions tie
+    profiles = [*va.grid_profiles(va.FULL_DOMAIN, 5), *va.grid_profiles(va.FULL_DOMAIN, 6),
+                *va.grid_profiles(va.CYCLE_DOMAIN, 6)]
+    for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(3, 1, 0)):
+        for profile in profiles:
+            iia = _assert_descriptor_and_callable_report_alike(rule, profile)[-1]
+            seen.add((iia.verdict, iia.counterexample is not None))
+    # both kinds of IIA counterexample occur: a violation, and a tied restriction
+    assert {(Verdict.VIOLATED, True), (Verdict.NOT_APPLICABLE, True)} <= seen
+
+
+def test_an_election_reports_as_its_callable_rule_does():
+    # a callable rule keeps the profile path: the renamed profile is its to judge
+    u = profile_u(F(3, 5), F(1, 5))
+    rule = constant_rule("x")
+    assert _reports(Election(rule, u), u) == _reports(rule, u)
+    # N fails under the four renamings that move x
+    assert sum(r.verdict is Verdict.VIOLATED for r in _reports(rule, u)) == 4
+    # an election on another profile stands for its rule alone
+    assert _reports(Election(va.BORDA, cycle_profile()), u) == _reports(va.BORDA, u)

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votaudit import cli, rules
+from votaudit import cli, core, rules
 from votaudit.cli import main
 from votaudit.replay import scenario_catalog
 
@@ -196,6 +196,8 @@ def test_replay_list():
     code, out = run(["replay", "--list"])
     assert code == 0
     assert "1.I.1.1.n+1" in out and "3.III.2.3.n+1" in out
+    # --points and --seed have defaults, so giving them with --list is no error
+    assert run(["replay", "--list", "--points", "3", "--seed", "2"]) == (code, out)
 
 
 @pytest.mark.parametrize("flag", [("--format", "record"), ("--d", "1/2")])
@@ -252,22 +254,26 @@ def test_run_is_reusable_in_process(fixtures, tmp_path, capsys):
 
 
 def test_audit_evaluates_the_base_profile_once(fixtures, monkeypatch):
-    seen = []
-    evaluate = rules.evaluate
+    seen, built = [], []
+    outcome, trusted = rules._outcome, core.Profile._trusted.__func__
 
-    def counting(rule, profile):
-        seen.append(profile)
-        return evaluate(rule, profile)
+    def counting(rule, alternatives, den, counts):
+        seen.append(alternatives)
+        return outcome(rule, alternatives, den, counts)
 
-    monkeypatch.setattr(rules, "evaluate", counting)
+    # counted at the kernel, which both `evaluate` and `evaluate_image` call
+    monkeypatch.setattr(rules, "_outcome", counting)
+    monkeypatch.setattr(core.Profile, "_trusted",
+                        classmethod(lambda cls, *args: built.append(args) or trusted(cls, *args)))
     code, out = cli.run(["audit", "--rule", "borda", "--axioms", "P,A,N,IIA",
                          "--format", "record", fixtures["near_tie"]])
     assert code == 0 and out.count("verdict=satisfied") == 9
-    # once on the base profile, once on each of the six permuted profiles, and
-    # once on each of the two pairs the winner y is restricted to
+    # once on the base profile, once on each of the six renamings, and once on
+    # each of the two pairs the winner y is restricted to
     assert len(seen) == 9
-    assert sum(len(p.domain.alternatives) == 2 for p in seen) == 2
-    assert len({id(p) for p in seen}) == 9
+    assert sum(len(alternatives) == 2 for alternatives in seen) == 2
+    # and with no violation, the only profile built is the one read from the file
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("content,message", [
@@ -294,6 +300,35 @@ def test_malformed_profile_file_is_input_error(tmp_path, capsys, verb, content, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_profile_files_read_as_the_lf_file(tmp_path, capsys, newline):
+    def written(name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return str(path)
+
+    text = "# a near tie\n" + NEAR_TIE + "\n"
+    assert cli._read_profile(written("cr", text.replace("\n", newline))) == \
+        cli._read_profile(written("lf", text))
+    # a refused line is numbered alike
+    bad = "domain: full\n\n1/2 x>y>z\n1/2 y>x>w\n"
+    assert main(["margins", written("lf", bad)]) == 2
+    assert main(["margins", written("cr", bad.replace("\n", newline))]) == 2
+    lf, cr = capsys.readouterr().err.splitlines()
+    assert lf.endswith("lf: line 4: unknown alternative 'w' in 'y>x>w'")
+    assert cr == lf.replace("lf:", "cr:")
+
+
+@pytest.mark.parametrize("offset", [0, 20_014])
+def test_undecodable_profile_file_is_refused_as_a_text_reader_would(tmp_path, capsys, offset):
+    path = tmp_path / "bad.profile"
+    path.write_bytes(b"domain: full\n".ljust(offset, b"#")[:offset] + b"\xff\n1 x>y>z\n")
+    with pytest.raises(UnicodeDecodeError) as reading:
+        path.read_text(encoding="utf-8")
+    assert main(["margins", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: {reading.value}\n"
 
 
 INPUT_ERRORS = [
@@ -331,6 +366,9 @@ INPUT_ERRORS = [
     (["replay", "--case", "2.I.n+1", "--epsilon", "0"],
      "scenario 2.I.n+1: precondition 'epsilon > 0' fails at {'epsilon': '0'}"),
     (["replay", "--case", "nope"], "unknown scenario id 'nope'"),
+    (["replay", "--list", "--case", "1.I.1.1.2"], "replay --list takes no --case"),
+    (["replay", "--c", "1/5", "--list", "--b", "1/5", "--a", "1/2", "--epsilon", "1/10"],
+     "replay --list takes no --epsilon, --a, --b, --c"),
     # an epsilon Python reads, at which a value the report would print has too many digits
     (["replay", "--case", "2.I.n+1", "--epsilon", "1e-4299"],
      "scenario 2.I.n+1: a value has more digits than Python's limit on integer text (4300)"),

@@ -121,6 +121,13 @@ def test_rules_and_restrictions_name_what_they_refuse(build, message):
     assert str(exc.value) == message
 
 
+def test_parse_rule_is_memoised_and_refuses_every_time():
+    assert va.parse_rule("score:3,1,0") is va.parse_rule("score:3,1,0")
+    for _ in range(3):  # a refusal is not cached: each call raises
+        with pytest.raises(ValueError, match="degenerate score vector"):
+            va.parse_rule("score:1,1,1")
+
+
 def test_named_rules_carry_their_score_vectors():
     assert va.BORDA.score_vector == (2, 1, 0) and str(va.BORDA) == "borda"
     assert va.PLURALITY.score_vector == (1, 0, 0) and str(va.PLURALITY) == "plurality"
