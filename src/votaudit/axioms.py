@@ -7,11 +7,11 @@ exactly.  Checkers accept a built-in `RuleDescriptor`, any callable
 audited too), or an `Election`: a rule on one profile, whose outcome there
 every check of that profile shares.
 
-N and IIA evaluate the rule on the profile's images under slot maps: a
-renaming's, and a restriction's to a pair.  A `RuleDescriptor` scores an
-image on the profile's own counts (`rules.evaluate_image`), so the renamed or
-restricted `Profile` is built only for a counterexample; a callable rule is
-called on that profile (`permute_profile`, `restrict_profile`) itself.
+An `Election` gets its outcome on the profile, and on the profile's images under
+slot maps (a renaming's for N, a restriction's to a pair for IIA), from one
+method.  A `RuleDescriptor` is scored by `rules.evaluate` on the profile's own
+counts, so a renamed or restricted `Profile` is built only for a counterexample;
+a callable rule is called on that profile (`permute_profile`, `restrict_profile`).
 
 Anonymity is structural here: rules see only weight vectors, so relabeling
 voters cannot change anything, and the report says so instead of searching.
@@ -37,7 +37,6 @@ from .rules import (
     Outcome,
     RuleDescriptor,
     evaluate,
-    evaluate_image,
     restrict_profile,
 )
 
@@ -101,14 +100,13 @@ class Election:
     def __init__(self, rule: RuleLike, profile: Profile):
         self.rule = rule
         self.profile = profile
-        self.outcome = (evaluate(rule, profile) if isinstance(rule, RuleDescriptor)
-                        else rule(profile))
+        self.outcome = self.image(None)
 
-    def image(self, images: tuple[int | None, ...]) -> Outcome:
-        """The outcome on `relabel(profile, images)`; a descriptor's is read off the counts."""
+    def image(self, images: tuple[int | None, ...] | None) -> Outcome:
+        """The outcome on `relabel(profile, images)`, or on the profile if `images` is None."""
         if isinstance(self.rule, RuleDescriptor):
-            return evaluate_image(self.rule, self.profile, images)
-        return self.rule(relabel(self.profile, images))
+            return evaluate(self.rule, self.profile, images)
+        return self.rule(self.profile if images is None else relabel(self.profile, images))
 
 
 def _election(rule: RuleLike | Election, profile: Profile) -> Election:
@@ -118,11 +116,6 @@ def _election(rule: RuleLike | Election, profile: Profile) -> Election:
             return rule
         rule = rule.rule
     return Election(rule, profile)
-
-
-def _alternatives(profile: Profile) -> list[str]:
-    """The alternatives the profile orders (all three, or a pair), in `ALTERNATIVES` order."""
-    return [a for a in ALTERNATIVES if a in profile.alternatives]
 
 
 #: Per slot, bit i set iff its ranking puts a above b for the i-th pair (a, b) of `_PAIRS`.
@@ -193,35 +186,26 @@ def check_iia(rule: RuleLike | Election, profile: Profile) -> AxiomReport:
     full = election.outcome
     winner = full.winner
     if winner is None:
-        return AxiomReport(
-            "IIA", Verdict.NOT_APPLICABLE,
-            note=f"no winner on the full alternative set ({full})",
-        )
-    nongeneric_pair = None
-    for other in _alternatives(profile):
-        if other == winner:
+        return AxiomReport("IIA", Verdict.NOT_APPLICABLE,
+                           note=f"no winner on the full alternative set ({full})")
+    found = None  # the first pair the winner loses, else the last pair that ties
+    for other in ALTERNATIVES:
+        if other == winner or other not in profile.alternatives:
             continue
         pair = frozenset((winner, other))
         outcome = election.image(_RESTRICTIONS[pair])
-        if outcome.winner == winner:
-            continue
-        if outcome.winner is None:
-            nongeneric_pair = (pair, outcome)
-            continue
-        return AxiomReport(
-            "IIA", Verdict.VIOLATED,
-            note=f"{winner} wins overall but loses to {outcome.winner} on the pair",
-            counterexample=Counterexample(
-                (profile, restrict_profile(profile, pair)), (full, outcome), pair=pair
-            ),
-        )
-    if nongeneric_pair is not None:
-        pair, outcome = nongeneric_pair
-        return AxiomReport(
-            "IIA", Verdict.NOT_APPLICABLE,
-            note="a restricted election is tied (nongeneric), so persistence is undecided",
-            counterexample=Counterexample(
-                (profile, restrict_profile(profile, pair)), (full, outcome), pair=pair
-            ),
-        )
-    return AxiomReport("IIA", Verdict.SATISFIED)
+        if outcome.winner != winner:
+            found = pair, outcome
+            if outcome.winner is not None:
+                break
+    if found is None:
+        return AxiomReport("IIA", Verdict.SATISFIED)
+    pair, outcome = found
+    if outcome.winner is None:
+        verdict = Verdict.NOT_APPLICABLE
+        note = "a restricted election is tied (nongeneric), so persistence is undecided"
+    else:
+        verdict = Verdict.VIOLATED
+        note = f"{winner} wins overall but loses to {outcome.winner} on the pair"
+    return AxiomReport("IIA", verdict, note=note, counterexample=Counterexample(
+        (profile, restrict_profile(profile, pair)), (full, outcome), pair=pair))

@@ -54,11 +54,13 @@ class ScenarioParams:
     refused), so the environments built from them are exact as they stand.
     `derived` is the scenario `sample_params` drew the values for and the
     environment it derived there, which `build_env` hands on for that scenario
-    alone; equality, hashing and the text ignore it.
+    alone: no constructor or `dataclasses.replace` sets it, and equality, hashing
+    and the text ignore it.
     """
 
     values: tuple[tuple[str, Fraction], ...]
-    derived: tuple[Scenario, Env] | None = field(default=None, compare=False, repr=False)
+    derived: tuple[Scenario, Env] | None = field(init=False, default=None, compare=False,
+                                                 repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple((k, as_fraction(v)) for k, v in self.values))
@@ -335,6 +337,11 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     1/(w+1) of each component out of the absorber, and level w+1 is the terminal shape.
     Level t's window index should be k = w - t: with c = M/((w+1)*epsilon) that reads
     k <= c*(k+1) < k+1, affine in k, so `_walk`'s argument covers it too.
+
+    That claim and the step size hold for any M >= 0, so only a wrong `epsilon_partition`
+    can fail them: with q = M/epsilon in [w, w+1), level t's index floor(q*(k+1)/(w+1))
+    is k, as q*(k+1)/(w+1) lies in [k+1 - (k+1)/(w+1), k+1) and k <= w; and each step
+    moves M/(w+1) = epsilon*q/(w+1) < epsilon.
     """
     eps = env["epsilon"]
     fixed = [(r, e(env)) for r, e in chain.fixed]
@@ -440,5 +447,7 @@ def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
         else:  # every variable drawn
             drawn = tuple(sorted(env.items()))
             if _derive(scenario, env) is None:
-                return ScenarioParams(drawn, (scenario, env))
+                params = ScenarioParams(drawn)
+                object.__setattr__(params, "derived", (scenario, env))
+                return params
     raise RuntimeError(f"could not sample parameters for scenario {scenario.id}")

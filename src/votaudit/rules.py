@@ -21,12 +21,12 @@ profile's image under the pair's slot map in `_RESTRICTIONS`.
 Rules read a profile's integer counts: a score is an integer dot product
 with the score vector scaled to integers (by the lcm D of its entries'
 denominators), and a margin m over den reaches a half when 2*m >= den.
-One kernel scores a rule on (slot, count) pairs: `evaluate` hands it a
-profile's counts, and `evaluate_image` the same counts at their images under a
-slot map, a renaming's or a restriction's to a pair, where counts that meet
-add up; so an image is evaluated as `relabel` would build it, but no `Profile`
-is built.  `Fraction` appears only in what `scoring_scores`, `borda_scores`
-and `condorcet_margins` return.  This code shares nothing with the lattice of
+One kernel scores a rule on (slot, count) pairs, and one `evaluate` hands it a
+profile's counts or, given a slot map (a renaming's or a restriction's to a
+pair), the same counts at their images, where counts that meet add up: an
+image is evaluated as `relabel` would build it, but no `Profile` is built.
+`Fraction` appears only in what `scoring_scores`, `borda_scores` and
+`condorcet_margins` return.  This code shares nothing with the lattice of
 `manipulation`: it is the independent check `verify_witness` replays on.
 """
 
@@ -254,17 +254,13 @@ def condorcet_margins(profile: Profile) -> dict[tuple[str, str], Fraction]:
             if pair[0] in alts and pair[1] in alts}
 
 
-def evaluate(rule: RuleDescriptor, profile: Profile) -> Outcome:
-    """Evaluate a rule on a profile; vote on a pair through `restrict_profile`."""
-    return _outcome(rule, profile.alternatives, profile.den, profile.counts)
-
-
-def evaluate_image(rule: RuleDescriptor, profile: Profile,
-                   images: tuple[int | None, ...]) -> Outcome:
-    """`evaluate(rule, relabel(profile, images))`, read off the profile's own counts:
-    each slot's count is scored at its image, so no `Profile` is built.  `images` is
-    a renaming's slot map (`CandidatePermutation._slots`) or a pair's (`_RESTRICTIONS`)."""
-    counts = [(images[slot], count) for slot, count in profile.counts]
+def evaluate(rule: RuleDescriptor, profile: Profile,
+             images: tuple[int | None, ...] | None = None) -> Outcome:
+    """Evaluate a rule on a profile, or on `relabel(profile, images)` read off the
+    profile's own counts: each slot's count is scored at its image, so no `Profile` is
+    built.  `images` is a renaming's slot map (`CandidatePermutation._slots`) or a
+    pair's (`_RESTRICTIONS`); vote on a pair through it or `restrict_profile`."""
+    counts = profile.counts if images is None else [(images[s], c) for s, c in profile.counts]
     return _outcome(rule, _SLOT_ALTERNATIVES[counts[0][0]], profile.den, counts)
 
 

@@ -5,7 +5,8 @@ rebuilt from the pairwise-comparison matrix, winners from first principles,
 and manipulation witnesses by exhaustive enumeration of entire move matrices
 in the order the search promises.  Catalog expressions are walked node by
 node in `Fraction` arithmetic, their degrees by a second walk apart from the
-compiler, and induction chains level by level.
+compiler, and induction chains level by level.  IIA is judged on the profiles
+`restrict_profile` builds, never on a profile's counts under a slot map.
 """
 
 import ast
@@ -13,7 +14,7 @@ import math
 import operator
 from fractions import Fraction
 
-from votaudit import ALTERNATIVES, Profile, evaluate, transfer_weight
+from votaudit import ALTERNATIVES, Profile, evaluate, restrict_profile, transfer_weight
 from votaudit.manipulation import AuditConfig, ManipulationWitness
 from votaudit.replay.verify import _misreport
 from votaudit.rules import RuleDescriptor
@@ -214,3 +215,29 @@ def dominations(profile: Profile) -> list[tuple[str, str]]:
     alts = [a for a in ALTERNATIVES if a in profile.alternatives]
     return [(a, b) for a in alts for b in alts
             if a != b and support and all(r.prefers(a, b) for r in support)]
+
+
+def iia(rule: RuleDescriptor, profile: Profile) -> tuple[str, str, frozenset[str] | None]:
+    """IIA's verdict, note and counterexample pair, by evaluating the profile restricted to
+    each pair that holds the winner, in `ALTERNATIVES` order of the other alternative: the
+    first pair the winner loses, else the last pair that ties, else satisfied."""
+    full = evaluate(rule, profile)
+    winner = full.winner
+    if winner is None:
+        return "not-applicable", f"no winner on the full alternative set ({full})", None
+    lost = tied = None
+    for other in ALTERNATIVES:
+        if other == winner or other not in profile.alternatives:
+            continue
+        pair = frozenset((winner, other))
+        pair_winner = evaluate(rule, restrict_profile(profile, pair)).winner
+        if pair_winner is None:
+            tied = pair
+        elif pair_winner != winner and lost is None:
+            lost = pair, f"{winner} wins overall but loses to {pair_winner} on the pair"
+    if lost is not None:
+        return "violated", lost[1], lost[0]
+    if tied is not None:
+        return ("not-applicable",
+                "a restricted election is tied (nongeneric), so persistence is undecided", tied)
+    return "satisfied", "", None

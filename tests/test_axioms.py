@@ -7,7 +7,7 @@ import oracles
 import votaudit as va
 from votaudit.axioms import Election, Verdict, _dominations
 from votaudit.core import relabel
-from votaudit.rules import _RESTRICTIONS, Outcome, evaluate_image
+from votaudit.rules import _RESTRICTIONS, Outcome, evaluate
 
 
 def profile_u(p, q):
@@ -203,7 +203,7 @@ def _slot_maps(profile):
 def test_image_evaluation_equals_evaluating_the_relabeled_profile(profile, vector):
     for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(*vector)):
         for images in _slot_maps(profile):
-            assert evaluate_image(rule, profile, images) == \
+            assert evaluate(rule, profile, images) == \
                 va.evaluate(rule, relabel(profile, images))
 
 
@@ -236,17 +236,38 @@ def test_checkers_report_alike_for_a_descriptor_and_its_callable(profile, vector
         _assert_descriptor_and_callable_report_alike(rule, profile)
 
 
+#: At grid 5 Borda and score:3,1,0 violate IIA; at grid 6 restrictions tie.
+_IIA_PROFILES = [*va.grid_profiles(va.FULL_DOMAIN, 5), *va.grid_profiles(va.FULL_DOMAIN, 6),
+                 *va.grid_profiles(va.CYCLE_DOMAIN, 6)]
+_IIA_RULES = (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(3, 1, 0))
+
+
 def test_checkers_report_alike_on_iia_violations_and_tied_restrictions():
     seen = set()
-    # at grid 5 Borda and score:3,1,0 violate IIA; at grid 6 restrictions tie
-    profiles = [*va.grid_profiles(va.FULL_DOMAIN, 5), *va.grid_profiles(va.FULL_DOMAIN, 6),
-                *va.grid_profiles(va.CYCLE_DOMAIN, 6)]
-    for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(3, 1, 0)):
-        for profile in profiles:
+    for rule in _IIA_RULES:
+        for profile in _IIA_PROFILES:
             iia = _assert_descriptor_and_callable_report_alike(rule, profile)[-1]
             seen.add((iia.verdict, iia.counterexample is not None))
     # both kinds of IIA counterexample occur: a violation, and a tied restriction
     assert {(Verdict.VIOLATED, True), (Verdict.NOT_APPLICABLE, True)} <= seen
+
+
+def test_iia_reports_as_the_restriction_reference():
+    """`check_iia` scores each pair on the profile's counts; the reference evaluates each
+    `restrict_profile` profile, so a wrong choice of counterexample pair shows here."""
+    # under plurality z wins both: the first ties x on {x, z} and loses to y on {y, z},
+    # the second loses to x on {x, z} and ties y on {y, z}; each reports its lost pair
+    tied_first = va.profile_from({"zxy": F(2, 5), "yzx": F(1, 10), "yxz": F(1, 4),
+                                  "xyz": F(1, 4)})
+    lost_first = va.profile_from({"zyx": F(3, 10), "zxy": F(1, 10), "xzy": F(1, 10),
+                                  "xyz": F(1, 4), "yxz": F(1, 5), "yzx": F(1, 20)})
+    assert oracles.iia(va.PLURALITY, tied_first)[::2] == ("violated", frozenset("yz"))
+    assert oracles.iia(va.PLURALITY, lost_first)[::2] == ("violated", frozenset("xz"))
+    for rule in _IIA_RULES:
+        for profile in [*_IIA_PROFILES, tied_first, lost_first]:
+            report = va.check_iia(rule, profile)
+            pair = report.counterexample and report.counterexample.pair
+            assert (report.verdict.value, report.note, pair) == oracles.iia(rule, profile)
 
 
 def test_an_election_reports_as_its_callable_rule_does():

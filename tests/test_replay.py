@@ -244,6 +244,20 @@ def test_a_sampled_point_is_derived_once_and_reports_as_its_values(monkeypatch):
             assert accepted.count(True) == 2  # the bare values are derived afresh
 
 
+def test_a_replaced_point_carries_no_derived_environment():
+    scenario = get_scenario("1.I.1.1.2")
+    p = sample_params(scenario, random.Random(1))
+    q = replace(p, values=(("a", F(11, 20)), ("b", F(1, 4)), ("epsilon", F(1, 10))))
+    assert q == ScenarioParams.of(a=F(11, 20), b=F(1, 4), epsilon=F(1, 10))
+    # the new values are derived afresh, and 1 - a - b = 1/5 < b refuses them
+    with pytest.raises(PreconditionViolation) as exc:
+        verify_full(scenario, q)
+    assert exc.value.inequality == "1 - a - b >= b"
+    # the derived environment is no constructor field
+    with pytest.raises(TypeError):
+        ScenarioParams(p.values, p.derived)
+
+
 def test_a_point_sampled_for_one_scenario_is_derived_afresh_for_another(monkeypatch):
     accepted = _counting_derive(monkeypatch)
     catalog, refused = scenario_catalog(), 0
