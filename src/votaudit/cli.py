@@ -178,8 +178,9 @@ def _cmd_replay(args, out) -> int:
         return EXIT_OK
     if not args.case:
         raise ValueError("replay needs --case ID (or --list)")
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, not {args.points}")
+    points = 20 if args.points is None else args.points
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, not {points}")
     scenario = get_scenario(args.case)
     given = {name: _parse_fraction(getattr(args, name), name)
              for name in (*_PARAM_FLAGS, "epsilon") if getattr(args, name) is not None}
@@ -189,11 +190,13 @@ def _cmd_replay(args, out) -> int:
     if given and set(given) != needed:
         raise ValueError(
             f"scenario {scenario.id} needs all of {sorted(needed)} (or none, to sample)")
-    rng = random.Random(args.seed)
-    points = ([ScenarioParams.of(**given)] if given
-              else [sample_params(scenario, rng) for _ in range(args.points)])
+    if given and (sampling := [f"--{name}" for name in ("points", "seed")
+                               if getattr(args, name) is not None]):
+        raise ValueError(f"replay with parameter values takes no {', '.join(sampling)}")
+    rng = random.Random(0 if args.seed is None else args.seed)
     all_ok = True
-    for params in points:
+    for params in ([ScenarioParams.of(**given)] if given
+                   else [sample_params(scenario, rng) for _ in range(points)]):
         try:
             report = verify_full(scenario, params)
             out(report.text())
@@ -248,8 +251,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         arg("--case", help="scenario id, e.g. 1.I.1.1.2"),
         arg("--list", action="store_true", help="list catalog scenarios"),
         *[arg(f"--{name}") for name in ("epsilon", *_PARAM_FLAGS)],
-        arg("--points", type=int, default=20, help="random parameter points when none are given"),
-        arg("--seed", type=int, default=0))
+        arg("--points", type=int, help="random parameter points when none are given"),
+        arg("--seed", type=int))
     return parser, tables
 
 

@@ -19,22 +19,14 @@ exact values (`Fraction` or `int`).  Calling an `Expr` gives one normalised
 callers that only compute with it (the verifier's profile weights,
 `verify.sample_params`).
 
-The walk that builds the closures also gives each name's degree, by a rule
-that never understates one, and so the names an arithmetic expression is
-provably affine in (`Expr.affine_in`): a name has degree 1 and a literal 0;
-`+` and `-` take the larger degree, `*` adds them and a sign keeps it; `/`
-keeps its dividend's degree in a name its divisor does not read; floor, ceil
-and abs, and a divisor, make every name they read non-affine.  `_OPERATORS`
-pairs each operator's closure with its degree rule, and a predicate is affine
-in none of its names.  The loader admits an affine induction chain only when
-every weight is affine in the chain's index, as the verifier's walk needs.
+The walk that builds the closures also collects the names an expression reads
+(`Expr.names`), by which the loader checks each text against its scope.
 Text nested past the recursion limit is an `ExpressionError` like any other.
 """
 
 from __future__ import annotations
 
 import ast
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -55,12 +47,7 @@ class Expr:
 
     text: str
     names: frozenset[str]  # the free names it reads
-    nonaffine: tuple[str, ...]  # the names it reads that the degree rule leaves above 1
     fn: Callable[[Env], Pair | bool] = field(compare=False, repr=False)
-
-    def affine_in(self, name: str) -> bool:
-        """Whether the value is provably affine in `name` (constant if it reads none)."""
-        return name not in self.nonaffine
 
     def ratio(self, env: Env) -> Pair | bool:
         """The value as an unreduced pair ``(n, d)``, ``d > 0``; a predicate gives a `bool`."""
@@ -134,14 +121,7 @@ def _unary(function, operand):
     return lambda env: function(*operand(env))
 
 
-# Each operator's closure builder, and its degree rule: a name's degree in the result
-# from its degrees in the operands (0 where not read); every divisor name is non-affine.
-_OPERATORS = {
-    ast.Add: (_add, max),
-    ast.Sub: (_sub, max),
-    ast.Mult: (_mul, operator.add),
-    ast.Div: (_div, lambda left, right: math.inf if right else left),
-}
+_OPERATORS = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}
 
 _FUNCTIONS = {
     "floor": lambda n, d: (n // d, 1),
@@ -159,49 +139,47 @@ _COMPARATORS = {
 }
 
 
-def _arith(node: ast.AST) -> tuple[Callable[[Env], Pair], dict[str, float]]:
-    """The closure computing `node`, and the degree of each name it reads (or `math.inf`)."""
+def _arith(node: ast.AST) -> tuple[Callable[[Env], Pair], frozenset[str]]:
+    """The closure computing `node`, and the names it reads."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return _literal(node.value), {}
+            return _literal(node.value), frozenset()
         raise ExpressionError(f"only integer literals are exact, got {node.value!r}")
     if isinstance(node, ast.Name):
-        return _read(node.id), {node.id: 1}
+        return _read(node.id), frozenset((node.id,))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        operand, degrees = _arith(node.operand)
+        operand, names = _arith(node.operand)
         return (operand if isinstance(node.op, ast.UAdd)
-                else _unary(lambda n, d: (-n, d), operand)), degrees
+                else _unary(lambda n, d: (-n, d), operand)), names
     if isinstance(node, ast.BinOp):
         if type(node.op) not in _OPERATORS:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
-        build, join = _OPERATORS[type(node.op)]
-        (left, ldeg), (right, rdeg) = _arith(node.left), _arith(node.right)
-        return build(left, right), {n: join(ldeg.get(n, 0), rdeg.get(n, 0))
-                                    for n in ldeg.keys() | rdeg}
+        (left, lnames), (right, rnames) = _arith(node.left), _arith(node.right)
+        return _OPERATORS[type(node.op)](left, right), lnames | rnames
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only floor/ceil/abs calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"{node.func.id} takes exactly one argument")
-        operand, degrees = _arith(node.args[0])
-        return _unary(_FUNCTIONS[node.func.id], operand), dict.fromkeys(degrees, math.inf)
+        operand, names = _arith(node.args[0])
+        return _unary(_FUNCTIONS[node.func.id], operand), names
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
 
-def _predicate(node: ast.AST) -> tuple[Callable[[Env], bool], dict[str, float]]:
-    """The test computing `node`; every name it reads has degree `math.inf`."""
+def _predicate(node: ast.AST) -> tuple[Callable[[Env], bool], frozenset[str]]:
+    """The test computing `node`, and the names it reads."""
     if not isinstance(node, ast.Compare) or len(node.ops) != 1:
         raise ExpressionError("predicate must be one comparison")
     if type(node.ops[0]) not in _COMPARATORS:
         raise ExpressionError(f"comparison {type(node.ops[0]).__name__} not allowed")
     holds = _COMPARATORS[type(node.ops[0])]
-    (left, ldeg), (right, rdeg) = _arith(node.left), _arith(node.comparators[0])
+    (left, lnames), (right, rnames) = _arith(node.left), _arith(node.comparators[0])
 
     def compare(env: Env) -> bool:
         ln, ld = left(env)
         rn, rd = right(env)
         return holds(ln * rd, rn * ld)
-    return compare, dict.fromkeys(ldeg.keys() | rdeg, math.inf)
+    return compare, lnames | rnames
 
 
 # Catalog texts repeat (2,088 expression sites, about 350 distinct texts), and
@@ -209,13 +187,12 @@ def _predicate(node: ast.AST) -> tuple[Callable[[Env], bool], dict[str, float]]:
 @lru_cache(maxsize=1024)
 def _compile(text: str, build) -> Expr:
     try:
-        fn, degrees = build(ast.parse(text, mode="eval").body)
+        fn, names = build(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-    nonaffine = tuple(n for n in sorted(degrees) if degrees[n] > 1)
-    return Expr(text, frozenset(degrees), nonaffine, fn)
+    return Expr(text, names, fn)
 
 
 def compile_expression(text: str) -> Expr:

@@ -2,17 +2,21 @@
 
 A scenario is pure data: sampling hints, preconditions, named profile
 templates, hypothesized evaluations of an abstract rule on those profiles,
-misreport steps, exact-identity claims, and optional induction chains.  The
-verification engine in `verify.py` re-derives every arithmetic claim with
-exact rationals; hypothesized evaluations are scenario data, never computed,
-because the rule under analysis is universally quantified.
+misreport steps, exact-identity claims, and optional induction chains.  An
+affine chain states each weight that changes along it as ``[base, step]``,
+base + j*step at level j, so its levels are affine in the index j by
+construction, and no expression reads j.  The verification engine in
+`verify.py` re-derives every arithmetic claim with exact rationals;
+hypothesized evaluations are scenario data, never computed, because the rule
+under analysis is universally quantified.
 
 Scenarios ship as YAML in ``data/`` so every case is auditable as plain text.
 The loader validates structure eagerly: missing or unknown keys, unknown
 profiles, off-domain rankings, or malformed winner specs fail at load time.
 It also compiles every expression once, so an expression that is malformed,
 inexact, or reads a name its scenario does not define fails at load time too,
-and the verifier never parses text.  A group is its file's (`_DATA_FILES`), the parameters
+and the verifier never parses text: `expand_winner_spec` keeps each spec's set
+after its first reading.  A group is its file's (`_DATA_FILES`), the parameters
 are what `sample` draws but epsilon, and the defs and preconditions, ``epsilon > 0`` first,
 are kept once, as `Scenario.derivation`, in the order the verifier checks them.
 """
@@ -21,14 +25,11 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from ..core import ALTERNATIVES, CandidatePermutation, Domain, Ranking, ranking
 from ..rules import _NAMED_RULES, RuleDescriptor
 from .expressions import Expr, ExpressionError, compile_expression, compile_predicate
-
-#: The index of every affine chain: the one name bound per level, to 0..count.
-_INDEX = "j"
 
 #: The keys each part of a scenario record must hold, and the further keys it
 #: may hold.  A missing key fails the load, and so does any other key, so a
@@ -47,6 +48,7 @@ class CatalogError(ValueError):
     """Raised when a scenario record is structurally invalid."""
 
 
+@cache  # keeps the six specs there are; a refused one raises on every call
 def expand_winner_spec(spec: str) -> frozenset[str]:
     """``"x"`` -> {x};  ``"not:x"`` -> {y, z}."""
     named, negated = spec.removeprefix("not:"), spec.startswith("not:")
@@ -67,14 +69,14 @@ class MisreportStep:
 
 @dataclass(frozen=True)
 class AffineChain:
-    """Profiles u^(0..count) whose weights are expressions in the index `j` (`_INDEX`).
+    """Profiles u^(0..count) whose weight on each ranking at level j is base + j*step.
 
     Consecutive profiles differ by the fixed per-step move matrix: applied to
     u^(j+1) when direction is "down" (toward the anchor), to u^(j) when "up".
     """
 
     count: str  # name of a derived integer quantity
-    weights: tuple[tuple[Ranking, Expr], ...]
+    weights: tuple[tuple[Ranking, tuple[Expr, Expr]], ...]  # (ranking, (base, step))
     moves: tuple[tuple[Ranking, Ranking, Expr], ...]
     direction: str  # "down" | "up"
     first: str  # named profile equal to u^(0)
@@ -194,8 +196,8 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
     The parameters are the variables `sample` draws but epsilon, which it must draw.
     Each variable is drawn once, and each def binds a new name.
     Each sampling bound may read only the variables drawn before it, and every other
-    expression all of them and the defs (each def those before it).  Only an affine
-    chain's weights may read its index `j`, the one name bound per level, and only affinely.
+    expression all of them and the defs (each def those before it).  An affine chain's
+    weight is text, constant along the chain, or `[base, step]`: base + j*step at level j.
     """
     sid = str(raw.get("id", "?"))  # a record without one fails `_fields`
     where = f"scenario {sid}"
@@ -208,6 +210,13 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
 
     def predicate(text) -> Expr:
         return _compiled(compile_predicate, text, scope, where)
+
+    def affine(value) -> tuple[Expr, Expr]:  # a chain weight's (base, step)
+        if not isinstance(value, list):
+            return arith(value), arith(0)
+        if len(value) != 2:
+            raise CatalogError(f"{where} chain: weight must be text or [base, step], not {value}")
+        return arith(value[0]), arith(value[1])
 
     sample = []
     for var, lo, hi in raw.get("sample", ()):
@@ -290,9 +299,7 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
             _fields(chain, "affine chain", where)
             chains.append(AffineChain(
                 count=str(chain["count"]),
-                weights=_as_template(
-                    chain["weights"], domain, f"{where} chain",
-                    lambda text: _compiled(compile_expression, text, scope | {_INDEX}, where)),
+                weights=_as_template(chain["weights"], domain, f"{where} chain", affine),
                 moves=_as_moves(chain["moves"], domain, f"{where} chain", arith),
                 direction=str(chain["direction"]),
                 first=known(chain["first"], "chain"),
@@ -300,8 +307,6 @@ def _parse_scenario(raw: dict, group: str) -> Scenario:
                 improvement=_as_improvement(chain["improvement"], f"{where} chain"),
                 pareto_excluded=chain.get("pareto_excluded"),
             ))
-            for r in [r for r, weight in chains[-1].weights if not weight.affine_in(_INDEX)]:
-                raise CatalogError(f"{where}: chain weight on {r} is not affine in {_INDEX!r}")
             if chains[-1].direction not in ("down", "up"):
                 raise CatalogError(f"{where}: chain direction must be down or up")
             if chains[-1].count not in scope:

@@ -9,7 +9,7 @@ reproduces the next profile exactly, with coalition mass in (0, epsilon).
 One walker, `_walk`, checks both kinds of induction chain in O(log count) levels: it
 asks levels 0, 1, count-1 and count, and bisects back from the first that fails to the
 first failing level.  That is sound as the levels are affine in the index: a descent's
-always, an affine chain's as the loader admits only weights `Expr.affine_in` proves so.
+in closed form, an affine chain's as each weight is stated as base + j*step.
 `instantiate` builds every profile through `core.Profile._checked` and returns
 it, or the text that says why the weights make none, as `_misreport` says why a
 misreport fails; no text is parsed.
@@ -34,7 +34,7 @@ from ..axioms import _dominations
 from ..core import Profile, ProfileError, as_fraction, permute_profile, transfer_weight
 from ..rules import evaluate
 from .expressions import ExpressionError
-from .model import _INDEX, AffineChain, DescentChain, Scenario, expand_winner_spec
+from .model import AffineChain, DescentChain, Scenario, expand_winner_spec
 
 Env = dict[str, Fraction]
 
@@ -254,8 +254,9 @@ def _walk(count: int, level, moves, eps: Fraction, claim, *, down: bool):
     transfer and size texts), or level j fails `claim(j)` (the truthy answer); steps
     and claims are asked only up to `top`, the last level below the first invalid one.
 
-    The levels are affine in j, so each kind is an affine inequality or identity in j,
-    a conjunction of such, or depends only on the support:
+    The levels are affine in j (an affine chain states each weight as base + j*step,
+    and a descent's closed form is affine too), so each kind is an affine inequality
+    or identity in j, a conjunction of such, or depends only on the support:
     - each ranking's weight and the weights' sum are affine, so levels 0 and count
       being profiles makes every level one;
     - level(j+1) - level(j) is constant, so every step or none reproduces its target;
@@ -298,12 +299,13 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
     count = int(count_value)
     yield CheckResult(f"chain count {chain.count} = {count} is a nonnegative integer", True)
     moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
-    level_env, excluded = dict(env), chain.pareto_excluded
+    excluded = chain.pareto_excluded
+    weights = [(r, *base.ratio(env), *step.ratio(env)) for r, (base, step) in chain.weights]
 
     @functools.cache
-    def level(j: int) -> Profile | str:
-        level_env[_INDEX] = Fraction(j)
-        return instantiate(scenario.domain, [(r, *e.ratio(level_env)) for r, e in chain.weights])
+    def level(j: int) -> Profile | str:  # base + j*step, as one pair over bd*sd
+        return instantiate(scenario.domain, [(r, bn * sd + j * sn * bd, bd * sd)
+                                             for r, bn, bd, sn, sd in weights])
 
     invalid, step, undominated = _walk(
         count, level, moves, env["epsilon"],

@@ -4,14 +4,13 @@ These deliberately take different code paths from the library: scores are
 rebuilt from the pairwise-comparison matrix, winners from first principles,
 and manipulation witnesses by exhaustive enumeration of entire move matrices
 in the order the search promises.  Catalog expressions are walked node by
-node in `Fraction` arithmetic, their degrees by a second walk apart from the
+node in `Fraction` arithmetic, their names by a second walk apart from the
 compiler, and induction chains level by level.  IIA is judged on the profiles
 `restrict_profile` builds, never on a profile's counts under a slot map.
 """
 
 import ast
 import math
-import operator
 from fractions import Fraction
 
 from votaudit import ALTERNATIVES, Profile, evaluate, restrict_profile, transfer_weight
@@ -156,34 +155,12 @@ def reference_value(text: str, env):
     return walk(ast.parse(text, mode="eval").body)
 
 
-def reference_degrees(node: ast.AST) -> dict:
-    """Each name's degree in arithmetic `node` by `replay.expressions`' syntactic rule,
-    walked apart from compiling: `math.inf` for a name read by floor/ceil/abs or a
-    divisor; `{}` for a literal or any other node, so a predicate is affine in none."""
-    if isinstance(node, ast.Name):
-        return {node.id: 1}
-    if isinstance(node, ast.UnaryOp):
-        return reference_degrees(node.operand)
-    if isinstance(node, ast.BinOp):
-        left, right = reference_degrees(node.left), reference_degrees(node.right)
-        if isinstance(node.op, ast.Div):
-            return {**left, **dict.fromkeys(right, math.inf)}
-        join = operator.add if isinstance(node.op, ast.Mult) else max
-        return {n: join(left.get(n, 0), right.get(n, 0)) for n in left.keys() | right}
-    if isinstance(node, ast.Call):
-        return dict.fromkeys(reference_degrees(node.args[0]), math.inf)
-    return {}
-
-
-def reference_classification(text: str) -> tuple[frozenset, tuple]:
-    """`Expr.names` and `Expr.nonaffine` of catalog text, from its tree's name nodes
-    (called function names aside) and `reference_degrees`."""
+def reference_names(text: str) -> frozenset:
+    """`Expr.names` of catalog text: its tree's name nodes, called function names aside."""
     body = ast.parse(text, mode="eval").body
     called = {id(node.func) for node in ast.walk(body) if isinstance(node, ast.Call)}
-    names = {node.id for node in ast.walk(body)
-             if isinstance(node, ast.Name) and id(node) not in called}
-    degrees = reference_degrees(body)
-    return frozenset(names), tuple(n for n in sorted(names) if degrees.get(n, math.inf) > 1)
+    return frozenset(node.id for node in ast.walk(body)
+                     if isinstance(node, ast.Name) and id(node) not in called)
 
 
 def walk_every_level(count: int, level, moves, eps: Fraction, claim, *, down: bool):

@@ -196,7 +196,7 @@ def test_replay_list():
     code, out = run(["replay", "--list"])
     assert code == 0
     assert "1.I.1.1.n+1" in out and "3.III.2.3.n+1" in out
-    # --points and --seed have defaults, so giving them with --list is no error
+    # --list lists the catalog, whatever --points and --seed say
     assert run(["replay", "--list", "--points", "3", "--seed", "2"]) == (code, out)
 
 
@@ -372,6 +372,11 @@ INPUT_ERRORS = [
     (["replay", "--list", "--case", "1.I.1.1.2"], "replay --list takes no --case"),
     (["replay", "--c", "1/5", "--list", "--b", "1/5", "--a", "1/2", "--epsilon", "1/10"],
      "replay --list takes no --epsilon, --a, --b, --c"),
+    # given its parameter values, replay verifies that one point and samples nothing
+    (["replay", "--case", "2.I.n+1", "--epsilon", "1/10", "--points", "7", "--seed", "3"],
+     "replay with parameter values takes no --points, --seed"),
+    (["replay", "--case", "1.I.1.1.2", "--seed", "3", "--a", "21/50", "--b", "7/25",
+      "--epsilon", "1/10"], "replay with parameter values takes no --seed"),
     # an epsilon Python reads, at which a value the report would print has too many digits
     (["replay", "--case", "2.I.n+1", "--epsilon", "1e-4299"],
      "scenario 2.I.n+1: a value has more digits than Python's limit on integer text (4300)"),
@@ -621,9 +626,9 @@ _DECLARED = {
         (["--list"], "list", 0, None, None, False, False, "list catalog scenarios"),
         *[([f"--{name}"], name, None, None, None, None, False, None)
           for name in ("epsilon", "a", "b", "c")],
-        (["--points"], "points", None, int, None, 20, False,
+        (["--points"], "points", None, int, None, None, False,
          "random parameter points when none are given"),
-        (["--seed"], "seed", None, int, None, 0, False, None)],
+        (["--seed"], "seed", None, int, None, None, False, None)],
 }
 
 

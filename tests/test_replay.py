@@ -25,7 +25,7 @@ from votaudit.replay import (
     verify_scenario,
 )
 from votaudit.replay.expressions import ExpressionError, compile_expression, compile_predicate
-from votaudit.replay.model import _parse_scenario
+from votaudit.replay.model import _parse_scenario, expand_winner_spec
 from votaudit.replay import verify as verify_module
 from votaudit.replay.verify import build_env, instantiate
 
@@ -434,7 +434,8 @@ def test_empty_chain_step_fails():
     assert verify_full(scenario, params).passed
     assert not verify_full(replace(scenario, chains=(moveless,)), params).passed
     # every level the anchor profile: each step reproduces the next level, moving nothing
-    still = replace(moveless, weights=dict(scenario.profiles)[chain.first])
+    still = replace(moveless, weights=tuple((r, (weight, zero))
+                                            for r, weight in dict(scenario.profiles)[chain.first]))
     report = verify_full(replace(scenario, chains=(still,)), params)
     failures = {r.label: r.detail for r in report.failures()}
     assert failures["every chain step has coalition size < epsilon"] == "level 0: empty coalition"
@@ -677,9 +678,10 @@ def _skip_a_window(scenario, monkeypatch):
     return scenario
 
 
-def _shifted_weight(chain, text):
-    (r, weight), *rest = chain.weights
-    return ((r, compile_expression(f"({weight}) + {text}")), *rest)
+def _shifted_steps(chain, shifts):
+    """The chain's weights with `shifts[r]` more moved onto ranking `r` per level."""
+    return tuple((r, (base, compile_expression(f"({step}) + ({shifts.get(r, 0)})")))
+                 for r, (base, step) in chain.weights)
 
 
 _ONE_I = ScenarioParams.of(a=F(3, 5), b=F(1, 5), epsilon=F(1, 2))
@@ -797,7 +799,9 @@ scenario 1.I.1.1.n+1 at a=3/5, b=1/5, epsilon=1/10
   FAIL  chain count mp is a nonnegative integer  (got 2/25)
 """),
     "chain-level": ("1.I.1.1.n+1", _CHAIN, lambda s, _: _replace_chain(
-        _without_steps(s), weights=_shifted_weight(s.chains[0], "j*(j - 1)/1000")), """\
+        # 1/8 more of y>z>x's 1/5 moved to x>y>z per level: negative first at level 2
+        _without_steps(s), weights=_shifted_steps(s.chains[0], {
+            va.ranking("xyz"): "1/8", va.ranking("yzx"): "-1/8"})), """\
 scenario 1.I.1.1.n+1 at a=3/5, b=1/5, epsilon=1/10
   pass  profile base is valid (weights >= 0, sum 1)
   pass  profile u1 is valid (weights >= 0, sum 1)
@@ -806,7 +810,7 @@ scenario 1.I.1.1.n+1 at a=3/5, b=1/5, epsilon=1/10
   pass  renaming x->z,y->x,z->y carries base to u1
   pass  renaming x->z,y->x,z->y carries winner y to x
   pass  chain count n = 4 is a nonnegative integer
-  FAIL  chain level 2 is a valid profile  (chain level 2: weights sum to 501/500, expected exactly 1)
+  FAIL  chain level 2 is a valid profile  (chain level 2: negative weight -1/20 on y>z>x)
 """),
     "chain-anchors": ("1.I.1.1.n+1", _CHAIN, lambda s, _: _replace_chain(
         _without_steps(s), first="un", last="u1"), """\
@@ -872,7 +876,7 @@ def _affine_chain(**fields):
 
 def test_catalog_rejects_a_chain_count_that_names_no_parameter_or_def():
     assert _parse_scenario(_record(chains=[_affine_chain()]), "cycle").chains[0].count == "a"
-    for count in ("nn", "j"):  # j is the chain's own index, bound only per level
+    for count in ("nn", "j"):  # j is the chain's index, which no catalog text reads
         with pytest.raises(CatalogError, match=f"chain count uses unknown name '{count}'"):
             _parse_scenario(_record(chains=[_affine_chain(count=count)]), "cycle")
 
@@ -968,12 +972,11 @@ def test_a_failing_chain_of_four_hundred_million_levels_fails_at_its_first_step(
 
 
 def test_a_chain_level_that_fails_deep_inside_is_found_by_bisection(monkeypatch):
-    # 3*j/2000000000 moved from z>x>y to y>z>x: z>x>y's weight a - j*(mp + 3/2000000000)
-    # turns negative first at level 240000001 of 400000000
+    # 3/2000000000 more moved from z>x>y to y>z>x per level: z>x>y's weight
+    # a - j*(mp + 3/2000000000) turns negative first at level 240000001 of 400000000
     scenario = get_scenario("1.I.1.1.n+1")
-    shift = {va.ranking("yzx"): " + 3*j/2000000000", va.ranking("zxy"): " - 3*j/2000000000"}
-    shifted = _replace_chain(scenario, weights=tuple(
-        (r, compile_expression(f"({w}){shift.get(r, '')}")) for r, w in scenario.chains[0].weights))
+    shifted = _replace_chain(scenario, weights=_shifted_steps(scenario.chains[0], {
+        va.ranking("yzx"): "3/2000000000", va.ranking("zxy"): "-3/2000000000"}))
     built = _count_profiles_built(monkeypatch, limit=40)
     assert [r.line() for r in verify_full(shifted, _LEVELS_4E8).failures()] == [
         "FAIL  chain level 240000001 is a valid profile  (chain level 240000001: "
@@ -999,13 +1002,22 @@ def test_a_descent_of_a_quarter_billion_windows_fails_at_its_first_failing_windo
     assert len(built) == 2 + 4 + 1 + 1
 
 
-def test_a_bump_that_vanishes_at_the_end_levels_is_refused_at_load():
-    # 4/1000 at level 2 and 0 at levels 0, 1, 3 and 4: the end levels could not see it
-    bump = "a + j*(j - 1)*(j - 3)*(j - 4)/1000"
-    with pytest.raises(CatalogError,
-                       match="^scenario t.1: chain weight on x>y>z is not affine in 'j'$"):
-        _parse_scenario(
-            _record(chains=[_affine_chain(weights={"xyz": bump, "yzx": "1 - a"})]), "cycle")
+@pytest.mark.parametrize("weight,message", [
+    # a weight states its change per level as a step, so none reads the index
+    ("a - j*a", "scenario t.1: expression 'a - j*a' uses unknown name 'j'"),
+    (["a - j*a", "0"], "scenario t.1: expression 'a - j*a' uses unknown name 'j'"),
+    (["a"], "scenario t.1 chain: weight must be text or [base, step], not ['a']"),
+    (["a", "-a", "0"], "scenario t.1 chain: weight must be text or [base, step], not "
+                       "['a', '-a', '0']"),
+], ids=["text-reads-j", "base-reads-j", "one-entry", "three-entries"])
+def test_a_chain_weight_is_text_or_base_and_step(weight, message):
+    chain = _affine_chain(weights={"xyz": ["a", "-a"], "yzx": ["1 - a", "a"]})
+    [(_, (base, step)), _] = _parse_scenario(_record(chains=[chain]), "cycle").chains[0].weights
+    assert (base.text, step.text) == ("a", "-a")
+    with pytest.raises(CatalogError) as exc:
+        _parse_scenario(_record(chains=[_affine_chain(weights={"xyz": weight, "yzx": "1 - a"})]),
+                        "cycle")
+    assert str(exc.value) == message
 
 
 _CYCLE = (["xyz", "yzx", "zxy"], {"u": {"xyz": "1/4", "yzx": "1/4", "zxy": "1/2"},
@@ -1016,19 +1028,19 @@ _MOVES = [["zxy", "xyz", "1/5"], ["xyz", "yzx", "1/10"]]  # net: +1/10, +1/10, -
 @pytest.mark.parametrize("domain,profiles,chain,failure", [
     # x>y>z holds 1/20 < 1/10 at the "before" level of the last step only
     (*_CYCLE, _affine_chain(
-        weights={"xyz": "1/4 - j/10", "yzx": "1/4 - j/10", "zxy": "1/2 + j/5"},
+        weights={"xyz": ["1/4", "-1/10"], "yzx": ["1/4", "-1/10"], "zxy": ["1/2", "1/5"]},
         moves=_MOVES, direction="down", last="v", improvement=["y", "x"]),
      "consecutive chain profiles differ by exactly the per-step moves  "
      "(level 1: transfer of 1/10 exceeds the weight 1/20 on x>y>z)"),
     # the same levels in reverse: the cap fails at the first step only
     (*_CYCLE, _affine_chain(
-        weights={"xyz": "1/20 + j/10", "yzx": "1/20 + j/10", "zxy": "9/10 - j/5"},
+        weights={"xyz": ["1/20", "1/10"], "yzx": ["1/20", "1/10"], "zxy": ["9/10", "-1/5"]},
         moves=_MOVES, direction="up", first="v", last="u", improvement=["y", "x"]),
      "consecutive chain profiles differ by exactly the per-step moves  "
      "(level 0: transfer of 1/10 exceeds the weight 1/20 on x>y>z)"),
     # x beats z at level 0 and y at level 2; at level 1 neither does
     (["xzy", "yzx"], {"u": {"xzy": "1"}, "v": {"yzx": "1"}}, _affine_chain(
-        weights={"xzy": "1 - j/2", "yzx": "j/2"}, moves=[["xzy", "yzx", "1/2"]],
+        weights={"xzy": ["1", "-1/2"], "yzx": ["0", "1/2"]}, moves=[["xzy", "yzx", "1/2"]],
         direction="up", last="v", improvement=["z", "x"], pareto_excluded="z"),
      "z is unanimously dominated at every chain level"),
 ], ids=["cap-at-the-last-step", "cap-at-the-first-step", "domination-inside"])
@@ -1051,7 +1063,8 @@ def test_a_claim_that_fails_from_an_inner_level_on_is_reported_at_that_level(mon
         profiles={"u": {"xyz": "1/8", "yzx": "1/2", "zxy": "3/8"},
                   "v": {"xyz": "1/40", "yzx": "1/10", "zxy": "7/8"}},
         chains=[_affine_chain(
-            count="n", weights={"xyz": "1/8 - j/40", "yzx": "1/2 - j/10", "zxy": "3/8 + j/8"},
+            count="n", weights={"xyz": ["1/8", "-1/40"], "yzx": ["1/2", "-1/10"],
+                                "zxy": ["3/8", "1/8"]},
             moves=[["zxy", "xyz", "1/8"], ["xyz", "yzx", "1/10"]], last="v",
             improvement=["y", "x"])]), "cycle")
     report = verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(3, 5)))
@@ -1072,8 +1085,6 @@ def test_affine_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
     assert len(scenarios) == 25
     cases = []
     for scenario in scenarios:
-        chains = [c for c in scenario.chains if isinstance(c, AffineChain)]
-        assert all(w.affine_in("j") for c in chains for _, w in c.weights)
         # with twice the moves a chain's steps fail
         for _ in range(20):
             params = sample_params(scenario, rng)
@@ -1125,7 +1136,7 @@ def test_descent_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
 @st.composite
 def _affine_chain_records(draw):
     """A chain of at most 30 levels on the cycle domain whose weights start at drawn
-    shares and change by the drawn moves' net flow per level, sometimes with j/400 more
+    shares and change by the drawn moves' net flow per level, sometimes with 1/400 more
     moved between two of them or a first level that does not sum to 1: its levels,
     steps and domination fail at the end levels or inside, or not at all."""
     rankings, amounts = _CYCLE[0], st.integers(0, 12).map(lambda k: F(k, 400))
@@ -1136,11 +1147,11 @@ def _affine_chain_records(draw):
     sign = draw(st.sampled_from([1, -1]))  # an "up" chain gains the net flow per level
     start = [F(draw(st.integers(0, 10)), 20) for _ in range(2)]
     start.append(1 - sum(start) + draw(st.sampled_from([0, 0, 0, F(1, 10)])))
-    drifts = draw(st.sampled_from([("", "", "")] * 4 + [("", " + j/400", " - j/400")]))
+    drifts = draw(st.sampled_from([(0, 0, 0)] * 4 + [(0, F(1, 400), F(-1, 400))]))
     weights = {}
     for r, share, drift in zip(rankings, start, drifts):
         flow = sum(a for _, dst, a in moves if dst == r) - sum(a for src, _, a in moves if src == r)
-        weights[r] = f"{share} + j*({sign * flow}){drift}"
+        weights[r] = [str(share), str(sign * flow + drift)]
     return _record(
         domain=rankings, profiles={"u": dict(zip(rankings, ["1/4", "1/4", "1/2"]))},
         defs=[["n", str(draw(st.integers(0, 30)))]],
@@ -1159,24 +1170,6 @@ def test_drawn_affine_chains_report_as_the_walk(record, epsilon):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify_module, "_walk", walk_every_level)
         assert verify_full(scenario, params).text() == at_ends
-
-
-@pytest.mark.parametrize("fields", [
-    {"assume": ["j < 1"]},
-    {"window": ["epsilon < j"]},
-    {"checks": ["j > 0"]},
-    {"identities": [["a", "a + 0*j"]]},
-    {"profiles": {"u": {"xyz": "a + j", "yzx": "1 - a - j"}}},
-    {"steps": [{"from": "u", "to": "u", "moves": [["xyz", "yzx", "j"]],
-                "improvement": ["x", "y"]}]},
-    {"chains": [_affine_chain(moves=[["xyz", "yzx", "j"]])]},
-], ids=["assume", "window", "check", "identity", "template", "step-move", "chain-move"])
-def test_only_affine_chain_weights_may_read_the_chain_index(fields):
-    chain = _affine_chain(weights={"xyz": "a - j*a", "yzx": "1 - a + j*a"})
-    [(_, weight), _] = _parse_scenario(_record(chains=[chain]), "cycle").chains[0].weights
-    assert weight.names == {"a", "j"}
-    with pytest.raises(CatalogError, match="^scenario t.1: expression .* uses unknown name 'j'$"):
-        _parse_scenario(_record(**{"chains": [chain], **fields}), "cycle")
 
 
 def _record_with_every_part():
@@ -1311,6 +1304,18 @@ def test_the_loader_refuses_a_predicate_that_is_not_one_comparison(field, text, 
     with pytest.raises(CatalogError) as exc:
         _parse_scenario(_record(**{field: [text]}), "cycle")
     assert str(exc.value) == f"scenario t.1: expression {text!r}: {reason}"
+
+
+def test_a_winner_spec_is_read_once_and_a_refused_one_every_time():
+    assert expand_winner_spec("not:x") is expand_winner_spec("not:x")
+    assert expand_winner_spec("not:x") == {"y", "z"}
+    for _ in range(2):  # a refusal is not kept, so it is raised again
+        with pytest.raises(CatalogError, match="^bad winner spec 'w'$"):
+            expand_winner_spec("w")
+    rng, read = random.Random(5), expand_winner_spec.cache_info().misses
+    for scenario in scenario_catalog():  # the loader has read every spec in it
+        assert verify_full(scenario, sample_params(scenario, rng)).passed
+    assert expand_winner_spec.cache_info().misses == read
 
 
 def test_the_loader_refuses_duplicate_scenario_ids(monkeypatch):
