@@ -1020,6 +1020,17 @@ def test_a_chain_weight_is_text_or_base_and_step(weight, message):
     assert str(exc.value) == message
 
 
+def test_a_bump_that_vanishes_at_the_end_levels_is_refused_at_load():
+    # 4/1000 at level 2 and 0 at levels 0, 1, 3 and 4: the end levels could not see it.
+    # No [base, step] states it, and as text in j, or in a step, it reads an unknown name.
+    for weight, text in [("a + j*(j - 1)*(j - 3)*(j - 4)/1000",) * 2,
+                         (["a", "(j - 1)*(j - 3)*(j - 4)/1000"], "(j - 1)*(j - 3)*(j - 4)/1000")]:
+        with pytest.raises(CatalogError) as exc:
+            _parse_scenario(
+                _record(chains=[_affine_chain(weights={"xyz": weight, "yzx": "1 - a"})]), "cycle")
+        assert str(exc.value) == f"scenario t.1: expression {text!r} uses unknown name 'j'"
+
+
 _CYCLE = (["xyz", "yzx", "zxy"], {"u": {"xyz": "1/4", "yzx": "1/4", "zxy": "1/2"},
                                    "v": {"xyz": "1/20", "yzx": "1/20", "zxy": "9/10"}})
 _MOVES = [["zxy", "xyz", "1/5"], ["xyz", "yzx", "1/10"]]  # net: +1/10, +1/10, -1/5
@@ -1096,6 +1107,30 @@ def test_affine_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
         r.text() for r in at_ends]
 
 
+@pytest.mark.parametrize("sid", [s.id for s in scenario_catalog()
+                                 if any(isinstance(c, AffineChain) for c in s.chains)])
+def test_affine_chain_levels_match_the_fraction_reference(sid, monkeypatch):
+    # the verifier builds level j as one integer pair per weight; here it is the Fraction
+    # base + j*step, at the levels the walk reads and one inside
+    scenario, rng, walked = get_scenario(sid), random.Random(sid), []
+    walk = verify_module._walk
+    monkeypatch.setattr(verify_module, "_walk", lambda count, level, *rest, **kw: (
+        walked.append((count, level)) or walk(count, level, *rest, **kw)))
+    for _ in range(3):
+        params = sample_params(scenario, rng)
+        walked.clear()
+        assert verify_full(scenario, params).passed
+        assert len(walked) == len(scenario.chains)  # descent chains walk too
+        env = build_env(scenario, params)
+        for chain, (count, level) in zip(scenario.chains, walked):
+            if not isinstance(chain, AffineChain):
+                continue
+            for j in {j for j in (0, 1, count // 2, count - 1, count) if 0 <= j <= count}:
+                reference = [(r, *(base(env) + j * step(env)).as_integer_ratio())
+                             for r, (base, step) in chain.weights]
+                assert level(j) == instantiate(scenario.domain, reference), (sid, j)
+
+
 def _descent_mutants(chain):
     """The chain with its components scaled, one component or fixed weight shifted,
     or its pair profile the base."""
@@ -1170,6 +1205,25 @@ def test_drawn_affine_chains_report_as_the_walk(record, epsilon):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify_module, "_walk", walk_every_level)
         assert verify_full(scenario, params).text() == at_ends
+
+
+@pytest.mark.parametrize("fields", [
+    {"assume": ["j < 1"]},
+    {"window": ["epsilon < j"]},
+    {"checks": ["j > 0"]},
+    {"identities": [["a", "a + 0*j"]]},
+    {"profiles": {"u": {"xyz": "a + j", "yzx": "1 - a - j"}}},
+    {"steps": [{"from": "u", "to": "u", "moves": [["xyz", "yzx", "j"]],
+                "improvement": ["x", "y"]}]},
+    {"chains": [_affine_chain(moves=[["xyz", "yzx", "j"]])]},
+], ids=["assume", "window", "check", "identity", "template", "step-move", "chain-move"])
+def test_only_affine_chain_weights_may_read_the_chain_index(fields):
+    # an affine chain weight reads j only as the factor of its step, base + j*step
+    chain = _affine_chain(weights={"xyz": ["a", "-a"], "yzx": ["1 - a", "a"]})
+    [(_, (base, step)), _] = _parse_scenario(_record(chains=[chain]), "cycle").chains[0].weights
+    assert (base.names, step.names) == ({"a"}, {"a"})
+    with pytest.raises(CatalogError, match="^scenario t.1: expression .* uses unknown name 'j'$"):
+        _parse_scenario(_record(**{"chains": [chain], **fields}), "cycle")
 
 
 def _record_with_every_part():
