@@ -137,7 +137,7 @@ def _cmd_audit(args, out) -> int:
 def _cmd_manipulate(args, out) -> int:
     rule = rules.parse_rule(args.rule)
     epsilon = _parse_fraction(args.epsilon, "epsilon")
-    config = manipulation.AuditConfig(epsilon, args.grid, args.moves)
+    config = manipulation.AuditConfig(epsilon, 20 if args.grid is None else args.grid, args.moves)
     if args.domain is not None:
         if args.profile is not None:
             raise ValueError("manipulate takes a profile file or --domain, not both")
@@ -145,6 +145,8 @@ def _cmd_manipulate(args, out) -> int:
     else:
         if args.profile is None:
             raise ValueError("manipulate needs a profile file or --domain")
+        if args.grid is not None:  # a single-profile search reads no grid
+            raise ValueError("manipulate with a profile file takes no --grid")
         profile = _read_profile(args.profile)
         try:
             witness = manipulation.find_manipulation(rule, profile, config)
@@ -243,7 +245,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         rule, arg("--axioms", default=",".join(_AXIOMS)), arg("profile"), form)
     add("manipulate", _cmd_manipulate, "search for a small-coalition manipulation",
         rule, arg("--epsilon", required=True),
-        arg("--grid", type=int, default=20, help="profile mesh denominator"),
+        arg("--grid", type=int, help="profile mesh denominator of a --domain sweep (default 20)"),
         arg("--moves", type=int, default=100, help="move mesh denominator"),
         arg("--domain", help="sweep every grid profile on this domain"),
         arg("profile", nargs="?"), form)

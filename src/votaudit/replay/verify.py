@@ -6,19 +6,19 @@ agreements, domination, renamings, misreport steps and induction chains;
 `verify_scenario` and `verify_induction_chain` are its halves.  One judgement,
 `_misreport`, checks every misreport, a step's or a chain level's: the transfer
 reproduces the next profile exactly, with coalition mass in (0, epsilon).
-One walker, `_walk`, checks both kinds of induction chain in O(log count) levels: it
-asks levels 0, 1, count-1 and count, and bisects back from the first that fails to the
-first failing level.  That is sound as the levels are affine in the index: a descent's
-in closed form, an affine chain's as each weight is stated as base + j*step.
+One chain model serves both kinds of induction chain: each ranking's weight is an integer
+pair base and step, level t holds base + t*step, and `_levels` builds every level so.  One
+walker, `_walk`, reads those levels in O(log count): it asks levels 0, 1, count-1 and count,
+and bisects back from the first that fails to the first failing level.
 `instantiate` builds every profile through `core.Profile._checked` and returns
 it, or the text that says why the weights make none, as `_misreport` says why a
 misreport fails; no text is parsed.
 
 Reports list one pass/fail line per check, and a construction that fails
-(a level or shape that is no profile, a negative mass) is a FAIL line, never
-an exception; only a failing precondition raises `PreconditionViolation`,
-naming the inequality: the first one broken, as each is checked once the defs
-it reads are bound.
+(a level or shape that is no profile, a negative mass, a text with no value at
+the point, which `_ratio` names) is a FAIL line, never an exception; only a
+failing precondition raises `PreconditionViolation`, naming the inequality:
+the first one broken, as each is checked once the defs it reads are bound.
 """
 
 from __future__ import annotations
@@ -142,17 +142,26 @@ def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
 
 def instantiate(domain, weights) -> Profile | str:
     """The profile of the `(ranking, n, d)` weights, as `Profile._checked` builds and
-    checks it, or the `ProfileError` text that says why they make none."""
+    checks it, or the text that says why they make none: the `ProfileError`, or the
+    `ExpressionError` of a weight that has no value (`_ratio`)."""
     try:
-        return Profile._checked(domain, weights)
-    except ProfileError as exc:
+        return Profile._checked(domain, list(weights))
+    except (ProfileError, ExpressionError) as exc:
         return str(exc)
+
+
+def _ratio(expr, env: Env):
+    """`expr.ratio(env)`, whose `ExpressionError` names the text that has no value."""
+    try:
+        return expr.ratio(env)
+    except ExpressionError as exc:
+        raise ExpressionError(f"expression {str(expr)!r}: {exc}") from None
 
 
 def _build(scenario: Scenario, params: ScenarioParams):
     """The environment, the named profiles that instantiate, and one validity check per profile."""
     env = build_env(scenario, params)
-    built = {name: instantiate(scenario.domain, [(r, *e.ratio(env)) for r, e in template])
+    built = {name: instantiate(scenario.domain, ((r, *_ratio(e, env)) for r, e in template))
              for name, template in scenario.profiles}
     profiles = {name: p for name, p in built.items() if not isinstance(p, str)}
     results = [CheckResult(f"profile {name} is valid (weights >= 0, sum 1)", name in profiles,
@@ -187,6 +196,11 @@ def _misreport(before: Profile, moves, after: Profile, eps: Fraction) -> tuple[s
     return transfer, "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}", size
 
 
+def _amounts(moves, env: Env):
+    """The `(src, dst, amount)` moves with each amount's value at `env` (`_ratio`)."""
+    return [(src, dst, Fraction(*_ratio(amount, env))) for src, dst, amount in moves]
+
+
 def _dominated(profile: Profile, alt: str) -> bool:
     """Some alternative beats `alt` on every ranking `profile` supports."""
     return any(b == alt for _, b in _dominations(profile))
@@ -195,11 +209,18 @@ def _dominated(profile: Profile, alt: str) -> bool:
 def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]):
     """Identity, inequality, rule, domination, renaming and step checks."""
     for lhs, rhs in scenario.identities:
-        left, right = lhs(env), rhs(env)
-        yield CheckResult(f"identity {lhs} == {rhs}", left == right,
-                          "" if left == right else f"{left} != {right}")
+        try:
+            left, right = (Fraction(*_ratio(side, env)) for side in (lhs, rhs))
+            detail = "" if left == right else f"{left} != {right}"
+        except ExpressionError as exc:
+            detail = str(exc)
+        yield CheckResult(f"identity {lhs} == {rhs}", not detail, detail)
     for predicate in scenario.checks:
-        yield CheckResult(f"inequality {predicate}", predicate(env))
+        try:
+            ok, detail = _ratio(predicate, env), ""
+        except ExpressionError as exc:
+            ok, detail = False, str(exc)
+        yield CheckResult(f"inequality {predicate}", ok, detail)
     for name, rule, winner in scenario.rule_checks:
         if name not in profiles:
             continue
@@ -231,7 +252,11 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
         if step.from_profile not in profiles or step.to_profile not in profiles:
             yield CheckResult(label, False, "profile failed to instantiate")
             continue
-        moves = [(src, dst, amount(env)) for src, dst, amount in step.moves]
+        try:
+            moves = _amounts(step.moves, env)
+        except ExpressionError as exc:
+            yield CheckResult(label, False, str(exc))
+            continue
         transfer, small, size = _misreport(profiles[step.from_profile], moves,
                                            profiles[step.to_profile], env["epsilon"])
         yield CheckResult(f"{label}: misreport reproduces the target profile exactly",
@@ -248,15 +273,22 @@ def verify_scenario(scenario: Scenario, params: ScenarioParams) -> ScenarioRepor
     return ScenarioReport(scenario.id, params, tuple(results))
 
 
+def _levels(domain, weights):
+    """Level t of a chain of `(ranking, (bn, bd), (sn, sd))` integer weights, cached: the
+    profile with base + t*step on each ranking, as the one pair (bn*sd + t*sn*bd, bd*sd)."""
+    return functools.cache(lambda t: instantiate(domain, [
+        (r, bn * sd + t * sn * bd, bd * sd) for r, (bn, bd), (sn, sd) in weights]))
+
+
 def _walk(count: int, level, moves, eps: Fraction, claim, *, down: bool):
     """The first failure of each kind as `(j, why)`, or None: level j is no profile
     (`level(j)`'s text), the step between levels j-1 and j fails `_misreport` (its
     transfer and size texts), or level j fails `claim(j)` (the truthy answer); steps
     and claims are asked only up to `top`, the last level below the first invalid one.
 
-    The levels are affine in j (an affine chain states each weight as base + j*step,
-    and a descent's closed form is affine too), so each kind is an affine inequality
-    or identity in j, a conjunction of such, or depends only on the support:
+    `level` is a `_levels` builder, so each weight is base + j*step: affine in j by its
+    input.  So each kind is an affine inequality or identity in j, a conjunction of such,
+    or depends only on the support:
     - each ranking's weight and the weights' sum are affine, so levels 0 and count
       being profiles makes every level one;
     - level(j+1) - level(j) is constant, so every step or none reproduces its target;
@@ -298,15 +330,10 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
         return
     count = int(count_value)
     yield CheckResult(f"chain count {chain.count} = {count} is a nonnegative integer", True)
-    moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
+    moves = _amounts(chain.moves, env)
     excluded = chain.pareto_excluded
-    weights = [(r, *base.ratio(env), *step.ratio(env)) for r, (base, step) in chain.weights]
-
-    @functools.cache
-    def level(j: int) -> Profile | str:  # base + j*step, as one pair over bd*sd
-        return instantiate(scenario.domain, [(r, bn * sd + j * sn * bd, bd * sd)
-                                             for r, bn, bd, sn, sd in weights])
-
+    level = _levels(scenario.domain, [(r, _ratio(base, env), _ratio(step, env))
+                                      for r, (base, step) in chain.weights])
     invalid, step, undominated = _walk(
         count, level, moves, env["epsilon"],
         lambda j: excluded is not None and not _dominated(level(j), excluded),
@@ -331,14 +358,14 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
 
 
 def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: dict[str, Profile]):
-    """The descent in closed form, checked by `_walk` like an affine chain.
+    """The descent as a chain of `(base, step)` weights, checked by `_walk` like an affine one.
 
     With w = epsilon_partition(M, epsilon) for the component mass M, level t scales each
-    component by n/(n+1) for n = w, ..., w+1-t, which telescopes to (w+1-t)/(w+1); the
-    absorber holds the rest.  So every weight is affine in t, each step moves the constant
-    1/(w+1) of each component out of the absorber, and level w+1 is the terminal shape.
-    Level t's window index should be k = w - t: with c = M/((w+1)*epsilon) that reads
-    k <= c*(k+1) < k+1, affine in k, so `_walk`'s argument covers it too.
+    component v by n/(n+1) for n = w, ..., w+1-t, which telescopes to (w+1-t)/(w+1).  So v
+    is (v, -v/(w+1)), a fixed weight f is (f, 0), the absorber, holding the rest, is
+    (1 - sum(f) - M, M/(w+1)), each step moves v/(w+1) of each v out of it, and level w+1
+    is the terminal shape.  Level t's window index should be k = w - t: with
+    c = M/((w+1)*epsilon) that reads k <= c*(k+1) < k+1, affine in k, so `_walk` covers it.
 
     That claim and the step size hold for any M >= 0, so only a wrong `epsilon_partition`
     can fail them: with q = M/epsilon in [w, w+1), level t's index floor(q*(k+1)/(w+1))
@@ -346,17 +373,15 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     moves M/(w+1) = epsilon*q/(w+1) < epsilon.
     """
     eps = env["epsilon"]
-    fixed = [(r, e(env)) for r, e in chain.fixed]
-    components = {r: e(env) for r, e in chain.components}
-    mass = sum(components.values(), Fraction(0))  # level 0 can hold a negative component mass
+    fixed = [(r, _ratio(e, env), (0, 1)) for r, e in chain.fixed]
+    components = {r: _ratio(e, env) for r, e in chain.components}
+    mass = sum((Fraction(*v) for v in components.values()), Fraction(0))  # can be negative
     windows = 0 if mass < 0 else epsilon_partition(mass, eps)
-    moves = [(chain.absorber, r, v / (windows + 1)) for r, v in components.items()]
-
-    @functools.cache
-    def level(t: int) -> Profile | str:  # w + 1 - t steps' moves on each component
-        weights = [*fixed, *((r, amount * (windows + 1 - t)) for _, r, amount in moves)]
-        weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
-        return instantiate(scenario.domain, [(r, *w.as_integer_ratio()) for r, w in weights])
+    steps = [(r, (n, d), (-n, d * (windows + 1))) for r, (n, d) in components.items()]
+    moves = [(chain.absorber, r, -Fraction(*step)) for r, _, step in steps]
+    rest = 1 - mass - sum(Fraction(*f) for _, f, _ in fixed)
+    level = _levels(scenario.domain, [*fixed, *steps, (chain.absorber, rest.as_integer_ratio(),
+                                                       (mass / (windows + 1)).as_integer_ratio())])
 
     def window_index(t: int) -> str:  # "" when level t's is w - t; level 0's is w
         got = epsilon_partition(mass * (windows + 1 - t) / (windows + 1), eps) if t else windows
@@ -400,11 +425,14 @@ def _chain_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]):
             anchors, check = (chain.first, chain.last), _affine_chain_results
         else:
             anchors, check = (chain.base, chain.pair), _descent_chain_results
+        label = f"chain ({anchors[0]} -> {anchors[1]})"
         if not all(name in profiles for name in anchors):
-            yield CheckResult(f"chain ({anchors[0]} -> {anchors[1]})", False,
-                              "profile failed to instantiate")
+            yield CheckResult(label, False, "profile failed to instantiate")
             continue
-        yield from check(scenario, chain, env, profiles)
+        try:  # a weight or move amount with no value fails the chain's one line
+            yield from list(check(scenario, chain, env, profiles))
+        except ExpressionError as exc:
+            yield CheckResult(label, False, str(exc))
 
 
 def verify_induction_chain(scenario: Scenario, params: ScenarioParams) -> ScenarioReport:

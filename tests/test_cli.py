@@ -108,9 +108,14 @@ def test_audit_detects_iia_violation(tmp_path):
 
 def test_manipulate_profile_and_domain(fixtures):
     code, out = run(["manipulate", "--rule", "plurality", "--epsilon", "1/20",
-                     "--grid", "20", fixtures["near_tie"]])
+                     fixtures["near_tie"]])
     assert code == 1
     assert "old=x new=y size=1/50" in out
+    # a profile search reads no grid, but its report names the sweep's default one
+    code, out = run(["manipulate", "--rule", "plurality", "--epsilon", "1/20",
+                     fixtures["unanimous"]])
+    assert (code, out) == (0, "no witness at this resolution "
+                              "(epsilon=1/20, grid=1/20, moves=1/100)\n")
     code, out = run(["manipulate", "--rule", "borda", "--epsilon", "1/20",
                      "--grid", "12", "--domain", "{x>y>z, y>z>x, z>x>y}"])
     assert code == 0
@@ -363,6 +368,11 @@ INPUT_ERRORS = [
     (["manipulate", "--rule", "plurality", "--epsilon", "1/20", "--domain",
       "{x>y>z, y>z>x, z>x>y}", "{dir}/missing.profile"],
      "manipulate takes a profile file or --domain, not both"),
+    # a single-profile search reads no grid, not even the sweep's default one
+    (["manipulate", "--rule", "plurality", "--epsilon", "1/20", "--grid", "7", "{profile}"],
+     "manipulate with a profile file takes no --grid"),
+    (["manipulate", "--rule", "borda", "--grid", "20", "--epsilon", "1/10", "{profile}",
+      "--format", "record"], "manipulate with a profile file takes no --grid"),
     (["replay", "--case", "1.I.1.1.2", "--a", "11/20", "--b", "1/4", "--epsilon", "1/10"],
      "scenario 1.I.1.1.2: precondition '1 - a - b >= b' fails at "
      "{'a': '11/20', 'b': '1/4', 'epsilon': '1/10'}"),
@@ -466,8 +476,8 @@ def _requests(draw):
         return ["margins", _PROFILE, *form], text
     if verb == "audit":
         return ["audit", *rule, "--axioms", mixed(_AXIOMS), _PROFILE, *form], text
-    config = ["--epsilon", mixed(_EPSILONS), "--grid", str(draw(st.integers(-1, 6))),
-              "--moves", pick(["0", "10", "20"])]
+    grid = pick([[], ["--grid", str(draw(st.integers(-1, 6)))]])  # a profile search takes none
+    config = ["--epsilon", mixed(_EPSILONS), *grid, "--moves", pick(["0", "10", "20"])]
     domain = ["--domain", mixed(_DOMAINS)]
     target = pick([domain, [_PROFILE], [], [*domain, _PROFILE]])
     return ["manipulate", *rule, *config, *target, *form], text if _PROFILE in target else None
@@ -616,7 +626,8 @@ _DECLARED = {
               _FORMAT, _PROFILE_ARGUMENT],
     "manipulate": [
         _RULE, (["--epsilon"], "epsilon", None, None, None, None, True, None),
-        (["--grid"], "grid", None, int, None, 20, False, "profile mesh denominator"),
+        (["--grid"], "grid", None, int, None, None, False,
+         "profile mesh denominator of a --domain sweep (default 20)"),
         (["--moves"], "moves", None, int, None, 100, False, "move mesh denominator"),
         (["--domain"], "domain", None, None, None, None, False,
          "sweep every grid profile on this domain"),

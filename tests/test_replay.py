@@ -1107,11 +1107,13 @@ def test_affine_chains_decided_at_their_ends_report_as_the_walk(monkeypatch):
         r.text() for r in at_ends]
 
 
-@pytest.mark.parametrize("sid", [s.id for s in scenario_catalog()
-                                 if any(isinstance(c, AffineChain) for c in s.chains)])
+@pytest.mark.parametrize("sid", [s.id for s in scenario_catalog() if s.chains])
 def test_affine_chain_levels_match_the_fraction_reference(sid, monkeypatch):
-    # the verifier builds level j as one integer pair per weight; here it is the Fraction
-    # base + j*step, at the levels the walk reads and one inside
+    # the verifier builds level j of either kind of chain as one integer pair per weight,
+    # base + j*step; here an affine chain's level is the Fraction base + j*step, at the
+    # levels the walk reads and one inside, and a descent's is its Fraction closed form at
+    # levels 0, 1, w and w + 1: the fixed weights, each component times (w + 1 - j)/(w + 1),
+    # and the absorber the rest
     scenario, rng, walked = get_scenario(sid), random.Random(sid), []
     walk = verify_module._walk
     monkeypatch.setattr(verify_module, "_walk", lambda count, level, *rest, **kw: (
@@ -1119,16 +1121,24 @@ def test_affine_chain_levels_match_the_fraction_reference(sid, monkeypatch):
     for _ in range(3):
         params = sample_params(scenario, rng)
         walked.clear()
-        assert verify_full(scenario, params).passed
+        report = verify_full(scenario, params)
         assert len(walked) == len(scenario.chains)  # descent chains walk too
         env = build_env(scenario, params)
         for chain, (count, level) in zip(scenario.chains, walked):
-            if not isinstance(chain, AffineChain):
-                continue
-            for j in {j for j in (0, 1, count // 2, count - 1, count) if 0 <= j <= count}:
-                reference = [(r, *(base(env) + j * step(env)).as_integer_ratio())
-                             for r, (base, step) in chain.weights]
+            if isinstance(chain, AffineChain):
+                levels = {j for j in (0, 1, count // 2, count - 1, count) if 0 <= j <= count}
+            else:
+                levels = {0, 1, count, count + 1}
+            for j in levels:
+                if isinstance(chain, AffineChain):
+                    weights = [(r, base(env) + j * step(env)) for r, (base, step) in chain.weights]
+                else:
+                    weights = [(r, e(env)) for r, e in chain.fixed] + [
+                        (r, e(env) * (count + 1 - j) / (count + 1)) for r, e in chain.components]
+                    weights.append((chain.absorber, 1 - sum(w for _, w in weights)))
+                reference = [(r, *w.as_integer_ratio()) for r, w in weights]
                 assert level(j) == instantiate(scenario.domain, reference), (sid, j)
+        assert report.passed, report.text()
 
 
 def _descent_mutants(chain):
@@ -1412,3 +1422,33 @@ def test_a_scenario_with_no_chain_says_so_in_its_chain_report():
     report = verify_induction_chain(scenario, params)
     assert report.text().splitlines()[1:] == ["  pass  scenario declares no induction chain"]
     assert "induction chain" not in verify_full(scenario, params).text()
+
+
+def test_an_expression_with_no_value_at_the_point_fails_each_claim_that_reads_it():
+    # every precondition holds at a = 1/2, where each text over 2*a - 1 or a - 1/2 divides
+    # by zero: each claim that reads one fails, naming the text, and the others are asked
+    descent = {"kind": "descent", "components": {"xyz": "a"}, "absorber": "yzx",
+               "base": "u", "pair": "u", "improvement": ["x", "y"]}
+    scenario = _parse_scenario(_record(
+        defs=[["n", "2"]],
+        profiles={"u": {"xyz": "a", "yzx": "1 - a"}, "v": {"xyz": "a/(a - 1/2)", "yzx": "1 - a"}},
+        identities=[["a", "1/2"], ["2/(2*a - 1)", "a"]], checks=["a > 0", "3/(2*a - 1) > 0"],
+        steps=[{"from": "u", "to": "u", "moves": [["xyz", "yzx", "1/(2*a - 1)"]],
+                "improvement": ["x", "y"]}],
+        chains=[_affine_chain(count="n", weights={"xyz": ["a", "4/(2*a - 1)"], "yzx": "1 - a"}),
+                _affine_chain(count="n", moves=[["xyz", "yzx", "5/(2*a - 1)"]]),
+                {**descent, "fixed": {"zxy": "6/(2*a - 1)"}},
+                {**descent, "components": {"xyz": "7/(2*a - 1)"}}]), "cycle")
+    assert verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(1, 10))).text() == """\
+scenario t.1 at a=1/2, epsilon=1/10
+  pass  profile u is valid (weights >= 0, sum 1)
+  FAIL  profile v is valid (weights >= 0, sum 1)  (v: expression 'a/(a - 1/2)': division by zero)
+  pass  identity a == 1/2
+  FAIL  identity 2/(2*a - 1) == a  (expression '2/(2*a - 1)': division by zero)
+  pass  inequality a > 0
+  FAIL  inequality 3/(2*a - 1) > 0  (expression '3/(2*a - 1) > 0': division by zero)
+  FAIL  step 1 (u -> u)  (expression '1/(2*a - 1)': division by zero)
+  FAIL  chain (u -> u)  (expression '4/(2*a - 1)': division by zero)
+  FAIL  chain (u -> u)  (expression '5/(2*a - 1)': division by zero)
+  FAIL  chain (u -> u)  (expression '6/(2*a - 1)': division by zero)
+  FAIL  chain (u -> u)  (expression '7/(2*a - 1)': division by zero)"""
