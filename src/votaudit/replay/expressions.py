@@ -50,15 +50,17 @@ class Expr:
     fn: Callable[[Env], Pair | bool] = field(compare=False, repr=False)
 
     def ratio(self, env: Env) -> Pair | bool:
-        """The value as an unreduced pair ``(n, d)``, ``d > 0``; a predicate gives a `bool`."""
+        """The value as an unreduced pair ``(n, d)``, ``d > 0``; a predicate gives a `bool`.
+        A value that does not exist is an `ExpressionError` that names the text."""
         try:
             return self.fn(env)
         except KeyError as exc:  # the closures read nothing but `env`
-            raise ExpressionError(f"unknown name {exc.args[0]!r}") from None
+            why = f"unknown name {exc.args[0]!r}"
         except ZeroDivisionError:
-            raise ExpressionError("division by zero") from None
+            why = "division by zero"
         except RecursionError:  # text that compiled just below the limit, called deeper
-            raise ExpressionError("expression nested too deeply") from None
+            why = "expression nested too deeply"
+        raise ExpressionError(f"expression {self.text!r}: {why}")
 
     def __call__(self, env: Env) -> Fraction | bool:
         value = self.ratio(env)

@@ -16,7 +16,7 @@ misreport fails; no text is parsed.
 
 Reports list one pass/fail line per check, and a construction that fails
 (a level or shape that is no profile, a negative mass, a text with no value at
-the point, which `_ratio` names) is a FAIL line, never an exception; only a
+the point, which its `ExpressionError` names) is a FAIL line, never an exception; only a
 failing precondition raises `PreconditionViolation`, naming the inequality:
 the first one broken, as each is checked once the defs it reads are bound.
 """
@@ -123,7 +123,7 @@ def _derive(scenario: Scenario, env: Env) -> str | None:
         try:
             env[name] = expr(env)
         except ExpressionError as exc:
-            return f"def {name} = {expr}: {exc}"
+            return f"def {name}: {exc}"  # the error names the text
     return None
 
 
@@ -142,27 +142,23 @@ def build_env(scenario: Scenario, params: ScenarioParams) -> Env:
 
 def instantiate(domain, weights) -> Profile | str:
     """The profile of the `(ranking, n, d)` weights, as `Profile._checked` builds and
-    checks it, or the text that says why they make none: the `ProfileError`, or the
-    `ExpressionError` of a weight that has no value (`_ratio`)."""
+    checks it, or the `ProfileError` text that says why they make none."""
     try:
-        return Profile._checked(domain, list(weights))
-    except (ProfileError, ExpressionError) as exc:
+        return Profile._checked(domain, weights)
+    except ProfileError as exc:
         return str(exc)
 
 
-def _ratio(expr, env: Env):
-    """`expr.ratio(env)`, whose `ExpressionError` names the text that has no value."""
-    try:
-        return expr.ratio(env)
-    except ExpressionError as exc:
-        raise ExpressionError(f"expression {str(expr)!r}: {exc}") from None
-
-
 def _build(scenario: Scenario, params: ScenarioParams):
-    """The environment, the named profiles that instantiate, and one validity check per profile."""
+    """The environment, the named profiles that instantiate, and one validity check per profile
+    (a weight with no value at the point makes none)."""
     env = build_env(scenario, params)
-    built = {name: instantiate(scenario.domain, ((r, *_ratio(e, env)) for r, e in template))
-             for name, template in scenario.profiles}
+    built = {}
+    for name, template in scenario.profiles:
+        try:
+            built[name] = instantiate(scenario.domain, [(r, *e.ratio(env)) for r, e in template])
+        except ExpressionError as exc:
+            built[name] = str(exc)
     profiles = {name: p for name, p in built.items() if not isinstance(p, str)}
     results = [CheckResult(f"profile {name} is valid (weights >= 0, sum 1)", name in profiles,
                            "" if name in profiles else f"{name}: {p}") for name, p in built.items()]
@@ -196,11 +192,6 @@ def _misreport(before: Profile, moves, after: Profile, eps: Fraction) -> tuple[s
     return transfer, "empty coalition" if size == 0 else f"size {size} vs epsilon {eps}", size
 
 
-def _amounts(moves, env: Env):
-    """The `(src, dst, amount)` moves with each amount's value at `env` (`_ratio`)."""
-    return [(src, dst, Fraction(*_ratio(amount, env))) for src, dst, amount in moves]
-
-
 def _dominated(profile: Profile, alt: str) -> bool:
     """Some alternative beats `alt` on every ranking `profile` supports."""
     return any(b == alt for _, b in _dominations(profile))
@@ -210,14 +201,14 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
     """Identity, inequality, rule, domination, renaming and step checks."""
     for lhs, rhs in scenario.identities:
         try:
-            left, right = (Fraction(*_ratio(side, env)) for side in (lhs, rhs))
+            left, right = lhs(env), rhs(env)
             detail = "" if left == right else f"{left} != {right}"
         except ExpressionError as exc:
             detail = str(exc)
         yield CheckResult(f"identity {lhs} == {rhs}", not detail, detail)
     for predicate in scenario.checks:
         try:
-            ok, detail = _ratio(predicate, env), ""
+            ok, detail = predicate(env), ""
         except ExpressionError as exc:
             ok, detail = False, str(exc)
         yield CheckResult(f"inequality {predicate}", ok, detail)
@@ -253,7 +244,7 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
             yield CheckResult(label, False, "profile failed to instantiate")
             continue
         try:
-            moves = _amounts(step.moves, env)
+            moves = [(src, dst, amount(env)) for src, dst, amount in step.moves]
         except ExpressionError as exc:
             yield CheckResult(label, False, str(exc))
             continue
@@ -330,9 +321,9 @@ def _affine_chain_results(scenario, chain: AffineChain, env: Env, profiles: dict
         return
     count = int(count_value)
     yield CheckResult(f"chain count {chain.count} = {count} is a nonnegative integer", True)
-    moves = _amounts(chain.moves, env)
+    moves = [(src, dst, amount(env)) for src, dst, amount in chain.moves]
     excluded = chain.pareto_excluded
-    level = _levels(scenario.domain, [(r, _ratio(base, env), _ratio(step, env))
+    level = _levels(scenario.domain, [(r, base.ratio(env), step.ratio(env))
                                       for r, (base, step) in chain.weights])
     invalid, step, undominated = _walk(
         count, level, moves, env["epsilon"],
@@ -373,15 +364,16 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     moves M/(w+1) = epsilon*q/(w+1) < epsilon.
     """
     eps = env["epsilon"]
-    fixed = [(r, _ratio(e, env), (0, 1)) for r, e in chain.fixed]
-    components = {r: _ratio(e, env) for r, e in chain.components}
+    fixed = [(r, e.ratio(env), (0, 1)) for r, e in chain.fixed]
+    components = {r: e.ratio(env) for r, e in chain.components}
     mass = sum((Fraction(*v) for v in components.values()), Fraction(0))  # can be negative
     windows = 0 if mass < 0 else epsilon_partition(mass, eps)
-    steps = [(r, (n, d), (-n, d * (windows + 1))) for r, (n, d) in components.items()]
-    moves = [(chain.absorber, r, -Fraction(*step)) for r, _, step in steps]
+    share = windows + 1  # each step moves v/share of each component v
+    steps = [(r, (n, d), (-n, d * share)) for r, (n, d) in components.items()]
+    moves = [(chain.absorber, r, Fraction(n, d * share)) for r, (n, d) in components.items()]
     rest = 1 - mass - sum(Fraction(*f) for _, f, _ in fixed)
     level = _levels(scenario.domain, [*fixed, *steps, (chain.absorber, rest.as_integer_ratio(),
-                                                       (mass / (windows + 1)).as_integer_ratio())])
+                                                       (mass / share).as_integer_ratio())])
 
     def window_index(t: int) -> str:  # "" when level t's is w - t; level 0's is w
         got = epsilon_partition(mass * (windows + 1 - t) / (windows + 1), eps) if t else windows

@@ -227,7 +227,7 @@ def test_criterion_8_determinism(tmp_path):
     near_tie.write_text("domain: full\n7/20 x>y>z\n17/50 y>x>z\n31/100 z>y>x\n")
     commands = [
         ["manipulate", "--rule", "plurality", "--epsilon", "1/20",
-         "--grid", "20", "--moves", "100", str(near_tie)],
+         "--moves", "100", str(near_tie)],
         ["manipulate", "--rule", "borda", "--epsilon", "1/20", "--grid", "12",
          "--domain", "{x>y>z, y>z>x, z>x>y}"],
         ["audit", "--rule", "borda", str(near_tie)],
@@ -239,5 +239,5 @@ def test_criterion_8_determinism(tmp_path):
     for argv in commands:
         first = _run_cli(argv)
         second = _run_cli(argv)
-        ok = ok and first == second
+        ok = ok and first == second and first[0] != 2  # an input error proves nothing
     _report(8, ok, "every audit command reproduces byte-identical reports")

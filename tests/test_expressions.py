@@ -16,21 +16,21 @@ from votaudit.replay.expressions import (
 from votaudit.replay.verify import build_env
 
 
-def _outcome(evaluate):
-    """A value, or the error text the kernel gives for the reference's exception."""
+def _outcome(text: str, evaluate):
+    """A value, or the error text the kernel gives `text` for the reference's exception."""
     try:
         return evaluate()
     except ExpressionError as exc:
         return str(exc)
     except ZeroDivisionError:
-        return "division by zero"
+        return f"expression {text!r}: division by zero"
     except KeyError as exc:
-        return f"unknown name {exc.args[0]!r}"
+        return f"expression {text!r}: unknown name {exc.args[0]!r}"
 
 
 def _agrees(expr: Expr, env) -> None:
-    expected = _outcome(lambda: reference_value(expr.text, env))
-    value = _outcome(lambda: expr(env))
+    expected = _outcome(expr.text, lambda: reference_value(expr.text, env))
+    value = _outcome(expr.text, lambda: expr(env))
     assert value == expected and type(value) is type(expected), (expr.text, env)
     if type(value) is F:
         n, d = expr.ratio(env)
@@ -194,5 +194,6 @@ def test_an_expression_called_past_the_recursion_limit_is_an_expression_error():
     def call_at_depth(k):  # leaves fewer than 300 frames for the 300 signs
         return expr(_ENV) if k == 0 else call_at_depth(k - 1)
 
-    with pytest.raises(ExpressionError, match="^expression nested too deeply$"):
+    refusal = "^expression '-{300}a': expression nested too deeply$"
+    with pytest.raises(ExpressionError, match=refusal):
         call_at_depth(sys.getrecursionlimit() - 300)

@@ -400,7 +400,8 @@ def test_sample_params_rejects_a_draw_where_a_def_has_no_value():
     rng = random.Random(0)
     for _ in range(20):
         assert dict(sample_params(scenario, rng).values)["a"] >= F(1, 2)
-    with pytest.raises(PreconditionViolation, match="def q = 1/floor"):
+    refusal = r"precondition \"def q: expression '1/floor\(2\*a\)': division by zero\" fails"
+    with pytest.raises(PreconditionViolation, match=refusal):
         build_env(scenario, ScenarioParams.of(a=F(1, 4), epsilon=F(1, 10)))
 
 
