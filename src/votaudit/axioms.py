@@ -131,6 +131,10 @@ def _dominations(profile: Profile) -> list[tuple[str, str]]:
     return [pair for i, pair in enumerate(_PAIRS) if mask >> i & 1]
 
 
+#: The report of each axiom a check finds satisfied with no note, shared by every such check.
+_SATISFIED = {axiom: AxiomReport(axiom, Verdict.SATISFIED) for axiom in ("P", "N", "IIA")}
+
+
 def check_pareto(rule: RuleLike | Election, profile: Profile) -> AxiomReport:
     """Violated iff some unanimously dominated alternative is the winner."""
     outcome = _election(rule, profile).outcome
@@ -142,7 +146,7 @@ def check_pareto(rule: RuleLike | Election, profile: Profile) -> AxiomReport:
                 note=f"every voter places {a} above {b}, yet {b} wins",
                 counterexample=Counterexample((profile,), (outcome,)),
             )
-    return AxiomReport("P", Verdict.SATISFIED)
+    return _SATISFIED["P"]
 
 
 def check_neutrality(rule: RuleLike | Election, profile: Profile,
@@ -153,7 +157,7 @@ def check_neutrality(rule: RuleLike | Election, profile: Profile,
     permuted = election.image(perm._slots)
     expected = frozenset(map(perm, base.tie_set))
     if permuted.tie_set == expected:
-        return AxiomReport("N", Verdict.SATISFIED)
+        return _SATISFIED["N"]
     permuted_profile = permute_profile(profile, perm)
     return AxiomReport(
         "N", Verdict.VIOLATED,
@@ -199,7 +203,7 @@ def check_iia(rule: RuleLike | Election, profile: Profile) -> AxiomReport:
             if outcome.winner is not None:
                 break
     if found is None:
-        return AxiomReport("IIA", Verdict.SATISFIED)
+        return _SATISFIED["IIA"]
     pair, outcome = found
     if outcome.winner is None:
         verdict = Verdict.NOT_APPLICABLE

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import random
 import sys
 from fractions import Fraction
@@ -40,8 +41,8 @@ EXIT_INPUT = 2
 
 def _read_profile(path: str) -> core.Profile:
     try:
-        with open(path, "rb") as handle:  # bytes, decoded once: no text-mode wrapper
-            text = handle.read().decode("utf-8")
+        with io.FileIO(path) as handle:  # unbuffered: the file is read in one call
+            text = handle.readall().decode("utf-8")
         return core.parse_profile(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None

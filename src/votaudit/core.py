@@ -11,7 +11,10 @@ and counts are keyed by slot: `Profile._checked` alone turns weights into
 counts, and renaming and restriction to a pair are both `relabel`, a slot map
 built at import.  The public API stays on
 `fractions.Fraction`: `Profile(weights, domain)` takes weights and
-`weights`, `weight` and the text format give them back.
+`weights`, `weight` and the text format give them back.  `parse_profile`
+reads the text format in one pass into the (slot, n, d) terms `_checked`
+takes: each canonical ranking text goes to its slot by one lookup, and the
+header's domain comes from `parse_domain`'s cache.
 
 All types are immutable and hashable; every function is pure.
 """
@@ -138,6 +141,9 @@ SLOT_RANKINGS: tuple[Ranking, ...] = tuple(sorted(
 
 _SLOT = {r.order: i for i, r in enumerate(SLOT_RANKINGS)}
 
+#: The slot of each of the six canonical ranking texts, as `parse_profile` reads them.
+_TEXT_SLOTS = {text: r.slot for text, r in _RANKING_TEXTS.items()}
+
 
 @dataclass(frozen=True)
 class CandidatePermutation:
@@ -234,6 +240,7 @@ FULL_DOMAIN = Domain(RANKINGS)
 CYCLE_DOMAIN = Domain((ranking("xyz"), ranking("yzx"), ranking("zxy")))
 
 
+@functools.lru_cache(maxsize=256)  # keyed by the text; a refusal is not cached
 def parse_domain(text: str) -> Domain:
     """Parse ``"full"`` or a braced ranking list like ``"{x>y>z, y>z>x}"``."""
     text = text.strip()
@@ -329,29 +336,30 @@ class Profile:
         text format's terms: each made exact by `as_fraction`, a repeated ranking's weights
         added up.  No `domain` means every ranking over the weights' alternatives (or all three)."""
         pairs = weights.items() if isinstance(weights, Mapping) else weights
-        terms = [(r, *as_fraction(w).as_integer_ratio()) for r, w in pairs]
+        terms = [(r.slot, *as_fraction(w).as_integer_ratio()) for r, w in pairs]
         if domain is None:
-            alternatives = {r.alternatives for r, _, _ in terms} or {FULL_DOMAIN.alternatives}
+            alternatives = ({SLOT_RANKINGS[s].alternatives for s, _, _ in terms}
+                            or {FULL_DOMAIN.alternatives})
             domain = Domain(tuple(r for r in SLOT_RANKINGS if r.alternatives in alternatives))
         vars(self).update(vars(Profile._checked(domain, terms)))
 
     @classmethod
-    def _checked(cls, domain: Domain, weights: Sequence[tuple[Ranking, int, int]]) -> "Profile":
-        """The profile of (ranking, n, d) weights n/d, each d > 0; repeated rankings add up.
+    def _checked(cls, domain: Domain, weights: Sequence[tuple[int, int, int]]) -> "Profile":
+        """The profile of (slot, n, d) weights n/d, each d > 0; repeated slots add up.
         Raises `ProfileError` if a ranking's weight is negative or positive off the domain,
         or the weights do not sum to exactly 1."""
-        den = math.lcm(*(d for _, _, d in weights))
+        den = math.lcm(*[d for _, _, d in weights])
         counts: dict[int, int] = {}
-        for r, n, d in weights:
-            slot = r.slot
+        for slot, n, d in weights:
             counts[slot] = counts.get(slot, 0) + n * (den // d)
-        for slot, c in counts.items():
+        mask, total = domain._mask, 0
+        for slot, c in counts.items():  # checks each count and sums them
             if c < 0:
                 raise ProfileError(f"negative weight {Fraction(c, den)} on {SLOT_RANKINGS[slot]}")
-            if c and not domain._mask >> slot & 1:
+            if c and not mask >> slot & 1:
                 raise ProfileError(
                     f"ranking {SLOT_RANKINGS[slot]} has positive weight but is outside the domain")
-        total = sum(counts.values())
+            total += c
         if total != den:
             raise ProfileError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
         return cls._trusted(domain, den, counts.items())
@@ -365,15 +373,13 @@ class Profile:
         sum to `den`.  Zero counts are dropped, and `den` and the counts are
         divided by their gcd, so the result is canonical.
         """
-        counts = sorted((s, c) for s, c in counts if c)
-        g = math.gcd(den, *(c for _, c in counts))
+        counts = sorted([(s, c) for s, c in counts if c])
+        g = math.gcd(den, *[c for _, c in counts])
         if g > 1:
             den //= g
             counts = [(s, c // g) for s, c in counts]
         profile = object.__new__(cls)
-        object.__setattr__(profile, "domain", domain)
-        object.__setattr__(profile, "den", den)
-        object.__setattr__(profile, "counts", tuple(counts))
+        vars(profile).update(domain=domain, den=den, counts=tuple(counts))
         return profile
 
     def weight(self, r: Ranking) -> Fraction:
@@ -475,14 +481,21 @@ def parse_profile(text: str) -> Profile:
     Line 1 (ignoring comments/blanks): ``domain: full`` or ``domain: {x>y>z, ...}``.
     Each further line: ``<weight> <ranking>``; ``#`` starts a comment.  Repeated
     rankings accumulate.  Weights must sum to exactly 1.
+
+    One pass turns the lines into (slot, n, d) terms for `Profile._checked`: a
+    canonical ranking text is one lookup (`parse_ranking` reads any other, and
+    refuses it with its own text), and so, once read, is the header's text.
     """
     domain: Domain | None = None
-    terms: list[tuple[Ranking, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    terms: list[tuple[int, int, int]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        parts = line.split()
+        if not parts:
             continue
         if domain is None:
+            line = line.strip()
             if not line.startswith("domain:"):
                 raise ProfileParseError(f"line {lineno}: expected 'domain:' header, got {line!r}")
             try:
@@ -490,15 +503,18 @@ def parse_profile(text: str) -> Profile:
             except RankingParseError as exc:
                 raise ProfileParseError(f"line {lineno}: {exc}") from None
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise ProfileParseError(f"line {lineno}: expected '<weight> <ranking>', got {line!r}")
-        n, d = _plain_ratio(parts[0]) or parse_weight(parts[0]).as_integer_ratio()
-        try:
-            r = parse_ranking(parts[1])
-        except RankingParseError as exc:
-            raise ProfileParseError(f"line {lineno}: {exc}") from None
-        terms.append((r, n, d))
+            raise ProfileParseError(
+                f"line {lineno}: expected '<weight> <ranking>', got {line.strip()!r}")
+        weight, name = parts
+        n, d = _plain_ratio(weight) or parse_weight(weight).as_integer_ratio()
+        slot = _TEXT_SLOTS.get(name)
+        if slot is None:
+            try:
+                slot = parse_ranking(name).slot
+            except RankingParseError as exc:
+                raise ProfileParseError(f"line {lineno}: {exc}") from None
+        terms.append((slot, n, d))
     if domain is None:
         raise ProfileParseError("missing 'domain:' header")
     try:

@@ -16,17 +16,18 @@ the counts to the whole mass.  So one bound, each statistic plus the units left
 times its most favorable change per unit, against the criterion's threshold,
 cuts a candidate at the root and every subtree of the arc enumeration that
 cannot make it win; with no units left it is the leaf test.  At the root, with
-the most units, each lattice compiles it into thresholds.  A candidate they
-pass meets a second stage there, the same bound with each source's share
-capped by what it holds: per statistic, the sum over the sources of the units
-each holds, but no more than the coalition may move, times its best change per
-unit along an arc out of it.  A source moves no more than it holds, so this
-stage is sound; it cuts the candidates whose reach rests on sources too small
-to use it, which the thresholds alone leave to a long branch search.  A branch
-walks only the arcs a minimal witness's amounts can use (`_Model.arcs`).  Among
-valid witnesses the search returns the one minimal by total size and then by
-the amounts vector over canonically ordered arcs, so results are reproducible
-byte for byte.
+the most units, a lattice compiles it into thresholds, per old winner when
+first asked: a profile's search builds its own winner's, the sweep's box test
+all three.  A candidate they pass meets a second stage there, the same bound
+with each source's share capped by what it holds: per statistic, the sum over
+the sources of the units each holds, but no more than the coalition may move,
+times its best change per unit along an arc out of it.  A source moves no more
+than it holds, so this stage is sound; it cuts the candidates whose reach rests
+on sources too small to use it, which the thresholds alone leave to a long
+branch search.  A branch walks only the arcs a minimal witness's amounts can
+use (`_Model.arcs`).  Among valid witnesses the search returns the one minimal
+by total size and then by the amounts vector over canonically ordered arcs, so
+results are reproducible byte for byte.
 
 The search runs on an integer lattice, at L = lcm(move denominator, the
 profile's denominator).  `find_manipulation` takes a profile's statistics from
@@ -195,20 +196,15 @@ class _Model:
     lex-first witness puts all their units there.
     """
 
-    def __init__(self, vector: tuple[Fraction, ...] | None, domain: Domain):
+    def __init__(self, points: tuple[int, ...] | None, domain: Domain):
         if domain.alternatives != frozenset(ALTERNATIVES):
             raise ValueError(f"the coalition search needs rankings of all of x, y, z; the domain "
                              f"{domain} ranks only {', '.join(sorted(domain.alternatives))}")
         self.rankings = rankings = tuple(domain)
-        if vector is None:
-            self.total = 1
-            self.rows = [[int(r.prefers(a, b)) for r in rankings] for a, b in _PAIRS]
-        else:
-            d = math.lcm(*(s.denominator for s in vector))
-            points = [s.numerator * (d // s.denominator) for s in vector]
-            self.total = 0
-            self.rows = [[points[r.position(a)] - points[r.position(b)] for r in rankings]
-                         for a, b in _PAIRS]
+        self.total = 1 if points is None else 0
+        self.rows = [[int(r.prefers(a, b)) if points is None
+                      else points[r.position(a)] - points[r.position(b)] for r in rankings]
+                     for a, b in _PAIRS]
         self.arcs = sorted({(s, c): (s, d) for (s, b), (d, c) in itertools.permutations(
             enumerate(zip(*self.rows)), 2) if c != b}.values())  # columns b of s, c of d
         self.gains = {(old, target): [r.prefers(target, old) for r in rankings]
@@ -220,20 +216,15 @@ class _Model:
                       for pair, best in self.best.items()}
 
 
-_model = functools.lru_cache(maxsize=256)(_Model)  # one per (score vector, domain)
+_model = functools.lru_cache(maxsize=256)(_Model)  # one per (rule._integers, domain)
 
 
 class _Lattice:
     """A rule's model at the integer scale L = lcm(den, moves), for profiles of denominator
-    den: a count is `per` = L / den counts, and a move is `unit` = L / moves counts.
-    `cuts[old]` is old's two statistics and, per rival target, each of `_GROUPS[target]`
-    with its threshold in the root cut: `may_win` at `max_mass` asks v[i] + max_mass *
-    extreme against need, so v[i] against need - max_mass * extreme, where the extreme of
-    `reach[old, target]` is hi at target's own two statistics and lo at the four rival ones.
-    A pair that passes them must pass `may_win_held` too before a branch is built."""
+    den: a count is `per` = L / den counts, and a move is `unit` = L / moves counts."""
 
     def __init__(self, rule: RuleDescriptor, domain: Domain, den: int, config: AuditConfig):
-        self.model = _model(rule.score_vector, domain)
+        self.model = _model(rule._integers, domain)
         scale = math.lcm(den, config.move_denominator)
         self.per = scale // den
         self.total = self.model.total * scale
@@ -241,13 +232,22 @@ class _Lattice:
         self.unit = scale // config.move_denominator
         self.max_units, self.moves = config.max_units, config.move_denominator
         self.max_mass = self.max_units * self.unit  # in counts; at 0, old's unique win rejects all
-        need, mass, reach = self.need, self.max_mass, self.model.reach
-        self.cuts = {old: (*_OVER[old], [
-            (target, p, need - mass * hi[p], q, need - mass * hi[q], r, need - mass * lo[r],
-             s, need - mass * lo[s], t, need - mass * lo[t], u, need - mass * lo[u])
-            for target in _RIVALS[old]
-            for (hi, lo), (p, q, r, s, t, u) in [(reach[old, target], _GROUPS[target])]])
-            for old in ALTERNATIVES}
+        self.cuts = {}  # old winner -> its `cut`
+        self.root_cut = None  # every old winner's `cut`, built when `may_hold` first asks
+
+    def cut(self, old):
+        """old's two statistics and, per rival target, each of `_GROUPS[target]` with its root
+        cut threshold: v[i] >= need - max_mass * extreme is `may_win` at `max_mass`, the extreme
+        of `reach[old, target]` hi at target's statistics and lo at the rival ones.  Kept in
+        `cuts` once built; a pair that passes them must pass `may_win_held` too for a branch."""
+        if old not in self.cuts:
+            need, mass, reach = self.need, self.max_mass, self.model.reach
+            self.cuts[old] = (*_OVER[old], [
+                (target, p, need - mass * hi[p], q, need - mass * hi[q], r, need - mass * lo[r],
+                 s, need - mass * lo[s], t, need - mass * lo[t], u, need - mass * lo[u])
+                for target in _RIVALS[old]
+                for (hi, lo), (p, q, r, s, t, u) in [(reach[old, target], _GROUPS[target])]])
+        return self.cuts[old]
 
     def may_win(self, target: str, values: Sequence[int], units: int,
                 hi: Sequence[int], lo: Sequence[int]) -> bool:
@@ -257,7 +257,7 @@ class _Lattice:
         Target needs both its statistics to reach `need` and each rival one
         below it.  Every search node and the leaf test (at 0 units, where the
         bound is exact) ask this; the root cut, in `search` and `may_hold`, asks
-        it at `max_mass` through the thresholds in `cuts`.
+        it at `max_mass` through the thresholds of `cut`.
         """
         need = self.need
         p, q, r, s, t, u = _GROUPS[target]
@@ -278,8 +278,10 @@ class _Lattice:
         not built: each entry is computed where it is compared, so a test that
         fails early computes few.
         """
-        need = self.need
-        for p, q, tests in self.cuts.values():
+        need, table = self.need, self.root_cut
+        if table is None:  # not a cached_property: its `__dict__` write slows every read
+            table = self.root_cut = [*map(self.cut, ALTERNATIVES)]
+        for p, q, tests in table:
             if sums[p] + rem * hi[p] >= need and sums[q] + rem * hi[q] >= need:
                 # written out here and in `search`: through one shared helper the
                 # sweep's audits ran about 6% slower, in paired in-process runs
@@ -311,13 +313,11 @@ class _Lattice:
         if len(tie) != 1:
             return Outcome(frozenset(tie))
         old = tie[0]
-
         branches = [_Branch(self, counts, values, old, target)
-                    for target, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in self.cuts[old][2]
+                    for target, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in self.cut(old)[2]
                     if values[a] >= ta and values[b] >= tb and (values[r] < tr or values[s] < ts)
                     and (values[t] < tt or values[u] < tu)
                     and self.may_win_held(counts, values, old, target)]
-
         if not branches:
             return None
         for units in range(1, self.max_units + 1):

@@ -144,7 +144,7 @@ def instantiate(domain, weights) -> Profile | str:
     """The profile of the `(ranking, n, d)` weights, as `Profile._checked` builds and
     checks it, or the `ProfileError` text that says why they make none."""
     try:
-        return Profile._checked(domain, weights)
+        return Profile._checked(domain, [(r.slot, n, d) for r, n, d in weights])
     except ProfileError as exc:
         return str(exc)
 
@@ -365,12 +365,12 @@ def _descent_chain_results(scenario, chain: DescentChain, env: Env, profiles: di
     """
     eps = env["epsilon"]
     fixed = [(r, e.ratio(env), (0, 1)) for r, e in chain.fixed]
-    components = {r: e.ratio(env) for r, e in chain.components}
-    mass = sum((Fraction(*v) for v in components.values()), Fraction(0))  # can be negative
+    components = [(r, e.ratio(env)) for r, e in chain.components]  # a repeated ranking adds up
+    mass = sum((Fraction(*v) for _, v in components), Fraction(0))  # can be negative
     windows = 0 if mass < 0 else epsilon_partition(mass, eps)
     share = windows + 1  # each step moves v/share of each component v
-    steps = [(r, (n, d), (-n, d * share)) for r, (n, d) in components.items()]
-    moves = [(chain.absorber, r, Fraction(n, d * share)) for r, (n, d) in components.items()]
+    steps = [(r, (n, d), (-n, d * share)) for r, (n, d) in components]
+    moves = [(chain.absorber, r, Fraction(n, d * share)) for r, (n, d) in components]
     rest = 1 - mass - sum(Fraction(*f) for _, f, _ in fixed)
     level = _levels(scenario.domain, [*fixed, *steps, (chain.absorber, rest.as_integer_ratio(),
                                                        (mass / share).as_integer_ratio())])

@@ -25,6 +25,8 @@ One kernel scores a rule on (slot, count) pairs, and one `evaluate` hands it a
 profile's counts or, given a slot map (a renaming's or a restriction's to a
 pair), the same counts at their images, where counts that meet add up: an
 image is evaluated as `relabel` would build it, but no `Profile` is built.
+There are eight tie sets, so eight outcomes: the kernel returns the one built
+for its tie set at import and builds none.
 `Fraction` appears only in what `scoring_scores`, `borda_scores` and
 `condorcet_margins` return.  This code shares nothing with the lattice of
 `manipulation`: it is the independent check `verify_witness` replays on.
@@ -96,6 +98,11 @@ class Outcome:
         if not self.tie_set:
             return "empty"
         return "tie {" + ", ".join(sorted(self.tie_set)) + "}"
+
+
+#: The outcome of each of the eight tie sets, built once: `_outcome` returns one of these.
+_OUTCOMES = {tie: Outcome(tie) for n in range(len(ALTERNATIVES) + 1)
+             for tie in map(frozenset, itertools.combinations(ALTERNATIVES, n))}
 
 
 #: The positional rules known by name, and their score vectors.
@@ -221,12 +228,10 @@ def _outcome(rule: RuleDescriptor, alternatives: frozenset[str], den: int,
     if rule.score_vector is not None:
         scores = _integer_scores(rule, alternatives, counts)
         best = max(scores.values())
-        return Outcome(frozenset(a for a, s in scores.items() if s == best))
+        return _OUTCOMES[frozenset([a for a, s in scores.items() if s == best])]
     margins = _integer_margins(counts)
-    return Outcome(frozenset(
-        a for a, rivals in _CONTESTS[alternatives]
-        if all(2 * margins[i] >= den for i in rivals)
-    ))
+    return _OUTCOMES[frozenset([a for a, rivals in _CONTESTS[alternatives]
+                                if all([2 * margins[i] >= den for i in rivals])])]
 
 
 def scoring_scores(rule: RuleDescriptor, profile: Profile) -> dict[str, Fraction]:

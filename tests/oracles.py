@@ -6,14 +6,18 @@ and manipulation witnesses by exhaustive enumeration of entire move matrices
 in the order the search promises.  Catalog expressions are walked node by
 node in `Fraction` arithmetic, their names by a second walk apart from the
 compiler, and induction chains level by level.  IIA is judged on the profiles
-`restrict_profile` builds, never on a profile's counts under a slot map.
+`restrict_profile` builds, never on a profile's counts under a slot map.  The
+profile text format is read by plain splits and `Fraction` sums, not by slots
+and counts.
 """
 
 import ast
 import math
 from fractions import Fraction
 
-from votaudit import ALTERNATIVES, Profile, evaluate, restrict_profile, transfer_weight
+from votaudit import (ALTERNATIVES, RANKINGS, Profile, Ranking, evaluate, restrict_profile,
+                      transfer_weight)
+from votaudit.core import ProfileParseError
 from votaudit.manipulation import AuditConfig, ManipulationWitness
 from votaudit.replay.verify import _misreport
 from votaudit.rules import RuleDescriptor
@@ -69,6 +73,88 @@ def brute_condorcet_tie_set(profile: Profile) -> frozenset[str]:
         a for a in ALTERNATIVES
         if all(matrix[(a, b)] >= half for b in ALTERNATIVES if b != a)
     )
+
+
+def brute_tie_set(rule: RuleDescriptor, profile: Profile) -> frozenset[str]:
+    """The tie set on a profile of three alternatives or of a pair, from its weights: the
+    alternatives scoring most, each ranking giving w * s[position] to each it orders,
+    or, for the pairwise rule, those with support at least a half over every other."""
+    alts = profile.alternatives
+    weights = profile.weights.items()
+    if rule.score_vector is None:
+        return frozenset(a for a in alts if all(
+            sum((w for r, w in weights if r.prefers(a, b)), Fraction(0)) >= Fraction(1, 2)
+            for b in alts if b != a))
+    scores = {a: sum((w * rule.score_vector[r.position(a)] for r, w in weights), Fraction(0))
+              for a in alts}
+    best = max(scores.values())
+    return frozenset(a for a, s in scores.items() if s == best)
+
+
+def _reference_ranking(text: str) -> Ranking:
+    """A ``>`` list of each of x, y and z once, every part stripped; else a `ValueError`
+    with `parse_ranking`'s text, naming the first unknown, repeated or missing one."""
+    order = [part.strip() for part in text.split(">")]
+    for i, alt in enumerate(order):
+        if alt not in ALTERNATIVES:
+            raise ValueError(f"unknown alternative {alt!r} in {text!r}")
+        if alt in order[:i]:
+            raise ValueError(f"duplicate alternative {alt!r} in {text!r}")
+    for alt in ALTERNATIVES:
+        if alt not in order:
+            raise ValueError(f"missing alternative {alt!r} in {text!r}")
+    return Ranking(tuple(order))
+
+
+def reference_profile(text: str) -> tuple[frozenset[Ranking], dict[Ranking, Fraction]]:
+    """The profile text format read line by line: the domain's rankings and each ranking's
+    positive total weight, or a `ProfileParseError` with `parse_profile`'s text.  A weight
+    is `Fraction(token)`; an exponent past Python's limit on integer text, which
+    `as_fraction` refuses unread, is not handled."""
+    domain, weights = None, {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if domain is None:
+            if not line.startswith("domain:"):
+                raise ProfileParseError(f"line {lineno}: expected 'domain:' header, got {line!r}")
+            spec = line[len("domain:"):].strip()
+            if spec == "full":
+                domain = frozenset(RANKINGS)
+            elif not (spec.startswith("{") and spec.endswith("}")):
+                raise ProfileParseError(f"bad domain spec {spec!r}: expected 'full' or '{{...}}'")
+            elif not spec[1:-1].strip():
+                raise ProfileParseError("domain list is empty")
+            else:
+                try:
+                    domain = frozenset(map(_reference_ranking, spec[1:-1].strip().split(",")))
+                except ValueError as exc:
+                    raise ProfileParseError(f"line {lineno}: {exc}") from None
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ProfileParseError(f"line {lineno}: expected '<weight> <ranking>', got {line!r}")
+        try:
+            weight = Fraction(parts[0])
+        except (ValueError, ZeroDivisionError):
+            raise ProfileParseError(f"bad weight {parts[0]!r}") from None
+        try:
+            r = _reference_ranking(parts[1])
+        except ValueError as exc:
+            raise ProfileParseError(f"line {lineno}: {exc}") from None
+        weights[r] = weights.get(r, Fraction(0)) + weight
+    if domain is None:
+        raise ProfileParseError("missing 'domain:' header")
+    for r, w in weights.items():
+        if w < 0:
+            raise ProfileParseError(f"negative weight {w} on {r}")
+        if w and r not in domain:
+            raise ProfileParseError(f"ranking {r} has positive weight but is outside the domain")
+    total = sum(weights.values(), Fraction(0))
+    if total != 1:
+        raise ProfileParseError(f"weights sum to {total}, expected exactly 1")
+    return domain, {r: w for r, w in weights.items() if w}
 
 
 def compositions(total: int, caps):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import votaudit as va
-from votaudit.axioms import Election, Verdict, _dominations
+from votaudit.axioms import _SATISFIED, Election, Verdict, _dominations
 from votaudit.core import relabel
-from votaudit.rules import _RESTRICTIONS, Outcome, evaluate
+from votaudit.rules import _OUTCOMES, _RESTRICTIONS, Outcome, evaluate
 
 
 def profile_u(p, q):
@@ -201,10 +201,16 @@ def _slot_maps(profile):
 @given(domain_profiles(), _score_vectors)
 @settings(max_examples=300)
 def test_image_evaluation_equals_evaluating_the_relabeled_profile(profile, vector):
+    # each outcome is one of the eight built once, with the oracle's tie set
+    interned = list(_OUTCOMES.values())
+    assert len(interned) == 8
     for rule in (va.BORDA, va.PLURALITY, va.CONDORCET, va.scoring(*vector)):
+        assert any(evaluate(rule, profile) is outcome for outcome in interned)
         for images in _slot_maps(profile):
-            assert evaluate(rule, profile, images) == \
-                va.evaluate(rule, relabel(profile, images))
+            image, outcome = relabel(profile, images), evaluate(rule, profile, images)
+            assert outcome == va.evaluate(rule, image)
+            assert any(outcome is known for known in interned)
+            assert outcome.tie_set == oracles.brute_tie_set(rule, image)
 
 
 @given(domain_profiles())
@@ -222,10 +228,13 @@ def _reports(rule, profile):
 def _assert_descriptor_and_callable_report_alike(rule, profile):
     """A descriptor, which scores the derived elections on counts, reports as the callable
     that evaluates each derived profile, and as an `Election` on the profile; equal reports
-    hold equal verdicts, notes, counterexample profiles and outcomes."""
+    hold equal verdicts, notes, counterexample profiles and outcomes.  A satisfied check
+    returns its axiom's one shared report."""
     expected = _reports(lambda p: va.evaluate(rule, p), profile)
-    assert _reports(rule, profile) == expected
+    descriptor = _reports(rule, profile)
+    assert descriptor == expected
     assert _reports(Election(rule, profile), profile) == expected
+    assert all(r is _SATISFIED[r.axiom] for r in [*descriptor, *expected] if r.satisfied)
     return expected
 
 

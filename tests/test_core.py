@@ -4,8 +4,9 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 import votaudit as va
 from votaudit.core import (
     InfeasibleMoveError,
@@ -249,6 +250,87 @@ def test_parse_profile_rejects(text):
         va.parse_profile(text)
 
 
+def _weight_spellings(w: F) -> list[str]:
+    """Texts that read as w: a ratio, reduced or not, and, when w is a decimal of at most
+    six places, decimal and exponent text."""
+    n, d = w.numerator, w.denominator
+    spellings = [f"{n}/{d}", f"{3 * n}/{3 * d}"]
+    places = next((e for e in range(7) if 10**e % d == 0), None)
+    if places is not None:
+        digits = n * 10**places // d
+        text = str(abs(digits)).rjust(places + 1, "0")
+        sign = "-" if digits < 0 else ""
+        spellings += [f"{digits}e-{places}", f"{digits}E-{places}",
+                      sign + (f"{text[:-places]}.{text[-places:]}" if places else text)]
+    return spellings
+
+
+_HEADERS = ["domain: {}", "domain: fool", "Domain: full", "domain {x>y>z}", "domain: {x>y, y>x}",
+            "domain: {x>y>z,}", "domain: {x>y>z, x>w>z}", "domain: {x>y>z, y>x>y}"]
+_ODD_RANKINGS = ["x > y > z", "y>x", "x>w>z", "x>x>z", "xyz", "z>y>x>w", "X>Y>Z", ">", "x>y>"]
+_ODD_WEIGHTS = ["1/0", "nan", "inf", "half", "1//2", "1/2/3", "--1", "1e", "/2", "0x1"]
+_FAULTS = [None] * 8 + ["header", "no header", "weight", "ranking", "words", "domain", "sum"]
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile text over a drawn domain: weights that sum to 1 on its rankings, repeats
+    among them, each weight in a drawn spelling, with odd spacing, tabs, comments, blank
+    lines and LF or CRLF endings.  About half the texts have one fault: a malformed or
+    missing header, a weight or ranking that does not read, a line of other than two
+    words, a ranking off the domain, or a weight shifted off a sum of 1 or below 0."""
+    members = draw(st.lists(st.sampled_from(va.RANKINGS), min_size=1, unique=True))
+    spec = "{" + draw(st.sampled_from([", ", ",", " , "])).join(map(str, members)) + "}"
+    if len(members) == 6 and draw(st.booleans()):
+        spec = "full"
+    lines = [draw(st.sampled_from(["domain: ", "domain:", "  domain:  "])) + spec]
+    den = draw(st.integers(1, 40))
+    cuts = sorted(draw(st.lists(st.integers(0, den), max_size=5)))
+    weights = [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+    rankings = [str(draw(st.sampled_from(members))) for _ in weights]
+    fault, at = draw(st.sampled_from(_FAULTS)), draw(st.integers(0, len(weights) - 1))
+    if fault == "header":
+        lines = [draw(st.sampled_from(_HEADERS))]
+    elif fault == "no header":
+        lines = []
+    elif fault == "domain" and len(members) < 6:  # the largest weight, so a positive one
+        at = weights.index(max(weights))
+        rankings[at] = str(draw(st.sampled_from([r for r in va.RANKINGS if r not in members])))
+    elif fault == "sum":
+        weights[at] += draw(st.sampled_from([F(-1), F(-1, den), F(1, 7), F(-1, 100)]))
+    for i, (w, ranking) in enumerate(zip(weights, rankings)):
+        weight = draw(st.sampled_from(_weight_spellings(w)))
+        if i == at and fault == "weight":
+            weight = draw(st.sampled_from(_ODD_WEIGHTS))
+        if i == at and fault == "ranking":
+            ranking = draw(st.sampled_from(_ODD_RANKINGS))
+        line = weight + draw(st.sampled_from([" ", "  ", "\t"])) + ranking
+        if i == at and fault == "words":
+            line = draw(st.sampled_from([weight, ranking, f"{line} extra"]))
+        lines.append(draw(st.sampled_from(["", "  ", "\t"])) + line + draw(st.sampled_from(
+            ["", "  ", " # a comment", "# x>y>z", "\t#1 x>y>z"])))
+    for _ in range(draw(st.integers(0, 3))):  # blank and comment lines, the header's too
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# note", "  # domain: full", "#"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@given(profile_texts())
+@settings(max_examples=500)
+def test_parse_profile_reads_as_the_reference_reader(text):
+    try:
+        domain, weights = oracles.reference_profile(text)
+    except ProfileParseError as exc:
+        with pytest.raises(ProfileParseError) as caught:
+            va.parse_profile(text)
+        assert str(caught.value) == str(exc)
+    else:
+        parsed = va.parse_profile(text)
+        assert frozenset(parsed.domain) == domain and parsed.weights == weights
+        assert parsed == va.Profile(weights, va.Domain(tuple(domain)))
+
+
 def test_parse_weight_refuses_an_exponent_at_the_integer_text_limit(monkeypatch):
     monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 1000)
     assert parse_weight("1e999") == 10**999 and parse_weight("25E-2") == F(1, 4)
@@ -478,14 +560,15 @@ def test_checked_constructor_agrees_with_the_fraction_sums(terms, domain):
     sums: dict = {}
     for r, n, d in terms:
         sums[r] = sums.get(r, F(0)) + F(n, d)
+    slotted = [(r.slot, n, d) for r, n, d in terms]
     try:
         expected = va.Profile(sums, domain)
     except ProfileError as exc:
         with pytest.raises(ProfileError) as caught:
-            va.Profile._checked(domain, terms)
+            va.Profile._checked(domain, slotted)
         assert str(caught.value) == str(exc)
     else:
-        built = va.Profile._checked(domain, terms)
+        built = va.Profile._checked(domain, slotted)
         assert built == expected and (built.den, built.counts) == (expected.den, expected.counts)
 
 

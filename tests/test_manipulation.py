@@ -478,7 +478,7 @@ def _near_thresholds(lattice):
     """Per forward statistic (i < 3), the values at which a root-cut comparison on it
     can flip, and one either side: a reverse statistic's threshold t is C - t forward."""
     near = [set(), set(), set()]
-    for p, q, tests in lattice.cuts.values():
+    for p, q, tests in map(lattice.cut, va.ALTERNATIVES):
         pairs = [(p, lattice.need), (q, lattice.need)]
         pairs += [pair for _, *flat in tests for pair in zip(flat[::2], flat[1::2])]
         for i, t in pairs:
@@ -556,7 +556,8 @@ def test_the_root_cut_thresholds_are_may_win_at_max_mass(rule, rankings, epsilon
         # least as much as the thresholds and cannot cut: this checks the thresholds alone
         held = [lattice.max_mass] * len(rankings)
         # the table: every statistic at its threshold or one either side
-        for old, (p, q, tests) in lattice.cuts.items():
+        for old in va.ALTERNATIVES:
+            p, q, tests = lattice.cut(old)
             assert (p, q) == _OVER[old] and [target for target, *_ in tests] == list(_RIVALS[old])
             for target, a, ta, b, tb, r, tr, s, ts, t, tt, u, tu in tests:
                 assert (a, b, r, s, t, u) == _GROUPS[target]
@@ -584,6 +585,39 @@ def test_the_root_cut_thresholds_are_may_win_at_max_mass(rule, rankings, epsilon
                     lattice.search(values, held)
                 assert seen == ([] if expected is None else
                                 [(expected[0], target) for target in expected[1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_score_vectors(), st.just(va.CONDORCET)),
+       st.sets(st.sampled_from(va.RANKINGS), min_size=1),
+       st.fractions(F(1, 20), 2, max_denominator=20),
+       st.integers(1, 5), st.integers(1, 8))
+def test_a_profile_search_builds_only_its_old_winners_thresholds(rule, rankings, epsilon, grid,
+                                                                 moves):
+    # each old winner's thresholds, built alone, are its entry of the table the box test
+    # builds, which holds every old winner's; a profile search builds only its old winner's
+    domain, config = va.Domain(tuple(rankings)), va.AuditConfig(epsilon, grid, moves)
+    full, box = _Lattice(rule, domain, grid, config), [[0] * len(_PAIRS)] * 2
+    full.may_hold(box[0], 0, *box)
+    table = full.root_cut
+    full.may_hold(box[0], 0, *box)
+    assert full.root_cut is table and list(full.cuts) == list(va.ALTERNATIVES)
+    for old, cut in zip(va.ALTERNATIVES, full.root_cut):
+        single = _Lattice(rule, domain, grid, config)
+        assert single.cut(old) == cut and list(single.cuts) == [old] and single.root_cut is None
+    searched, search = [], _Lattice.search
+    with mock.patch.object(_Lattice, "search", lambda lattice, *args: searched.append(lattice)
+                           or search(lattice, *args)):
+        for profile in va.grid_profiles(domain, grid):
+            searched.clear()
+            winner = va.evaluate(rule, profile).winner
+            try:
+                va.find_manipulation(rule, profile, config)
+            except NongenericProfileError:
+                assert winner is None
+            [lattice] = searched
+            assert list(lattice.cuts) == ([] if winner is None else [winner])
+            assert lattice.root_cut is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -758,7 +792,7 @@ def test_clean_searches_that_ran_for_seconds_end(monkeypatch, weights, epsilon, 
 def test_the_model_keeps_the_last_arc_of_each_step_from_a_ranking():
     # under plurality only a ranking's first alternative counts: from y>x>z, the arcs to
     # x>y>z and x>z>y take the same step, and the one to y>z>x none
-    model = _model(va.PLURALITY.score_vector, va.FULL_DOMAIN)
+    model = _model(va.PLURALITY._integers, va.FULL_DOMAIN)
     index = {str(r): i for i, r in enumerate(model.rankings)}
     y_first = [(str(model.rankings[src]), str(model.rankings[dst]))
                for src, dst in model.arcs if src == index["y>x>z"]]
@@ -868,7 +902,7 @@ def _firsts_by_definition(domain, grid):
 def test_lex_counts_yields_exactly_the_orbit_firsts(rankings):
     domain = va.Domain(rankings)
     per = 7  # lattice counts per grid count
-    rows = _model(va.scoring(3, 1, 0).score_vector, domain).rows
+    rows = _model(va.scoring(3, 1, 0)._integers, domain).rows
     scaled = [[per * v for v in row] for row in rows]
     for grid in range(1, 9):
         yielded = [(tuple(counts), sums)
@@ -889,7 +923,7 @@ def _check_six_statistics(rule):
     for size in range(1, 7):
         for rankings in itertools.combinations(va.RANKINGS, size):
             domain = va.Domain(rankings)
-            model = _model(rule.score_vector, domain)
+            model = _model(rule._integers, domain)
             assert len(model.rows) == len(_PAIRS)
             for forward, reverse in zip(model.rows[:3], model.rows[3:]):
                 assert {f + r for f, r in zip(forward, reverse)} == {model.total}
@@ -938,7 +972,7 @@ def test_root_extremes_on_the_full_domain_are_the_hand_derived_bound(rule):
     # A source ranking target above old, at positions p_t < p_o, moving one
     # count raises score(target) - score(old) by at most (s1 - s[p_t]) +
     # (s[p_o] - s3); over p_t < p_o that is max(s1 - s2, s2 - s3), times D.
-    model = _model(rule.score_vector, va.FULL_DOMAIN)
+    model = _model(rule._integers, va.FULL_DOMAIN)
     d = math.lcm(*(s.denominator for s in rule.score_vector))
     s1, s2, s3 = (s * d for s in rule.score_vector)
     for old in va.ALTERNATIVES:

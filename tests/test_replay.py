@@ -530,6 +530,24 @@ def test_descent_construction_fails_in_its_report(fixed, component, label, detai
     assert found == detail
 
 
+def test_a_descent_component_named_twice_adds_up():
+    # xyz and x>y>z name one ranking, so the descent holds a/2 + a/2 = a there at level 0,
+    # as profile u does, and each step moves both halves' shares out of the absorber:
+    # components add up as a template's weights do
+    def report(components):
+        descent = {"kind": "descent", "components": components, "absorber": "yzx",
+                   "base": "u", "pair": "w", "improvement": ["x", "y"]}
+        scenario = _parse_scenario(_record(profiles={"u": {"xyz": "a", "yzx": "1 - a"},
+                                                     "w": {"yzx": "1"}}, chains=[descent]),
+                                   "cycle")
+        return verify_full(scenario, ScenarioParams.of(a=F(1, 2), epsilon=F(1, 5)))
+
+    named_once = report({"xyz": "a"})
+    assert named_once.passed
+    assert report({"xyz": "a/2", "x>y>z": "a/2"}).text() == named_once.text() + """
+  pass  descent step: movers with true ranking y>z>x gain (y over x)"""
+
+
 #: Scenarios with neither a misreport step nor an affine-chain move: their
 #: claims are descent chains, renamings, and inequalities.
 _WITHOUT_MOVES = ["3.I.1.1.0.n+1", "3.I.1.2.0.n+1", "3.I.2.1.3.2", "3.I.2.2", "3.I.3",
