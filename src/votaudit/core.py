@@ -7,10 +7,11 @@ count / den), reduced by gcd(den, *counts): two profiles with identical
 weights are equal and hash equal, so voter relabelings are invisible by
 construction.  Every ranking has a fixed slot in `SLOT_RANKINGS` (the six of
 three alternatives and the six of two that restriction to a pair produces),
-and counts are keyed by slot: `Profile._checked` alone turns weights into
-counts, and renaming and restriction to a pair are both `relabel`, a slot map
-built at import.  The public API stays on
-`fractions.Fraction`: `Profile(weights, domain)` takes weights and
+stored on the ranking when it is built, and counts are keyed by slot:
+`Profile._checked` alone turns weights into counts, renaming and restriction
+to a pair are both `relabel`, a slot map built at import, and
+`transfer_weight` reads each amount once as an integer pair.  The public API
+stays on `fractions.Fraction`: `Profile(weights, domain)` takes weights and
 `weights`, `weight` and the text format give them back.  `parse_profile`
 reads the text format in one pass into the (slot, n, d) terms `_checked`
 takes: each canonical ranking text goes to its slot by one lookup, and the
@@ -57,11 +58,14 @@ class Ranking:
     """A strict total order over two or three alternatives, best first."""
 
     order: tuple[str, ...]
+    #: this ranking's index in `SLOT_RANKINGS`, stored once
+    slot: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.order) not in (2, 3):
             raise RankingParseError(f"ranking must list 2 or 3 alternatives, got {self.order!r}")
         _check_alternatives(self.order, "")
+        object.__setattr__(self, "slot", _SLOT[self.order])
 
     def prefers(self, a: str, b: str) -> bool:
         """True iff `a` appears before `b`."""
@@ -70,11 +74,6 @@ class Ranking:
     def position(self, a: str) -> int:
         """0-based position of `a` (0 = best)."""
         return self.order.index(a)
-
-    @property
-    def slot(self) -> int:
-        """This ranking's index in `SLOT_RANKINGS`."""
-        return _SLOT[self.order]
 
     @property
     def alternatives(self) -> frozenset[str]:
@@ -125,6 +124,11 @@ def parse_ranking(text: str) -> Ranking:
     return Ranking(order)
 
 
+#: The slot of each order tuple: its index among the sorted orders of two and three
+#: alternatives, which is its ranking's index in `SLOT_RANKINGS` (rankings sort by order).
+_SLOT = {order: i for i, order in enumerate(sorted(
+    p for n in (2, 3) for p in itertools.permutations(ALTERNATIVES, n)))}
+
 #: The six rankings in canonical (lexicographic) order.
 RANKINGS: tuple[Ranking, ...] = tuple(
     Ranking(p) for p in sorted(itertools.permutations(ALTERNATIVES))
@@ -135,11 +139,7 @@ _RANKING_TEXTS = {str(r): r for r in RANKINGS}
 #: Every ranking a profile can weight, in sorted order: the six of three
 #: alternatives and the six of two (a profile restricted to a pair).  A
 #: profile's counts are keyed by index into this tuple, its slot.
-SLOT_RANKINGS: tuple[Ranking, ...] = tuple(sorted(
-    Ranking(p) for n in (2, 3) for p in itertools.permutations(ALTERNATIVES, n)
-))
-
-_SLOT = {r.order: i for i, r in enumerate(SLOT_RANKINGS)}
+SLOT_RANKINGS: tuple[Ranking, ...] = tuple(Ranking(order) for order in _SLOT)
 
 #: The slot of each of the six canonical ranking texts, as `parse_profile` reads them.
 _TEXT_SLOTS = {text: r.slot for text, r in _RANKING_TEXTS.items()}
@@ -432,25 +432,27 @@ def transfer_weight(profile: Profile, moves: Sequence[Move]) -> tuple[Profile, F
 
     Each move is (true ranking, reported ranking, amount >= 0).  The total
     outflow from a ranking may not exceed its weight, and every reported
-    ranking must lie inside the profile's domain.  The counts move at the
-    common denominator lcm(den, every amount's denominator).
+    ranking must lie inside the profile's domain.  Each amount is read once as
+    an integer pair, and the counts move at the common denominator
+    lcm(den, every amount's denominator).
     """
     checked = []
+    mask = profile.domain._mask
     for src, dst, amount in moves:
-        amount = as_fraction(amount)
-        if amount.numerator < 0:
-            raise InfeasibleMoveError(f"negative transfer {amount} from {src} to {dst}")
-        if dst not in profile.domain:
+        n, d = as_fraction(amount).as_integer_ratio()
+        if n < 0:
+            raise InfeasibleMoveError(f"negative transfer {Fraction(n, d)} from {src} to {dst}")
+        if not mask >> dst.slot & 1:
             raise DomainViolationError(f"reported ranking {dst} is outside the domain")
-        checked.append((src.slot, dst.slot, amount))
-    den = math.lcm(profile.den, *(amount.denominator for _, _, amount in checked))
+        checked.append((src.slot, dst.slot, n, d))
+    den = math.lcm(profile.den, *(d for _, _, _, d in checked))
     scale = den // profile.den
     held = {s: c * scale for s, c in profile.counts}
     counts = dict(held)
     outflow: dict[int, int] = {}
     moved = 0
-    for src, dst, amount in checked:
-        k = amount.numerator * (den // amount.denominator)
+    for src, dst, n, d in checked:
+        k = n * (den // d)
         outflow[src] = outflow.get(src, 0) + k
         counts[src] = counts.get(src, 0) - k
         counts[dst] = counts.get(dst, 0) + k

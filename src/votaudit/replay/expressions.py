@@ -16,8 +16,14 @@ numerator, and a comparison compares cross products.  A name is read from
 the environment with ``as_integer_ratio()``, so the environment must hold
 exact values (`Fraction` or `int`).  Calling an `Expr` gives one normalised
 `Fraction` (or a `bool` for a predicate); `Expr.ratio` gives the raw pair, for
-callers that only compute with it (the verifier's profile weights,
-`verify.sample_params`).
+callers that only compute with it (the verifier's profile weights, identities
+and preconditions, `verify.sample_params`).
+
+Each part of a text that reads no name, like ``1/2`` in ``(1 - 1/2)*a``, is
+folded bottom-up into one constant leaf when the text is compiled, the same
+pair its closures would give at every call.  A part with no value, like
+``1/(2 - 2)``, becomes a leaf that raises when called, so the text still fails
+at call time with its whole text.
 
 The walk that builds the closures also collects the names an expression reads
 (`Expr.names`), by which the loader checks each text against its scope.
@@ -106,17 +112,33 @@ def _div(left, right):
     return div
 
 
-# Leaves are most of the nodes, and the catalog reads few names and literals,
+# Leaves are most of the nodes, and the catalog reads few names and constants,
 # so each one gets a single closure that every site shares.
 @lru_cache(maxsize=256)
-def _literal(value: int) -> Callable[[Env], Pair]:
-    pair = (value, 1)
+def _constant(pair: Pair) -> Callable[[Env], Pair]:
     return lambda env: pair
 
 
 @lru_cache(maxsize=256)
 def _read(name: str) -> Callable[[Env], Pair]:
     return lambda env: env[name].as_integer_ratio()
+
+
+def _undefined(env: Env) -> Pair:
+    """The leaf of a constant with no value, like ``1/(2 - 2)``."""
+    raise ZeroDivisionError
+
+
+def _folded(fn: Callable[[Env], Pair], names: frozenset[str]):
+    """`fn` and `names`, with `fn` folded into one leaf if it reads no name: its value, or
+    `_undefined` where it has none, so calling the text still fails there and names the
+    whole text.  Nodes fold bottom-up, so `fn` reads only leaves: one node deep."""
+    if names:
+        return fn, names
+    try:
+        return _constant(fn(None)), names
+    except ZeroDivisionError:
+        return _undefined, names
 
 
 def _unary(function, operand):
@@ -145,26 +167,27 @@ def _arith(node: ast.AST) -> tuple[Callable[[Env], Pair], frozenset[str]]:
     """The closure computing `node`, and the names it reads."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return _literal(node.value), frozenset()
+            return _constant((node.value, 1)), frozenset()
         raise ExpressionError(f"only integer literals are exact, got {node.value!r}")
     if isinstance(node, ast.Name):
         return _read(node.id), frozenset((node.id,))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand, names = _arith(node.operand)
-        return (operand if isinstance(node.op, ast.UAdd)
-                else _unary(lambda n, d: (-n, d), operand)), names
+        if isinstance(node.op, ast.UAdd):
+            return operand, names
+        return _folded(_unary(lambda n, d: (-n, d), operand), names)
     if isinstance(node, ast.BinOp):
         if type(node.op) not in _OPERATORS:
             raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
         (left, lnames), (right, rnames) = _arith(node.left), _arith(node.right)
-        return _OPERATORS[type(node.op)](left, right), lnames | rnames
+        return _folded(_OPERATORS[type(node.op)](left, right), lnames | rnames)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only floor/ceil/abs calls are allowed")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"{node.func.id} takes exactly one argument")
         operand, names = _arith(node.args[0])
-        return _unary(_FUNCTIONS[node.func.id], operand), names
+        return _folded(_unary(_FUNCTIONS[node.func.id], operand), names)
     raise ExpressionError(f"unsupported syntax: {ast.dump(node)}")
 
 

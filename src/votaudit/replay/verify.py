@@ -14,7 +14,11 @@ and bisects back from the first that fails to the first failing level.
 it, or the text that says why the weights make none, as `_misreport` says why a
 misreport fails; no text is parsed.
 
-Reports list one pass/fail line per check, and a construction that fails
+Reports list one pass/fail line per check, a `CheckResult` tuple, and a
+point pays only for its arithmetic: identities compare two integer pairs by
+cross-multiplication and build a `Fraction` only for a failing line's text, and
+a move's gain line, which depends on no parameter point, is built once per
+(label, source ranking, old, new) and shared.  A construction that fails
 (a level or shape that is no profile, a negative mass, a text with no value at
 the point, which its `ExpressionError` names) is a FAIL line, never an exception; only a
 failing precondition raises `PreconditionViolation`, naming the inequality:
@@ -28,7 +32,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ..axioms import _dominations
 from ..core import Profile, ProfileError, as_fraction, permute_profile, transfer_weight
@@ -73,8 +77,7 @@ class ScenarioParams:
         return ", ".join(f"{k}={v}" for k, v in self.values)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
@@ -117,7 +120,7 @@ def _derive(scenario: Scenario, env: Env) -> str | None:
     are bound; return the first precondition that fails or def that has no value."""
     for name, expr in scenario.derivation:
         if name is None:
-            if not expr(env):
+            if not expr.ratio(env):
                 return str(expr)
             continue
         try:
@@ -168,14 +171,20 @@ def _build(scenario: Scenario, params: ScenarioParams):
 def _improvement_results(moves, improvement, label: str):
     """Every mover must strictly prefer every possible new winner to every possible old one."""
     old, new = improvement
-    old_set, new_set = expand_winner_spec(old), expand_winner_spec(new)
     for src, _dst, amount in moves:
-        if amount != 0:  # a zero-mass block contributes no coalition members
-            ok = all(src.prefers(b, a) for a in old_set for b in new_set)
-            yield CheckResult(
-                f"{label}: movers with true ranking {src} gain ({new} over {old})", ok,
-                "" if ok else f"{src} does not prefer some of {sorted(new_set)} "
-                              f"over some of {sorted(old_set)}")
+        if amount:  # a zero-mass block contributes no coalition members
+            yield _gain(label, src, old, new)
+
+
+@functools.lru_cache(maxsize=1024)  # the catalog's steps and chains ask 87 keys
+def _gain(label: str, src, old: str, new: str) -> CheckResult:
+    """The line for movers with true ranking `src`: it depends on no parameter point."""
+    old_set, new_set = expand_winner_spec(old), expand_winner_spec(new)
+    ok = all(src.prefers(b, a) for a in old_set for b in new_set)
+    return CheckResult(
+        f"{label}: movers with true ranking {src} gain ({new} over {old})", ok,
+        "" if ok else f"{src} does not prefer some of {sorted(new_set)} "
+                      f"over some of {sorted(old_set)}")
 
 
 def _misreport(before: Profile, moves, after: Profile, eps: Fraction) -> tuple[str, str, Fraction]:
@@ -201,8 +210,8 @@ def _scenario_results(scenario: Scenario, env: Env, profiles: dict[str, Profile]
     """Identity, inequality, rule, domination, renaming and step checks."""
     for lhs, rhs in scenario.identities:
         try:
-            left, right = lhs(env), rhs(env)
-            detail = "" if left == right else f"{left} != {right}"
+            (ln, ld), (rn, rd) = lhs.ratio(env), rhs.ratio(env)
+            detail = "" if ln * rd == rn * ld else f"{Fraction(ln, ld)} != {Fraction(rn, rd)}"
         except ExpressionError as exc:
             detail = str(exc)
         yield CheckResult(f"identity {lhs} == {rhs}", not detail, detail)
@@ -460,12 +469,12 @@ def sample_params(scenario: Scenario, rng: random.Random) -> ScenarioParams:
             (lo_n, lo_d), (hi_n, hi_d) = low.ratio(env), high.ratio(env)
             if hi_n * lo_d < lo_n * hi_d:
                 break
-            den = rng.randint(16, _MAX_DENOMINATOR)
+            den = rng.randrange(16, _MAX_DENOMINATOR + 1)  # as `randint` draws it
             lo_num = -(-lo_n * den // lo_d)  # ceil(lo * den)
             hi_num = hi_n * den // hi_d  # floor(hi * den)
             if hi_num < lo_num:
                 break
-            env[var] = Fraction(rng.randint(lo_num, hi_num), den)
+            env[var] = Fraction(rng.randrange(lo_num, hi_num + 1), den)
         else:  # every variable drawn
             drawn = tuple(sorted(env.items()))
             if _derive(scenario, env) is None:

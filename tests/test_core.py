@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -537,6 +540,48 @@ def test_slots_cover_every_ranking_of_two_or_three_alternatives():
     assert len(va.core.SLOT_RANKINGS) == 12 and list(va.core.SLOT_RANKINGS) == sorted(va.core.SLOT_RANKINGS)
     assert set(va.RANKINGS) <= set(va.core.SLOT_RANKINGS)
     assert all(va.core.SLOT_RANKINGS[r.slot] == r for r in va.core.SLOT_RANKINGS)
+
+
+def _every_built_ranking():
+    """Each ranking as each way of building one builds it: the constructor, `ranking` in
+    both notations, `parse_ranking` (canonical and spaced text), a renaming, restriction to
+    a pair (of an order and of a profile), `dataclasses.replace`, a copy and a pickle."""
+    orders = [p for n in (2, 3) for p in itertools.permutations(va.ALTERNATIVES, n)]
+    for order in orders:
+        yield va.Ranking(order)
+        yield va.ranking("".join(order))
+        yield va.ranking(">".join(order))
+        yield dataclasses.replace(va.Ranking(("x", "y")), order=order)
+        yield copy.deepcopy(va.Ranking(order))
+        yield pickle.loads(pickle.dumps(va.Ranking(order)))
+        if len(order) == 3:
+            yield va.parse_ranking(">".join(order))
+            yield va.parse_ranking(" " + " > ".join(order) + " ")
+    profile = va.Profile({r: F(1, 6) for r in va.RANKINGS})
+    for perm in va.ALL_PERMUTATIONS:
+        for r in va.RANKINGS:
+            yield va.Ranking(tuple(map(perm, r.order)))
+        yield from va.permute_profile(profile, perm).support
+    for pair in itertools.combinations(va.ALTERNATIVES, 2):
+        for r in va.RANKINGS:
+            yield va.Ranking(tuple(a for a in r.order if a in pair))
+        yield from va.restrict_profile(profile, pair).support
+
+
+def test_every_built_ranking_stores_its_slot_and_compares_by_its_order_alone():
+    slots = va.core.SLOT_RANKINGS
+    built = list(_every_built_ranking())
+    assert {r.order for r in built} == {r.order for r in slots}
+    for r in built:
+        assert r.slot == slots.index(r)
+        shared = slots[r.slot]
+        assert r == shared and hash(r) == hash(shared) == hash((r.order,))
+        assert repr(r) == repr(shared) == f"Ranking({'>'.join(r.order)})"
+        assert str(r) == str(shared) and not r < shared and not shared < r
+    assert sorted(built) == sorted(built, key=lambda r: r.order)
+    assert list(slots) == sorted(slots) and list(va.RANKINGS) == sorted(va.RANKINGS)
+    assert [r.slot for r in va.RANKINGS] == [slots.index(r) for r in va.RANKINGS]
+    assert [f.name for f in dataclasses.fields(va.Ranking) if f.compare] == ["order"]
 
 
 @st.composite

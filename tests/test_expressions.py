@@ -197,3 +197,28 @@ def test_an_expression_called_past_the_recursion_limit_is_an_expression_error():
     refusal = "^expression '-{300}a': expression nested too deeply$"
     with pytest.raises(ExpressionError, match=refusal):
         call_at_depth(sys.getrecursionlimit() - 300)
+
+
+@pytest.mark.parametrize("text", ["a + 1/(2 - 2)", "floor(1/(3 - 3)) + a"])
+def test_a_constant_with_no_value_compiles_and_fails_when_called_naming_the_text(text):
+    expr = compile_expression(text)
+    with pytest.raises(ExpressionError) as exc:
+        expr(_ENV)
+    assert str(exc.value) == f"expression {text!r}: division by zero"
+    _agrees(expr, _ENV)
+
+
+@pytest.mark.parametrize("text", ["ceil(7/2) + a", "(1 - 1/4)*a", "-(2 - 5)/(1 + 1) * b"])
+def test_folded_constants_agree_with_the_reference(text):
+    _agrees(compile_expression(text), _ENV)
+
+
+def test_a_text_that_reads_no_name_is_called_as_one_leaf():
+    # `"-" * 300 + "a"` fails at this depth (the recursion-limit test above); this text reads
+    # no name, so it is folded into one constant when it is compiled
+    expr = compile_expression("-" * 300 + "(1/2)")
+
+    def call_at_depth(k):
+        return expr(_ENV) if k == 0 else call_at_depth(k - 1)
+
+    assert call_at_depth(sys.getrecursionlimit() - 300) == F(1, 2)

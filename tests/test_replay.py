@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -873,6 +874,32 @@ scenario 3.I.1.1.0.n+1 at a=11/20, b=1/10, c=1/5, epsilon=1/25
   pass  descent step: movers with true ranking y>x>z gain (y over not:y)
   pass  descent step: movers with true ranking y>x>z gain (y over not:y)
 """),
+    "step-gain": ("1.I.1.1.1", _ONE_I, lambda s, _: replace(s, steps=tuple(
+        replace(step, improvement=step.improvement[::-1]) for step in s.steps)), """\
+scenario 1.I.1.1.1 at a=3/5, b=1/5, epsilon=1/2
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile u1 is valid (weights >= 0, sum 1)
+  pass  inequality (2*a + b - 1) + (1 - a - 2*b) == a - b
+  pass  borda elects x on base
+  pass  renaming x->z,y->x,z->y carries base to u1
+  pass  renaming x->z,y->x,z->y carries winner y to x
+  pass  step 1 (base -> u1): misreport reproduces the target profile exactly
+  pass  step 1 (base -> u1): coalition size 2/5 < epsilon
+  FAIL  step 1 (base -> u1): movers with true ranking x>y>z gain (y over x)  (x>y>z does not prefer some of ['y'] over some of ['x'])
+"""),
+    "descent-gain": ("3.I.1.1.0.n+1", _DESCENT, lambda s, _: _replace_chain(
+        s, improvement=s.chains[0].improvement[::-1]), """\
+scenario 3.I.1.1.0.n+1 at a=11/20, b=1/10, c=1/5, epsilon=1/25
+  pass  profile base is valid (weights >= 0, sum 1)
+  pass  profile pairXY is valid (weights >= 0, sum 1)
+  pass  condorcet elects x on base
+  pass  descent level 0 equals profile base
+  pass  descent of 6 level(s): each rebuilds the previous profile with coalition mass < epsilon and drops the window index by one
+  pass  profile pairXY equals the terminal shape with all component mass absorbed
+  pass  final misreport from pairXY rebuilds the terminal profile with size < epsilon
+  FAIL  descent step: movers with true ranking y>x>z gain (not:y over y)  (y>x>z does not prefer some of ['x', 'z'] over some of ['y'])
+  FAIL  descent step: movers with true ranking y>x>z gain (not:y over y)  (y>x>z does not prefer some of ['x', 'z'] over some of ['y'])
+"""),
 }
 
 
@@ -883,6 +910,24 @@ def test_failing_report_text(case, monkeypatch):
     report = verify_full(mutate(get_scenario(sid), monkeypatch), params)
     assert not report.passed
     assert report.text() + "\n" == text
+
+
+#: The sha256 of the texts of 40 `verify_full` reports per catalog scenario, each line
+#: ended, at the points `sample_params` draws from `random.Random(0)` for each scenario:
+#: 3,040 reports, whose every byte a change to the verifier must keep.
+_SEEDED_REPORTS_SHA256 = "e82a2bfc3ccde709b75f682ac0470cc2337e9fca222e78ac6ecc3bdbcb799fe6"
+
+
+def test_forty_seeded_reports_per_scenario_hash_as_pinned():
+    digest, count = hashlib.sha256(), 0
+    for scenario in scenario_catalog():
+        rng = random.Random(0)
+        for _ in range(40):
+            report = verify_full(scenario, sample_params(scenario, rng))
+            digest.update(report.text().encode() + b"\n")
+            count += 1
+    assert count == 3040
+    assert digest.hexdigest() == _SEEDED_REPORTS_SHA256
 
 
 def _affine_chain(**fields):
